@@ -41,7 +41,7 @@ from fractions import Fraction
 from itertools import combinations
 
 from .errors import AlreadyFlat, InputError, ModelViolation, NotLogCanonical
-from .germ import Face, ToricGerm, all_faces, full_face
+from .germ import Face, ToricGerm, _weigh, all_faces, full_face
 from .linprog import OPTIMAL, solve_lp
 from .newton import NewtonPoly, _poly_intersection, dual_hilbert_basis, newton_poly_from_exponents, normal_witness_ray
 from .rationals import QVec, qvec
@@ -230,21 +230,18 @@ def _interior_candidates(state: FlatState):
     if key not in germ._cache:
         import numpy as np
 
-        from .germ import _np_rows
-
         lat = germ.lattice
         den = lat.den
         cands = germ._face_candidates(full_face(germ.dim))
         lat_key = "interior-x-v"
         if lat_key not in lat._cache:
-            hb_arr = _np_rows(list(dual_hilbert_basis(germ)))
-            v_ints = (cands @ hb_arr.T).min(axis=1)
+            v_ints = np.min([_weigh(cands, den, h) for h in dual_hilbert_basis(germ)], axis=0)
             xs = tuple(tuple(Fraction(int(c), den) for c in raw) for raw in cands)
             vs = tuple(Fraction(int(vi), den) for vi in v_ints)
             lat._cache[lat_key] = (xs, vs)
         xs, vs = lat._cache[lat_key]
         wn, wd = germ._weight_ints
-        a_ints = cands @ np.array(wn, dtype=cands.dtype)
+        a_ints = _weigh(cands, den, wn)
         germ._cache[key] = tuple(
             (Fraction(int(ai), den * wd), v, x) for ai, v, x in zip(a_ints, vs, xs)
         )
@@ -255,8 +252,6 @@ def _face_zero_points(germ: ToricGerm):
     """Unit-box points on proper faces where the plain log discrepancy is 0."""
     key = "face-zero-points"
     if key not in germ._cache:
-        import numpy as np
-
         den = germ.lattice.den
         wn, _ = germ._weight_ints
         rows = []
@@ -264,10 +259,8 @@ def _face_zero_points(germ: ToricGerm):
             if len(face.support) == germ.dim:
                 continue
             cands = germ._face_candidates(face)
-            vals = cands @ np.array(wn, dtype=cands.dtype)
-            for i in np.nonzero(vals == 0)[0]:
-                x = tuple(Fraction(int(c), den) for c in cands[i])
-                rows.append((face, x))
+            for i in (_weigh(cands, den, wn) == 0).nonzero()[0]:
+                rows.append((face, tuple(Fraction(int(c), den) for c in cands[i])))
         germ._cache[key] = tuple(rows)
     return germ._cache[key]
 

@@ -25,6 +25,7 @@ from .lattice import Lattice, _divisors
 from .rationals import QVec, qvec, qvec_str, rat
 
 _INT64_LIMIT = 2**40
+_INT64_MAX = 2**63 - 1
 
 
 def _np_rows(rows):
@@ -33,6 +34,15 @@ def _np_rows(rows):
     if arr.size == 0 or max(1, int(abs(arr).max())) < _INT64_LIMIT:
         return np.array(rows, dtype=np.int64).reshape(len(rows), -1)
     return arr
+
+
+def _weigh(cands: np.ndarray, top: int, vec) -> np.ndarray:
+    """Exact ``cands @ vec`` for candidate entries in [0, top] and a
+    nonnegative integer vector: int64 only when d * top * max(vec) bounds
+    every product sum inside it (int64 wraps silently), object dtype otherwise."""
+    if cands.dtype != object and len(vec) * top * max(vec) <= _INT64_MAX:
+        return cands @ np.array(vec, dtype=np.int64)
+    return cands.astype(object) @ np.array(vec, dtype=object)
 
 
 @dataclass(frozen=True)
@@ -237,7 +247,7 @@ def mld_face(germ: ToricGerm, face) -> MldReport:
     cands = germ._face_candidates(face)
     wn, wd = germ._weight_ints
     den = germ.lattice.den
-    vals = cands @ np.array(wn, dtype=cands.dtype)
+    vals = _weigh(cands, den, wn)
     m = int(vals.min())
     rows = sorted(tuple(int(c) for c in cands[i]) for i in np.nonzero(vals == m)[0])
     witnesses = tuple(tuple(Fraction(c, den) for c in row) for row in rows)
@@ -283,7 +293,7 @@ def mld_bruteforce_oracle(germ: ToricGerm, face, radius: int) -> Fraction:
         lat._cache[key] = _np_rows(rows)
     cands = lat._cache[key]
     wn, wd = germ._weight_ints
-    vals = cands @ np.array(wn, dtype=cands.dtype)
+    vals = _weigh(cands, radius * lat.den, wn)
     return Fraction(int(vals.min()), lat.den * wd)
 
 
@@ -301,7 +311,7 @@ def verify_minkowski(germ: ToricGerm, t, delta) -> bool:
     cands = germ._face_candidates(full_face(germ.dim))
     wn, wd = germ._weight_ints
     den = germ.lattice.den
-    vals = [Fraction(int(v), den * wd) for v in cands @ np.array(wn, dtype=cands.dtype)]
+    vals = [Fraction(int(v), den * wd) for v in _weigh(cands, den, wn)]
     empty_at_t = all(v >= t for v in vals)
     nonempty_above = any(v < t + delta for v in vals)
     return empty_at_t and nonempty_above

@@ -225,6 +225,26 @@ class Lattice:
 
     # -- derived lattices ----------------------------------------------------
 
+    def dual_int_basis(self) -> tuple[tuple[int, ...], ...]:
+        """Integer basis of the dual of a lattice containing Z^d, built
+        without fractions: the columns of den * T^-1 for T = ``int_rows``.
+
+        The dual {m : T m = 0 mod den} is the span of those columns, which are
+        integral because the lattice contains Z^d, so back substitution on the
+        upper-triangular T divides exactly.  Column j is zero below entry j,
+        and entry j is the positive den / T_jj.
+        """
+        if not self.is_superlattice:
+            raise InputError("the integer dual basis requires a lattice containing Z^d")
+        t, den, d = self.int_rows, self.den, self.dim
+        cols = []
+        for j in range(d):
+            x = [0] * d
+            for i in range(j, -1, -1):
+                x[i] = (den * (i == j) - sum(t[i][k] * x[k] for k in range(i + 1, j + 1))) // t[i][i]
+            cols.append(tuple(x))
+        return tuple(cols)
+
     @cached_property
     def dual(self) -> "Lattice":
         """{m : <m, x> integral for all x in L}; rows of inverse-transpose."""

@@ -17,12 +17,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm, prod
 
-import numpy as np
-
-from .errors import InputError, NotInLattice
-from .germ import ToricGerm, _np_rows, log_discrepancy_of_valuation
+from .errors import InputError, NotInLattice, ResourceLimit
+from .germ import ToricGerm, log_discrepancy_of_valuation
 from .lattice import Lattice
 from .linprog import OPTIMAL, solve_lp_max_slack
 from .rationals import QVec, qvec
@@ -32,54 +30,139 @@ RAY = "ray"
 
 IntVec = tuple[int, ...]
 
+# Largest box prod (c_i + 1) that ``dual_hilbert_basis`` marks out, as Python-int
+# bitsets of that many bits.  Since c_i <= index, it admits every lattice up to
+# index 255 in dimension 3 and 63 in dimension 4; near the cap one call took
+# under half a second and 50 MB (2.1 GHz Xeon vCPU, Python 3.11).
+BOX_CAP = 2**24
+
 
 # -- dual monoid generators -----------------------------------------------------
 
 
 def _ray_orders(lat: Lattice) -> tuple[int, ...]:
-    """Smallest positive c_i with c_i * e_i in the dual lattice."""
-    out = []
-    for i in range(lat.dim):
-        c = next(
-            k
-            for k in range(1, lat.index + 1)
-            if lat.dual_contains_int([k if j == i else 0 for j in range(lat.dim)])
-        )
-        out.append(c)
-    return tuple(out)
+    """Smallest positive c_i with c_i * e_i in the dual lattice.
+
+    k * e_i pairs integrally with the lattice exactly when den divides k times
+    every entry of column i of ``int_rows``, that is, when den / gcd(den,
+    column i) divides k.
+    """
+    den = lat.den
+    return tuple(den // gcd(den, *(row[i] for row in lat.int_rows)) for i in range(lat.dim))
+
+
+def _box_bits(rows: list[IntVec], c: IntVec, strides: IntVec) -> int:
+    """Bitset of the lattice points in the box prod [0, c_i]; the point x is
+    bit sum x_i * strides[i] in the mixed radix (c_i + 1) whose last
+    coordinate is fastest (stride 1).
+
+    ``rows`` is an upper-triangular basis of the lattice with positive
+    pivots.  The walk fixes one coordinate at a time along it: once
+    x_0..x_{i-1} are fixed, the coefficients of rows 0..i-1 are too, and x_i
+    runs through v_i + k * pivot_i for the partial sum v of those rows, so
+    only lattice points are ever visited.  The last coordinate of each fixed
+    prefix is a whole progression, taken at once from a comb of bits one
+    pivot apart; the lines are then joined pairwise, so each bit is copied
+    O(log lines) times rather than once per line.  Prefixes are kept as
+    parallel lists of integers, not one tuple each: that allocates far fewer
+    objects, and the walk ran about 2.5 times faster on the d = 3, index <= 20
+    lattices.
+    """
+    d = len(c)
+    offsets = [0]  # bit offset of each fixed prefix x_0..x_{i-1}
+    sums = [[0] for _ in range(d)]  # sums[j][s]: coordinate j of prefix s's partial sum v
+    for i in range(d - 1):
+        piv, ci, st = rows[i][i], c[i], strides[i]
+        parents, ks, next_offsets = [], [], []
+        for s, vi in enumerate(sums[i]):
+            x = vi % piv  # smallest x_i in [0, c_i] of the form v_i + k * piv
+            n = (ci - x) // piv + 1
+            k0 = (x - vi) // piv
+            parents += [s] * n
+            ks += range(k0, k0 + n)
+            start = offsets[s] + x * st
+            next_offsets += range(start, start + n * piv * st, piv * st)
+        offsets = next_offsets
+        sums = [None] * (i + 1) + [
+            [sums[j][s] + k * rows[i][j] for s, k in zip(parents, ks)] for j in range(i + 1, d)
+        ]
+    piv, last = rows[-1][-1], c[-1]
+    line = (1 << (last + 1)) - 1
+    comb = sum(1 << x for x in range(0, last + 1, piv))
+    lines = [(comb << (v % piv)) & line for v in sums[-1]]
+    while len(lines) > 1:
+        joined = [a | b << (q - p) for a, b, p, q in zip(lines[::2], lines[1::2], offsets[::2], offsets[1::2])]
+        lines, offsets = joined + lines[2 * len(joined) :], offsets[::2]
+    return lines[0] << offsets[0]
+
+
+def _block_mask(total: int, block: int, run: int) -> int:
+    """Bitset of ``total`` bits whose every ``block``-bit block (``block``
+    divides ``total``) has exactly its low ``run`` bits set."""
+    mask, width = (1 << run) - 1, block
+    while width < total:
+        mask |= mask << width
+        width *= 2
+    return mask & ((1 << total) - 1)
 
 
 def dual_hilbert_basis(germ: ToricGerm) -> tuple[IntVec, ...]:
-    """Minimal generating set of the monoid (dual lattice) cap (dual orthant).
+    """Minimal generating set of the monoid (dual lattice) cap (dual orthant),
+    sorted lexicographically.
 
-    Every irreducible element lies in the box prod [0, c_i] where c_i e_i is
-    the primitive dual vector on ray i (anything beyond can shed a c_i e_i and
-    stay in the monoid), so it suffices to list the dual lattice points of the
-    box and discard the ones that dominate another nonzero point: the
-    difference of two monoid points is again in the lattice, and it is in the
-    orthant exactly when the points are comparable.
+    Every irreducible element lies in the box prod [0, c_i], where c_i e_i is
+    the primitive dual vector on ray i: anything beyond can shed a c_i e_i and
+    stay in the monoid.  The box is a bitset in mixed radix (c_i + 1), first
+    coordinate fastest, filled with the dual lattice points by a walk from
+    the last coordinate to the first (``_box_bits``) along the integer dual
+    basis of ``Lattice.dual_int_basis``, which is triangular in that order.
+
+    Reducibility criterion: a nonzero monoid point p is reducible exactly
+    when some nonzero monoid point q satisfies q <= p - e_k for some k.  If
+    p = q + r with q, r nonzero monoid points, then r >= 0 and r != 0, so
+    some r_k >= 1 and q <= p - e_k.  Conversely, q <= p - e_k gives q <= p
+    and q != p, so r = p - q is a nonzero lattice point of the orthant, that
+    is, a nonzero monoid point, and p = q + r.  Every such q lies in the box
+    with p.
+
+    So with D the down-closure "some nonzero monoid point is <= x", the
+    reducible points are the union over k of D shifted up by e_k.  D is the
+    prefix-OR of the nonzero points along every axis in turn, each done by
+    masked doubling shifts (distances 1, 2, 4, ... along the axis, masked so
+    that no bit leaves its line), and the basis is the nonzero points minus
+    the shifted copies: O(box * d * log c) bit operations on Python ints,
+    against the box cap ``BOX_CAP`` (``ResourceLimit`` above it).
     """
     lat = germ.lattice
     key = "hilbert-basis"
     if key in lat._cache:
         return lat._cache[key]
     c = _ray_orders(lat)
-    grids = np.meshgrid(*[np.arange(ci + 1, dtype=np.int64) for ci in c], indexing="ij")
-    pts = np.stack([g.ravel() for g in grids], axis=1)
-    rows = _np_rows(lat.int_rows)
-    inside = ((pts @ rows.T) % lat.den == 0).all(axis=1)
-    pts = pts[inside]
-    pts = pts[pts.any(axis=1)]
-    order = np.lexsort(tuple(pts[:, j] for j in range(lat.dim - 1, -1, -1)) + (pts.sum(axis=1),))
-    pts = pts[order]
-    basis: list[np.ndarray] = []
-    for p in pts:
-        if basis and (np.array(basis) <= p).all(axis=1).any():
-            continue
-        basis.append(p)
-    result = tuple(sorted(tuple(int(x) for x in p) for p in basis))
-    lat._cache[key] = result
-    return result
+    total = prod(ci + 1 for ci in c)
+    if total > BOX_CAP:
+        raise ResourceLimit(f"Hilbert basis box of {total} points exceeds the cap {BOX_CAP}")
+    strides = tuple(prod(cj + 1 for cj in c[:i]) for i in range(lat.dim))
+    walk_basis = [col[::-1] for col in reversed(lat.dual_int_basis())]
+    nonzero = _box_bits(walk_basis, c[::-1], strides[::-1]) & ~1
+    below = nonzero
+    for ci, st in zip(c, strides):
+        block = (ci + 1) * st
+        s = 1
+        while s <= ci:
+            below |= (below & _block_mask(total, block, (ci + 1 - s) * st)) << (s * st)
+            s *= 2
+    shifted = 0
+    for ci, st in zip(c, strides):
+        shifted |= (below & _block_mask(total, (ci + 1) * st, ci * st)) << st
+    digits = format(nonzero & ~shifted, "b")  # bit pos is digits[-1 - pos]
+    result = []
+    i = digits.rfind("1")
+    while i >= 0:
+        pos = len(digits) - 1 - i
+        result.append(tuple(pos // st % (ci + 1) for ci, st in zip(c, strides)))
+        i = digits.rfind("1", 0, i)
+    lat._cache[key] = tuple(sorted(result))
+    return lat._cache[key]
 
 
 # -- polyhedra -------------------------------------------------------------------

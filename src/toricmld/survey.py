@@ -16,6 +16,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import os
 from dataclasses import dataclass, field
 from fractions import Fraction
 from hashlib import sha256
@@ -191,7 +192,12 @@ def run_survey(
 
     Output order is canonical (dim, index, basis, boundary) no matter how the
     work is scheduled; exceeding ``row_cap`` raises instead of truncating.
+    ``jobs`` below 1 is an input error, and above ``os.cpu_count()`` it is
+    clamped to the core count.
     """
+    if jobs < 1:
+        raise InputError(f"jobs must be at least 1, got {jobs}")
+    jobs = min(jobs, os.cpu_count() or 1)
     coeffs = sorted({rat(b) for b in boundary_set})
     if not coeffs:
         raise InputError("boundary set must be nonempty")

@@ -153,3 +153,17 @@ def test_entrypoint_subprocess(tmp_path):
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["value"] == "2"
+
+
+def test_general_member_box_cap_exits_one(tmp_path, capsys):
+    """1/100003(1,2,5) needs a basis box of 100004^3 points; the cap turns it
+    into an input-class error before anything is allocated."""
+    path = tmp_path / "big.json"
+    path.write_text('{"dim":3,"lattice":{"generators":[["1/100003","2/100003","5/100003"]]},"boundary":["0","0","0"]}')
+    assert cli.main(["lct", "-i", str(path), "--general-member"]) == 1
+    assert "exceeds the cap" in capsys.readouterr().err
+
+
+def test_survey_rejects_nonpositive_jobs(capsys):
+    assert cli.main(["survey", "--dim", "2", "--max-index", "2", "--jobs", "0"]) == 1
+    assert "jobs must be at least 1" in capsys.readouterr().err

@@ -201,3 +201,26 @@ def test_corpus_terminates_within_dimension(corpus_germs):
             hb = dual_hilbert_basis(germ)
             v = min(sum(F(m[j]) * res.witness.x[j] for j in range(germ.dim)) for m in hb)
             assert germ.log_discrepancy(res.witness.x) == total * v
+
+
+def test_large_weight_denominators_stay_exact_in_the_builder_tables():
+    """The interior A-values and the proper-face zeros are exact when the
+    weight denominators are near 2^29, where int64 products overflow."""
+    from toricmld.flat import _face_zero_points, _interior_candidates
+    from toricmld.germ import all_faces
+
+    lat = germ_cyclic_quotient(101, (1, 37, 63)).lattice
+    germ = ToricGerm(lat, (F(1, 2**29 - 3), F(1, 2**29 + 11), 1))
+    for a, _, x in _interior_candidates(FlatState(germ, ())):
+        assert a == germ.log_discrepancy(x)
+    expected = []
+    for face in all_faces(3)[:-1]:
+        on = {i - 1 for i in face.support}
+        for rep in lat.coset_table.reps:
+            if any(c for j, c in enumerate(rep) if j not in on):
+                continue
+            x = tuple(F(1) if j in on and c == 0 else c for j, c in enumerate(rep))
+            if germ.log_discrepancy(x) == 0:
+                expected.append((face, x))
+    assert sorted(_face_zero_points(germ), key=repr) == sorted(expected, key=repr)
+    assert expected == [(all_faces(3)[2], (0, 0, 1))]

@@ -231,3 +231,48 @@ def test_cartier_clears_every_face_value(gens, boundary):
     r = cartier_index(germ)
     for face in all_faces(2):
         assert (r * mld_face(germ, face).value).denominator == 1
+
+
+# -- exactness with large weight denominators --------------------------------------------
+
+
+def lift_minimum(germ, face):
+    """Pure-Fraction face minimum over the coset representatives lifted into
+    the unit box (zeros off the support, zeros on the support raised to 1)."""
+    on = {i - 1 for i in face.support}
+    values = []
+    for rep in germ.lattice.coset_table.reps:
+        if any(c for j, c in enumerate(rep) if j not in on):
+            continue
+        x = tuple(F(1) if j in on and c == 0 else c for j, c in enumerate(rep))
+        values.append(germ.log_discrepancy(x))
+    return min(values)
+
+
+# 1/101(1,37,63) with weight denominators near 2^29 overflowed int64 in the
+# candidate products (the point minimum came out near -0.267); near 2^40 the
+# weights themselves no longer fit and raised OverflowError
+@pytest.mark.parametrize("q1,q2", [(2**29 - 3, 2**29 + 11), (2**40 - 87, 2**40 + 15)])
+def test_large_weight_denominators_stay_exact(q1, q2):
+    germ = ToricGerm(germ_cyclic_quotient(101, (1, 37, 63)).lattice, (F(1, q1), F(1, q2), 0))
+    for face in all_faces(3):
+        rep = mld_face(germ, face)
+        expected = lift_minimum(germ, face)
+        assert rep.value == expected
+        assert all(germ.log_discrepancy(w) == expected for w in rep.witnesses)
+        assert mld_bruteforce_oracle(germ, face, 2) == expected
+    point = lift_minimum(germ, full_face(3))
+    assert 0 < point < 1
+    assert verify_minkowski(germ, point, F(1, 7))
+    assert not verify_minkowski(germ, point + F(1, 10**6), F(1, 7))
+
+
+@given(
+    st.sampled_from([(5, (1, 2, 3)), (7, (1, 2, 4)), (11, (1, 3, 7)), (13, (1, 5, 7))]),
+    st.lists(st.integers(2**28, 2**45), min_size=3, max_size=3),
+)
+def test_random_large_denominators_match_lift_minimum(quotient, dens):
+    q, a = quotient
+    germ = ToricGerm(germ_cyclic_quotient(q, a).lattice, tuple(F(1, n) for n in dens))
+    for face in all_faces(3):
+        assert mld_face(germ, face).value == lift_minimum(germ, face)

@@ -1,0 +1,99 @@
+"""The dual Hilbert basis against independent references.
+
+``oracle_hilbert_basis`` is the earlier library algorithm, kept here as the
+reference: list every point of the box prod [0, c_i] with numpy, keep the
+dual lattice points, and drop, in order of coordinate sum, every point that
+dominates one already kept.  For two-dimensional cyclic quotients the basis
+is also given in closed form by a Hirzebruch-Jung continued fraction
+(Fulton, Introduction to Toric Varieties, section 2.6).
+"""
+from math import gcd
+
+import numpy as np
+import pytest
+
+from toricmld.errors import ResourceLimit
+from toricmld.germ import ToricGerm, germ_cyclic_quotient
+from toricmld.lattice import enumerate_superlattices
+from toricmld.newton import BOX_CAP, _ray_orders, dual_hilbert_basis
+
+
+def scan_ray_orders(lat):
+    """Smallest c_i with c_i e_i in the dual lattice, by scanning k = 1..index."""
+    d = lat.dim
+    return tuple(
+        next(k for k in range(1, lat.index + 1) if lat.dual_contains_int([k * (j == i) for j in range(d)]))
+        for i in range(d)
+    )
+
+
+def oracle_hilbert_basis(lat):
+    c = scan_ray_orders(lat)
+    grids = np.meshgrid(*[np.arange(ci + 1, dtype=np.int64) for ci in c], indexing="ij")
+    pts = np.stack([g.ravel() for g in grids], axis=1)
+    rows = np.array(lat.int_rows, dtype=np.int64)
+    pts = pts[((pts @ rows.T) % lat.den == 0).all(axis=1)]
+    pts = pts[pts.any(axis=1)]
+    order = np.lexsort(tuple(pts[:, j] for j in range(lat.dim - 1, -1, -1)) + (pts.sum(axis=1),))
+    basis = []
+    for p in pts[order]:
+        if basis and (np.array(basis) <= p).all(axis=1).any():
+            continue
+        basis.append(p)
+    return tuple(sorted(tuple(int(x) for x in p) for p in basis))
+
+
+def zero_germ(lat):
+    return ToricGerm(lat, (0,) * lat.dim)
+
+
+def test_ray_orders_closed_form_matches_scan(corpus_lattices):
+    for d in (1, 2, 3):
+        for lat in corpus_lattices[d]:
+            assert _ray_orders(lat) == scan_ray_orders(lat), lat
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_basis_matches_oracle_on_corpus(corpus_lattices, d):
+    for lat in corpus_lattices[d]:
+        assert dual_hilbert_basis(zero_germ(lat)) == oracle_hilbert_basis(lat), lat
+
+
+def test_basis_matches_oracle_in_dimension_four():
+    for lat in enumerate_superlattices(4, 6):
+        assert _ray_orders(lat) == scan_ray_orders(lat), lat
+        assert dual_hilbert_basis(zero_germ(lat)) == oracle_hilbert_basis(lat), lat
+
+
+def hirzebruch_jung(n, q):
+    """[b_1, ..., b_r] with n/q = b_1 - 1/(b_2 - 1/(... - 1/b_r)), 0 < q < n coprime."""
+    out = []
+    while q:
+        b = -(-n // q)
+        out.append(b)
+        n, q = q, b * q - n
+    return out
+
+
+def test_basis_matches_continued_fraction_for_cyclic_surfaces():
+    """For 1/n(1,a) the dual monoid is the cone cone(e_2, n e_1 - (n-a) e_2) of
+    Z^2 in the basis (n-a, 1), (n, 0) of the dual lattice, so its basis is
+    u_0 = (n, 0), u_1 = (n-a, 1), u_{i+1} = b_i u_i - u_{i-1} with [b_i] the
+    continued fraction of n/(n-a), ending at (0, n)."""
+    for n in range(2, 31):
+        for a in range(1, n):
+            if gcd(n, a) != 1:
+                continue
+            chain = [(n, 0), (n - a, 1)]
+            for b in hirzebruch_jung(n, n - a):
+                chain.append(tuple(b * x - y for x, y in zip(chain[-1], chain[-2])))
+            assert chain[-1] == (0, n)
+            assert dual_hilbert_basis(germ_cyclic_quotient(n, (1, a))) == tuple(sorted(chain)), (n, a)
+
+
+def test_box_above_the_cap_raises_before_walking():
+    germ = germ_cyclic_quotient(100003, (1, 2, 5))
+    assert _ray_orders(germ.lattice) == (100003,) * 3 and 100004**3 > BOX_CAP
+    with pytest.raises(ResourceLimit):
+        dual_hilbert_basis(germ)
+    assert "dual" not in germ.lattice.__dict__, "the dual lattice must not even be built"

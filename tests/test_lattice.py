@@ -6,6 +6,7 @@ from hypothesis import given, strategies as st
 
 from toricmld.errors import InputError, NotInLattice
 from toricmld.lattice import (
+    Lattice,
     coset_reps,
     dual_lattice,
     enumerate_superlattices,
@@ -164,6 +165,16 @@ def test_double_dual_and_index(gens):
     dual = dual_lattice(lat)
     assert dual_lattice(dual) == lat
     assert dual.det == lat.index  # [Z^d : M] = [N : Z^d]
+
+
+def test_integer_dual_basis_spans_the_dual(corpus_lattices):
+    for d in (1, 2, 3):
+        for lat in corpus_lattices[d]:
+            cols = lat.dual_int_basis()
+            assert Lattice.from_rows(d, cols) == lat.dual, lat
+            assert all(col[j] > 0 and not any(col[j + 1 :]) for j, col in enumerate(cols))
+    with pytest.raises(InputError):
+        Lattice.from_rows(2, [(2, 0), (0, 1)]).dual_int_basis()  # 2Z x Z misses e_1
 
 
 # -- projection -------------------------------------------------------------------

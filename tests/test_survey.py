@@ -199,3 +199,43 @@ def test_germ_id_is_stable_and_boundary_sensitive():
     b = germ_id(germ_cyclic_quotient(3, (1, 2)))
     c = germ_id(ToricGerm(germ_cyclic_quotient(3, (1, 2)).lattice, (F(1, 2), F(0))))
     assert a == b != c
+
+
+def test_survey_rejects_nonpositive_jobs():
+    for jobs in (0, -3):
+        with pytest.raises(InputError):
+            run_survey(2, 2, [0], jobs=jobs)
+
+
+class _RecordingContext:
+    """Stands in for a multiprocessing context: records the requested worker
+    count and maps in this process, so no worker is ever started."""
+
+    def __init__(self):
+        self.sizes = []
+
+    def Pool(self, processes):
+        self.sizes.append(processes)
+        return self
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, items):
+        return [fn(item) for item in items]
+
+
+@pytest.mark.parametrize("cores,jobs,expected", [(2, 64, [2]), (2, 2, [2]), (1, 8, []), (None, 8, [])])
+def test_survey_clamps_jobs_to_the_core_count(monkeypatch, cores, jobs, expected):
+    import multiprocessing
+    import os
+
+    ctx = _RecordingContext()
+    monkeypatch.setattr(os, "cpu_count", lambda: cores)
+    monkeypatch.setattr(multiprocessing, "get_context", lambda method=None: ctx)
+    rows = rows_to_csv(run_survey(2, 4, [0], jobs=jobs))
+    assert ctx.sizes == expected
+    assert rows == rows_to_csv(run_survey(2, 4, [0]))
