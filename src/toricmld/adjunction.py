@@ -75,14 +75,16 @@ def check_precise_inversion(germ: ToricGerm, divisor: int) -> CheckReport:
 
 def check_lower_semicontinuity(germ: ToricGerm) -> CheckReport:
     """mld(P) <= mld(face) + dim(cycle) for every proper invariant cycle."""
-    at_point = mld_face(germ, full_face(germ.dim)).value
+    table = germ.face_table
+    d = germ.dim
+    at_point = table.value(full_face(d).support)
     details = []
     ok = True
-    for face in germ.faces():
-        if len(face.support) == germ.dim:
+    for support in table.supports():
+        if len(support) == d:
             continue
-        bound = mld_face(germ, face).value + (germ.dim - len(face.support))
-        details.append((f"S={face.support}", at_point, bound))
+        bound = table.value(support) + (d - len(support))
+        details.append((f"S={support}", at_point, bound))
         ok = ok and at_point <= bound
     return CheckReport(ok, tuple(details))
 
@@ -91,7 +93,7 @@ def check_shokurov_bounds(germ: ToricGerm) -> CheckReport:
     """mld(P) <= d, and values above d-1 only on the standard lattice with
     the multiplicity formula d - sum(b)."""
     d = germ.dim
-    value = mld_face(germ, full_face(d)).value
+    value = germ.face_table.value(full_face(d).support)
     details = [("point-minimum vs dimension", value, Fraction(d))]
     ok = value <= d
     if value > d - 1:

@@ -39,9 +39,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
+from operator import mul
 
 from .errors import AlreadyFlat, InputError, ModelViolation, NotLogCanonical
-from .germ import Face, ToricGerm, _weigh, all_faces, full_face
+from .germ import Face, ToricGerm, full_face
 from .linprog import OPTIMAL, solve_lp
 from .newton import NewtonPoly, _poly_intersection, dual_hilbert_basis, newton_poly_from_exponents, normal_witness_ray
 from .rationals import QVec, qvec
@@ -223,27 +224,24 @@ def ray_infimum_by_cells(germ: ToricGerm) -> Fraction:
 def _interior_candidates(state: FlatState):
     """(A, v, x) on the full-support unit-box candidates, exact rationals.
 
-    Computed once per germ with integer matrix products over the common
+    Computed once per germ by integer products over the common
     denominators, then frozen as Fractions."""
     germ = state.germ
     key = "interior-candidates"
     if key not in germ._cache:
-        import numpy as np
-
         lat = germ.lattice
         den = lat.den
-        cands = germ._face_candidates(full_face(germ.dim))
+        rows = lat.box_candidates[full_face(germ.dim).support]
         lat_key = "interior-x-v"
         if lat_key not in lat._cache:
-            v_ints = np.min([_weigh(cands, den, h) for h in dual_hilbert_basis(germ)], axis=0)
-            xs = tuple(tuple(Fraction(int(c), den) for c in raw) for raw in cands)
-            vs = tuple(Fraction(int(vi), den) for vi in v_ints)
+            hb = dual_hilbert_basis(germ)
+            xs = tuple(tuple(Fraction(c, den) for c in row) for row in rows)
+            vs = tuple(Fraction(min(sum(map(mul, h, row)) for h in hb), den) for row in rows)
             lat._cache[lat_key] = (xs, vs)
         xs, vs = lat._cache[lat_key]
         wn, wd = germ._weight_ints
-        a_ints = _weigh(cands, den, wn)
         germ._cache[key] = tuple(
-            (Fraction(int(ai), den * wd), v, x) for ai, v, x in zip(a_ints, vs, xs)
+            (Fraction(sum(map(mul, wn, row)), den * wd), v, x) for row, v, x in zip(rows, vs, xs)
         )
     return germ._cache[key]
 
@@ -255,12 +253,12 @@ def _face_zero_points(germ: ToricGerm):
         den = germ.lattice.den
         wn, _ = germ._weight_ints
         rows = []
-        for face in all_faces(germ.dim):
-            if len(face.support) == germ.dim:
+        for support, cands in germ.lattice.box_candidates.items():
+            if len(support) == germ.dim:
                 continue
-            cands = germ._face_candidates(face)
-            for i in (_weigh(cands, den, wn) == 0).nonzero()[0]:
-                rows.append((face, tuple(Fraction(int(c), den) for c in cands[i])))
+            for row in cands:
+                if sum(map(mul, wn, row)) == 0:
+                    rows.append((Face(support), tuple(Fraction(c, den) for c in row)))
         germ._cache[key] = tuple(rows)
     return germ._cache[key]
 

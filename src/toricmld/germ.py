@@ -8,7 +8,19 @@ every minimum of that form over a face stratum is realized inside the unit
 box: subtracting a standard basis vector from a coordinate exceeding 1 stays
 in the stratum and cannot increase the value because weights are >= 0.  The
 finitely many box candidates are the coset representatives with zeros off
-the support, zeros on the support lifted to 1.
+the support, zeros on the support lifted to 1 (``Lattice.box_candidates``,
+scaled by den).
+
+The face table.  Scaled by den and by the common denominator wd of the
+weights, every candidate value is the integer sum of (wd (1-b_i)) (den x_i),
+so one pass over each face's candidate rows gives that face's minimum and
+its minimizers in Python integers, exact at any size.  ``ToricGerm.face_table``
+holds both for every face, over the one scale den * wd; face minima, the
+global and exceptional minima, and the semicontinuity, dimension-bound and
+corpus checks all read it, so each germ's candidates are weighed once, and
+comparing minima of different faces is comparing integers.  The brute-force
+oracle does not read the table or its rows: it shifts the coset residues
+itself, so it can catch a defect in either.
 """
 from __future__ import annotations
 
@@ -17,32 +29,11 @@ from fractions import Fraction
 from functools import cached_property
 from itertools import combinations, product
 from math import ceil, gcd, lcm
-
-import numpy as np
+from operator import mul
 
 from .errors import InputError, NotInLattice, NotPrimitive
 from .lattice import Lattice, _divisors
-from .rationals import QVec, qvec, qvec_str, rat
-
-_INT64_LIMIT = 2**40
-_INT64_MAX = 2**63 - 1
-
-
-def _np_rows(rows):
-    """Exact integer numpy matrix; falls back to object dtype for huge entries."""
-    arr = np.array(rows, dtype=object)
-    if arr.size == 0 or max(1, int(abs(arr).max())) < _INT64_LIMIT:
-        return np.array(rows, dtype=np.int64).reshape(len(rows), -1)
-    return arr
-
-
-def _weigh(cands: np.ndarray, top: int, vec) -> np.ndarray:
-    """Exact ``cands @ vec`` for candidate entries in [0, top] and a
-    nonnegative integer vector: int64 only when d * top * max(vec) bounds
-    every product sum inside it (int64 wraps silently), object dtype otherwise."""
-    if cands.dtype != object and len(vec) * top * max(vec) <= _INT64_MAX:
-        return cands @ np.array(vec, dtype=np.int64)
-    return cands.astype(object) @ np.array(vec, dtype=object)
+from .rationals import IntVec, QVec, qvec, qvec_str, rat
 
 
 @dataclass(frozen=True)
@@ -97,6 +88,37 @@ class MldReport:
 
 
 @dataclass(frozen=True)
+class FaceTable:
+    """Every face minimum of one germ, in integers over one scale.
+
+    ``entries`` maps each face support, in (codimension, lexicographic)
+    order, to the pair (minimum, minimizers): the minimum is the face value
+    times ``scale`` = den * wd, and the minimizers are the den-scaled box
+    candidates attaining it, sorted.  Callers read it through the methods.
+    """
+
+    den: int
+    scale: int
+    entries: dict[tuple[int, ...], tuple[int, tuple[IntVec, ...]]]
+
+    def supports(self):
+        return self.entries.keys()
+
+    def value(self, support: tuple[int, ...]) -> Fraction:
+        return Fraction(self.entries[support][0], self.scale)
+
+    def witnesses(self, support: tuple[int, ...]) -> tuple[QVec, ...]:
+        den = self.den
+        return tuple(tuple(Fraction(c, den) for c in row) for row in self.entries[support][1])
+
+    def minimizing_support(self, min_codim: int = 1) -> tuple[int, ...] | None:
+        """First support of codimension >= ``min_codim`` with the least
+        value, in table order; None when there is no such face."""
+        faces = [s for s in self.entries if len(s) >= min_codim]
+        return min(faces, key=lambda s: self.entries[s][0]) if faces else None
+
+
+@dataclass(frozen=True)
 class ToricGerm:
     """Germ data: lattice N (normal form, e_i primitive) + boundary b."""
 
@@ -122,9 +144,9 @@ class ToricGerm:
         return tuple(1 - b for b in self.boundary)
 
     @cached_property
-    def _weight_ints(self) -> tuple[tuple[int, ...], int]:
+    def _weight_ints(self) -> tuple[IntVec, int]:
         wd = lcm(*(w.denominator for w in self.weights))
-        return tuple(int(w * wd) for w in self.weights), wd
+        return tuple(w.numerator * (wd // w.denominator) for w in self.weights), wd
 
     def log_discrepancy(self, x: QVec) -> Fraction:
         return sum((w * c for w, c in zip(self.weights, x)), start=Fraction(0))
@@ -132,23 +154,18 @@ class ToricGerm:
     def faces(self) -> list[Face]:
         return all_faces(self.dim)
 
-    # -- unit-box candidate sets (cached per lattice, shared across germs) --
-
-    def _face_candidates(self, face: Face) -> np.ndarray:
-        """den-scaled integer candidates for the face stratum minimum."""
-        lat = self.lattice
-        key = ("face-cands", face.support)
-        if key not in lat._cache:
-            den = lat.den
-            on = [i - 1 for i in face.support]
-            off = [j for j in range(lat.dim) if j + 1 not in face.support]
-            rows = []
-            for u in lat.rep_ints:
-                if any(u[j] for j in off):
-                    continue
-                rows.append(tuple(den if (j in on and u[j] == 0) else u[j] for j in range(lat.dim)))
-            lat._cache[key] = _np_rows(rows)
-        return lat._cache[key]
+    @cached_property
+    def face_table(self) -> FaceTable:
+        """Minimum and minimizers of every face, from one pass over each
+        face's box candidates (see the module docstring)."""
+        wn, wd = self._weight_ints
+        entries = {}
+        for support, rows in self.lattice.box_candidates.items():
+            vals = [sum(map(mul, wn, row)) for row in rows]
+            m = min(vals)
+            entries[support] = (m, tuple(sorted(row for row, v in zip(rows, vals) if v == m)))
+        den = self.lattice.den
+        return FaceTable(den, den * wd, entries)
 
     @cached_property
     def _cache(self) -> dict:
@@ -243,58 +260,54 @@ def mld_face(germ: ToricGerm, face) -> MldReport:
     Evaluated on the finite unit-box candidate set; witnesses are all box
     minimizers, lexicographically sorted.
     """
-    face = Face.coerce(face, germ.dim)
-    cands = germ._face_candidates(face)
-    wn, wd = germ._weight_ints
-    den = germ.lattice.den
-    vals = _weigh(cands, den, wn)
-    m = int(vals.min())
-    rows = sorted(tuple(int(c) for c in cands[i]) for i in np.nonzero(vals == m)[0])
-    witnesses = tuple(tuple(Fraction(c, den) for c in row) for row in rows)
-    return MldReport(Fraction(m, den * wd), witnesses, face)
+    return _report(germ, Face.coerce(face, germ.dim))
+
+
+def _report(germ: ToricGerm, face: Face) -> MldReport:
+    table = germ.face_table
+    return MldReport(table.value(face.support), table.witnesses(face.support), face)
 
 
 def mld_global(germ: ToricGerm) -> MldReport:
     """Minimum over all nonempty faces; reports the first minimizing face
     in (codimension, lexicographic) order."""
-    best: MldReport | None = None
-    for face in germ.faces():
-        rep = mld_face(germ, face)
-        if best is None or rep.value < best.value:
-            best = rep
-    assert best is not None
-    return best
+    return _report(germ, Face(germ.face_table.minimizing_support()))
 
 
 def mld_bruteforce_oracle(germ: ToricGerm, face, radius: int) -> Fraction:
     """Exhaustive minimum over lattice points with coordinates in (0, radius]
-    on the support and 0 off it, by direct coset-shift enumeration."""
+    on the support and 0 off it, by direct coset-shift enumeration.
+
+    Read from the coset residues themselves, apart from the face table: each
+    den-scaled residue u vanishing off S is shifted on S, a zero entry over
+    den, 2 den, .., radius den and any other entry over u_j + s den for s in
+    [0, radius); every shifted point's value is summed from its
+    per-coordinate terms.
+    """
     if radius < 1:
         raise InputError("radius must be >= 1")
     face = Face.coerce(face, germ.dim)
     lat = germ.lattice
-    key = ("oracle-cands", face.support, radius)
-    if key not in lat._cache:
-        den = lat.den
-        on = set(i - 1 for i in face.support)
-        rows = []
-        for u in lat.rep_ints:
-            if any(c for j, c in enumerate(u) if j not in on):
-                continue
-            choices = []
-            for j in range(lat.dim):
-                if j not in on:
-                    choices.append((0,))
-                elif u[j] == 0:
-                    choices.append(tuple(s * den for s in range(1, radius + 1)))
-                else:
-                    choices.append(tuple(u[j] + s * den for s in range(radius)))
-            rows.extend(product(*choices))
-        lat._cache[key] = _np_rows(rows)
-    cands = lat._cache[key]
+    den = lat.den
+    on = [j + 1 in face.support for j in range(lat.dim)]
     wn, wd = germ._weight_ints
-    vals = _weigh(cands, radius * lat.den, wn)
-    return Fraction(int(vals.min()), lat.den * wd)
+    best = None
+    for u in lat.rep_ints:
+        if any(c for c, o in zip(u, on) if not o):
+            continue
+        terms = []
+        for w, c, o in zip(wn, u, on):
+            if not o:
+                terms.append((0,))
+            elif c == 0:
+                terms.append([w * s * den for s in range(1, radius + 1)])
+            else:
+                terms.append([w * (c + s * den) for s in range(radius)])
+        low = min(map(sum, product(*terms)))
+        if best is None or low < best:
+            best = low
+    assert best is not None, "the zero residue vanishes off every support"
+    return Fraction(best, den * wd)
 
 
 def verify_minkowski(germ: ToricGerm, t, delta) -> bool:
@@ -308,12 +321,12 @@ def verify_minkowski(germ: ToricGerm, t, delta) -> bool:
     t, delta = rat(t), rat(delta)
     if t < 0 or delta <= 0:
         raise InputError("need t >= 0 and delta > 0")
-    cands = germ._face_candidates(full_face(germ.dim))
+    lat = germ.lattice
     wn, wd = germ._weight_ints
-    den = germ.lattice.den
-    vals = [Fraction(int(v), den * wd) for v in _weigh(cands, den, wn)]
-    empty_at_t = all(v >= t for v in vals)
-    nonempty_above = any(v < t + delta for v in vals)
+    low, high = t * lat.den * wd, (t + delta) * lat.den * wd
+    vals = [sum(map(mul, wn, row)) for row in lat.box_candidates[full_face(germ.dim).support]]
+    empty_at_t = all(v >= low for v in vals)
+    nonempty_above = any(v < high for v in vals)
     return empty_at_t and nonempty_above
 
 

@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import permutations, product
+from itertools import combinations, permutations, product
 from math import gcd, prod
 
 from .errors import InputError, NotInLattice
@@ -74,24 +74,6 @@ def hnf(rows: list[list[int]], ncols: int) -> list[list[int]]:
     return a[:fixed]
 
 
-def _invert(matrix: list[list[Fraction]]) -> list[list[Fraction]]:
-    """Exact inverse of a square rational matrix (Gauss-Jordan)."""
-    n = len(matrix)
-    aug = [list(row) + [Fraction(int(i == j)) for j in range(n)] for i, row in enumerate(matrix)]
-    for col in range(n):
-        piv = next((r for r in range(col, n) if aug[r][col] != 0), None)
-        if piv is None:
-            raise InputError("singular matrix")
-        aug[col], aug[piv] = aug[piv], aug[col]
-        inv = Fraction(1) / aug[col][col]
-        aug[col] = [x * inv for x in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col]:
-                f = aug[r][col]
-                aug[r] = [x - f * y for x, y in zip(aug[r], aug[col])]
-    return [row[n:] for row in aug]
-
-
 @dataclass(frozen=True)
 class CosetTable:
     """Representatives of N/Z^d, one per coset, all inside [0,1)^d."""
@@ -114,12 +96,24 @@ class Lattice:
         if not rows:
             raise InputError("no generators for a full-rank lattice")
         den = common_denominator(rows)
-        int_rows = [list(scaled_int_vector(r, den)) for r in rows]
-        h = hnf(int_rows, dim)
+        return cls._from_int_rows(dim, [scaled_int_vector(r, den) for r in rows], den)
+
+    @classmethod
+    def _from_int_rows(cls, dim: int, rows, den: int) -> "Lattice":
+        """Lattice generated over Z by the vectors row/den, for integer rows.
+
+        The smallest q with q*L integral is den / gcd(den, every entry), and
+        the HNF of the rows scaled to q is ``int_rows``; both are stored in
+        the cached properties they would otherwise be recomputed into.
+        """
+        g = gcd(den, *(x for row in rows for x in row))
+        h = hnf([[x // g for x in row] for row in rows], dim)
         if len(h) != dim:
             raise InputError("generators do not span the ambient space")
-        basis = tuple(tuple(Fraction(x, den) for x in row) for row in h)
-        return cls(dim, basis)
+        den //= g
+        lat = cls(dim, tuple(tuple(Fraction(x, den) for x in row) for row in h))
+        lat.__dict__.update(den=den, int_rows=tuple(tuple(row) for row in h))
+        return lat
 
     @classmethod
     def from_generators(cls, dim: int, gens) -> "Lattice":
@@ -154,7 +148,8 @@ class Lattice:
     @cached_property
     def is_superlattice(self) -> bool:
         """Whether Z^d is contained in this lattice."""
-        return all(self.contains(_unit(self.dim, i)) for i in range(self.dim))
+        den, d = self.den, self.dim
+        return all(self._has_scaled([den * (j == i) for j in range(d)]) for i in range(d))
 
     @property
     def index(self) -> int:
@@ -169,21 +164,23 @@ class Lattice:
     def contains(self, vec) -> bool:
         vec = qvec(vec, self.dim)
         try:
-            u = list(scaled_int_vector(vec, self.den))
+            u = scaled_int_vector(vec, self.den)
         except ValueError:
             return False
-        for i in range(self.dim):
-            piv = self.int_rows[i][i]
-            if u[i] % piv:
-                return False
-            a = u[i] // piv
-            if a:
-                u = [x - a * y for x, y in zip(u, self.int_rows[i])]
-        return not any(u)
+        return self._has_scaled(u)
 
-    def contains_scaled(self, u: tuple[int, ...]) -> bool:
-        """Membership of u/den, for integer u (hot-path form)."""
-        return tuple(x % self.den for x in u) in self._rep_residues
+    def _has_scaled(self, u) -> bool:
+        """Membership of u/den for an integer vector u: the rows of
+        ``int_rows`` are upper triangular, so u is peeled off one pivot at a
+        time and lies in their span exactly when every pivot divides and
+        nothing is left over."""
+        for i, row in enumerate(self.int_rows):
+            a, r = divmod(u[i], row[i])
+            if r:
+                return False
+            if a:
+                u = [x - a * y for x, y in zip(u, row)]
+        return not any(u)
 
     def dual_contains_int(self, m) -> bool:
         """Whether the integer vector m pairs integrally with the lattice."""
@@ -192,8 +189,9 @@ class Lattice:
     # -- cosets -------------------------------------------------------------
 
     @cached_property
-    def _rep_residues(self) -> frozenset[tuple[int, ...]]:
-        """Residues den*x mod den of a full set of coset representatives.
+    def rep_ints(self) -> tuple[tuple[int, ...], ...]:
+        """Residues den*x mod den of a full set of coset representatives,
+        sorted.
 
         Built as the additive closure of the basis rows mod den; the group
         N/Z^d is finite of order ``index`` so this terminates immediately at
@@ -212,11 +210,27 @@ class Lattice:
                 if nxt not in seen:
                     seen.add(nxt)
                     frontier.append(nxt)
-        return frozenset(seen)
+        return tuple(sorted(seen))
 
     @cached_property
-    def rep_ints(self) -> tuple[tuple[int, ...], ...]:
-        return tuple(sorted(self._rep_residues))
+    def box_candidates(self) -> dict[tuple[int, ...], tuple[tuple[int, ...], ...]]:
+        """den-scaled unit-box candidates of every face stratum, keyed by the
+        1-based support S in (size, lexicographic) order: the residues in
+        ``rep_ints`` that vanish off S, with their zeros on S lifted to den.
+
+        One pass over the residues; a residue with support exactly S is its
+        own candidate there.
+        """
+        den, d = self.den, self.dim
+        faces = [on for size in range(1, d + 1) for on in combinations(range(d), size)]
+        masks = [sum(1 << j for j in on) for on in faces]
+        rows: list[list[tuple[int, ...]]] = [[] for _ in faces]
+        for u in self.rep_ints:
+            m = sum(1 << j for j, c in enumerate(u) if c)
+            for s, out in zip(masks, rows):
+                if m | s == s:
+                    out.append(u if m == s else tuple(den if s >> j & 1 and not c else c for j, c in enumerate(u)))
+        return {tuple(j + 1 for j in on): tuple(out) for on, out in zip(faces, rows)}
 
     @cached_property
     def coset_table(self) -> CosetTable:
@@ -230,27 +244,17 @@ class Lattice:
         without fractions: the columns of den * T^-1 for T = ``int_rows``.
 
         The dual {m : T m = 0 mod den} is the span of those columns, which are
-        integral because the lattice contains Z^d, so back substitution on the
-        upper-triangular T divides exactly.  Column j is zero below entry j,
-        and entry j is the positive den / T_jj.
+        integral because the lattice contains Z^d.  Column j is zero below
+        entry j, and entry j is the positive den / T_jj.
         """
         if not self.is_superlattice:
             raise InputError("the integer dual basis requires a lattice containing Z^d")
-        t, den, d = self.int_rows, self.den, self.dim
-        cols = []
-        for j in range(d):
-            x = [0] * d
-            for i in range(j, -1, -1):
-                x[i] = (den * (i == j) - sum(t[i][k] * x[k] for k in range(i + 1, j + 1))) // t[i][i]
-            cols.append(tuple(x))
-        return tuple(cols)
+        return tuple(map(tuple, _inverse_columns(self.int_rows, self.den)))
 
     @cached_property
     def dual(self) -> "Lattice":
         """{m : <m, x> integral for all x in L}; rows of inverse-transpose."""
-        inv = _invert([list(row) for row in self.basis])
-        rows = [[inv[i][j] for i in range(self.dim)] for j in range(self.dim)]
-        return Lattice.from_rows(self.dim, rows)
+        return _dual_of_int_rows(self.int_rows, self.den)
 
     def project_drop(self, coord: int) -> "Lattice":
         """Image under deleting the 1-based coordinate ``coord``."""
@@ -274,23 +278,31 @@ class Lattice:
             raise InputError("the zero vector has no primitive scale")
         if not self.contains(vec):
             raise NotInLattice(f"{vec} is not a lattice element")
+        # vec/k in the lattice makes den*vec/k integral, so k divides gcd(u)
         u = scaled_int_vector(vec, self.den)
-        g = gcd(*u)
-        for k in sorted(_divisors(g), reverse=True):
-            if self.contains(tuple(e / k for e in vec)):
+        for k in reversed(_divisors(gcd(*u))):
+            if self._has_scaled([x // k for x in u]):
                 return k
         return 1
 
     @cached_property
     def unit_scales(self) -> tuple[int, ...]:
-        """primitive_scale of each standard basis vector (superlattices)."""
-        return tuple(self.primitive_scale(_unit(self.dim, i)) for i in range(self.dim))
+        """primitive_scale of each standard basis vector (superlattices).
+
+        e_i/k lies in the lattice exactly when it pairs integrally with the
+        dual, that is, when k divides the i-th entry of every vector of
+        ``dual_int_basis``; so k_i is the gcd of those entries.
+        """
+        if not self.is_superlattice:
+            raise NotInLattice("a standard basis vector is not a lattice element")
+        cols = self.dual_int_basis()
+        return tuple(gcd(*(col[i] for col in cols)) for i in range(self.dim))
 
     # -- misc ----------------------------------------------------------------
 
     @cached_property
     def _cache(self) -> dict:
-        """Scratch cache for derived per-lattice data (candidate arrays etc.)."""
+        """Scratch cache for derived per-lattice data (Hilbert basis etc.)."""
         return {}
 
     def __repr__(self) -> str:
@@ -298,8 +310,31 @@ class Lattice:
         return f"Lattice(dim={self.dim}, basis=[{rows}])"
 
 
-def _unit(dim: int, i: int) -> QVec:
-    return tuple(Fraction(int(j == i)) for j in range(dim))
+def _inverse_columns(t, scale: int) -> list[list[int]]:
+    """Columns of scale * T^-1 for an upper-triangular integer T with
+    positive pivots, by back substitution; scale * T^-1 must be integral.
+
+    Each division is exact: it recovers an entry of that integral matrix
+    from the entries already found, as in fraction-free elimination
+    (Bareiss 1968).
+    """
+    d = len(t)
+    cols = []
+    for j in range(d):
+        x = [0] * d
+        for i in range(j, -1, -1):
+            x[i] = (scale * (i == j) - sum(t[i][k] * x[k] for k in range(i + 1, j + 1))) // t[i][i]
+        cols.append(x)
+    return cols
+
+
+def _dual_of_int_rows(t, den: int) -> Lattice:
+    """Dual of the lattice spanned by the rows of T/den (T upper triangular,
+    positive pivots): the span of the columns of den * T^-1, which is
+    den * adj(T) / det(T) with adj(T) = det(T) * T^-1 integral."""
+    det = prod(t[i][i] for i in range(len(t)))
+    cols = [[den * x for x in col] for col in _inverse_columns(t, det)]
+    return Lattice._from_int_rows(len(t), cols, det)
 
 
 def _divisors(n: int) -> list[int]:
@@ -399,8 +434,7 @@ def enumerate_superlattices(dim: int, max_index: int, mod_permutations: bool = F
     seen: dict = {}
     for n in range(1, max_index + 1):
         for rows in _hnf_tuples_with_unit_columns(dim, n):
-            sub = Lattice.from_rows(dim, rows)
-            sup = sub.dual
+            sup = _dual_of_int_rows(rows, 1)
             assert sup.index == n, "duality must preserve the index"
             key = sup.basis
             assert key not in seen, "HNF enumeration may not repeat a lattice"

@@ -45,6 +45,8 @@ def solve_lp_max_slack(c, rows) -> LpResult:
     through the same fraction-free pivots with its own positive scale, and
     rows are gcd-reduced after each pivot.  All pivoting decisions are pure
     integer comparisons; Fractions only appear when reading the answer off.
+    Entries that are ints or Fractions are used as given (both carry
+    ``numerator`` and ``denominator``); anything else is read by Fraction.
     """
     from math import gcd, lcm
 
@@ -53,21 +55,21 @@ def solve_lp_max_slack(c, rows) -> LpResult:
     tableau: list[list[int]] = []
     rhs_col: list[int] = []
     for coeffs, rhs in rows:
-        coeffs = [Fraction(v) for v in coeffs]
-        rhs = Fraction(rhs)
+        coeffs = [_exact(v) for v in coeffs]
+        rhs = _exact(rhs)
         if len(coeffs) != n:
             raise InputError("constraint length does not match the objective")
         if rhs < 0:
             raise InputError("slack start requires nonnegative right-hand sides")
-        den = lcm(rhs.denominator, *(v.denominator for v in coeffs)) if coeffs else rhs.denominator
-        row = [int(v * den) for v in coeffs] + [0] * m
+        den = lcm(rhs.denominator, *(v.denominator for v in coeffs))
+        row = [v.numerator * (den // v.denominator) for v in coeffs] + [0] * m
         row[n + len(tableau)] = den
         tableau.append(row)
-        rhs_col.append(int(rhs * den))
-    cfrac = [Fraction(v) for v in c]
-    cden = lcm(*(v.denominator for v in cfrac)) if cfrac else 1
+        rhs_col.append(rhs.numerator * (den // rhs.denominator))
+    cfrac = [_exact(v) for v in c]
+    cden = lcm(*(v.denominator for v in cfrac))
     # objective row of the minimization of -c.x, with positive scale obj_scale
-    obj = [-int(v * cden) for v in cfrac] + [0] * m
+    obj = [-v.numerator * (cden // v.denominator) for v in cfrac] + [0] * m
     obj_scale = cden
     basis = list(range(n, n + m))
 
@@ -130,6 +132,10 @@ def solve_lp_max_slack(c, rows) -> LpResult:
     value = sum((ci * xi for ci, xi in zip(cfrac, x)), start=Fraction(0))
     duals = tuple(Fraction(obj[n + j], obj_scale) for j in range(m))
     return LpResult(OPTIMAL, tuple(x), value, duals)
+
+
+def _exact(v):
+    return v if type(v) is int or isinstance(v, Fraction) else Fraction(v)
 
 
 def solve_lp(c, rows, minimize: bool = True) -> LpResult:

@@ -19,16 +19,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm, prod
 
-from .errors import InputError, NotInLattice, ResourceLimit
+from .errors import DimensionMismatch, InputError, NotInLattice, ResourceLimit
 from .germ import ToricGerm, log_discrepancy_of_valuation
 from .lattice import Lattice
 from .linprog import OPTIMAL, solve_lp_max_slack
-from .rationals import QVec, qvec
+from .rationals import IntVec, QVec, qvec, rat
 
 CAP_ONE = "cap-one"
 RAY = "ray"
-
-IntVec = tuple[int, ...]
 
 # Largest box prod (c_i + 1) that ``dual_hilbert_basis`` marks out, as Python-int
 # bitsets of that many bits.  Since c_i <= index, it admits every lattice up to
@@ -190,13 +188,14 @@ def newton_poly_from_exponents(germ: ToricGerm, exponents, prune_dominated: bool
     """
     seen: set[IntVec] = set()
     for e in exponents:
-        vec = qvec(e, germ.dim)
-        ints = []
-        for c in vec:
-            if c.denominator != 1 or c < 0:
-                raise InputError(f"exponent {vec} must have nonnegative integer entries")
-            ints.append(c.numerator)
-        ivec = tuple(ints)
+        # int entries are kept as they are (an int is its own numerator, over
+        # denominator 1); the Fraction form is only built for the message
+        vec = tuple(c if type(c) is int else rat(c) for c in e)
+        if len(vec) != germ.dim:
+            raise DimensionMismatch(f"expected a vector of length {germ.dim}, got {len(vec)}")
+        if any(c.denominator != 1 or c < 0 for c in vec):
+            raise InputError(f"exponent {qvec(vec)} must have nonnegative integer entries")
+        ivec = tuple(c.numerator for c in vec)
         if not any(ivec):
             raise InputError("the zero exponent (a unit, not in the maximal ideal) is not allowed")
         if not germ.lattice.dual_contains_int(ivec):
@@ -229,14 +228,15 @@ def _mu_lp(exponents: list[IntVec], weights: QVec) -> tuple[Fraction, tuple[Frac
     Solved in the pricing form  max z : z <= <y, m> for each exponent,
     <y, w> <= 1, (z, y) >= 0,  whose slack basis is feasible outright.  The
     optimum is mu, the optimizer y is the supporting normal, and the duals of
-    the exponent rows are the convex weights of the primal form.
+    the exponent rows are the convex weights of the primal form.  Every row
+    is integral: the weight row is scaled by the common denominator of w,
+    which changes only that row's dual, and that dual is not read.
     """
     d = len(weights)
-    c = [Fraction(1)] + [Fraction(0)] * d
-    rows = []
-    for m in exponents:
-        rows.append(([Fraction(1)] + [Fraction(-v) for v in m], Fraction(0)))
-    rows.append(([Fraction(0)] + list(weights), Fraction(1)))
+    wd = lcm(*(w.denominator for w in weights))
+    c = [1] + [0] * d
+    rows = [([1] + [-v for v in m], 0) for m in exponents]
+    rows.append(([0] + [w.numerator * (wd // w.denominator) for w in weights], wd))
     res = solve_lp_max_slack(c, rows)
     assert res.status == OPTIMAL, "the restricted intersection program is bounded"
     mu = res.objective

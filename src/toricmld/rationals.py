@@ -1,8 +1,9 @@
 """Exact rational scalars and vectors.
 
 Scalars are ``fractions.Fraction`` (always reduced, positive denominator),
-vectors are plain tuples of Fractions.  Nothing in this package ever touches
-floating point; numpy shows up elsewhere only as an exact integer engine.
+vectors are plain tuples of Fractions.  These are the types of the package's
+interfaces; underneath, the engines scale by common denominators and work in
+Python integers.  Nothing in this package ever touches floating point.
 """
 from __future__ import annotations
 
@@ -15,6 +16,7 @@ from .errors import DimensionMismatch, MalformedRational
 
 Rat = Fraction
 QVec = tuple[Fraction, ...]
+IntVec = tuple[int, ...]
 
 _RAT_RE = re.compile(r"^[+-]?\d+(/\d+)?$")
 

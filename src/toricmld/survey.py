@@ -17,7 +17,7 @@ import csv
 import io
 import json
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from fractions import Fraction
 from hashlib import sha256
 from itertools import permutations, product
@@ -67,17 +67,31 @@ def parse_germ(text: str | dict) -> ToricGerm:
         doc = text
     if not isinstance(doc, dict):
         raise InputError("germ document must be a JSON object")
-    try:
-        dim = int(doc["dim"])
-        gens = doc.get("lattice", {}).get("generators", [])
-        boundary = doc["boundary"]
-    except (KeyError, TypeError) as exc:
-        raise InputError(f"missing field in germ document: {exc}") from exc
-    if dim < 1:
-        raise InputError("dim must be a positive integer")
-    rows = [qvec([rat(c) for c in row], dim) for row in gens]
+    for key in ("dim", "boundary"):
+        if key not in doc:
+            raise InputError(f"missing field in germ document: {key!r}")
+    dim = _positive_int(doc["dim"], "dim")
+    lattice = doc.get("lattice", {})
+    if not isinstance(lattice, dict):
+        raise InputError("lattice must be a JSON object")
+    gens = _json_list(lattice.get("generators", []), "lattice generators")
+    rows = [qvec([rat(c) for c in _json_list(row, "a generator")], dim) for row in gens]
+    boundary = _json_list(doc["boundary"], "boundary")
     lattice = Lattice.from_generators(dim, rows)
     return germ_normalize(lattice, qvec([rat(b) for b in boundary], dim))
+
+
+def _positive_int(value, name: str) -> int:
+    """A JSON integer >= 1; floats, booleans and strings are rejected."""
+    if type(value) is not int or value < 1:
+        raise InputError(f"{name} must be a positive integer, got {value!r}")
+    return value
+
+
+def _json_list(value, name: str) -> list:
+    if not isinstance(value, list):
+        raise InputError(f"{name} must be a JSON list, got {value!r}")
+    return value
 
 
 def germ_id(germ: ToricGerm) -> str:
@@ -142,10 +156,9 @@ def exceptional_mld(germ: ToricGerm) -> Fraction | None:
     """Minimum over the faces of codimension at least 2 (the valuations that
     are genuinely exceptional over the germ); None in dimension 1, where no
     such valuation exists."""
-    values = [
-        mld_face(germ, face).value for face in germ.faces() if len(face.support) >= 2
-    ]
-    return min(values) if values else None
+    table = germ.face_table
+    support = table.minimizing_support(min_codim=2)
+    return None if support is None else table.value(support)
 
 
 def _survey_row(germ: ToricGerm) -> SurveyRow:
@@ -348,21 +361,34 @@ class CorpusConfig:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "CorpusConfig":
+        """Config from a decoded JSON object; every field is optional, and
+        a wrong type, an out-of-range value or an unknown key is an input
+        error."""
+        if not isinstance(doc, dict):
+            raise InputError("corpus config must be a JSON object")
+        unknown = sorted(set(doc) - {f.name for f in fields(cls)})
+        if unknown:
+            raise InputError(f"unknown corpus config keys: {unknown}")
         kwargs = {}
         if "dims" in doc:
-            kwargs["dims"] = tuple(int(d) for d in doc["dims"])
-        if "max_index" in doc:
-            kwargs["max_index"] = int(doc["max_index"])
+            kwargs["dims"] = tuple(_positive_int(d, "each of dims") for d in _json_list(doc["dims"], "dims"))
+        for key in ("max_index", "oracle_radius", "row_cap"):
+            if key in doc:
+                kwargs[key] = _positive_int(doc[key], key)
         if "boundary_set" in doc:
-            kwargs["boundary_set"] = tuple(rat(b) for b in doc["boundary_set"])
-        if "oracle_radius" in doc:
-            kwargs["oracle_radius"] = int(doc["oracle_radius"])
+            coeffs = tuple(rat(b) for b in _json_list(doc["boundary_set"], "boundary_set"))
+            for b in coeffs:
+                if not 0 <= b <= 1:
+                    raise InputError(f"boundary coefficient {b} outside [0,1]")
+            kwargs["boundary_set"] = coeffs
         if "minkowski_delta" in doc:
             kwargs["minkowski_delta"] = rat(doc["minkowski_delta"])
+            if kwargs["minkowski_delta"] <= 0:
+                raise InputError("minkowski_delta must be positive")
         if "fail_fast" in doc:
-            kwargs["fail_fast"] = bool(doc["fail_fast"])
-        if "row_cap" in doc:
-            kwargs["row_cap"] = int(doc["row_cap"])
+            if not isinstance(doc["fail_fast"], bool):
+                raise InputError(f"fail_fast must be true or false, got {doc['fail_fast']!r}")
+            kwargs["fail_fast"] = doc["fail_fast"]
         return cls(**kwargs)
 
 
@@ -377,15 +403,14 @@ def corpus_germs(config: CorpusConfig):
 def _check_germ(germ: ToricGerm, config: CorpusConfig) -> list[str]:
     problems = []
     point = mld_face(germ, full_face(germ.dim))
-    face_values = {}
-    for face in germ.faces():
-        engine = mld_face(germ, face)
-        face_values[face.support] = engine.value
-        oracle = mld_bruteforce_oracle(germ, face, config.oracle_radius)
-        if engine.value != oracle:
-            problems.append(f"oracle mismatch on face {face.support}: {engine.value} vs {oracle}")
-        for w in engine.witnesses:
-            if engine.value != germ.log_discrepancy(w):
+    table = germ.face_table
+    for support in table.supports():
+        value = table.value(support)
+        oracle = mld_bruteforce_oracle(germ, support, config.oracle_radius)
+        if value != oracle:
+            problems.append(f"oracle mismatch on face {support}: {value} vs {oracle}")
+        for w in table.witnesses(support):
+            if value != germ.log_discrepancy(w):
                 problems.append(f"witness {w} does not attain the face value")
             if not germ.lattice.contains(w):
                 problems.append(f"witness {w} is outside the lattice")
@@ -394,8 +419,8 @@ def _check_germ(germ: ToricGerm, config: CorpusConfig) -> list[str]:
     if not check_shokurov_bounds(germ).passed:
         problems.append("dimension bound check failed")
     r = cartier_index(germ)
-    for support, value in face_values.items():
-        if (r * value).denominator != 1:
+    for support in table.supports():
+        if (r * table.value(support)).denominator != 1:
             problems.append(f"index divisibility failed on face {support}")
     if not verify_minkowski(germ, point.value, config.minkowski_delta):
         problems.append("lattice-point-free dilation check failed")

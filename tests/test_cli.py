@@ -140,6 +140,48 @@ def test_exit_codes_for_bad_input(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize(
+    "command,text",
+    [
+        ("mld", '{"dim":"x","lattice":{"generators":[]},"boundary":["0"]}'),
+        ("mld", '{"dim":2,"lattice":[],"boundary":["0","0"]}'),
+        ("mld", '{"dim":2,"lattice":{"generators":[5]},"boundary":["0","0"]}'),
+        ("mld", '{"dim":2,"lattice":{"generators":[]},"boundary":null}'),
+        ("mld", '{"dim":2.5,"lattice":{"generators":[]},"boundary":["0","0"]}'),
+        ("mld", '{"dim":true,"lattice":{"generators":[]},"boundary":["0"]}'),
+        ("check", '{"dims": 5}'),
+        ("check", '{"max_index": "x"}'),
+        ("check", "[1]"),
+        ("check", '{"oracle_radius": 0}'),
+    ],
+)
+def test_malformed_documents_exit_one(tmp_path, capsys, command, text):
+    path = tmp_path / "doc.json"
+    path.write_text(text)
+    flag = "-i" if command == "mld" else "--corpus-config"
+    assert cli.main([command, flag, str(path)]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_runs_without_numpy():
+    """The package needs nothing beyond the standard library: with numpy
+    unimportable, a survey and a flat build still run."""
+    import subprocess
+    import sys
+
+    code = (
+        "import sys\n"
+        "sys.modules['numpy'] = None\n"
+        "from toricmld import cli, build_flat_structure, germ_cyclic_quotient\n"
+        "status = cli.main(['survey', '--dim', '2', '--max-index', '4'])\n"
+        "build_flat_structure(germ_cyclic_quotient(5, (1, 2, 3)))\n"
+        "sys.exit(status)\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("germ_id,")
+
+
 def test_entrypoint_subprocess(tmp_path):
     import subprocess
     import sys

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction as F
+from itertools import product
 
 import pytest
 from hypothesis import given, strategies as st
@@ -21,7 +22,7 @@ from toricmld.germ import (
     px_mld_formula,
     verify_minkowski,
 )
-from toricmld.lattice import Lattice, lattice_from_generators
+from toricmld.lattice import Lattice, enumerate_superlattices, lattice_from_generators
 
 
 def std(dim):
@@ -238,30 +239,47 @@ def test_cartier_clears_every_face_value(gens, boundary):
 
 def lift_minimum(germ, face):
     """Pure-Fraction face minimum over the coset representatives lifted into
-    the unit box (zeros off the support, zeros on the support raised to 1)."""
+    the unit box (zeros off the support, zeros on the support raised to 1),
+    with its sorted minimizers."""
     on = {i - 1 for i in face.support}
-    values = []
+    lifts = []
     for rep in germ.lattice.coset_table.reps:
         if any(c for j, c in enumerate(rep) if j not in on):
             continue
-        x = tuple(F(1) if j in on and c == 0 else c for j, c in enumerate(rep))
-        values.append(germ.log_discrepancy(x))
-    return min(values)
+        lifts.append(tuple(F(1) if j in on and c == 0 else c for j, c in enumerate(rep)))
+    value = min(germ.log_discrepancy(x) for x in lifts)
+    return value, tuple(sorted(x for x in lifts if germ.log_discrepancy(x) == value))
+
+
+def corpus_to_index_six():
+    coeffs = [F(0), F(1, 2), F(2, 3), F(1)]
+    for d in (1, 2, 3):
+        for lat in enumerate_superlattices(d, 6):
+            for b in product(coeffs, repeat=d):
+                yield ToricGerm(lat, b)
 
 
 # 1/101(1,37,63) with weight denominators near 2^29 overflowed int64 in the
 # candidate products (the point minimum came out near -0.267); near 2^40 the
-# weights themselves no longer fit and raised OverflowError
-@pytest.mark.parametrize("q1,q2", [(2**29 - 3, 2**29 + 11), (2**40 - 87, 2**40 + 15)])
+# weights themselves no longer fit and raised OverflowError.  The corpus case
+# holds the integer face table to the Fraction lifts on every germ.
+@pytest.mark.parametrize(
+    "q1,q2", [(2**29 - 3, 2**29 + 11), (2**40 - 87, 2**40 + 15), pytest.param(None, None, id="corpus-to-index-6")]
+)
 def test_large_weight_denominators_stay_exact(q1, q2):
-    germ = ToricGerm(germ_cyclic_quotient(101, (1, 37, 63)).lattice, (F(1, q1), F(1, q2), 0))
+    if q1 is None:
+        germs = corpus_to_index_six()
+    else:
+        germs = [ToricGerm(germ_cyclic_quotient(101, (1, 37, 63)).lattice, (F(1, q1), F(1, q2), 0))]
+    for germ in germs:
+        for face in all_faces(germ.dim):
+            rep = mld_face(germ, face)
+            assert (rep.value, rep.witnesses) == lift_minimum(germ, face), (germ, face)
+    if q1 is None:
+        return
     for face in all_faces(3):
-        rep = mld_face(germ, face)
-        expected = lift_minimum(germ, face)
-        assert rep.value == expected
-        assert all(germ.log_discrepancy(w) == expected for w in rep.witnesses)
-        assert mld_bruteforce_oracle(germ, face, 2) == expected
-    point = lift_minimum(germ, full_face(3))
+        assert mld_bruteforce_oracle(germ, face, 2) == lift_minimum(germ, face)[0]
+    point = lift_minimum(germ, full_face(3))[0]
     assert 0 < point < 1
     assert verify_minkowski(germ, point, F(1, 7))
     assert not verify_minkowski(germ, point + F(1, 10**6), F(1, 7))
@@ -275,4 +293,5 @@ def test_random_large_denominators_match_lift_minimum(quotient, dens):
     q, a = quotient
     germ = ToricGerm(germ_cyclic_quotient(q, a).lattice, tuple(F(1, n) for n in dens))
     for face in all_faces(3):
-        assert mld_face(germ, face).value == lift_minimum(germ, face)
+        rep = mld_face(germ, face)
+        assert (rep.value, rep.witnesses) == lift_minimum(germ, face)

@@ -24,6 +24,49 @@ def frac(num, den=1):
     return F(num, den)
 
 
+def _invert(matrix):
+    """Exact inverse of a square rational matrix (Gauss-Jordan)."""
+    n = len(matrix)
+    aug = [list(row) + [F(int(i == j)) for j in range(n)] for i, row in enumerate(matrix)]
+    for col in range(n):
+        piv = next((r for r in range(col, n) if aug[r][col] != 0), None)
+        if piv is None:
+            raise InputError("singular matrix")
+        aug[col], aug[piv] = aug[piv], aug[col]
+        inv = F(1) / aug[col][col]
+        aug[col] = [x * inv for x in aug[col]]
+        for r in range(n):
+            if r != col and aug[r][col]:
+                f = aug[r][col]
+                aug[r] = [x - f * y for x, y in zip(aug[r], aug[col])]
+    return [row[n:] for row in aug]
+
+
+def fraction_dual(lat):
+    """The dual as the rows of the inverse-transpose, in Fractions."""
+    inv = _invert([list(row) for row in lat.basis])
+    return Lattice.from_rows(lat.dim, [[inv[i][j] for i in range(lat.dim)] for j in range(lat.dim)])
+
+
+def unit_scales_one_by_one(lat):
+    return tuple(primitive_scale(lat, tuple(F(int(i == j)) for j in range(lat.dim))) for i in range(lat.dim))
+
+
+def outcome(fn):
+    """The value of fn(), or the type of the input error it raised."""
+    try:
+        return fn()
+    except InputError as exc:
+        return type(exc)
+
+
+def assert_matches_fraction_oracles(lat):
+    """Dual and unit scales against Fraction inversion and per-vector
+    primitive scales; on a lattice missing Z^d both must raise alike."""
+    assert lat.dual == fraction_dual(lat), lat
+    assert outcome(lambda: lat.unit_scales) == outcome(lambda: unit_scales_one_by_one(lat)), lat
+
+
 # -- small exact helpers -----------------------------------------------------
 
 
@@ -165,6 +208,9 @@ def test_double_dual_and_index(gens):
     dual = dual_lattice(lat)
     assert dual_lattice(dual) == lat
     assert dual.det == lat.index  # [Z^d : M] = [N : Z^d]
+    # units need not be primitive in lat; the dual misses Z^2 unless lat is Z^2
+    assert_matches_fraction_oracles(lat)
+    assert_matches_fraction_oracles(dual)
 
 
 def test_integer_dual_basis_spans_the_dual(corpus_lattices):
@@ -173,6 +219,8 @@ def test_integer_dual_basis_spans_the_dual(corpus_lattices):
             cols = lat.dual_int_basis()
             assert Lattice.from_rows(d, cols) == lat.dual, lat
             assert all(col[j] > 0 and not any(col[j + 1 :]) for j, col in enumerate(cols))
+            assert_matches_fraction_oracles(lat)
+            assert_matches_fraction_oracles(lat.dual)
     with pytest.raises(InputError):
         Lattice.from_rows(2, [(2, 0), (0, 1)]).dual_int_basis()  # 2Z x Z misses e_1
 

@@ -72,6 +72,10 @@ def test_random_slack_instances_carry_certificates(n, m, data):
     res = solve_lp_max_slack(c, rows)
     assert res.status == OPTIMAL
     _check_certificate(c, rows, res)
+    # integer entries are used as given: the same rows as Fractions agree
+    as_fractions = solve_lp_max_slack([F(v) for v in c], [([F(a) for a in coeffs], F(rhs)) for coeffs, rhs in rows])
+    assert (res.x, res.objective, res.duals) == (as_fractions.x, as_fractions.objective, as_fractions.duals)
+    assert all(type(v) is F for v in res.x + res.duals + (res.objective,))
 
 
 @given(st.data())

@@ -43,6 +43,47 @@ def test_parse_errors():
         parse_germ('{"dim":1,"lattice":{"generators":[]},"boundary":["3/2"]}')
 
 
+MALFORMED_GERM_DOCUMENTS = [
+    '{"dim":"x","lattice":{"generators":[]},"boundary":["0"]}',
+    '{"dim":2.5,"lattice":{"generators":[]},"boundary":["0","0"]}',
+    '{"dim":true,"lattice":{"generators":[]},"boundary":["0"]}',
+    '{"dim":0,"lattice":{"generators":[]},"boundary":[]}',
+    '{"lattice":{"generators":[]},"boundary":["0"]}',
+    '{"dim":2,"lattice":[],"boundary":["0","0"]}',
+    '{"dim":2,"lattice":{"generators":[5]},"boundary":["0","0"]}',
+    '{"dim":2,"lattice":{"generators":"1/2"},"boundary":["0","0"]}',
+    '{"dim":2,"lattice":{"generators":[]},"boundary":null}',
+    '{"dim":2,"lattice":{"generators":[]}}',
+]
+
+MALFORMED_CORPUS_CONFIGS = [
+    [1],
+    {"dims": 5},
+    {"dims": [0]},
+    {"dims": ["2"]},
+    {"max_index": "x"},
+    {"max_index": 2.5},
+    {"oracle_radius": 0},
+    {"row_cap": True},
+    {"boundary_set": "0"},
+    {"boundary_set": ["3/2"]},
+    {"minkowski_delta": "0"},
+    {"fail_fast": "yes"},
+    {"max_idx": 3},
+]
+
+
+@pytest.mark.parametrize("doc", MALFORMED_GERM_DOCUMENTS + MALFORMED_CORPUS_CONFIGS)
+def test_malformed_documents_are_input_errors(doc):
+    """Wrong types and ranges raised ValueError, AttributeError or TypeError
+    (exit 3), were truncated silently, or ran the default corpus."""
+    with pytest.raises(InputError):
+        if isinstance(doc, str):
+            parse_germ(doc)
+        else:
+            CorpusConfig.from_dict(doc)
+
+
 def test_round_trips():
     germ = parse_germ(A2_DOC)
     text = serialize_germ(germ)
