@@ -1,10 +1,10 @@
 """Adjunction to an invariant divisor, with semicontinuity and bound checks.
 
 Restricting a germ to the divisor H_i (its boundary coefficient must be 1)
-happens in three steps: move coordinate i last, project the lattice along it,
-and rescale each remaining coordinate by the primitive scale n_j of its
-standard basis vector so the result is again in normal form.  The induced
-boundary coefficient is b'_j = 1 - (1-b_j)/n_j.
+happens in two steps: project the lattice along coordinate i, and rescale
+each remaining coordinate by the primitive scale n_j of its standard basis
+vector so the result is again in normal form (``Lattice.restrictions``, once
+per lattice).  The induced boundary coefficient is b'_j = 1 - (1-b_j)/n_j.
 """
 from __future__ import annotations
 
@@ -49,19 +49,10 @@ def adjoin_invariant_divisor(germ: ToricGerm, divisor: int) -> AdjunctionResult:
         raise InputError(f"divisor index {divisor} out of range 1..{d}")
     if germ.boundary[divisor - 1] != 1:
         raise InputError("adjunction requires boundary coefficient 1 on the chosen divisor")
-    lat = germ.lattice
-    key = ("adjunction", divisor)
-    if key not in lat._cache:
-        perm = tuple(j for j in range(d) if j != divisor - 1) + (divisor - 1,)
-        projected = lat.permute(perm).project_drop(d)
-        scales = projected.unit_scales
-        lat._cache[key] = (projected, scales)
-    projected, scales = lat._cache[key]
+    restricted, scales = germ.lattice.restrictions[divisor - 1]
     kept = [b for j, b in enumerate(germ.boundary) if j != divisor - 1]
     induced = [1 - (1 - b) / n for b, n in zip(kept, scales)]
-    result = germ_normalize(projected, induced)
-    assert result.lattice.unit_scales == tuple(1 for _ in range(d - 1))
-    return AdjunctionResult(result, tuple(scales))
+    return AdjunctionResult(germ_normalize(restricted, induced), scales)
 
 
 def check_precise_inversion(germ: ToricGerm, divisor: int) -> CheckReport:

@@ -25,8 +25,8 @@ Two structural facts drive the builder and are exploited throughout:
   the germ.  By LP duality rho equals 1/mu of the general-member Newton
   polyhedron, and the pricing vector of that LP lies on an optimal ray, so
   an exact lattice witness is always available.  (The same infimum can be
-  computed cell by cell over the linearity regions of v; that slower route
-  is kept as a cross-check, see ``ray_infimum_by_cells``.)
+  computed cell by cell over the linearity regions of v, one LP per cell;
+  the tests keep that slower route as a cross-check.)
 
 Adding a new member with coefficient t turns every admissible combo value
 into an affine function of t; the threshold is the largest t in (0, 1] that
@@ -39,12 +39,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from operator import mul
 
 from .errors import AlreadyFlat, InputError, ModelViolation, NotLogCanonical
 from .germ import Face, ToricGerm, full_face
-from .linprog import OPTIMAL, solve_lp
-from .newton import NewtonPoly, _poly_intersection, dual_hilbert_basis, newton_poly_from_exponents, normal_witness_ray
+from .newton import FirstIntersection, _first_intersection, _primitive_normal, dual_hilbert_basis, newton_poly_from_exponents
 from .rationals import QVec, qvec
 
 POINT = "point-P"
@@ -139,11 +137,11 @@ def state_value(state: FlatState, x, divisors=()) -> Fraction:
 # -- interior ray infimum ---------------------------------------------------------
 
 
-def _general_member_poly(germ: ToricGerm) -> NewtonPoly:
-    key = "general-member-poly"
-    if key not in germ._cache:
-        germ._cache[key] = newton_poly_from_exponents(germ, dual_hilbert_basis(germ))
-    return germ._cache[key]
+def _general_member_intersection(germ: ToricGerm) -> FirstIntersection:
+    """``ToricGerm.general_member_intersection``: the first intersection of
+    the weight ray with the general-member Newton polyhedron."""
+    poly = newton_poly_from_exponents(germ, dual_hilbert_basis(germ))
+    return _first_intersection(poly.exponents, germ.weights)
 
 
 def ray_infimum(germ: ToricGerm) -> Fraction:
@@ -152,131 +150,32 @@ def ray_infimum(germ: ToricGerm) -> Fraction:
     Equal to 1/mu of the general-member polyhedron: scaling any interior
     direction to v = 1 identifies the two programs (weights cannot be all
     zero here, or the germ would already be flat)."""
-    key = "ray-infimum"
-    if key not in germ._cache:
-        if not any(w for w in germ.weights):
-            raise InputError("zero weight vector: the interior ratio is identically 0")
-        res = _poly_intersection(_general_member_poly(germ))
-        assert res.mu is not None and res.mu > 0
-        germ._cache[key] = 1 / res.mu
-    return germ._cache[key]
-
-
-def _ray_lower_bound(germ: ToricGerm) -> Fraction:
-    """Cheap certified lower bound for the interior infimum.
-
-    Any admissible convex combination of exponents bounds mu from above by
-    the largest coordinate ratio against the weights; singletons and the
-    uniform combination are enough to drive the builder, and the exact
-    program only runs when the bound comes within reach of the running
-    coefficient sum."""
-    key = "ray-lower-bound"
-    if key not in germ._cache:
-        w = germ.weights
-        valid = [m for m in dual_hilbert_basis(germ) if all(c == 0 for c, wi in zip(m, w) if wi == 0)]
-        assert valid, "some weight is positive, so a coordinate ray exponent is admissible"
-        best = None
-        k = len(valid)
-        combos = [m for m in valid]
-        combos.append(tuple(Fraction(sum(col), k) for col in zip(*valid)))
-        for m in combos:
-            top = max(Fraction(c) / wi for c, wi in zip(m, w) if wi > 0)
-            if best is None or top < best:
-                best = top
-        germ._cache[key] = 1 / best
-    return germ._cache[key]
+    if not any(w for w in germ.weights):
+        raise InputError("zero weight vector: the interior ratio is identically 0")
+    res = germ.general_member_intersection
+    assert res.mu is not None and res.mu > 0
+    return 1 / res.mu
 
 
 def ray_witness(germ: ToricGerm) -> QVec:
     """Primitive lattice point realizing the interior infimum exactly."""
-    key = "ray-witness"
-    if key not in germ._cache:
-        witness = normal_witness_ray(_general_member_poly(germ))
-        assert witness is not None
-        germ._cache[key] = witness
-    return germ._cache[key]
-
-
-def ray_infimum_by_cells(germ: ToricGerm) -> Fraction:
-    """Reference computation of the interior infimum, one exact LP per
-    linearity cell of v (the region where a fixed Hilbert basis element
-    attains the minimum), each normalized to v = 1."""
-    hb = dual_hilbert_basis(germ)
-    d = germ.dim
-    best: Fraction | None = None
-    for h in hb:
-        rows = [([Fraction(c) for c in h], "==", 1)]
-        for other in hb:
-            if other != h:
-                rows.append(([Fraction(o - a) for o, a in zip(other, h)], ">=", 0))
-        res = solve_lp([w for w in germ.weights], rows)
-        if res.status != OPTIMAL:
-            continue
-        if best is None or res.objective < best:
-            best = res.objective
-    assert best is not None
-    return best
+    witness = _primitive_normal(germ.lattice, germ.general_member_intersection)
+    assert witness is not None
+    return witness
 
 
 # -- thresholds and centers -------------------------------------------------------
 
 
-def _interior_candidates(state: FlatState):
-    """(A, v, x) on the full-support unit-box candidates, exact rationals.
-
-    Computed once per germ by integer products over the common
-    denominators, then frozen as Fractions."""
-    germ = state.germ
-    key = "interior-candidates"
-    if key not in germ._cache:
-        lat = germ.lattice
-        den = lat.den
-        rows = lat.box_candidates[full_face(germ.dim).support]
-        lat_key = "interior-x-v"
-        if lat_key not in lat._cache:
-            hb = dual_hilbert_basis(germ)
-            xs = tuple(tuple(Fraction(c, den) for c in row) for row in rows)
-            vs = tuple(Fraction(min(sum(map(mul, h, row)) for h in hb), den) for row in rows)
-            lat._cache[lat_key] = (xs, vs)
-        xs, vs = lat._cache[lat_key]
-        wn, wd = germ._weight_ints
-        germ._cache[key] = tuple(
-            (Fraction(sum(map(mul, wn, row)), den * wd), v, x) for row, v, x in zip(rows, vs, xs)
-        )
-    return germ._cache[key]
-
-
-def _face_zero_points(germ: ToricGerm):
-    """Unit-box points on proper faces where the plain log discrepancy is 0."""
-    key = "face-zero-points"
-    if key not in germ._cache:
-        den = germ.lattice.den
-        wn, _ = germ._weight_ints
-        rows = []
-        for support, cands in germ.lattice.box_candidates.items():
-            if len(support) == germ.dim:
-                continue
-            for row in cands:
-                if sum(map(mul, wn, row)) == 0:
-                    rows.append((Face(support), tuple(Fraction(c, den) for c in row)))
-        germ._cache[key] = tuple(rows)
-    return germ._cache[key]
-
-
 def _require_log_canonical(state: FlatState) -> None:
     """Negative values can only appear along the interior (proper-face combos
-    are A(x) + nonnegative terms); check the box and the ray bound."""
-    memo = state.germ._cache.setdefault("lc-verified", set())
-    if state.gammas in memo:
-        return
+    are A(x) + nonnegative terms); check the box and the ray infimum."""
     gamma = state.total
-    for a, v, x in _interior_candidates(state):
+    for a, v, x in state.germ.interior_values:
         if a - gamma * v < 0:
             raise NotLogCanonical(f"value {(a - gamma * v)} < 0 at {x}")
-    if gamma > 0 and any(w for w in state.germ.weights):
-        if _ray_lower_bound(state.germ) < gamma and ray_infimum(state.germ) < gamma:
-            raise NotLogCanonical("interior ray infimum below the coefficient sum")
-    memo.add(state.gammas)
+    if gamma > 0 and any(w for w in state.germ.weights) and ray_infimum(state.germ) < gamma:
+        raise NotLogCanonical("interior ray infimum below the coefficient sum")
 
 
 def _zero_combos(state: FlatState) -> list[ZeroCombo]:
@@ -304,12 +203,12 @@ def _zero_combos(state: FlatState) -> list[ZeroCombo]:
         found.setdefault(key, ZeroCombo(x, J, center))
 
     # interior box zeros (full support forbids any divisor subset)
-    for a, v, x in _interior_candidates(state):
+    for a, v, x in state.germ.interior_values:
         if a - gamma * v == 0:
             add(x, (), full_face(d))
     # proper-face zeros: v = 0 there, so zero means A(x) = 0 and all chosen
     # gammas equal to 1
-    for face, x in _face_zero_points(state.germ):
+    for face, x in state.germ.face_zero_points:
         room = d - len(face.support)
         for size in range(0, min(room, len(ones)) + 1):
             for J in combinations(ones, size):
@@ -319,12 +218,7 @@ def _zero_combos(state: FlatState) -> list[ZeroCombo]:
         for J in combinations(ones, size):
             add(None, J, None)
     # interior ray zero: the infimum is attained on an explicit lattice ray
-    if (
-        gamma > 0
-        and any(w for w in state.germ.weights)
-        and _ray_lower_bound(state.germ) <= gamma
-        and ray_infimum(state.germ) == gamma
-    ):
+    if gamma > 0 and any(w for w in state.germ.weights) and ray_infimum(state.germ) == gamma:
         add(ray_witness(state.germ), (), full_face(d))
     return [found[k] for k in sorted(found)]
 
@@ -344,11 +238,9 @@ def threshold_step(state: FlatState) -> Fraction:
     if any(z.center.dimension == 0 for z in zeros):
         raise AlreadyFlat("the state is already flat at the distinguished point")
     gamma = state.total
-    if _ray_lower_bound(state.germ) - gamma >= 1:
-        return Fraction(1)
     rho = ray_infimum(state.germ)
     bound = min(Fraction(1), rho - gamma)
-    for a, v, x in _interior_candidates(state):
+    for a, v, x in state.germ.interior_values:
         if v > 0:
             ratio = (a - gamma * v) / v
             assert ratio >= rho - gamma, "box ratios dominate the ray bound"

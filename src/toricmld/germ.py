@@ -167,9 +167,41 @@ class ToricGerm:
         den = self.lattice.den
         return FaceTable(den, den * wd, entries)
 
+    # -- per-germ data of the flat builder (see ``flat``) ------------------------
+
     @cached_property
-    def _cache(self) -> dict:
-        return {}
+    def general_member_intersection(self):
+        """``newton.FirstIntersection`` of the weight ray with the Newton
+        polyhedron of a general member of the maximal ideal."""
+        from .flat import _general_member_intersection
+
+        return _general_member_intersection(self)
+
+    @cached_property
+    def interior_values(self) -> tuple[tuple[Fraction, Fraction, QVec], ...]:
+        """(A(x), v(x), x) for each full-support unit-box candidate x: the log
+        discrepancy and the general-member order
+        (``Lattice.interior_multiplicities``), exact rationals."""
+        lat = self.lattice
+        den = lat.den
+        wn, wd = self._weight_ints
+        rows = lat.box_candidates[full_face(self.dim).support]
+        return tuple(
+            (Fraction(sum(map(mul, wn, row)), den * wd), Fraction(v, den), tuple(Fraction(c, den) for c in row))
+            for row, v in zip(rows, lat.interior_multiplicities)
+        )
+
+    @cached_property
+    def face_zero_points(self) -> tuple[tuple[Face, QVec], ...]:
+        """Unit-box points on proper faces where the log discrepancy is 0:
+        the minimizers of every proper face whose minimum is 0."""
+        table = self.face_table
+        return tuple(
+            (Face(s), x)
+            for s in table.supports()
+            if len(s) < self.dim and table.value(s) == 0
+            for x in table.witnesses(s)
+        )
 
     def __repr__(self) -> str:
         return f"ToricGerm({self.lattice!r}, b={qvec_str(self.boundary)})"
@@ -192,8 +224,7 @@ def germ_normalize(lattice: Lattice, boundary) -> ToricGerm:
         raise InputError("germ lattice must contain Z^d")
     scales = lattice.unit_scales
     if any(k != 1 for k in scales):
-        rows = [tuple(c * k for c, k in zip(row, scales)) for row in lattice.basis]
-        lattice = Lattice.from_rows(lattice.dim, rows)
+        lattice = lattice.rescale(scales)
         assert all(k == 1 for k in lattice.unit_scales)
     return ToricGerm(lattice, boundary)
 

@@ -19,6 +19,7 @@ from fractions import Fraction
 from functools import cached_property
 from itertools import combinations, permutations, product
 from math import gcd, prod
+from operator import mul
 
 from .errors import InputError, NotInLattice
 from .rationals import QVec, common_denominator, qvec, scaled_int_vector
@@ -271,6 +272,11 @@ class Lattice:
         rows = [tuple(row[p] for p in perm) for row in self.basis]
         return Lattice.from_rows(self.dim, rows)
 
+    def rescale(self, scales) -> "Lattice":
+        """Image under multiplying coordinate i by scales[i]."""
+        rows = [tuple(c * k for c, k in zip(row, scales)) for row in self.basis]
+        return Lattice.from_rows(self.dim, rows)
+
     def primitive_scale(self, vec) -> int:
         """Largest k with vec/k still in the lattice (vec must be a member)."""
         vec = qvec(vec, self.dim)
@@ -298,12 +304,37 @@ class Lattice:
         cols = self.dual_int_basis()
         return tuple(gcd(*(col[i] for col in cols)) for i in range(self.dim))
 
-    # -- misc ----------------------------------------------------------------
+    # -- per-lattice data of the other modules ---------------------------------
 
     @cached_property
-    def _cache(self) -> dict:
-        """Scratch cache for derived per-lattice data (Hilbert basis etc.)."""
-        return {}
+    def hilbert_basis(self) -> tuple[tuple[int, ...], ...]:
+        """Minimal generating set of the monoid (dual lattice) cap (dual
+        orthant), sorted; see ``newton.dual_hilbert_basis``."""
+        from .newton import _hilbert_basis
+
+        return _hilbert_basis(self)
+
+    @cached_property
+    def interior_multiplicities(self) -> tuple[int, ...]:
+        """den * v(x) for each full-support row x of ``box_candidates``, where
+        v(x) = min <h, x> over ``hilbert_basis`` is the order of a general
+        member of the maximal ideal along x (see ``flat``)."""
+        hb = self.hilbert_basis
+        rows = self.box_candidates[tuple(range(1, self.dim + 1))]
+        return tuple(min(sum(map(mul, h, row)) for h in hb) for row in rows)
+
+    @cached_property
+    def restrictions(self) -> tuple[tuple["Lattice", tuple[int, ...]], ...]:
+        """For each coordinate i, in order: the image under deleting
+        coordinate i, each remaining coordinate multiplied by the primitive
+        scale n_j of its standard basis vector there, and those scales (the
+        lattice half of adjunction to the divisor x_i = 0)."""
+        out = []
+        for coord in range(1, self.dim + 1):
+            image = self.project_drop(coord)
+            scales = image.unit_scales
+            out.append((image.rescale(scales), scales))
+        return tuple(out)
 
     def __repr__(self) -> str:
         rows = ";".join("(" + ",".join(str(x) for x in row) + ")" for row in self.basis)

@@ -106,7 +106,13 @@ def _block_mask(total: int, block: int, run: int) -> int:
 
 def dual_hilbert_basis(germ: ToricGerm) -> tuple[IntVec, ...]:
     """Minimal generating set of the monoid (dual lattice) cap (dual orthant),
-    sorted lexicographically.
+    sorted lexicographically; computed once per lattice
+    (``Lattice.hilbert_basis``, by ``_hilbert_basis``)."""
+    return germ.lattice.hilbert_basis
+
+
+def _hilbert_basis(lat: Lattice) -> tuple[IntVec, ...]:
+    """The dual Hilbert basis of a lattice containing Z^d, sorted.
 
     Every irreducible element lies in the box prod [0, c_i], where c_i e_i is
     the primitive dual vector on ray i: anything beyond can shed a c_i e_i and
@@ -131,10 +137,6 @@ def dual_hilbert_basis(germ: ToricGerm) -> tuple[IntVec, ...]:
     the shifted copies: O(box * d * log c) bit operations on Python ints,
     against the box cap ``BOX_CAP`` (``ResourceLimit`` above it).
     """
-    lat = germ.lattice
-    key = "hilbert-basis"
-    if key in lat._cache:
-        return lat._cache[key]
     c = _ray_orders(lat)
     total = prod(ci + 1 for ci in c)
     if total > BOX_CAP:
@@ -159,8 +161,7 @@ def dual_hilbert_basis(germ: ToricGerm) -> tuple[IntVec, ...]:
         pos = len(digits) - 1 - i
         result.append(tuple(pos // st % (ci + 1) for ci, st in zip(c, strides)))
         i = digits.rfind("1", 0, i)
-    lat._cache[key] = tuple(sorted(result))
-    return lat._cache[key]
+    return tuple(sorted(result))
 
 
 # -- polyhedra -------------------------------------------------------------------
@@ -299,18 +300,10 @@ def _first_intersection(exponents: tuple[IntVec, ...], weights: QVec) -> FirstIn
     return FirstIntersection(mu, full_lam, normal)
 
 
-def _poly_intersection(poly: NewtonPoly) -> FirstIntersection:
-    key = ("first-intersection", poly.exponents, poly.germ.boundary)
-    cache = poly.germ._cache
-    if key not in cache:
-        cache[key] = _first_intersection(poly.exponents, poly.germ.weights)
-    return cache[key]
-
-
 def first_intersection_mu(poly: NewtonPoly) -> Fraction | None:
     """Parameter of the first ray point t*w inside the polyhedron; None means
     the ray never enters (possible only when some weight vanishes)."""
-    res = _poly_intersection(poly)
+    res = _first_intersection(poly.exponents, poly.germ.weights)
     if res.mu is not None:
         assert res.mu > 0, "exponents are nonzero and nonnegative, so mu > 0"
     return res.mu
@@ -336,7 +329,7 @@ class LctReport:
 
 def lct_newton(poly: NewtonPoly) -> LctReport:
     """General-coefficient threshold min(1, 1/mu), with 1/infinity = 0."""
-    res = _poly_intersection(poly)
+    res = _first_intersection(poly.exponents, poly.germ.weights)
     if res.mu is None:
         return LctReport(None, Fraction(0), RAY, None)
     inv = 1 / res.mu
@@ -384,11 +377,14 @@ def lct_upper_bound_from_valuation(poly: NewtonPoly, x) -> Fraction | None:
 
 def normal_witness_ray(poly: NewtonPoly) -> QVec | None:
     """Primitive lattice point on the pricing ray; realizes 1/mu exactly."""
-    res = _poly_intersection(poly)
+    return _primitive_normal(poly.germ.lattice, _first_intersection(poly.exponents, poly.germ.weights))
+
+
+def _primitive_normal(lat: Lattice, res: FirstIntersection) -> QVec | None:
+    """Primitive lattice point on the ray of the pricing normal of ``res``."""
     if res.mu is None or res.normal is None or not any(res.normal):
         return None
     den = lcm(*(c.denominator for c in res.normal))
-    ints = [int(c * den) for c in res.normal]
-    vec = tuple(Fraction(c) for c in ints)
-    k = poly.germ.lattice.primitive_scale(vec)
+    vec = tuple(Fraction(int(c * den)) for c in res.normal)
+    k = lat.primitive_scale(vec)
     return tuple(c / k for c in vec)

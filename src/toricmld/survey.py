@@ -17,7 +17,7 @@ import csv
 import io
 import json
 import os
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 from fractions import Fraction
 from hashlib import sha256
 from itertools import permutations, product
@@ -116,7 +116,6 @@ class SurveyRow:
     bounds_ok: bool
     pia_ok: bool | None  # None when no coefficient equals 1
     lct_general: Fraction
-    sort_key: tuple = field(repr=False, default=())
 
     HEADER = (
         "germ_id",
@@ -183,13 +182,24 @@ def _survey_row(germ: ToricGerm) -> SurveyRow:
         bounds_ok=check_shokurov_bounds(germ).passed,
         pia_ok=pia,
         lct_general=lct_general_member(germ).lct,
-        sort_key=(germ.dim, germ.lattice.index, germ.lattice.basis, germ.boundary),
     )
 
 
 def _rows_for_lattice(args) -> list[SurveyRow]:
     lattice, boundaries = args
     return [_survey_row(ToricGerm(lattice, b)) for b in boundaries]
+
+
+def _orbit_representatives(lattice: Lattice, assignments) -> list:
+    """The boundaries b for which (lattice, b) is the smallest pair of its
+    coordinate-permutation orbit."""
+    perms = list(permutations(range(lattice.dim)))
+    bases = [lattice.permute(perm).basis for perm in perms]
+    return [
+        b
+        for b in assignments
+        if min((basis, tuple(b[p] for p in perm)) for basis, perm in zip(bases, perms)) == (lattice.basis, b)
+    ]
 
 
 def run_survey(
@@ -204,9 +214,10 @@ def run_survey(
     assignments drawn from the given finite coefficient set.
 
     Output order is canonical (dim, index, basis, boundary) no matter how the
-    work is scheduled; exceeding ``row_cap`` raises instead of truncating.
-    ``jobs`` below 1 is an input error, and above ``os.cpu_count()`` it is
-    clamped to the core count.
+    work is scheduled: lattices are enumerated in (index, basis) order and
+    boundaries as a product over the sorted coefficients.  Exceeding
+    ``row_cap`` raises instead of truncating.  ``jobs`` below 1 is an input
+    error, and above ``os.cpu_count()`` it is clamped to the core count.
     """
     if jobs < 1:
         raise InputError(f"jobs must be at least 1, got {jobs}")
@@ -222,21 +233,9 @@ def run_survey(
     total = len(lattices) * len(assignments)
     if total > row_cap:
         raise ResourceLimit(f"survey would emit {total} rows, above the cap {row_cap}")
-    if mod_permutations:
-        work = []
-        for lattice in lattices:
-            per_lattice = []
-            for b in assignments:
-                orbit_keys = []
-                for perm in permutations(range(dim)):
-                    plat = lattice.permute(perm)
-                    pb = tuple(b[p] for p in perm)
-                    orbit_keys.append((plat.basis, pb))
-                if min(orbit_keys) == (lattice.basis, b):
-                    per_lattice.append(b)
-            work.append((lattice, per_lattice))
-    else:
-        work = [(lattice, assignments) for lattice in lattices]
+
+    def work(lattice: Lattice):
+        return lattice, _orbit_representatives(lattice, assignments) if mod_permutations else assignments
 
     if jobs > 1:
         import multiprocessing as mp
@@ -246,11 +245,14 @@ def run_survey(
         except ValueError:  # pragma: no cover
             ctx = mp.get_context("spawn")
         with ctx.Pool(jobs) as pool:
-            chunks = pool.map(_rows_for_lattice, work)
-    else:
-        chunks = [_rows_for_lattice(w) for w in work]
-    rows = [row for chunk in chunks for row in chunk]
-    rows.sort(key=lambda r: r.sort_key)
+            chunks = pool.map(_rows_for_lattice, [work(lattice) for lattice in lattices])
+        return [row for chunk in chunks for row in chunk]
+    # popped in order from the reversed list, so no finished lattice stays
+    # referenced and its tables are freed with its rows
+    lattices.reverse()
+    rows = []
+    while lattices:
+        rows += _rows_for_lattice(work(lattices.pop()))
     return rows
 
 

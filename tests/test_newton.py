@@ -20,7 +20,7 @@ from toricmld.newton import (
     lct_upper_bound_from_valuation,
     newton_poly_from_exponents,
     normal_witness_ray,
-    _poly_intersection,
+    _first_intersection,
 )
 
 
@@ -103,7 +103,7 @@ def test_dominated_exponent_pruning_is_flagged_and_neutral():
 def test_mu_examples():
     cusp = newton_poly_from_exponents(std_germ(2), [(2, 0), (0, 3)])
     assert first_intersection_mu(cusp) == F(6, 5)
-    res = _poly_intersection(cusp)
+    res = _first_intersection(cusp.exponents, cusp.germ.weights)
     # witness weights are aligned with the sorted exponents ((0,3),(2,0))
     assert res.weights == (F(2, 5), F(3, 5))
 
@@ -118,7 +118,7 @@ def test_mu_examples():
 
 
 def _certificate(poly):
-    res = _poly_intersection(poly)
+    res = _first_intersection(poly.exponents, poly.germ.weights)
     assert res.mu is not None
     w = poly.germ.weights
     combo = [sum(l * F(m[i]) for l, m in zip(res.weights, poly.exponents)) for i in range(poly.dim)]

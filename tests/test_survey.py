@@ -280,3 +280,23 @@ def test_survey_clamps_jobs_to_the_core_count(monkeypatch, cores, jobs, expected
     rows = rows_to_csv(run_survey(2, 4, [0], jobs=jobs))
     assert ctx.sizes == expected
     assert rows == rows_to_csv(run_survey(2, 4, [0]))
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+@pytest.mark.parametrize("mod_permutations", [False, True])
+def test_survey_rows_come_in_canonical_order(jobs, mod_permutations):
+    from itertools import product
+
+    from toricmld.lattice import enumerate_superlattices
+
+    coeffs = [F(0), F(1, 2), F(1)]
+    key = {
+        germ_id(ToricGerm(lat, b)): (2, lat.index, lat.basis, b)
+        for lat in enumerate_superlattices(2, 6)
+        for b in product(coeffs, repeat=2)
+    }
+    rows = run_survey(2, 6, coeffs, mod_permutations=mod_permutations, jobs=jobs)
+    keys = [key[r.germ_id] for r in rows]
+    assert keys == sorted(set(keys))
+    if not mod_permutations:
+        assert len(keys) == len(key)
