@@ -14,36 +14,53 @@ into the members indexed by J is
 with A(x) = sum (1-b_i) x_i, admissible whenever the center, a stratum of
 dimension d - |support(x)| - |J|, is nonempty.
 
-Two structural facts drive the builder and are exploited throughout:
+Two structural facts drive the builder:
 
 * v vanishes on every proper face (the monoid contains the primitive dual
-  ray vectors, which kill any partial support), so combos off the interior
-  have value A(x) + sum_{J}(1 - gamma_j) >= 0 automatically and never
-  constrain a threshold below the cap 1;
+  ray vectors, which kill any partial support), so a combo off the interior
+  has value A(x) + sum_{J}(1 - gamma_j) >= 0 whatever the coefficients;
 * along any interior ray the value is homogeneous, so the binding ratio is
   the interior infimum rho = inf A(x)/v(x), a number that depends only on
   the germ.  By LP duality rho equals 1/mu of the general-member Newton
   polyhedron, and the pricing vector of that LP lies on an optimal ray, so
-  an exact lattice witness is always available.  (The same infimum can be
-  computed cell by cell over the linearity regions of v, one LP per cell;
-  the tests keep that slower route as a cross-check.)
+  an exact lattice witness is always available.  Where rho is made, each
+  germ checks once that no interior box point has A(x) < rho v(x).  (The
+  same infimum can be computed cell by cell over the linearity regions of
+  v, one LP per cell; the tests keep that slower route as a cross-check.)
 
-Adding a new member with coefficient t turns every admissible combo value
-into an affine function of t; the threshold is the largest t in (0, 1] that
-keeps all of them nonnegative, which reduces to min(1, rho - Gamma) with
-Gamma the current coefficient sum, because every box ratio (a+b)/(c+d) with
-nonnegative parts is at least min(a/c, b/d) of its endpoint ratios.
+So a state is read off rho, the zero-weight face Z = {i : b_i = 1} and its
+unit members (coefficient 1), with Gamma the coefficient sum:
+
+* Log canonicity.  Interior values A - Gamma v are at least
+  (rho - Gamma) v, with equality along the ray witness, and v > 0 there;
+  when every weight is 0 they are -Gamma v.  So the state is log canonical
+  exactly when Gamma = 0, or some weight is nonzero and Gamma <= rho.
+* The least value-zero combo, in the order (center dimension, |J|, face
+  support, J, x).  An interior zero has A = Gamma v, so it exists exactly
+  when Gamma = rho > 0 or every weight is 0 (then Gamma = 0 and the whole
+  interior has value 0).  That is a point center with J empty, which no
+  other combo precedes; its x is the least interior box point of value 0,
+  the ray witness included when Gamma > 0.  Such a state is flat.
+  Otherwise a zero has A(x) = 0 and unit members only, so support(x) lies
+  in Z and J among the unit members.  The lattice point (1,..,1) has
+  v >= 1, so |units| <= Gamma <= rho <= A(1,..,1) <= d - |Z|: every subset
+  fits, and the least combo takes all of Z and all unit members, a center
+  of dimension d - |Z| - |units|.  That is positive, since 0 would force
+  Gamma = rho, so only the center of such a combo is ever reported; with Z
+  and the unit members both empty there is no zero at all.
+
+A new member of coefficient t adds -t v to every value, so the threshold is
+min(1, rho - Gamma), and the builder stops within d steps.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
 
 from .errors import AlreadyFlat, InputError, ModelViolation, NotLogCanonical
 from .germ import Face, ToricGerm, full_face
 from .newton import FirstIntersection, _first_intersection, _primitive_normal, dual_hilbert_basis, newton_poly_from_exponents
-from .rationals import QVec, qvec
+from .rationals import QVec, qvec, qvec_str
 
 POINT = "point-P"
 INVARIANT_CYCLE = "invariant-cycle"
@@ -139,19 +156,26 @@ def state_value(state: FlatState, x, divisors=()) -> Fraction:
 
 def _general_member_intersection(germ: ToricGerm) -> FirstIntersection:
     """``ToricGerm.general_member_intersection``: the first intersection of
-    the weight ray with the general-member Newton polyhedron."""
+    the weight ray with the general-member Newton polyhedron.
+
+    It also checks, once per germ, the fact that the log canonicity rule
+    rests on: no interior box point has A(x) < rho v(x), rho = 1/mu."""
+    if not any(germ.weights):
+        raise InputError("zero weight vector: the interior ratio is identically 0")
     poly = newton_poly_from_exponents(germ, dual_hilbert_basis(germ))
-    return _first_intersection(poly.exponents, germ.weights)
+    res = _first_intersection(poly.exponents, germ.weights)
+    for a, v, x in germ.interior_values:
+        if a * res.mu < v:
+            raise ModelViolation(f"box point {qvec_str(x)} has A/v = {a / v} below the ray infimum {1 / res.mu}")
+    return res
 
 
 def ray_infimum(germ: ToricGerm) -> Fraction:
     """inf of A(x)/v(x) over the interior of the cone, as exact rational.
 
     Equal to 1/mu of the general-member polyhedron: scaling any interior
-    direction to v = 1 identifies the two programs (weights cannot be all
-    zero here, or the germ would already be flat)."""
-    if not any(w for w in germ.weights):
-        raise InputError("zero weight vector: the interior ratio is identically 0")
+    direction to v = 1 identifies the two programs.  ``InputError`` when
+    every weight is 0, where the ratio is identically 0."""
     res = germ.general_member_intersection
     assert res.mu is not None and res.mu > 0
     return 1 / res.mu
@@ -159,104 +183,65 @@ def ray_infimum(germ: ToricGerm) -> Fraction:
 
 def ray_witness(germ: ToricGerm) -> QVec:
     """Primitive lattice point realizing the interior infimum exactly."""
-    witness = _primitive_normal(germ.lattice, germ.general_member_intersection)
-    assert witness is not None
-    return witness
+    return _primitive_normal(germ.lattice, germ.general_member_intersection)
 
 
 # -- thresholds and centers -------------------------------------------------------
 
 
 def _require_log_canonical(state: FlatState) -> None:
-    """Negative values can only appear along the interior (proper-face combos
-    are A(x) + nonnegative terms); check the box and the ray infimum."""
+    """Log canonical exactly when Gamma = 0, or some weight is nonzero and
+    Gamma <= rho (see the module docstring)."""
     gamma = state.total
-    for a, v, x in state.germ.interior_values:
-        if a - gamma * v < 0:
-            raise NotLogCanonical(f"value {(a - gamma * v)} < 0 at {x}")
-    if gamma > 0 and any(w for w in state.germ.weights) and ray_infimum(state.germ) < gamma:
-        raise NotLogCanonical("interior ray infimum below the coefficient sum")
+    if gamma and not any(state.germ.weights):
+        raise NotLogCanonical(f"coefficient sum {gamma} > 0 where every weight is 0")
+    if gamma and ray_infimum(state.germ) < gamma:
+        raise NotLogCanonical(f"coefficient sum {gamma} above the interior ray infimum")
 
 
-def _zero_combos(state: FlatState) -> list[ZeroCombo]:
-    """All combos of value exactly zero, sorted by
-    (center dimension, |J|, face support, J, monomial witness)."""
-    d = state.germ.dim
-    gamma = state.total
-    ones = [j + 1 for j, g in enumerate(state.gammas) if g == 1]
-    found: dict = {}
-
-    def add(x: QVec | None, J: tuple[int, ...], face: Face | None):
-        support = face.support if face is not None else ()
-        dimension = d - len(support) - len(J)
-        if dimension == 0:
-            kind = POINT
-        elif x is not None and not J:
-            kind = INVARIANT_CYCLE
-        elif x is None and len(J) == 1:
-            kind = GENERAL_DIVISOR
-        else:
-            kind = STRATUM
-        center = CenterDescriptor(kind, face, J, dimension)
-        sort_x = tuple(x) if x is not None else ()
-        key = (dimension, len(J), support, J, sort_x)
-        found.setdefault(key, ZeroCombo(x, J, center))
-
-    # interior box zeros (full support forbids any divisor subset)
-    for a, v, x in state.germ.interior_values:
-        if a - gamma * v == 0:
-            add(x, (), full_face(d))
-    # proper-face zeros: v = 0 there, so zero means A(x) = 0 and all chosen
-    # gammas equal to 1
-    for face, x in state.germ.face_zero_points:
-        room = d - len(face.support)
-        for size in range(0, min(room, len(ones)) + 1):
-            for J in combinations(ones, size):
-                add(x, J, face)
-    # member-only zeros
-    for size in range(1, min(d, len(ones)) + 1):
-        for J in combinations(ones, size):
-            add(None, J, None)
-    # interior ray zero: the infimum is attained on an explicit lattice ray
-    if gamma > 0 and any(w for w in state.germ.weights) and ray_infimum(state.germ) == gamma:
-        add(ray_witness(state.germ), (), full_face(d))
-    return [found[k] for k in sorted(found)]
+def _is_flat(state: FlatState) -> bool:
+    """Whether a log canonical state has a value-zero combo centered at the
+    distinguished point: every weight is 0, or Gamma = rho."""
+    return not any(state.germ.weights) or state.total == ray_infimum(state.germ)
 
 
 def threshold_step(state: FlatState) -> Fraction:
     """Largest coefficient for one more general member keeping the state
-    log canonical.
+    log canonical: min(1, rho - Gamma).
 
-    Only three constraint families can bind: the cap 1 (from the new member
-    itself), the interior ray bound rho - Gamma, and the interior box ratios
-    (A - Gamma v)/v; everything else evaluates to at least 1 because v
-    vanishes off the interior.  The box ratios are themselves at least the
-    ray bound, but are scanned anyway as a cheap cross-check.
+    A member of coefficient t adds -t v(x) to every combo value, and only
+    interior combos have v > 0; there the values are at least
+    (rho - Gamma - t) v, with equality along the ray witness, so the bound is
+    rho - Gamma, and the member's own coefficient caps it at 1.
     """
     _require_log_canonical(state)
-    zeros = _zero_combos(state)
-    if any(z.center.dimension == 0 for z in zeros):
+    if _is_flat(state):
         raise AlreadyFlat("the state is already flat at the distinguished point")
-    gamma = state.total
-    rho = ray_infimum(state.germ)
-    bound = min(Fraction(1), rho - gamma)
-    for a, v, x in state.germ.interior_values:
-        if v > 0:
-            ratio = (a - gamma * v) / v
-            assert ratio >= rho - gamma, "box ratios dominate the ray bound"
-            bound = min(bound, ratio)
-    assert 0 < bound <= 1
-    return bound
+    return min(Fraction(1), ray_infimum(state.germ) - state.total)
 
 
 def minimal_center(state: FlatState) -> CenterDescriptor:
     """Center of smallest dimension among all value-zero combos; ties broken
-    by smaller divisor subset, then lexicographic face and subset."""
+    by smaller divisor subset, then lexicographic face and subset.
+
+    The distinguished point when the state is flat; otherwise the stratum
+    cut by the zero-weight face (the coordinates with b_i = 1) and every
+    member of coefficient 1 (see the module docstring)."""
     _require_log_canonical(state)
-    zeros = _zero_combos(state)
-    if not zeros:
+    d = state.germ.dim
+    if _is_flat(state):
+        return CenterDescriptor(POINT, full_face(d), (), 0)
+    zero_face = tuple(i for i, w in enumerate(state.germ.weights, 1) if w == 0)
+    ones = tuple(j for j, g in enumerate(state.gammas, 1) if g == 1)
+    if not zero_face and not ones:
         raise InputError("no zero combo: the state is log terminal at every center")
-    return zeros[0].center
+    if not ones:
+        kind = INVARIANT_CYCLE
+    elif not zero_face and len(ones) == 1:
+        kind = GENERAL_DIVISOR
+    else:
+        kind = STRATUM
+    return CenterDescriptor(kind, Face(zero_face) if zero_face else None, ones, d - len(zero_face) - len(ones))
 
 
 @dataclass(frozen=True)
@@ -294,23 +279,18 @@ def build_flat_structure(germ: ToricGerm, max_steps: int | None = None) -> FlatB
         raise InputError("max_steps must be at least the dimension")
     state = FlatState(germ, ())
     trace: list[tuple[Fraction, CenterDescriptor]] = []
-    for _ in range(max_steps):
-        _require_log_canonical(state)
-        zeros = _zero_combos(state)
-        if zeros and zeros[0].center.dimension == 0:
-            return _finish(state, trace, zeros[0])
+    while not _is_flat(state):
+        if len(trace) == max_steps:
+            raise ModelViolation(f"no flat structure after {max_steps} steps; the model promises <= dim steps")
         gamma = threshold_step(state)
-        state = FlatState(state.germ, state.gammas + (gamma,))
-        center = minimal_center(state)
-        trace.append((gamma, center))
-        if center.dimension == 0:
-            zeros = _zero_combos(state)
-            return _finish(state, trace, zeros[0])
-    raise ModelViolation(f"no flat structure after {max_steps} steps; the model promises <= dim steps")
-
-
-def _finish(state: FlatState, trace, witness: ZeroCombo) -> FlatBuildResult:
-    value = state_value(state, witness.x if witness.x is not None else [0] * state.germ.dim, witness.divisors)
-    assert value == 0, "the reported witness must have value exactly zero"
-    _require_log_canonical(state)
+        state = FlatState(germ, state.gammas + (gamma,))
+        trace.append((gamma, minimal_center(state)))
+    # the least point combo: x is the least interior zero, J is empty
+    gamma = state.total
+    xs = [x for a, v, x in germ.interior_values if a == gamma * v]
+    if gamma:
+        xs.append(ray_witness(germ))
+    witness = ZeroCombo(min(xs), (), minimal_center(state))
+    if state_value(state, witness.x) != 0:
+        raise ModelViolation("the reported witness must have value exactly zero")
     return FlatBuildResult(state, tuple(trace), witness)

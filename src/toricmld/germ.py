@@ -172,7 +172,9 @@ class ToricGerm:
     @cached_property
     def general_member_intersection(self):
         """``newton.FirstIntersection`` of the weight ray with the Newton
-        polyhedron of a general member of the maximal ideal."""
+        polyhedron of a general member of the maximal ideal; ``InputError``
+        when every weight is 0, ``ModelViolation`` when an interior box point
+        has a ratio A/v below 1/mu."""
         from .flat import _general_member_intersection
 
         return _general_member_intersection(self)
@@ -189,18 +191,6 @@ class ToricGerm:
         return tuple(
             (Fraction(sum(map(mul, wn, row)), den * wd), Fraction(v, den), tuple(Fraction(c, den) for c in row))
             for row, v in zip(rows, lat.interior_multiplicities)
-        )
-
-    @cached_property
-    def face_zero_points(self) -> tuple[tuple[Face, QVec], ...]:
-        """Unit-box points on proper faces where the log discrepancy is 0:
-        the minimizers of every proper face whose minimum is 0."""
-        table = self.face_table
-        return tuple(
-            (Face(s), x)
-            for s in table.supports()
-            if len(s) < self.dim and table.value(s) == 0
-            for x in table.witnesses(s)
         )
 
     def __repr__(self) -> str:

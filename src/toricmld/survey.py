@@ -234,26 +234,24 @@ def run_survey(
     if total > row_cap:
         raise ResourceLimit(f"survey would emit {total} rows, above the cap {row_cap}")
 
-    def work(lattice: Lattice):
+    def task(lattice: Lattice):
         return lattice, _orbit_representatives(lattice, assignments) if mod_permutations else assignments
 
-    if jobs > 1:
-        import multiprocessing as mp
-
-        try:
-            ctx = mp.get_context("fork")
-        except ValueError:  # pragma: no cover
-            ctx = mp.get_context("spawn")
-        with ctx.Pool(jobs) as pool:
-            chunks = pool.map(_rows_for_lattice, [work(lattice) for lattice in lattices])
-        return [row for chunk in chunks for row in chunk]
     # popped in order from the reversed list, so no finished lattice stays
     # referenced and its tables are freed with its rows
     lattices.reverse()
-    rows = []
-    while lattices:
-        rows += _rows_for_lattice(work(lattices.pop()))
-    return rows
+    tasks = (task(lattices.pop()) for _ in range(len(lattices)))
+    if jobs == 1:
+        return [row for chunk in map(_rows_for_lattice, tasks) for row in chunk]
+    import multiprocessing as mp
+
+    try:
+        ctx = mp.get_context("fork")
+    except ValueError:  # pragma: no cover
+        ctx = mp.get_context("spawn")
+    chunksize = -(-len(lattices) // (4 * jobs))  # as Pool.map derives it
+    with ctx.Pool(jobs) as pool:
+        return [row for chunk in pool.imap(_rows_for_lattice, tasks, chunksize) for row in chunk]
 
 
 def rows_to_csv(rows) -> str:

@@ -17,7 +17,6 @@ GERM_FIELDS = {
     "face_table",
     "general_member_intersection",
     "interior_values",
-    "face_zero_points",
 }
 LATTICE_FIELDS = {
     "dim",

@@ -1,12 +1,21 @@
+import dataclasses
 import random
 from fractions import Fraction as F
+from itertools import combinations
 
 import pytest
 
 from lp_oracle import solve_lp
-from toricmld.errors import AlreadyFlat, InputError, NotLogCanonical
+from toricmld.errors import AlreadyFlat, InputError, ModelViolation, NotLogCanonical
 from toricmld.flat import (
+    GENERAL_DIVISOR,
+    INVARIANT_CYCLE,
+    POINT,
+    STRATUM,
+    CenterDescriptor,
+    FlatBuildResult,
     FlatState,
+    ZeroCombo,
     build_flat_structure,
     minimal_center,
     ray_infimum,
@@ -14,10 +23,11 @@ from toricmld.flat import (
     state_value,
     threshold_step,
 )
-from toricmld.germ import ToricGerm, germ_cyclic_quotient
+from toricmld.germ import Face, ToricGerm, full_face, germ_cyclic_quotient
 from toricmld.lattice import Lattice
 from toricmld.linprog import OPTIMAL
 from toricmld.newton import dual_hilbert_basis
+from toricmld.rationals import QVec
 
 
 def std_germ(dim, boundary=None):
@@ -111,6 +121,153 @@ def test_ray_witness_realizes_the_infimum(corpus_germs):
         v = min(sum(F(m[j]) * x[j] for j in range(germ.dim)) for m in hb)
         assert v > 0
         assert germ.log_discrepancy(x) / v == ray_infimum(germ)
+
+
+# -- the enumerating oracle -------------------------------------------------------
+#
+# The builder as it was before it read each state in closed form: every state
+# is checked by scanning the interior box, and all value-zero combos are
+# enumerated over every divisor subset of the unit members and sorted.
+
+
+def _face_zero_points(germ):
+    """Unit-box points on proper faces where the log discrepancy is 0:
+    the minimizers of every proper face whose minimum is 0."""
+    table = germ.face_table
+    return tuple(
+        (Face(s), x)
+        for s in table.supports()
+        if len(s) < germ.dim and table.value(s) == 0
+        for x in table.witnesses(s)
+    )
+
+
+def oracle_require_log_canonical(state: FlatState) -> None:
+    """Negative values can only appear along the interior (proper-face combos
+    are A(x) + nonnegative terms); check the box and the ray infimum."""
+    gamma = state.total
+    for a, v, x in state.germ.interior_values:
+        if a - gamma * v < 0:
+            raise NotLogCanonical(f"value {(a - gamma * v)} < 0 at {x}")
+    if gamma > 0 and any(w for w in state.germ.weights) and ray_infimum(state.germ) < gamma:
+        raise NotLogCanonical("interior ray infimum below the coefficient sum")
+
+
+def zero_combos_oracle(state: FlatState) -> list[ZeroCombo]:
+    """All combos of value exactly zero, sorted by
+    (center dimension, |J|, face support, J, monomial witness)."""
+    d = state.germ.dim
+    gamma = state.total
+    ones = [j + 1 for j, g in enumerate(state.gammas) if g == 1]
+    found: dict = {}
+
+    def add(x: QVec | None, J: tuple[int, ...], face: Face | None):
+        support = face.support if face is not None else ()
+        dimension = d - len(support) - len(J)
+        if dimension == 0:
+            kind = POINT
+        elif x is not None and not J:
+            kind = INVARIANT_CYCLE
+        elif x is None and len(J) == 1:
+            kind = GENERAL_DIVISOR
+        else:
+            kind = STRATUM
+        center = CenterDescriptor(kind, face, J, dimension)
+        sort_x = tuple(x) if x is not None else ()
+        key = (dimension, len(J), support, J, sort_x)
+        found.setdefault(key, ZeroCombo(x, J, center))
+
+    # interior box zeros (full support forbids any divisor subset)
+    for a, v, x in state.germ.interior_values:
+        if a - gamma * v == 0:
+            add(x, (), full_face(d))
+    # proper-face zeros: v = 0 there, so zero means A(x) = 0 and all chosen
+    # gammas equal to 1
+    for face, x in _face_zero_points(state.germ):
+        room = d - len(face.support)
+        for size in range(0, min(room, len(ones)) + 1):
+            for J in combinations(ones, size):
+                add(x, J, face)
+    # member-only zeros
+    for size in range(1, min(d, len(ones)) + 1):
+        for J in combinations(ones, size):
+            add(None, J, None)
+    # interior ray zero: the infimum is attained on an explicit lattice ray
+    if gamma > 0 and any(w for w in state.germ.weights) and ray_infimum(state.germ) == gamma:
+        add(ray_witness(state.germ), (), full_face(d))
+    return [found[k] for k in sorted(found)]
+
+
+def oracle_threshold_step(state: FlatState) -> F:
+    """Largest coefficient for one more general member keeping the state
+    log canonical.
+
+    Only three constraint families can bind: the cap 1 (from the new member
+    itself), the interior ray bound rho - Gamma, and the interior box ratios
+    (A - Gamma v)/v; everything else evaluates to at least 1 because v
+    vanishes off the interior.  The box ratios are themselves at least the
+    ray bound, but are scanned anyway as a cheap cross-check.
+    """
+    oracle_require_log_canonical(state)
+    zeros = zero_combos_oracle(state)
+    if any(z.center.dimension == 0 for z in zeros):
+        raise AlreadyFlat("the state is already flat at the distinguished point")
+    gamma = state.total
+    rho = ray_infimum(state.germ)
+    bound = min(F(1), rho - gamma)
+    for a, v, x in state.germ.interior_values:
+        if v > 0:
+            ratio = (a - gamma * v) / v
+            assert ratio >= rho - gamma, "box ratios dominate the ray bound"
+            bound = min(bound, ratio)
+    assert 0 < bound <= 1
+    return bound
+
+
+def oracle_minimal_center(state: FlatState) -> CenterDescriptor:
+    """Center of smallest dimension among all value-zero combos; ties broken
+    by smaller divisor subset, then lexicographic face and subset."""
+    oracle_require_log_canonical(state)
+    zeros = zero_combos_oracle(state)
+    if not zeros:
+        raise InputError("no zero combo: the state is log terminal at every center")
+    return zeros[0].center
+
+
+def oracle_build_flat_structure(germ: ToricGerm, max_steps: int | None = None) -> FlatBuildResult:
+    """Add general members of the maximal ideal at their thresholds until the
+    distinguished point carries a value-zero valuation.
+
+    Terminates in at most d steps: any step below the cap lands the
+    coefficient sum exactly on the interior infimum (an interior zero), and
+    cap steps raise the sum by 1 toward an infimum that is at most d.
+    """
+    if max_steps is None:
+        max_steps = germ.dim
+    if max_steps < germ.dim:
+        raise InputError("max_steps must be at least the dimension")
+    state = FlatState(germ, ())
+    trace: list[tuple[F, CenterDescriptor]] = []
+    for _ in range(max_steps):
+        oracle_require_log_canonical(state)
+        zeros = zero_combos_oracle(state)
+        if zeros and zeros[0].center.dimension == 0:
+            return _oracle_finish(state, trace, zeros[0])
+        gamma = oracle_threshold_step(state)
+        state = FlatState(state.germ, state.gammas + (gamma,))
+        center = oracle_minimal_center(state)
+        trace.append((gamma, center))
+        if center.dimension == 0:
+            zeros = zero_combos_oracle(state)
+            return _oracle_finish(state, trace, zeros[0])
+    raise ModelViolation(f"no flat structure after {max_steps} steps; the model promises <= dim steps")
+
+
+def _oracle_finish(state: FlatState, trace, witness: ZeroCombo) -> FlatBuildResult:
+    value = state_value(state, witness.x if witness.x is not None else [0] * state.germ.dim, witness.divisors)
+    assert value == 0, "the reported witness must have value exactly zero"
+    oracle_require_log_canonical(state)
+    return FlatBuildResult(state, tuple(trace), witness)
 
 
 # -- thresholds and centers ----------------------------------------------------------
@@ -242,5 +399,61 @@ def test_large_weight_denominators_stay_exact_in_the_builder_tables():
             x = tuple(F(1) if j in on and c == 0 else c for j, c in enumerate(rep))
             if germ.log_discrepancy(x) == 0:
                 expected.append((face, x))
-    assert sorted(germ.face_zero_points, key=repr) == sorted(expected, key=repr)
+    assert sorted(_face_zero_points(germ), key=repr) == sorted(expected, key=repr)
     assert expected == [(all_faces(3)[2], (0, 0, 1))]
+
+
+# -- the closed forms against the oracle ---------------------------------------------
+
+
+def test_builder_matches_the_enumerating_oracle(corpus_germs):
+    for germ in corpus_germs:
+        assert build_flat_structure(germ) == oracle_build_flat_structure(germ), germ
+
+
+def _outcome(fn, state):
+    try:
+        return fn(state)
+    except InputError as exc:  # AlreadyFlat and NotLogCanonical included
+        return type(exc)
+
+
+def test_steps_and_centers_match_the_oracle_on_visited_and_random_states(corpus_germs):
+    rng = random.Random(20261018)
+    coeffs = [F(0), F(1, 3), F(1, 2), F(2, 3), F(1)]
+    outcomes = set()
+    for germ in corpus_germs:
+        if germ.lattice.index > 6:
+            continue
+        gammas = build_flat_structure(germ).state.gammas
+        tuples = [gammas[:k] for k in range(len(gammas) + 1)]
+        tuples += [tuple(rng.choice(coeffs) for _ in range(rng.randint(0, germ.dim + 1))) for _ in range(3)]
+        for gs in tuples:
+            state = FlatState(germ, gs)
+            for fn, oracle in ((threshold_step, oracle_threshold_step), (minimal_center, oracle_minimal_center)):
+                got = _outcome(fn, state)
+                assert got == _outcome(oracle, state), (germ, gs, fn.__name__)
+                outcomes.add(got if isinstance(got, type) else fn.__name__)
+    assert outcomes == {"threshold_step", "minimal_center", AlreadyFlat, NotLogCanonical, InputError}
+
+
+def test_ray_witness_rejects_zero_weights():
+    germ = ToricGerm(Lattice.standard(2), (1, 1))
+    with pytest.raises(InputError, match="zero weight vector"):
+        ray_witness(germ)
+    with pytest.raises(InputError, match="zero weight vector"):
+        ray_infimum(germ)
+
+
+def test_an_overstated_ray_infimum_is_a_model_violation(monkeypatch):
+    import toricmld.flat as flat
+
+    exact = flat._first_intersection
+
+    def halved(exponents, weights):
+        res = exact(exponents, weights)
+        return dataclasses.replace(res, mu=res.mu / 2)
+
+    monkeypatch.setattr(flat, "_first_intersection", halved)
+    with pytest.raises(ModelViolation):
+        ray_infimum(std_germ(2))

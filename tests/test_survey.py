@@ -250,10 +250,12 @@ def test_survey_rejects_nonpositive_jobs():
 
 class _RecordingContext:
     """Stands in for a multiprocessing context: records the requested worker
-    count and maps in this process, so no worker is ever started."""
+    count and chunk size and maps in this process, so no worker is ever
+    started."""
 
     def __init__(self):
         self.sizes = []
+        self.chunksizes = []
 
     def Pool(self, processes):
         self.sizes.append(processes)
@@ -265,8 +267,9 @@ class _RecordingContext:
     def __exit__(self, *exc):
         return False
 
-    def map(self, fn, items):
-        return [fn(item) for item in items]
+    def imap(self, fn, items, chunksize):
+        self.chunksizes.append(chunksize)
+        return map(fn, items)
 
 
 @pytest.mark.parametrize("cores,jobs,expected", [(2, 64, [2]), (2, 2, [2]), (1, 8, []), (None, 8, [])])
@@ -277,8 +280,11 @@ def test_survey_clamps_jobs_to_the_core_count(monkeypatch, cores, jobs, expected
     ctx = _RecordingContext()
     monkeypatch.setattr(os, "cpu_count", lambda: cores)
     monkeypatch.setattr(multiprocessing, "get_context", lambda method=None: ctx)
+    from toricmld.lattice import enumerate_superlattices
+
     rows = rows_to_csv(run_survey(2, 4, [0], jobs=jobs))
     assert ctx.sizes == expected
+    assert ctx.chunksizes == [-(-len(enumerate_superlattices(2, 4)) // (4 * n)) for n in expected]
     assert rows == rows_to_csv(run_survey(2, 4, [0]))
 
 
