@@ -120,7 +120,7 @@ def _cmd_adjoin(args) -> int:
 
 def _cmd_flat(args) -> int:
     germ = _read_germ(args.input)
-    result = build_flat_structure(germ, args.max_steps)
+    result = build_flat_structure(germ)
     _emit(result.to_json_dict(), args.out)
     return EXIT_OK
 
@@ -189,7 +189,6 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("flat", help="build a flat log structure")
     p.add_argument("-i", "--input", required=True)
-    p.add_argument("--max-steps", type=int, default=None)
     p.add_argument("--out")
     p.set_defaults(fn=_cmd_flat)
 

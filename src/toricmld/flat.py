@@ -56,11 +56,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 
 from .errors import AlreadyFlat, InputError, ModelViolation, NotLogCanonical
 from .germ import Face, ToricGerm, full_face
 from .newton import FirstIntersection, _first_intersection, _primitive_normal, dual_hilbert_basis, newton_poly_from_exponents
-from .rationals import QVec, qvec, qvec_str
+from .rationals import QVec, qvec, qvec_str, scaled_int_vector
 
 POINT = "point-P"
 INVARIANT_CYCLE = "invariant-cycle"
@@ -82,10 +83,6 @@ class FlatState:
     @property
     def members(self) -> int:
         return len(self.gammas)
-
-    @property
-    def hb(self) -> tuple[tuple[int, ...], ...]:
-        return dual_hilbert_basis(self.germ)
 
     @property
     def total(self) -> Fraction:
@@ -121,10 +118,14 @@ class ZeroCombo:
     center: CenterDescriptor
 
 
-def _multiplicity(state: FlatState, x: QVec) -> Fraction:
+def _multiplicity(germ: ToricGerm, x: QVec) -> Fraction:
+    """v(x) for a lattice point x: the least pairing with the dual Hilbert
+    basis, in integers over den as in ``Lattice.interior_multiplicities``."""
     if not any(x):
         return Fraction(0)
-    return min(sum((Fraction(m) * c for m, c in zip(exp, x)), start=Fraction(0)) for exp in state.hb)
+    den = germ.lattice.den
+    u = scaled_int_vector(x, den)
+    return Fraction(min(sum(map(mul, h, u)) for h in dual_hilbert_basis(germ)), den)
 
 
 def state_value(state: FlatState, x, divisors=()) -> Fraction:
@@ -146,7 +147,7 @@ def state_value(state: FlatState, x, divisors=()) -> Fraction:
     if state.germ.dim - support - len(J) < 0:
         raise InputError("empty center: support and divisor subset exceed the dimension")
     a = state.germ.log_discrepancy(x)
-    v = _multiplicity(state, x)
+    v = _multiplicity(state.germ, x)
     extra = sum((1 - state.gammas[j - 1] for j in J), start=Fraction(0))
     return a - state.total * v + extra
 
@@ -177,7 +178,8 @@ def ray_infimum(germ: ToricGerm) -> Fraction:
     direction to v = 1 identifies the two programs.  ``InputError`` when
     every weight is 0, where the ratio is identically 0."""
     res = germ.general_member_intersection
-    assert res.mu is not None and res.mu > 0
+    if res.mu is None or res.mu <= 0:
+        raise ModelViolation("the weight ray must meet the general-member polyhedron at a positive parameter")
     return 1 / res.mu
 
 
@@ -189,20 +191,25 @@ def ray_witness(germ: ToricGerm) -> QVec:
 # -- thresholds and centers -------------------------------------------------------
 
 
-def _require_log_canonical(state: FlatState) -> None:
+def _rho(germ: ToricGerm) -> Fraction | None:
+    """``ray_infimum``, or None when every weight is 0 (where it raises)."""
+    return ray_infimum(germ) if any(germ.weights) else None
+
+
+def _require_log_canonical(state: FlatState, rho: Fraction | None) -> None:
     """Log canonical exactly when Gamma = 0, or some weight is nonzero and
-    Gamma <= rho (see the module docstring)."""
+    Gamma <= rho (see the module docstring); rho is ``_rho`` of the germ."""
     gamma = state.total
-    if gamma and not any(state.germ.weights):
+    if gamma and rho is None:
         raise NotLogCanonical(f"coefficient sum {gamma} > 0 where every weight is 0")
-    if gamma and ray_infimum(state.germ) < gamma:
+    if gamma and rho < gamma:
         raise NotLogCanonical(f"coefficient sum {gamma} above the interior ray infimum")
 
 
-def _is_flat(state: FlatState) -> bool:
+def _is_flat(state: FlatState, rho: Fraction | None) -> bool:
     """Whether a log canonical state has a value-zero combo centered at the
     distinguished point: every weight is 0, or Gamma = rho."""
-    return not any(state.germ.weights) or state.total == ray_infimum(state.germ)
+    return rho is None or state.total == rho
 
 
 def threshold_step(state: FlatState) -> Fraction:
@@ -214,10 +221,11 @@ def threshold_step(state: FlatState) -> Fraction:
     (rho - Gamma - t) v, with equality along the ray witness, so the bound is
     rho - Gamma, and the member's own coefficient caps it at 1.
     """
-    _require_log_canonical(state)
-    if _is_flat(state):
+    rho = _rho(state.germ)
+    _require_log_canonical(state, rho)
+    if _is_flat(state, rho):
         raise AlreadyFlat("the state is already flat at the distinguished point")
-    return min(Fraction(1), ray_infimum(state.germ) - state.total)
+    return min(Fraction(1), rho - state.total)
 
 
 def minimal_center(state: FlatState) -> CenterDescriptor:
@@ -227,9 +235,10 @@ def minimal_center(state: FlatState) -> CenterDescriptor:
     The distinguished point when the state is flat; otherwise the stratum
     cut by the zero-weight face (the coordinates with b_i = 1) and every
     member of coefficient 1 (see the module docstring)."""
-    _require_log_canonical(state)
+    rho = _rho(state.germ)
+    _require_log_canonical(state, rho)
     d = state.germ.dim
-    if _is_flat(state):
+    if _is_flat(state, rho):
         return CenterDescriptor(POINT, full_face(d), (), 0)
     zero_face = tuple(i for i, w in enumerate(state.germ.weights, 1) if w == 0)
     ones = tuple(j for j, g in enumerate(state.gammas, 1) if g == 1)
@@ -265,7 +274,7 @@ class FlatBuildResult:
         }
 
 
-def build_flat_structure(germ: ToricGerm, max_steps: int | None = None) -> FlatBuildResult:
+def build_flat_structure(germ: ToricGerm) -> FlatBuildResult:
     """Add general members of the maximal ideal at their thresholds until the
     distinguished point carries a value-zero valuation.
 
@@ -273,15 +282,12 @@ def build_flat_structure(germ: ToricGerm, max_steps: int | None = None) -> FlatB
     coefficient sum exactly on the interior infimum (an interior zero), and
     cap steps raise the sum by 1 toward an infimum that is at most d.
     """
-    if max_steps is None:
-        max_steps = germ.dim
-    if max_steps < germ.dim:
-        raise InputError("max_steps must be at least the dimension")
+    rho = _rho(germ)
     state = FlatState(germ, ())
     trace: list[tuple[Fraction, CenterDescriptor]] = []
-    while not _is_flat(state):
-        if len(trace) == max_steps:
-            raise ModelViolation(f"no flat structure after {max_steps} steps; the model promises <= dim steps")
+    while not _is_flat(state, rho):
+        if len(trace) == germ.dim:
+            raise ModelViolation(f"no flat structure after {germ.dim} steps; the model promises <= dim steps")
         gamma = threshold_step(state)
         state = FlatState(germ, state.gammas + (gamma,))
         trace.append((gamma, minimal_center(state)))

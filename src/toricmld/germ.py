@@ -27,11 +27,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import combinations, product
+from itertools import product
 from math import ceil, gcd, lcm
 from operator import mul
 
-from .errors import InputError, NotInLattice, NotPrimitive
+from .errors import InputError, ModelViolation, NotInLattice, NotPrimitive
 from .lattice import Lattice, _divisors
 from .rationals import IntVec, QVec, qvec, qvec_str, rat
 
@@ -56,19 +56,9 @@ class Face:
             raise InputError(f"face support {face.support} out of range 1..{dim}")
         return face
 
-    def codim(self) -> int:
-        return len(self.support)
-
 
 def full_face(dim: int) -> Face:
     return Face(tuple(range(1, dim + 1)))
-
-
-def all_faces(dim: int) -> list[Face]:
-    faces = []
-    for size in range(1, dim + 1):
-        faces.extend(Face(c) for c in combinations(range(1, dim + 1), size))
-    return faces
 
 
 @dataclass(frozen=True)
@@ -151,9 +141,6 @@ class ToricGerm:
     def log_discrepancy(self, x: QVec) -> Fraction:
         return sum((w * c for w, c in zip(self.weights, x)), start=Fraction(0))
 
-    def faces(self) -> list[Face]:
-        return all_faces(self.dim)
-
     @cached_property
     def face_table(self) -> FaceTable:
         """Minimum and minimizers of every face, from one pass over each
@@ -215,7 +202,8 @@ def germ_normalize(lattice: Lattice, boundary) -> ToricGerm:
     scales = lattice.unit_scales
     if any(k != 1 for k in scales):
         lattice = lattice.rescale(scales)
-        assert all(k == 1 for k in lattice.unit_scales)
+        if any(k != 1 for k in lattice.unit_scales):
+            raise ModelViolation("rescaling by the primitive scales must make every e_i primitive")
     return ToricGerm(lattice, boundary)
 
 
@@ -235,7 +223,7 @@ def germ_from_px(x) -> tuple[ToricGerm, tuple[int, ...]]:
     q is any (here the least) positive integer with q*x integral; the scales
     n_j = gcd(q, qx_1, .., qx_j omitted, .., qx_d) / gcd(q, qx_1, .., qx_d)
     do not depend on that choice, and agree with the primitive scales of the
-    standard basis vectors in Z^d + Z*x (asserted).
+    standard basis vectors in Z^d + Z*x (checked).
     """
     x = qvec(x)
     d = len(x)
@@ -252,7 +240,8 @@ def germ_from_px(x) -> tuple[ToricGerm, tuple[int, ...]]:
         others = qx[:j] + qx[j + 1 :]
         scales.append(gcd(q, *others) // g_all if others else q // g_all)
     lat = Lattice.from_generators(d, [x])
-    assert tuple(scales) == lat.unit_scales, "gcd formula must match primitive scales"
+    if tuple(scales) != lat.unit_scales:
+        raise ModelViolation("gcd formula must match primitive scales")
     boundary = [1 - Fraction(1, n) for n in scales]
     return germ_normalize(lat, boundary), tuple(scales)
 
@@ -312,7 +301,7 @@ def mld_bruteforce_oracle(germ: ToricGerm, face, radius: int) -> Fraction:
     den = lat.den
     on = [j + 1 in face.support for j in range(lat.dim)]
     wn, wd = germ._weight_ints
-    best = None
+    lows = []
     for u in lat.rep_ints:
         if any(c for c, o in zip(u, on) if not o):
             continue
@@ -324,11 +313,9 @@ def mld_bruteforce_oracle(germ: ToricGerm, face, radius: int) -> Fraction:
                 terms.append([w * s * den for s in range(1, radius + 1)])
             else:
                 terms.append([w * (c + s * den) for s in range(radius)])
-        low = min(map(sum, product(*terms)))
-        if best is None or low < best:
-            best = low
-    assert best is not None, "the zero residue vanishes off every support"
-    return Fraction(best, den * wd)
+        lows.append(min(map(sum, product(*terms))))
+    # the zero residue vanishes off every support, so lows is nonempty
+    return Fraction(min(lows), den * wd)
 
 
 def verify_minkowski(germ: ToricGerm, t, delta) -> bool:
@@ -359,13 +346,7 @@ def px_mld_formula(x) -> Fraction:
         if not 0 < c <= 1:
             raise InputError(f"coordinate {c} outside (0,1]")
     q = lcm(*(c.denominator for c in x))
-    best = None
-    for n in range(q):
-        total = sum((1 + n * c - ceil(n * c) for c in x), start=Fraction(0))
-        if best is None or total < best:
-            best = total
-    assert best is not None
-    return best
+    return min(sum((1 + n * c - ceil(n * c) for c in x), start=Fraction(0)) for n in range(q))
 
 
 def cartier_index(germ: ToricGerm) -> int:
@@ -376,4 +357,4 @@ def cartier_index(germ: ToricGerm) -> int:
     for k in _divisors(germ.lattice.index):
         if germ.lattice.dual_contains_int([k * c for c in base]):
             return r0 * k
-    raise AssertionError("order of the weight vector must divide the index")
+    raise ModelViolation("order of the weight vector must divide the index")

@@ -17,11 +17,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import combinations, permutations, product
+from itertools import combinations, product
 from math import gcd, prod
 from operator import mul
 
-from .errors import InputError, NotInLattice
+from .errors import InputError, ModelViolation, NotInLattice
 from .rationals import QVec, common_denominator, qvec, scaled_int_vector
 
 
@@ -451,14 +451,12 @@ def _ordered_factorizations(n: int, parts: int):
             yield (d,) + rest
 
 
-def enumerate_superlattices(dim: int, max_index: int, mod_permutations: bool = False) -> list[Lattice]:
+def enumerate_superlattices(dim: int, max_index: int) -> list[Lattice]:
     """All N containing Z^dim with [N:Z^dim] <= max_index and every e_i primitive.
 
     Realized by enumerating finite-index sublattices of Z^dim in Hermite
     normal form (these are the duals) and dualizing.  Output is duplicate-free
-    and sorted by (index, canonical basis).  With ``mod_permutations`` only
-    the lexicographically smallest representative of each coordinate-
-    permutation orbit is kept.
+    and sorted by (index, canonical basis).
     """
     if dim < 1 or max_index < 1:
         raise InputError("dim and max_index must be positive")
@@ -466,16 +464,10 @@ def enumerate_superlattices(dim: int, max_index: int, mod_permutations: bool = F
     for n in range(1, max_index + 1):
         for rows in _hnf_tuples_with_unit_columns(dim, n):
             sup = _dual_of_int_rows(rows, 1)
-            assert sup.index == n, "duality must preserve the index"
+            if sup.index != n:
+                raise ModelViolation("duality must preserve the index")
             key = sup.basis
-            assert key not in seen, "HNF enumeration may not repeat a lattice"
+            if key in seen:
+                raise ModelViolation("HNF enumeration may not repeat a lattice")
             seen[key] = sup
-    lats = sorted(seen.values(), key=lambda L: (L.index, L.basis))
-    if mod_permutations:
-        keep = []
-        for lat in lats:
-            orbit = min(lat.permute(p).basis for p in permutations(range(dim)))
-            if orbit == lat.basis:
-                keep.append(lat)
-        lats = keep
-    return lats
+    return sorted(seen.values(), key=lambda L: (L.index, L.basis))

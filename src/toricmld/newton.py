@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm, prod
 
-from .errors import DimensionMismatch, InputError, NotInLattice, ResourceLimit
+from .errors import DimensionMismatch, InputError, ModelViolation, NotInLattice, ResourceLimit
 from .germ import ToricGerm, log_discrepancy_of_valuation
 from .lattice import Lattice
 from .linprog import OPTIMAL, solve_lp_max_slack
@@ -174,19 +174,16 @@ class NewtonPoly:
 
     germ: ToricGerm
     exponents: tuple[IntVec, ...]
-    pruned: tuple[IntVec, ...] = ()
 
     @property
     def dim(self) -> int:
         return self.germ.dim
 
 
-def newton_poly_from_exponents(germ: ToricGerm, exponents, prune_dominated: bool = False) -> NewtonPoly:
-    """Validated Newton polyhedron from dual-lattice exponents.
-
-    Componentwise-dominated exponents never change the polyhedron; they are
-    kept by default and removed (and recorded) under ``prune_dominated``.
-    """
+def newton_poly_from_exponents(germ: ToricGerm, exponents) -> NewtonPoly:
+    """Validated Newton polyhedron from dual-lattice exponents, deduplicated
+    and sorted; componentwise-dominated exponents are kept, since they never
+    change the polyhedron."""
     seen: set[IntVec] = set()
     for e in exponents:
         # int entries are kept as they are (an int is its own numerator, over
@@ -204,16 +201,7 @@ def newton_poly_from_exponents(germ: ToricGerm, exponents, prune_dominated: bool
         seen.add(ivec)
     if not seen:
         raise InputError("at least one exponent is required")
-    exps = tuple(sorted(seen))
-    pruned: tuple[IntVec, ...] = ()
-    if prune_dominated:
-        keep = []
-        drop = []
-        for e in exps:
-            dominated = any(o != e and all(a <= b for a, b in zip(o, e)) for o in exps)
-            (drop if dominated else keep).append(e)
-        exps, pruned = tuple(keep), tuple(drop)
-    return NewtonPoly(germ, exps, pruned)
+    return NewtonPoly(germ, tuple(sorted(seen)))
 
 
 @dataclass(frozen=True)
@@ -239,12 +227,14 @@ def _mu_lp(exponents: list[IntVec], weights: QVec) -> tuple[Fraction, tuple[Frac
     rows = [([1] + [-v for v in m], 0) for m in exponents]
     rows.append(([0] + [w.numerator * (wd // w.denominator) for w in weights], wd))
     res = solve_lp_max_slack(c, rows)
-    assert res.status == OPTIMAL, "the restricted intersection program is bounded"
+    if res.status != OPTIMAL:
+        raise ModelViolation("the restricted intersection program must be bounded")
     mu = res.objective
     normal = res.x[1:]
     lam = res.duals[: len(exponents)]
     total = sum(lam, start=Fraction(0))
-    assert total == 1, "the distinguished column prices the weights to a convex combination"
+    if total != 1:
+        raise ModelViolation("the distinguished column must price the weights to a convex combination")
     return mu, lam, normal
 
 
@@ -274,7 +264,8 @@ def _first_intersection(exponents: tuple[IntVec, ...], weights: QVec) -> FirstIn
         )
         if scale * sum(a * b for a, b in zip(pn, worst)) >= threshold:
             break
-        assert worst not in active, "optimal pricing cannot undercut an active column"
+        if worst in active:
+            raise ModelViolation("optimal pricing may not undercut an active column")
         active.add(worst)
         active_list = sorted(active)
 
@@ -294,7 +285,8 @@ def _first_intersection(exponents: tuple[IntVec, ...], weights: QVec) -> FirstIn
     by_exp = dict(zip(active_list, lam))
     full_lam = tuple(by_exp.get(m, Fraction(0)) for m in exponents)
     total = sum(full_lam, start=Fraction(0))
-    assert total >= 1
+    if total < 1:
+        raise ModelViolation("the convex weights must sum to at least 1")
     if total != 1:
         full_lam = tuple(v / total for v in full_lam)
     return FirstIntersection(mu, full_lam, normal)
@@ -304,8 +296,8 @@ def first_intersection_mu(poly: NewtonPoly) -> Fraction | None:
     """Parameter of the first ray point t*w inside the polyhedron; None means
     the ray never enters (possible only when some weight vanishes)."""
     res = _first_intersection(poly.exponents, poly.germ.weights)
-    if res.mu is not None:
-        assert res.mu > 0, "exponents are nonzero and nonnegative, so mu > 0"
+    if res.mu is not None and res.mu <= 0:
+        raise ModelViolation("mu must be positive: the exponents are nonzero and nonnegative")
     return res.mu
 
 
@@ -373,11 +365,6 @@ def lct_upper_bound_from_valuation(poly: NewtonPoly, x) -> Fraction | None:
     if v == 0:
         return None
     return a / v
-
-
-def normal_witness_ray(poly: NewtonPoly) -> QVec | None:
-    """Primitive lattice point on the pricing ray; realizes 1/mu exactly."""
-    return _primitive_normal(poly.germ.lattice, _first_intersection(poly.exponents, poly.germ.weights))
 
 
 def _primitive_normal(lat: Lattice, res: FirstIntersection) -> QVec | None:

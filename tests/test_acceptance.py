@@ -11,6 +11,7 @@ import time
 from fractions import Fraction as F
 from math import gcd
 
+from faces import all_faces
 from toricmld.adjunction import (
     check_lower_semicontinuity,
     check_precise_inversion,
@@ -19,7 +20,6 @@ from toricmld.adjunction import (
 from toricmld.flat import build_flat_structure, state_value
 from toricmld.germ import (
     ToricGerm,
-    all_faces,
     cartier_index,
     full_face,
     germ_cyclic_quotient,

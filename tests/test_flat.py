@@ -5,6 +5,7 @@ from itertools import combinations
 
 import pytest
 
+from faces import all_faces
 from lp_oracle import solve_lp
 from toricmld.errors import AlreadyFlat, InputError, ModelViolation, NotLogCanonical
 from toricmld.flat import (
@@ -26,7 +27,7 @@ from toricmld.flat import (
 from toricmld.germ import Face, ToricGerm, full_face, germ_cyclic_quotient
 from toricmld.lattice import Lattice
 from toricmld.linprog import OPTIMAL
-from toricmld.newton import dual_hilbert_basis
+from toricmld.newton import dual_hilbert_basis, lct_general_member
 from toricmld.rationals import QVec
 
 
@@ -108,6 +109,25 @@ def test_ray_infimum_matches_cell_reference(corpus_germs):
         if not any(w for w in germ.weights):
             continue
         assert ray_infimum(germ) == ray_infimum_by_cells(germ)
+
+
+def test_ray_infimum_is_the_least_box_ratio_up_to_dimension_three(corpus_germs):
+    # for d <= 3 the infimum has been attained at a full-support unit-box
+    # point on every germ tried, so the least box ratio gives rho, and the
+    # general-member threshold min(1, rho), without an LP
+    sample = [g for g in corpus_germs if g.lattice.index <= 6 and any(g.weights)]
+    assert len(sample) == 6483
+    for germ in sample:
+        rho = min(a / v for a, v, _ in germ.interior_values)
+        assert ray_infimum(germ) == rho, germ
+        assert lct_general_member(germ).lct == min(1, rho), germ
+
+
+def test_ray_infimum_can_undercut_every_box_ratio_in_dimension_four():
+    lat = Lattice.from_generators(4, [(F(1, 2), 0, 0, F(1, 2)), (0, F(1, 2), 0, F(1, 2))])
+    germ = ToricGerm(lat, (0, 0, 0, 0))
+    assert ray_infimum(germ) == F(5, 2)
+    assert min(a / v for a, v, _ in germ.interior_values) == 3
 
 
 def test_ray_witness_realizes_the_infimum(corpus_germs):
@@ -234,7 +254,7 @@ def oracle_minimal_center(state: FlatState) -> CenterDescriptor:
     return zeros[0].center
 
 
-def oracle_build_flat_structure(germ: ToricGerm, max_steps: int | None = None) -> FlatBuildResult:
+def oracle_build_flat_structure(germ: ToricGerm) -> FlatBuildResult:
     """Add general members of the maximal ideal at their thresholds until the
     distinguished point carries a value-zero valuation.
 
@@ -242,13 +262,9 @@ def oracle_build_flat_structure(germ: ToricGerm, max_steps: int | None = None) -
     coefficient sum exactly on the interior infimum (an interior zero), and
     cap steps raise the sum by 1 toward an infimum that is at most d.
     """
-    if max_steps is None:
-        max_steps = germ.dim
-    if max_steps < germ.dim:
-        raise InputError("max_steps must be at least the dimension")
     state = FlatState(germ, ())
     trace: list[tuple[F, CenterDescriptor]] = []
-    for _ in range(max_steps):
+    for _ in range(germ.dim):
         oracle_require_log_canonical(state)
         zeros = zero_combos_oracle(state)
         if zeros and zeros[0].center.dimension == 0:
@@ -260,7 +276,7 @@ def oracle_build_flat_structure(germ: ToricGerm, max_steps: int | None = None) -
         if center.dimension == 0:
             zeros = zero_combos_oracle(state)
             return _oracle_finish(state, trace, zeros[0])
-    raise ModelViolation(f"no flat structure after {max_steps} steps; the model promises <= dim steps")
+    raise ModelViolation(f"no flat structure after {germ.dim} steps; the model promises <= dim steps")
 
 
 def _oracle_finish(state: FlatState, trace, witness: ZeroCombo) -> FlatBuildResult:
@@ -331,11 +347,6 @@ def test_build_on_already_flat_germ():
     assert res.witness.center.dimension == 0
 
 
-def test_build_rejects_small_step_budget():
-    with pytest.raises(InputError):
-        build_flat_structure(std_germ(3), max_steps=2)
-
-
 def _snc_origin_status(dim, boundary, gammas):
     """Independent log canonicity model for coordinate hyperplanes plus
     generic members on the standard germ: one blow-up of the origin makes the
@@ -384,8 +395,6 @@ def test_corpus_terminates_within_dimension(corpus_germs):
 def test_large_weight_denominators_stay_exact_in_the_builder_tables():
     """The interior A-values and the proper-face zeros are exact when the
     weight denominators are near 2^29, where int64 products overflow."""
-    from toricmld.germ import all_faces
-
     lat = germ_cyclic_quotient(101, (1, 37, 63)).lattice
     germ = ToricGerm(lat, (F(1, 2**29 - 3), F(1, 2**29 + 11), 1))
     for a, _, x in germ.interior_values:

@@ -5,11 +5,11 @@ from itertools import product
 import pytest
 from hypothesis import given, strategies as st
 
+from faces import all_faces
 from toricmld.errors import InputError, NotInLattice, NotPrimitive
 from toricmld.germ import (
     Face,
     ToricGerm,
-    all_faces,
     cartier_index,
     full_face,
     germ_cyclic_quotient,

@@ -298,15 +298,3 @@ def test_enumeration_matches_subgroup_bruteforce(dim, max_index):
     brute = set(_bruteforce_superlattices(dim, max_index))
     assert enumerated == brute
 
-
-def test_enumeration_mod_permutations():
-    full = enumerate_superlattices(2, 3)
-    reduced = enumerate_superlattices(2, 3, mod_permutations=True)
-    # (1/3,1/3) and (1/2,1/2) are symmetric; (1/3,2/3) maps to (2/3,1/3) = itself
-    assert len(reduced) <= len(full)
-    orbits = set()
-    from itertools import permutations
-
-    for lat in full:
-        orbits.add(min(lat.permute(p).basis for p in permutations(range(2))))
-    assert len(reduced) == len(orbits)

@@ -19,8 +19,8 @@ from toricmld.newton import (
     lct_newton,
     lct_upper_bound_from_valuation,
     newton_poly_from_exponents,
-    normal_witness_ray,
     _first_intersection,
+    _primitive_normal,
 )
 
 
@@ -88,13 +88,13 @@ def test_exponent_validation():
         newton_poly_from_exponents(std_germ(2), [(F(1, 2), 1)])
 
 
-def test_dominated_exponent_pruning_is_flagged_and_neutral():
-    germ = std_germ(2)
-    kept = newton_poly_from_exponents(germ, [(1, 0), (2, 1)])
-    pruned = newton_poly_from_exponents(germ, [(1, 0), (2, 1)], prune_dominated=True)
-    assert kept.exponents == ((1, 0), (2, 1)) and kept.pruned == ()
-    assert pruned.exponents == ((1, 0),) and pruned.pruned == ((2, 1),)
-    assert lct_newton(kept).lct == lct_newton(pruned).lct
+def test_dominated_exponent_is_neutral():
+    # (2, 1) lies in (1, 0) + dual orthant, so both exponent sets give one polyhedron
+    for boundary in [(0, 0), (F(1, 2), 0), (0, F(2, 3)), (1, 0)]:
+        germ = std_germ(2, boundary)
+        plain = lct_newton(newton_poly_from_exponents(germ, [(1, 0)]))
+        with_dominated = lct_newton(newton_poly_from_exponents(germ, [(1, 0), (2, 1)]))
+        assert (with_dominated.mu, with_dominated.lct, with_dominated.binding) == (plain.mu, plain.lct, plain.binding)
 
 
 # -- the first intersection --------------------------------------------------------
@@ -215,6 +215,11 @@ def test_soundness_against_random_valuations(exps):
         bound = lct_upper_bound_from_valuation(poly, x)
         if bound is not None:
             assert lct <= bound
+
+
+def normal_witness_ray(poly):
+    """Primitive lattice point on the pricing ray; realizes 1/mu exactly."""
+    return _primitive_normal(poly.germ.lattice, _first_intersection(poly.exponents, poly.germ.weights))
 
 
 @given(st.lists(exponent, min_size=1, max_size=6))

@@ -1,0 +1,51 @@
+"""The exactness contract holds under ``python -O``, which drops ``assert``
+statements: the package checks its invariants with explicit raises."""
+import ast
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "toricmld"
+
+
+def _assertions(tree):
+    """``assert`` statements and raises of ``AssertionError``."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Assert):
+            yield node
+        elif isinstance(node, ast.Raise) and node.exc is not None:
+            exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+            if isinstance(exc, ast.Name) and exc.id == "AssertionError":
+                yield node
+
+
+def test_no_module_checks_an_invariant_with_assert():
+    paths = sorted(PACKAGE.rglob("*.py"))
+    assert paths
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in paths
+        for node in _assertions(ast.parse(path.read_text(encoding="utf-8"), filename=str(path)))
+    ]
+    assert found == []
+
+
+def test_check_gives_the_same_report_under_optimize(tmp_path):
+    config = tmp_path / "config.json"
+    config.write_text('{"dims": [1, 2, 3], "max_index": 3}')
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    plain, optimized = (
+        subprocess.run(
+            [sys.executable, *flags, "-m", "toricmld", "check", "--corpus-config", str(config)],
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=300,
+        )
+        for flags in ([], ["-O"])
+    )
+    assert plain.returncode == 0, plain.stderr
+    assert '"checked": 1028' in plain.stdout
+    assert (optimized.returncode, optimized.stdout) == (plain.returncode, plain.stdout)

@@ -1,11 +1,12 @@
 import json
 from fractions import Fraction as F
+from itertools import permutations, product
 
 import pytest
 
 from toricmld.errors import InputError, MalformedRational, ResourceLimit
 from toricmld.germ import ToricGerm, germ_cyclic_quotient
-from toricmld.lattice import Lattice
+from toricmld.lattice import Lattice, enumerate_superlattices
 from toricmld.survey import (
     CorpusConfig,
     acc_report,
@@ -150,6 +151,13 @@ def test_survey_mod_permutations():
     # the representative of a permutation orbit is the lexicographic minimum
     ids = {r.germ_id for r in reduced}
     assert ids <= {r.germ_id for r in full}
+    # one row per (lattice, b) orbit under coordinate permutations
+    orbits = {
+        frozenset((lat.permute(p).basis, tuple(b[i] for i in p)) for p in permutations(range(2)))
+        for lat in enumerate_superlattices(2, 3)
+        for b in product([0, 1], repeat=2)
+    }
+    assert len(reduced) == len(orbits)
 
 
 # -- the chain-condition report -------------------------------------------------------
@@ -180,10 +188,7 @@ def test_acc_report_needs_rows():
 def test_value_multiset_matches_independent_recomputation():
     # the report's counts against an oracle recomputation of every row
     from collections import Counter
-    from itertools import product
-
     from toricmld.germ import full_face, mld_bruteforce_oracle
-    from toricmld.lattice import enumerate_superlattices
 
     rows = run_survey(2, 4, [F(0), F(1, 2)])
     rep = acc_report(rows)
@@ -280,8 +285,6 @@ def test_survey_clamps_jobs_to_the_core_count(monkeypatch, cores, jobs, expected
     ctx = _RecordingContext()
     monkeypatch.setattr(os, "cpu_count", lambda: cores)
     monkeypatch.setattr(multiprocessing, "get_context", lambda method=None: ctx)
-    from toricmld.lattice import enumerate_superlattices
-
     rows = rows_to_csv(run_survey(2, 4, [0], jobs=jobs))
     assert ctx.sizes == expected
     assert ctx.chunksizes == [-(-len(enumerate_superlattices(2, 4)) // (4 * n)) for n in expected]
@@ -291,10 +294,6 @@ def test_survey_clamps_jobs_to_the_core_count(monkeypatch, cores, jobs, expected
 @pytest.mark.parametrize("jobs", [1, 2])
 @pytest.mark.parametrize("mod_permutations", [False, True])
 def test_survey_rows_come_in_canonical_order(jobs, mod_permutations):
-    from itertools import product
-
-    from toricmld.lattice import enumerate_superlattices
-
     coeffs = [F(0), F(1, 2), F(1)]
     key = {
         germ_id(ToricGerm(lat, b)): (2, lat.index, lat.basis, b)
