@@ -21,7 +21,7 @@ from itertools import combinations, product
 from math import gcd, prod
 from operator import mul
 
-from .errors import InputError, ModelViolation, NotInLattice
+from .errors import InputError, ModelViolation, NotInLattice, ResourceLimit
 from .rationals import QVec, common_denominator, qvec, scaled_int_vector
 
 
@@ -195,11 +195,15 @@ class Lattice:
         sorted.
 
         Built as the additive closure of the basis rows mod den; the group
-        N/Z^d is finite of order ``index`` so this terminates immediately at
-        desk scale.
+        N/Z^d is finite of order ``index``, which must not exceed
+        ``newton.TABLE_CAP`` (``ResourceLimit`` before anything is built).
         """
+        from .newton import TABLE_CAP
+
         if not self.is_superlattice:
             raise InputError("coset table requires a lattice containing Z^d")
+        if self.index > TABLE_CAP:
+            raise ResourceLimit(f"coset table of index {self.index} exceeds the cap {TABLE_CAP}")
         den = self.den
         gens = [tuple(x % den for x in row) for row in self.int_rows]
         seen = {tuple([0] * self.dim)}
@@ -266,11 +270,6 @@ class Lattice:
         j = coord - 1
         rows = [row[:j] + row[j + 1 :] for row in self.basis]
         return Lattice.from_rows(self.dim - 1, rows)
-
-    def permute(self, perm: tuple[int, ...]) -> "Lattice":
-        """Coordinate permutation; perm[k] is the old 0-based index sent to slot k."""
-        rows = [tuple(row[p] for p in perm) for row in self.basis]
-        return Lattice.from_rows(self.dim, rows)
 
     def rescale(self, scales) -> "Lattice":
         """Image under multiplying coordinate i by scales[i]."""

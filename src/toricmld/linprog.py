@@ -8,13 +8,16 @@ which rules out cycling and makes the returned basic solution reproducible.
 Problem form:  maximize c.x  subject to  A[i].x <= b[i],  x >= 0,  b >= 0.
 The result carries the optimal point, the objective, and the row
 multipliers ("duals"), which are the certificate used throughout the
-tests.  The general-form two-phase solver that the tests compare it with
-lives in ``tests/lp_oracle.py``.
+tests.  It holds them as integers over two denominators and reads them
+out as ``Fraction``s, so a caller that works in integers (the ray programs
+of ``newton``) builds no ``Fraction`` at all.  The general-form two-phase
+solver that the tests compare it with lives in ``tests/lp_oracle.py``.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
 
 from .errors import InputError
 
@@ -24,10 +27,29 @@ UNBOUNDED = "unbounded"
 
 @dataclass(frozen=True)
 class LpResult:
+    """Outcome of ``solve_lp_max_slack``.  At an optimum the point is
+    ``x_num`` over ``x_den``, and the objective ``obj_num`` and the row
+    multipliers ``dual_num`` are over ``obj_scale``; ``x``, ``objective`` and
+    ``duals`` read them as ``Fraction``s (None when unbounded)."""
+
     status: str
-    x: tuple[Fraction, ...] | None
-    objective: Fraction | None
-    duals: tuple[Fraction, ...] | None
+    x_num: tuple[int, ...] | None = None
+    x_den: int = 1
+    obj_num: int | None = None
+    dual_num: tuple[int, ...] | None = None
+    obj_scale: int = 1
+
+    @property
+    def x(self) -> tuple[Fraction, ...] | None:
+        return None if self.x_num is None else tuple(Fraction(v, self.x_den) for v in self.x_num)
+
+    @property
+    def objective(self) -> Fraction | None:
+        return None if self.obj_num is None else Fraction(self.obj_num, self.obj_scale)
+
+    @property
+    def duals(self) -> tuple[Fraction, ...] | None:
+        return None if self.dual_num is None else tuple(Fraction(v, self.obj_scale) for v in self.dual_num)
 
 
 def solve_lp_max_slack(c, rows) -> LpResult:
@@ -40,14 +62,16 @@ def solve_lp_max_slack(c, rows) -> LpResult:
 
     Internally every constraint row is kept as an integer vector (scaling a
     constraint by a positive rational is free), the objective row is carried
-    through the same fraction-free pivots with its own positive scale, and
-    rows are gcd-reduced after each pivot.  All pivoting decisions are pure
-    integer comparisons; Fractions only appear when reading the answer off.
+    through the same fraction-free pivots with its own positive scale
+    ``obj_scale`` and right-hand side (the objective value times that
+    scale), and rows are gcd-reduced after each pivot.  All pivoting
+    decisions are pure integer comparisons, and the result is read off in
+    integers too: the basic values over the lcm of their pivots, the
+    objective and the slack columns of the objective row over ``obj_scale``.
+    ``LpResult`` turns them into ``Fraction``s only when they are read.
     Entries that are ints or Fractions are used as given (both carry
     ``numerator`` and ``denominator``); anything else is read by Fraction.
     """
-    from math import gcd, lcm
-
     n = len(c)
     m = len(rows)
     tableau: list[list[int]] = []
@@ -66,9 +90,10 @@ def solve_lp_max_slack(c, rows) -> LpResult:
         rhs_col.append(rhs.numerator * (den // rhs.denominator))
     cfrac = [_exact(v) for v in c]
     cden = lcm(*(v.denominator for v in cfrac))
-    # objective row of the minimization of -c.x, with positive scale obj_scale
+    # objective row of the minimization of -c.x: obj . (x, s) + obj_scale * c.x = obj_rhs
     obj = [-v.numerator * (cden // v.denominator) for v in cfrac] + [0] * m
     obj_scale = cden
+    obj_rhs = 0
     basis = list(range(n, n + m))
 
     width = n + m
@@ -94,7 +119,7 @@ def solve_lp_max_slack(c, rows) -> LpResult:
                     leaving = r
                     best_num, best_den = rhs_col[r], a
         if leaving is None:
-            return LpResult(UNBOUNDED, None, None, None)
+            return LpResult(UNBOUNDED)
         piv_row = tableau[leaving]
         piv = piv_row[entering]
         piv_rhs = rhs_col[leaving]
@@ -112,10 +137,12 @@ def solve_lp_max_slack(c, rows) -> LpResult:
         if obj[entering]:
             f = obj[entering]
             obj = [piv * a - f * b for a, b in zip(obj, piv_row)]
+            obj_rhs = piv * obj_rhs - f * piv_rhs
             obj_scale *= piv
-            g = gcd(obj_scale, *obj)
+            g = gcd(obj_scale, obj_rhs, *obj)
             if g > 1:
                 obj = [v // g for v in obj]
+                obj_rhs //= g
                 obj_scale //= g
         g = gcd(piv_rhs, *piv_row)
         if g > 1:
@@ -123,13 +150,12 @@ def solve_lp_max_slack(c, rows) -> LpResult:
             rhs_col[leaving] = piv_rhs // g
         basis[leaving] = entering
 
-    x = [Fraction(0)] * n
-    for r in range(m):
-        if basis[r] < n:
-            x[basis[r]] = Fraction(rhs_col[r], tableau[r][basis[r]])
-    value = sum((ci * xi for ci, xi in zip(cfrac, x)), start=Fraction(0))
-    duals = tuple(Fraction(obj[n + j], obj_scale) for j in range(m))
-    return LpResult(OPTIMAL, tuple(x), value, duals)
+    x_den = lcm(*(tableau[r][j] for r, j in enumerate(basis) if j < n))
+    x_num = [0] * n
+    for r, j in enumerate(basis):
+        if j < n:
+            x_num[j] = rhs_col[r] * (x_den // tableau[r][j])
+    return LpResult(OPTIMAL, tuple(x_num), x_den, obj_rhs, tuple(obj[n:]), obj_scale)
 
 
 def _exact(v):

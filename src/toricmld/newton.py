@@ -18,6 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm, prod
+from operator import itemgetter, mul
 
 from .errors import DimensionMismatch, InputError, ModelViolation, NotInLattice, ResourceLimit
 from .germ import ToricGerm, log_discrepancy_of_valuation
@@ -33,6 +34,12 @@ RAY = "ray"
 # index 255 in dimension 3 and 63 in dimension 4; near the cap one call took
 # under half a second and 50 MB (2.1 GHz Xeon vCPU, Python 3.11).
 BOX_CAP = 2**24
+
+# Largest lattice index whose per-lattice tables (``Lattice.rep_ints`` and
+# the tables built from it, about one row per coset) are built.  It admits
+# 1/1000003(1,2,5), whose tables peaked at 234 MB, and every lattice of the
+# default corpus and of survey --dim 3 --max-index 150.
+TABLE_CAP = 2**20
 
 
 # -- dual monoid generators -----------------------------------------------------
@@ -183,20 +190,29 @@ class NewtonPoly:
 def newton_poly_from_exponents(germ: ToricGerm, exponents) -> NewtonPoly:
     """Validated Newton polyhedron from dual-lattice exponents, deduplicated
     and sorted; componentwise-dominated exponents are kept, since they never
-    change the polyhedron."""
+    change the polyhedron.
+
+    An exponent of Python ints is checked as it is, in one pass; any other
+    entry is read by ``rat`` first.  Membership in the dual lattice is
+    integral pairing with the basis rows: den divides <row, e> for each row
+    of ``int_rows``."""
+    dim, den, rows = germ.dim, germ.lattice.den, germ.lattice.int_rows
     seen: set[IntVec] = set()
     for e in exponents:
-        # int entries are kept as they are (an int is its own numerator, over
-        # denominator 1); the Fraction form is only built for the message
-        vec = tuple(c if type(c) is int else rat(c) for c in e)
-        if len(vec) != germ.dim:
-            raise DimensionMismatch(f"expected a vector of length {germ.dim}, got {len(vec)}")
-        if any(c.denominator != 1 or c < 0 for c in vec):
-            raise InputError(f"exponent {qvec(vec)} must have nonnegative integer entries")
-        ivec = tuple(c.numerator for c in vec)
+        ivec = tuple(e)
+        integral = all(type(c) is int for c in ivec)
+        if not integral:
+            # the Fraction form is only built for entries that are not ints
+            vec = tuple(c if type(c) is int else rat(c) for c in ivec)
+            integral = all(c.denominator == 1 for c in vec)
+            ivec = tuple(c.numerator for c in vec) if integral else vec
+        if len(ivec) != dim:
+            raise DimensionMismatch(f"expected a vector of length {dim}, got {len(ivec)}")
+        if not integral or min(ivec) < 0:
+            raise InputError(f"exponent {qvec(ivec)} must have nonnegative integer entries")
         if not any(ivec):
             raise InputError("the zero exponent (a unit, not in the maximal ideal) is not allowed")
-        if not germ.lattice.dual_contains_int(ivec):
+        if any(sum(map(mul, row, ivec)) % den for row in rows):
             raise NotInLattice(f"exponent {ivec} is not in the dual lattice")
         seen.add(ivec)
     if not seen:
@@ -211,84 +227,85 @@ class FirstIntersection:
     normal: tuple[Fraction, ...] | None  # y >= 0, <y,w> = 1, <y,m> >= mu for all m
 
 
-def _mu_lp(exponents: list[IntVec], weights: QVec) -> tuple[Fraction, tuple[Fraction, ...], tuple[Fraction, ...]]:
-    """Exact LP for one exponent subset; returns (mu, lambda, normal).
+def _mu_lp(exponents: list[IntVec], w_row: list[int], wd: int) -> tuple[int, int, IntVec, IntVec, int]:
+    """Exact LP for one exponent subset, in integers.
+
+    Returns (mu_num, scale, lam_num, y_num, y_den): mu = mu_num / scale, the
+    convex weights lambda = lam_num / scale, and the normal y = y_num /
+    y_den.  The weight vector w is given as the integer row ``w_row`` =
+    wd * w.
 
     Solved in the pricing form  max z : z <= <y, m> for each exponent,
     <y, w> <= 1, (z, y) >= 0,  whose slack basis is feasible outright.  The
     optimum is mu, the optimizer y is the supporting normal, and the duals of
-    the exponent rows are the convex weights of the primal form.  Every row
-    is integral: the weight row is scaled by the common denominator of w,
-    which changes only that row's dual, and that dual is not read.
+    the exponent rows are the convex weights of the primal form; they must
+    sum to exactly 1 (``ModelViolation`` otherwise).  Every row is integral:
+    the weight row is scaled by wd, which changes only that row's dual, and
+    that dual is not read.
     """
-    d = len(weights)
-    wd = lcm(*(w.denominator for w in weights))
-    c = [1] + [0] * d
+    c = [1] + [0] * len(w_row)
     rows = [([1] + [-v for v in m], 0) for m in exponents]
-    rows.append(([0] + [w.numerator * (wd // w.denominator) for w in weights], wd))
+    rows.append(([0] + w_row, wd))
     res = solve_lp_max_slack(c, rows)
     if res.status != OPTIMAL:
         raise ModelViolation("the restricted intersection program must be bounded")
-    mu = res.objective
-    normal = res.x[1:]
-    lam = res.duals[: len(exponents)]
-    total = sum(lam, start=Fraction(0))
-    if total != 1:
+    lam = res.dual_num[: len(exponents)]
+    if sum(lam) != res.obj_scale:
         raise ModelViolation("the distinguished column must price the weights to a convex combination")
-    return mu, lam, normal
+    return res.obj_num, res.obj_scale, lam, res.x_num[1:], res.x_den
 
 
 def _first_intersection(exponents: tuple[IntVec, ...], weights: QVec) -> FirstIntersection:
     """Column-generation wrapper: solve on a small active set, price the rest
-    with the exact normal vector, and grow the set until nothing violates."""
+    with the exact normal vector, and grow the set until nothing violates.
+
+    ``exponents`` are sorted, as ``NewtonPoly`` keeps them, so the first
+    minimum of a scan is also the lexicographically least one.  Pricing and
+    the zero-weight lift run in integers over the LP's denominators; mu, the
+    weights and the normal become ``Fraction``s once, at the end.
+    """
     d = len(weights)
     zero_coords = [i for i in range(d) if weights[i] == 0]
     valid = [m for m in exponents if all(m[i] == 0 for i in zero_coords)]
     if not valid:
         return FirstIntersection(None, None, None)
 
-    active = {min(valid, key=lambda m: (sum(m), m))}
+    wd = lcm(*(w.denominator for w in weights))
+    w_row = [w.numerator * (wd // w.denominator) for w in weights]
+    active = {min(valid, key=sum)}
     for i in range(d):
-        active.add(min(valid, key=lambda m: (m[i], m)))
+        active.add(min(valid, key=itemgetter(i)))
     active_list = sorted(active)
     while True:
-        mu, lam, normal = _mu_lp(active_list, weights)
-        # price the full exponent list in cleared-denominator integers
-        nd = lcm(*(c.denominator for c in normal))
-        pn = [int(c * nd) for c in normal]
-        threshold = mu.numerator * nd
-        scale = mu.denominator
-        worst = min(
-            valid,
-            key=lambda m: (scale * sum(a * b for a, b in zip(pn, m)), m),
-        )
-        if scale * sum(a * b for a, b in zip(pn, worst)) >= threshold:
+        mu_num, scale, lam, pn, nd = _mu_lp(active_list, w_row, wd)
+        # <y, m> >= mu  <=>  scale * <pn, m> >= mu_num * nd
+        worst = min(valid, key=lambda m: sum(map(mul, pn, m)))
+        if scale * sum(map(mul, pn, worst)) >= mu_num * nd:
             break
         if worst in active:
             raise ModelViolation("optimal pricing may not undercut an active column")
         active.add(worst)
         active_list = sorted(active)
 
+    mu = Fraction(mu_num, scale)
+    normal = tuple(Fraction(v, nd) for v in pn)
     # lift the normal so it prices every exponent, including the ones forced
-    # out by a zero-weight coordinate (raising those coordinates is free)
+    # out by a zero-weight coordinate (raising those coordinates is free):
+    # m falls short by (mu - <y, m>) = gap / (scale * nd)
     if zero_coords:
-        bump = Fraction(0)
+        bump = 0
         for m in exponents:
             z = sum(m[i] for i in zero_coords)
             if z:
-                val = sum(Fraction(a) * b for a, b in zip(normal, m))
-                if val < mu:
-                    bump = max(bump, (mu - val) / z)
+                gap = mu_num * nd - scale * sum(map(mul, pn, m))
+                if gap > 0:
+                    bump = max(bump, Fraction(gap, scale * nd * z))
         if bump:
             normal = tuple(n + bump if i in zero_coords else n for i, n in enumerate(normal))
 
     by_exp = dict(zip(active_list, lam))
-    full_lam = tuple(by_exp.get(m, Fraction(0)) for m in exponents)
-    total = sum(full_lam, start=Fraction(0))
-    if total < 1:
-        raise ModelViolation("the convex weights must sum to at least 1")
-    if total != 1:
-        full_lam = tuple(v / total for v in full_lam)
+    zero = Fraction(0)
+    full_lam = tuple(Fraction(by_exp[m], scale) if m in by_exp else zero for m in exponents)
     return FirstIntersection(mu, full_lam, normal)
 
 

@@ -192,9 +192,14 @@ def _rows_for_lattice(args) -> list[SurveyRow]:
 
 def _orbit_representatives(lattice: Lattice, assignments) -> list:
     """The boundaries b for which (lattice, b) is the smallest pair of its
-    coordinate-permutation orbit."""
-    perms = list(permutations(range(lattice.dim)))
-    bases = [lattice.permute(perm).basis for perm in perms]
+    coordinate-permutation orbit.  Each permuted lattice is put back in
+    canonical form from its permuted integer rows, without Fractions."""
+    dim, den = lattice.dim, lattice.den
+    perms = list(permutations(range(dim)))
+    bases = [
+        Lattice._from_int_rows(dim, [[row[p] for p in perm] for row in lattice.int_rows], den).basis
+        for perm in perms
+    ]
     return [
         b
         for b in assignments

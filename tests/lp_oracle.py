@@ -10,12 +10,23 @@ rule.
 """
 from __future__ import annotations
 
+from dataclasses import dataclass
 from fractions import Fraction
 
 from toricmld.errors import InputError
-from toricmld.linprog import OPTIMAL, UNBOUNDED, LpResult
+from toricmld.linprog import OPTIMAL, UNBOUNDED
 
 INFEASIBLE = "infeasible"
+
+
+@dataclass(frozen=True)
+class LpResult:
+    """Status, and at an optimum the point, objective and duals as Fractions."""
+
+    status: str
+    x: tuple[Fraction, ...] | None
+    objective: Fraction | None
+    duals: tuple[Fraction, ...] | None
 
 
 def solve_lp(c, rows, minimize: bool = True) -> LpResult:

@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import pytest
 
@@ -204,6 +205,39 @@ def test_general_member_box_cap_exits_one(tmp_path, capsys):
     path.write_text('{"dim":3,"lattice":{"generators":[["1/100003","2/100003","5/100003"]]},"boundary":["0","0","0"]}')
     assert cli.main(["lct", "-i", str(path), "--general-member"]) == 1
     assert "exceeds the cap" in capsys.readouterr().err
+
+
+def test_mld_above_the_table_cap_exits_one(tmp_path, capsys, monkeypatch):
+    """1/10000019(1,2,5) has ten million cosets.  Its index is checked
+    against the table cap before the coset table is built, so ``mld`` exits
+    1 with an error line at once instead of running out of memory."""
+    from functools import cached_property
+
+    from toricmld.lattice import Lattice
+
+    asked = []
+    build = Lattice.rep_ints.func
+
+    def rep_ints(lat):
+        asked.append(lat)
+        return build(lat)
+
+    counted = cached_property(rep_ints)
+    counted.__set_name__(Lattice, "rep_ints")
+    monkeypatch.setattr(Lattice, "rep_ints", counted)
+    path = tmp_path / "huge.json"
+    path.write_text('{"dim":3,"lattice":{"generators":[["1/10000019","2/10000019","5/10000019"]]},"boundary":["0","0","0"]}')
+    tracemalloc.start()
+    try:
+        code = cli.main(["mld", "-i", str(path)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("error:") and "exceeds the cap" in err
+    assert asked and all("rep_ints" not in lat.__dict__ for lat in asked)
+    assert peak < 8 * 2**20
 
 
 def test_survey_rejects_nonpositive_jobs(capsys):

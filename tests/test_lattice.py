@@ -4,7 +4,7 @@ from itertools import product
 import pytest
 from hypothesis import given, strategies as st
 
-from toricmld.errors import InputError, NotInLattice
+from toricmld.errors import InputError, NotInLattice, ResourceLimit
 from toricmld.lattice import (
     Lattice,
     coset_reps,
@@ -18,6 +18,7 @@ from toricmld.lattice import (
     project_drop_coord,
     xgcd,
 )
+from toricmld.newton import TABLE_CAP
 
 
 def frac(num, den=1):
@@ -152,6 +153,21 @@ def test_index_equals_coset_count():
     for gens in ([], [(F(1, 3), F(2, 3))], [(F(1, 2), F(1, 4))]):
         lat = lattice_from_generators(2, gens)
         assert lattice_index(lat) == len(coset_reps(lat).reps)
+
+
+def test_coset_table_above_the_cap_raises_before_building():
+    """The index is checked against ``TABLE_CAP`` before any residue is
+    enumerated; 1/1000003(1,2,5) stays inside the cap and
+    1/10000019(1,2,5) does not."""
+    assert 1000003 <= TABLE_CAP < 10000019
+    q = 10000019
+    lat = lattice_from_generators(3, [(F(1, q), F(2, q), F(5, q))])
+    assert lat.index == q
+    with pytest.raises(ResourceLimit, match="exceeds the cap"):
+        lat.rep_ints
+    with pytest.raises(ResourceLimit, match="exceeds the cap"):
+        coset_reps(lat)
+    assert "rep_ints" not in lat.__dict__ and "box_candidates" not in lat.__dict__
 
 
 # -- primitive scales ----------------------------------------------------------

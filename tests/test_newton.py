@@ -5,9 +5,10 @@ from itertools import product
 import pytest
 from hypothesis import given, strategies as st
 
-from toricmld.errors import InputError, NotInLattice
+from toricmld.errors import DimensionMismatch, InputError, MalformedRational, ModelViolation, NotInLattice
 from toricmld.germ import ToricGerm, germ_cyclic_quotient
-from toricmld.lattice import Lattice
+from toricmld.lattice import Lattice, enumerate_superlattices
+from lp_oracle import INFEASIBLE, solve_lp
 from toricmld.newton import (
     CAP_ONE,
     RAY,
@@ -77,15 +78,36 @@ def test_hilbert_basis_minimal_and_generating(q, a):
 
 
 def test_exponent_validation():
+    """Each rejected input raises the same exception type with the same
+    message as the Fraction-based validation it replaced."""
     g2 = germ_cyclic_quotient(2, (1, 1))
-    with pytest.raises(NotInLattice):
-        newton_poly_from_exponents(g2, [(1, 0)])  # parity violation
-    with pytest.raises(InputError):
-        newton_poly_from_exponents(std_germ(2), [(0, 0)])
-    with pytest.raises(InputError):
-        newton_poly_from_exponents(std_germ(2), [(-1, 2)])
-    with pytest.raises(InputError):
-        newton_poly_from_exponents(std_germ(2), [(F(1, 2), 1)])
+    std = std_germ(2)
+    rejected = [
+        (g2, [(1, 0)], NotInLattice, "exponent (1, 0) is not in the dual lattice"),  # parity violation
+        (std, [(0, 0)], InputError, "the zero exponent (a unit, not in the maximal ideal) is not allowed"),
+        (std, [(-1, 2)], InputError, "exponent (Fraction(-1, 1), Fraction(2, 1)) must have nonnegative integer entries"),
+        (std, [(F(-1), 2)], InputError, "exponent (Fraction(-1, 1), Fraction(2, 1)) must have nonnegative integer entries"),
+        (std, [(F(1, 2), 1)], InputError, "exponent (Fraction(1, 2), Fraction(1, 1)) must have nonnegative integer entries"),
+        (std, [(1, 2, 3)], DimensionMismatch, "expected a vector of length 2, got 3"),
+        (std, [(F(1, 2), 1, 0)], DimensionMismatch, "expected a vector of length 2, got 3"),
+        (std, [], InputError, "at least one exponent is required"),
+        (std, [(1.5, 0)], MalformedRational, "cannot interpret 1.5 as a rational"),
+        (std, [("1/2", "x")], MalformedRational, "malformed rational literal: 'x'"),
+    ]
+    for germ, exps, kind, message in rejected:
+        with pytest.raises(kind) as info:
+            newton_poly_from_exponents(germ, exps)
+        assert type(info.value) is kind and str(info.value) == message
+    # entries that are integers in another form are read as Python ints
+    accepted = [
+        (std, [(F(2), 0), ("3", 1), (2, 0)], ((2, 0), (3, 1))),
+        (g2, [(F(1), F(1)), (2, 0)], ((1, 1), (2, 0))),
+        (std, [(True, 0)], ((1, 0),)),
+    ]
+    for germ, exps, expected in accepted:
+        poly = newton_poly_from_exponents(germ, exps)
+        assert poly.exponents == expected
+        assert all(type(c) is int for m in poly.exponents for c in m)
 
 
 def test_dominated_exponent_is_neutral():
@@ -115,6 +137,23 @@ def test_mu_examples():
     assert first_intersection_mu(blind) == 1
     dead = newton_poly_from_exponents(std_germ(2, (1, 0)), [(1, 0)])
     assert first_intersection_mu(dead) is None
+
+
+def test_weights_off_a_convex_combination_are_a_model_violation(monkeypatch):
+    import dataclasses
+
+    import toricmld.newton as newton
+
+    exact = newton.solve_lp_max_slack
+
+    def halved_duals(c, rows):
+        res = exact(c, rows)
+        return dataclasses.replace(res, obj_scale=2 * res.obj_scale)
+
+    monkeypatch.setattr(newton, "solve_lp_max_slack", halved_duals)
+    cusp = newton_poly_from_exponents(std_germ(2), [(2, 0), (0, 3)])
+    with pytest.raises(ModelViolation, match="convex combination"):
+        lct_newton(cusp)
 
 
 def _certificate(poly):
@@ -150,6 +189,38 @@ def test_random_intersections_carry_certificates(exps, b1, b2):
         assert all(any(m[i] > 0 for i in zero) for m in poly.exponents)
     else:
         _certificate(poly)
+
+
+def _oracle_mu(poly):
+    """mu from one two-phase LP over every exponent at once, in the primal
+    form  min t : sum_a lambda_a m_a <= t w, sum_a lambda_a = 1,
+    (lambda, t) >= 0;  None when infeasible (the ray never enters)."""
+    exps, w = poly.exponents, poly.germ.weights
+    k = len(exps)
+    rows = [([F(m[i]) for m in exps] + [-w[i]], "<=", 0) for i in range(poly.dim)]
+    rows.append(([1] * k + [0], "==", 1))
+    res = solve_lp([0] * k + [1], rows)
+    return None if res.status == INFEASIBLE else res.objective
+
+
+def test_general_member_certificates_and_oracle_on_the_corpus(corpus_germs):
+    """The general-member polyhedron (the dual Hilbert basis) of every corpus
+    germ to index 4, where the boundaries {0, 1/2, 2/3, 1}^d make weights
+    vanish and the zero-weight lift run, and of the d = 3, b = 0 lattices to
+    index 8: the column-generation result carries a full certificate, and mu
+    is the optimum of the one-shot LP over the whole basis."""
+    germs = [g for g in corpus_germs if g.lattice.index <= 4]
+    germs += [ToricGerm(lat, (0, 0, 0)) for lat in enumerate_superlattices(3, 8)]
+    lifted = 0
+    for germ in germs:
+        poly = newton_poly_from_exponents(germ, dual_hilbert_basis(germ))
+        mu = first_intersection_mu(poly)
+        assert mu == _oracle_mu(poly), germ
+        if mu is not None:
+            _certificate(poly)
+            zero = [i for i, w in enumerate(germ.weights) if w == 0]
+            lifted += any(_first_intersection(poly.exponents, germ.weights).normal[i] for i in zero)
+    assert lifted > 0, "some certificate must need the zero-weight lift"
 
 
 # -- thresholds ----------------------------------------------------------------------

@@ -7,8 +7,11 @@ import pytest
 from toricmld.errors import InputError, MalformedRational, ResourceLimit
 from toricmld.germ import ToricGerm, germ_cyclic_quotient
 from toricmld.lattice import Lattice, enumerate_superlattices
+from toricmld.rationals import rat_str
 from toricmld.survey import (
     CorpusConfig,
+    _orbit_representatives,
+    _survey_row,
     acc_report,
     germ_id,
     parse_germ,
@@ -18,6 +21,12 @@ from toricmld.survey import (
     serialize_germ,
     verify_corpus,
 )
+
+
+def permuted(lat, perm):
+    """Coordinate permutation through Fraction rows; perm[k] is the old
+    0-based index sent to slot k."""
+    return Lattice.from_rows(lat.dim, [tuple(row[p] for p in perm) for row in lat.basis])
 
 
 A2_DOC = '{"dim":2,"lattice":{"generators":[["1/3","2/3"]]},"boundary":["0","0"]}'
@@ -153,11 +162,67 @@ def test_survey_mod_permutations():
     assert ids <= {r.germ_id for r in full}
     # one row per (lattice, b) orbit under coordinate permutations
     orbits = {
-        frozenset((lat.permute(p).basis, tuple(b[i] for i in p)) for p in permutations(range(2)))
+        frozenset((permuted(lat, p).basis, tuple(b[i] for i in p)) for p in permutations(range(2)))
         for lat in enumerate_superlattices(2, 3)
         for b in product([0, 1], repeat=2)
     }
     assert len(reduced) == len(orbits)
+
+
+def test_orbit_representatives_permute_integer_rows(monkeypatch):
+    """The orbit minimum taken over permuted integer rows keeps the same
+    boundaries as the one over Fraction rows through ``from_rows``, and
+    builds no lattice through ``from_rows``."""
+    coeffs = [F(0), F(1, 2), F(1)]
+    assignments = list(product(coeffs, repeat=3))
+    lattices = enumerate_superlattices(3, 6)
+
+    def by_permute(lat):
+        perms = list(permutations(range(3)))
+        bases = [permuted(lat, p).basis for p in perms]
+        return [
+            b
+            for b in assignments
+            if min((basis, tuple(b[i] for i in p)) for basis, p in zip(bases, perms)) == (lat.basis, b)
+        ]
+
+    expected = [by_permute(lat) for lat in lattices]
+    calls = []
+    from_rows = Lattice.from_rows.__func__
+
+    def counted(cls, dim, rows):
+        calls.append(dim)
+        return from_rows(cls, dim, rows)
+
+    monkeypatch.setattr(Lattice, "from_rows", classmethod(counted))
+    assert [_orbit_representatives(lat, assignments) for lat in lattices] == expected
+    assert calls == []
+    rows = run_survey(3, 6, coeffs, mod_permutations=True)
+    assert [(r.index, r.boundary) for r in rows] == [
+        (lat.index, tuple(rat_str(c) for c in b)) for lat, bs in zip(lattices, expected) for b in bs
+    ]
+
+
+def test_survey_row_keeps_the_traced_call_structure(monkeypatch):
+    """One row of a d = 3 germ with index > 1 calls the general-member
+    threshold through ``newton_poly_from_exponents``, ``lct_newton`` and
+    ``solve_lp_max_slack``, as ``perfbench/predictions.json`` lists them."""
+    import toricmld.newton as newton
+
+    names = ("newton_poly_from_exponents", "lct_newton", "solve_lp_max_slack")
+    counts = {}
+    for name in names:
+        fn = getattr(newton, name)
+
+        def counted(*args, _fn=fn, _name=name):
+            counts[_name] = counts.get(_name, 0) + 1
+            return _fn(*args)
+
+        monkeypatch.setattr(newton, name, counted)
+    germ = germ_cyclic_quotient(5, (1, 2, 3))
+    assert germ.dim == 3 and germ.lattice.index > 1
+    _survey_row(germ)
+    assert all(counts.get(name, 0) >= 1 for name in names), counts
 
 
 # -- the chain-condition report -------------------------------------------------------
