@@ -59,7 +59,7 @@ from fractions import Fraction
 from operator import mul
 
 from .errors import AlreadyFlat, InputError, ModelViolation, NotLogCanonical
-from .germ import Face, ToricGerm, full_face
+from .germ import Face, ToricGerm, full_face, log_discrepancy_of_valuation
 from .newton import FirstIntersection, _first_intersection, _primitive_normal, dual_hilbert_basis, newton_poly_from_exponents
 from .rationals import QVec, qvec, qvec_str, scaled_int_vector
 
@@ -134,19 +134,12 @@ def state_value(state: FlatState, x, divisors=()) -> Fraction:
     if any(j < 1 or j > state.members for j in J):
         raise InputError(f"divisor subset {J} out of range 1..{state.members}")
     x = qvec(x, state.germ.dim)
-    support = sum(1 for c in x if c)
-    if any(x):
-        if any(c < 0 for c in x):
-            raise InputError(f"{x} is outside the positive orthant")
-        if not state.germ.lattice.contains(x):
-            raise InputError(f"{x} is not in the germ lattice")
-        if state.germ.lattice.primitive_scale(x) != 1:
-            raise InputError(f"{x} is not primitive")
-    elif not J:
+    if not any(x) and not J:
         raise InputError("the trivial combo (x=0, J empty) is not a valuation")
-    if state.germ.dim - support - len(J) < 0:
+    # a nonzero x must be a primitive lattice point of the orthant
+    a = log_discrepancy_of_valuation(state.germ, x) if any(x) else Fraction(0)
+    if state.germ.dim - sum(1 for c in x if c) - len(J) < 0:
         raise InputError("empty center: support and divisor subset exceed the dimension")
-    a = state.germ.log_discrepancy(x)
     v = _multiplicity(state.germ, x)
     extra = sum((1 - state.gammas[j - 1] for j in J), start=Fraction(0))
     return a - state.total * v + extra
@@ -160,14 +153,22 @@ def _general_member_intersection(germ: ToricGerm) -> FirstIntersection:
     the weight ray with the general-member Newton polyhedron.
 
     It also checks, once per germ, the fact that the log canonicity rule
-    rests on: no interior box point has A(x) < rho v(x), rho = 1/mu."""
-    if not any(germ.weights):
+    rests on: no interior box point x has A(x) < rho v(x), rho = 1/mu.  Over
+    the den-scaled row of x, A = (wn . row) / (den wd) and v = m / den with m
+    from ``Lattice.interior_multiplicities``, so the check is the integer
+    comparison mu_num (wn . row) < mu_den wd m."""
+    wn, wd = germ._weight_ints
+    if not any(wn):
         raise InputError("zero weight vector: the interior ratio is identically 0")
     poly = newton_poly_from_exponents(germ, dual_hilbert_basis(germ))
-    res = _first_intersection(poly.exponents, germ.weights)
-    for a, v, x in germ.interior_values:
-        if a * res.mu < v:
-            raise ModelViolation(f"box point {qvec_str(x)} has A/v = {a / v} below the ray infimum {1 / res.mu}")
+    res = _first_intersection(poly.exponents, wn, wd)
+    lat = germ.lattice
+    p, q = res.mu.numerator, res.mu.denominator * wd
+    for row, m in zip(lat.box_candidates[full_face(germ.dim).support], lat.interior_multiplicities):
+        a = sum(map(mul, wn, row))
+        if p * a < q * m:
+            x = qvec_str(tuple(Fraction(c, lat.den) for c in row))
+            raise ModelViolation(f"box point {x} has A/v = {Fraction(a, wd * m)} below the ray infimum {1 / res.mu}")
     return res
 
 
@@ -291,9 +292,16 @@ def build_flat_structure(germ: ToricGerm) -> FlatBuildResult:
         gamma = threshold_step(state)
         state = FlatState(germ, state.gammas + (gamma,))
         trace.append((gamma, minimal_center(state)))
-    # the least point combo: x is the least interior zero, J is empty
+    # the least point combo: x is the least interior zero, J is empty.  An
+    # interior box row is a zero when A = gamma v, that is, when
+    # gamma_den (wn . row) = gamma_num wd m (see ``_general_member_intersection``)
     gamma = state.total
-    xs = [x for a, v, x in germ.interior_values if a == gamma * v]
+    wn, wd = germ._weight_ints
+    lat = germ.lattice
+    p, q = gamma.denominator, gamma.numerator * wd
+    rows = lat.box_candidates[full_face(germ.dim).support]
+    zeros = [row for row, m in zip(rows, lat.interior_multiplicities) if p * sum(map(mul, wn, row)) == q * m]
+    xs = [tuple(Fraction(c, lat.den) for c in min(zeros))] if zeros else []
     if gamma:
         xs.append(ray_witness(germ))
     witness = ZeroCombo(min(xs), (), minimal_center(state))

@@ -31,7 +31,7 @@ from itertools import product
 from math import ceil, gcd, lcm
 from operator import mul
 
-from .errors import InputError, ModelViolation, NotInLattice, NotPrimitive
+from .errors import InputError, ModelViolation, NotPrimitive
 from .lattice import Lattice, _divisors
 from .rationals import IntVec, QVec, qvec, qvec_str, rat
 
@@ -166,20 +166,6 @@ class ToricGerm:
 
         return _general_member_intersection(self)
 
-    @cached_property
-    def interior_values(self) -> tuple[tuple[Fraction, Fraction, QVec], ...]:
-        """(A(x), v(x), x) for each full-support unit-box candidate x: the log
-        discrepancy and the general-member order
-        (``Lattice.interior_multiplicities``), exact rationals."""
-        lat = self.lattice
-        den = lat.den
-        wn, wd = self._weight_ints
-        rows = lat.box_candidates[full_face(self.dim).support]
-        return tuple(
-            (Fraction(sum(map(mul, wn, row)), den * wd), Fraction(v, den), tuple(Fraction(c, den) for c in row))
-            for row, v in zip(rows, lat.interior_multiplicities)
-        )
-
     def __repr__(self) -> str:
         return f"ToricGerm({self.lattice!r}, b={qvec_str(self.boundary)})"
 
@@ -256,9 +242,7 @@ def log_discrepancy_of_valuation(germ: ToricGerm, x) -> Fraction:
         raise InputError(f"{x} is outside the positive orthant")
     if not any(x):
         raise InputError("the zero vector is not a divisorial valuation")
-    if not germ.lattice.contains(x):
-        raise NotInLattice(f"{x} is not in the germ lattice")
-    k = germ.lattice.primitive_scale(x)
+    k = germ.lattice.primitive_scale(x)  # raises NotInLattice off the lattice
     if k != 1:
         raise NotPrimitive(f"{x} = {k} * ({qvec_str(tuple(c / k for c in x))})", scale=k)
     return germ.log_discrepancy(x)
@@ -351,10 +335,8 @@ def px_mld_formula(x) -> Fraction:
 
 def cartier_index(germ: ToricGerm) -> int:
     """Smallest r >= 1 with r*(1-b_1,...,1-b_d) in the dual lattice."""
-    w = germ.weights
-    r0 = lcm(*(c.denominator for c in w))
-    base = [int(c * r0) for c in w]
+    wn, wd = germ._weight_ints
     for k in _divisors(germ.lattice.index):
-        if germ.lattice.dual_contains_int([k * c for c in base]):
-            return r0 * k
+        if germ.lattice.dual_contains_int([k * c for c in wn]):
+            return wd * k
     raise ModelViolation("order of the weight vector must divide the index")

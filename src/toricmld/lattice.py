@@ -149,8 +149,8 @@ class Lattice:
     @cached_property
     def is_superlattice(self) -> bool:
         """Whether Z^d is contained in this lattice."""
-        den, d = self.den, self.dim
-        return all(self._has_scaled([den * (j == i) for j in range(d)]) for i in range(d))
+        d = self.dim
+        return all(self._coordinates([int(j == i) for j in range(d)]) is not None for i in range(d))
 
     @property
     def index(self) -> int:
@@ -163,29 +163,32 @@ class Lattice:
     # -- membership --------------------------------------------------------
 
     def contains(self, vec) -> bool:
-        vec = qvec(vec, self.dim)
+        return self._coordinates(qvec(vec, self.dim)) is not None
+
+    def _coordinates(self, vec) -> list[int] | None:
+        """Integer coordinates of vec (ints or ``Fraction``s) over ``basis``,
+        or None when vec is not a lattice point.  The rows of ``int_rows`` are
+        upper triangular, so den * vec is peeled off one pivot at a time; it
+        lies in their span exactly when it is integral, every pivot divides
+        what is left in its column, and nothing is left over."""
         try:
             u = scaled_int_vector(vec, self.den)
         except ValueError:
-            return False
-        return self._has_scaled(u)
-
-    def _has_scaled(self, u) -> bool:
-        """Membership of u/den for an integer vector u: the rows of
-        ``int_rows`` are upper triangular, so u is peeled off one pivot at a
-        time and lies in their span exactly when every pivot divides and
-        nothing is left over."""
+            return None
+        coords = []
         for i, row in enumerate(self.int_rows):
             a, r = divmod(u[i], row[i])
             if r:
-                return False
+                return None
+            coords.append(a)
             if a:
                 u = [x - a * y for x, y in zip(u, row)]
-        return not any(u)
+        return None if any(u) else coords
 
     def dual_contains_int(self, m) -> bool:
         """Whether the integer vector m pairs integrally with the lattice."""
-        return all(sum(a * b for a, b in zip(row, m)) % self.den == 0 for row in self.int_rows)
+        den = self.den
+        return not any(sum(map(mul, row, m)) % den for row in self.int_rows)
 
     # -- cosets -------------------------------------------------------------
 
@@ -277,18 +280,15 @@ class Lattice:
         return Lattice.from_rows(self.dim, rows)
 
     def primitive_scale(self, vec) -> int:
-        """Largest k with vec/k still in the lattice (vec must be a member)."""
+        """Largest k with vec/k still in the lattice (vec must be a member):
+        vec/k is a member exactly when k divides each of its coordinates."""
         vec = qvec(vec, self.dim)
         if not any(vec):
             raise InputError("the zero vector has no primitive scale")
-        if not self.contains(vec):
+        coords = self._coordinates(vec)
+        if coords is None:
             raise NotInLattice(f"{vec} is not a lattice element")
-        # vec/k in the lattice makes den*vec/k integral, so k divides gcd(u)
-        u = scaled_int_vector(vec, self.den)
-        for k in reversed(_divisors(gcd(*u))):
-            if self._has_scaled([x // k for x in u]):
-                return k
-        return 1
+        return gcd(*coords)
 
     @cached_property
     def unit_scales(self) -> tuple[int, ...]:
@@ -450,6 +450,14 @@ def _ordered_factorizations(n: int, parts: int):
             yield (d,) + rest
 
 
+def _dual_hnf_bases(dim: int, max_index: int):
+    """(n, HNF basis) of the dual of each lattice ``enumerate_superlattices``
+    returns, n its index, in increasing n; counting them builds no lattice."""
+    if dim < 1 or max_index < 1:
+        raise InputError("dim and max_index must be positive")
+    return ((n, rows) for n in range(1, max_index + 1) for rows in _hnf_tuples_with_unit_columns(dim, n))
+
+
 def enumerate_superlattices(dim: int, max_index: int) -> list[Lattice]:
     """All N containing Z^dim with [N:Z^dim] <= max_index and every e_i primitive.
 
@@ -457,16 +465,13 @@ def enumerate_superlattices(dim: int, max_index: int) -> list[Lattice]:
     normal form (these are the duals) and dualizing.  Output is duplicate-free
     and sorted by (index, canonical basis).
     """
-    if dim < 1 or max_index < 1:
-        raise InputError("dim and max_index must be positive")
     seen: dict = {}
-    for n in range(1, max_index + 1):
-        for rows in _hnf_tuples_with_unit_columns(dim, n):
-            sup = _dual_of_int_rows(rows, 1)
-            if sup.index != n:
-                raise ModelViolation("duality must preserve the index")
-            key = sup.basis
-            if key in seen:
-                raise ModelViolation("HNF enumeration may not repeat a lattice")
-            seen[key] = sup
+    for n, rows in _dual_hnf_bases(dim, max_index):
+        sup = _dual_of_int_rows(rows, 1)
+        if sup.index != n:
+            raise ModelViolation("duality must preserve the index")
+        key = sup.basis
+        if key in seen:
+            raise ModelViolation("HNF enumeration may not repeat a lattice")
+        seen[key] = sup
     return sorted(seen.values(), key=lambda L: (L.index, L.basis))

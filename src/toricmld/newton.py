@@ -194,9 +194,8 @@ def newton_poly_from_exponents(germ: ToricGerm, exponents) -> NewtonPoly:
 
     An exponent of Python ints is checked as it is, in one pass; any other
     entry is read by ``rat`` first.  Membership in the dual lattice is
-    integral pairing with the basis rows: den divides <row, e> for each row
-    of ``int_rows``."""
-    dim, den, rows = germ.dim, germ.lattice.den, germ.lattice.int_rows
+    ``Lattice.dual_contains_int``."""
+    dim, lat = germ.dim, germ.lattice
     seen: set[IntVec] = set()
     for e in exponents:
         ivec = tuple(e)
@@ -212,7 +211,7 @@ def newton_poly_from_exponents(germ: ToricGerm, exponents) -> NewtonPoly:
             raise InputError(f"exponent {qvec(ivec)} must have nonnegative integer entries")
         if not any(ivec):
             raise InputError("the zero exponent (a unit, not in the maximal ideal) is not allowed")
-        if any(sum(map(mul, row, ivec)) % den for row in rows):
+        if not lat.dual_contains_int(ivec):
             raise NotInLattice(f"exponent {ivec} is not in the dual lattice")
         seen.add(ivec)
     if not seen:
@@ -227,7 +226,7 @@ class FirstIntersection:
     normal: tuple[Fraction, ...] | None  # y >= 0, <y,w> = 1, <y,m> >= mu for all m
 
 
-def _mu_lp(exponents: list[IntVec], w_row: list[int], wd: int) -> tuple[int, int, IntVec, IntVec, int]:
+def _mu_lp(exponents: list[IntVec], w_row: IntVec, wd: int) -> tuple[int, int, IntVec, IntVec, int]:
     """Exact LP for one exponent subset, in integers.
 
     Returns (mu_num, scale, lam_num, y_num, y_den): mu = mu_num / scale, the
@@ -245,7 +244,7 @@ def _mu_lp(exponents: list[IntVec], w_row: list[int], wd: int) -> tuple[int, int
     """
     c = [1] + [0] * len(w_row)
     rows = [([1] + [-v for v in m], 0) for m in exponents]
-    rows.append(([0] + w_row, wd))
+    rows.append(([0, *w_row], wd))
     res = solve_lp_max_slack(c, rows)
     if res.status != OPTIMAL:
         raise ModelViolation("the restricted intersection program must be bounded")
@@ -255,25 +254,23 @@ def _mu_lp(exponents: list[IntVec], w_row: list[int], wd: int) -> tuple[int, int
     return res.obj_num, res.obj_scale, lam, res.x_num[1:], res.x_den
 
 
-def _first_intersection(exponents: tuple[IntVec, ...], weights: QVec) -> FirstIntersection:
+def _first_intersection(exponents: tuple[IntVec, ...], w_row: IntVec, wd: int) -> FirstIntersection:
     """Column-generation wrapper: solve on a small active set, price the rest
     with the exact normal vector, and grow the set until nothing violates.
 
-    ``exponents`` are sorted, as ``NewtonPoly`` keeps them, so the first
+    The weight vector is w = w_row / wd, as ``ToricGerm._weight_ints`` holds
+    it.  ``exponents`` are sorted, as ``NewtonPoly`` keeps them, so the first
     minimum of a scan is also the lexicographically least one.  Pricing and
     the zero-weight lift run in integers over the LP's denominators; mu, the
     weights and the normal become ``Fraction``s once, at the end.
     """
-    d = len(weights)
-    zero_coords = [i for i in range(d) if weights[i] == 0]
+    zero_coords = [i for i, w in enumerate(w_row) if w == 0]
     valid = [m for m in exponents if all(m[i] == 0 for i in zero_coords)]
     if not valid:
         return FirstIntersection(None, None, None)
 
-    wd = lcm(*(w.denominator for w in weights))
-    w_row = [w.numerator * (wd // w.denominator) for w in weights]
     active = {min(valid, key=sum)}
-    for i in range(d):
+    for i in range(len(w_row)):
         active.add(min(valid, key=itemgetter(i)))
     active_list = sorted(active)
     while True:
@@ -312,7 +309,7 @@ def _first_intersection(exponents: tuple[IntVec, ...], weights: QVec) -> FirstIn
 def first_intersection_mu(poly: NewtonPoly) -> Fraction | None:
     """Parameter of the first ray point t*w inside the polyhedron; None means
     the ray never enters (possible only when some weight vanishes)."""
-    res = _first_intersection(poly.exponents, poly.germ.weights)
+    res = _first_intersection(poly.exponents, *poly.germ._weight_ints)
     if res.mu is not None and res.mu <= 0:
         raise ModelViolation("mu must be positive: the exponents are nonzero and nonnegative")
     return res.mu
@@ -338,7 +335,7 @@ class LctReport:
 
 def lct_newton(poly: NewtonPoly) -> LctReport:
     """General-coefficient threshold min(1, 1/mu), with 1/infinity = 0."""
-    res = _first_intersection(poly.exponents, poly.germ.weights)
+    res = _first_intersection(poly.exponents, *poly.germ._weight_ints)
     if res.mu is None:
         return LctReport(None, Fraction(0), RAY, None)
     inv = 1 / res.mu

@@ -75,11 +75,11 @@ def common_denominator(vectors: Iterable[Sequence[Fraction]]) -> int:
 
 
 def scaled_int_vector(vec: Sequence[Fraction], scale: int) -> tuple[int, ...]:
-    """scale*vec as integers; raises if any entry fails to clear."""
-    out = []
+    """scale*vec as integers; raises if any entry fails to clear.
+
+    Entries are reduced (``Fraction`` or int), so scale*e is integral exactly
+    when e.denominator divides scale."""
     for e in vec:
-        s = Fraction(e) * scale
-        if s.denominator != 1:
+        if scale % e.denominator:
             raise ValueError(f"{scale} does not clear the denominator of {e}")
-        out.append(s.numerator)
-    return tuple(out)
+    return tuple(e.numerator * (scale // e.denominator) for e in vec)

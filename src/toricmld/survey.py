@@ -34,7 +34,7 @@ from .germ import (
     mld_global,
     verify_minkowski,
 )
-from .lattice import Lattice, enumerate_superlattices
+from .lattice import Lattice, _dual_hnf_bases, enumerate_superlattices, hnf
 from .newton import lct_fermat, lct_general_member, lct_newton, newton_poly_from_exponents
 from .rationals import qvec, rat, rat_str
 
@@ -192,18 +192,18 @@ def _rows_for_lattice(args) -> list[SurveyRow]:
 
 def _orbit_representatives(lattice: Lattice, assignments) -> list:
     """The boundaries b for which (lattice, b) is the smallest pair of its
-    coordinate-permutation orbit.  Each permuted lattice is put back in
-    canonical form from its permuted integer rows, without Fractions."""
-    dim, den = lattice.dim, lattice.den
+    coordinate-permutation orbit.
+
+    A coordinate permutation keeps den, so each permuted lattice's canonical
+    basis is the HNF of the permuted ``int_rows`` over den, and the bases
+    compare as those integer rows do; no lattice and no Fraction is built."""
+    dim = lattice.dim
     perms = list(permutations(range(dim)))
-    bases = [
-        Lattice._from_int_rows(dim, [[row[p] for p in perm] for row in lattice.int_rows], den).basis
-        for perm in perms
-    ]
+    bases = [tuple(map(tuple, hnf([[row[p] for p in perm] for row in lattice.int_rows], dim))) for perm in perms]
     return [
         b
         for b in assignments
-        if min((basis, tuple(b[p] for p in perm)) for basis, perm in zip(bases, perms)) == (lattice.basis, b)
+        if min((basis, tuple(b[p] for p in perm)) for basis, perm in zip(bases, perms)) == (lattice.int_rows, b)
     ]
 
 
@@ -212,7 +212,6 @@ def run_survey(
     max_index: int,
     boundary_set,
     mod_permutations: bool = False,
-    row_cap: int = ROW_CAP_DEFAULT,
     jobs: int = 1,
 ) -> list[SurveyRow]:
     """All germs built from bounded-index lattices crossed with boundary
@@ -220,9 +219,10 @@ def run_survey(
 
     Output order is canonical (dim, index, basis, boundary) no matter how the
     work is scheduled: lattices are enumerated in (index, basis) order and
-    boundaries as a product over the sorted coefficients.  Exceeding
-    ``row_cap`` raises instead of truncating.  ``jobs`` below 1 is an input
-    error, and above ``os.cpu_count()`` it is clamped to the core count.
+    boundaries as a product over the sorted coefficients.  A survey of more
+    than ``ROW_CAP_DEFAULT`` rows raises ``ResourceLimit`` before any lattice
+    is built.  ``jobs`` below 1 is an input error, and above
+    ``os.cpu_count()`` it is clamped to the core count.
     """
     if jobs < 1:
         raise InputError(f"jobs must be at least 1, got {jobs}")
@@ -233,11 +233,12 @@ def run_survey(
     for b in coeffs:
         if not 0 <= b <= 1:
             raise InputError(f"boundary coefficient {b} outside [0,1]")
-    lattices = enumerate_superlattices(dim, max_index)
     assignments = list(product(coeffs, repeat=dim))
-    total = len(lattices) * len(assignments)
-    if total > row_cap:
-        raise ResourceLimit(f"survey would emit {total} rows, above the cap {row_cap}")
+    # one dual HNF basis per lattice: the cap is checked on their count
+    for count, _ in enumerate(_dual_hnf_bases(dim, max_index), 1):
+        if count * len(assignments) > ROW_CAP_DEFAULT:
+            raise ResourceLimit(f"survey exceeds the row cap {ROW_CAP_DEFAULT}")
+    lattices = enumerate_superlattices(dim, max_index)
 
     def task(lattice: Lattice):
         return lattice, _orbit_representatives(lattice, assignments) if mod_permutations else assignments

@@ -16,7 +16,6 @@ GERM_FIELDS = {
     "_weight_ints",
     "face_table",
     "general_member_intersection",
-    "interior_values",
 }
 LATTICE_FIELDS = {
     "dim",

@@ -1,6 +1,7 @@
 import dataclasses
 import random
 from fractions import Fraction as F
+from functools import lru_cache
 from itertools import combinations
 
 import pytest
@@ -33,6 +34,35 @@ from toricmld.rationals import QVec
 
 def std_germ(dim, boundary=None):
     return ToricGerm(Lattice.standard(dim), boundary or (0,) * dim)
+
+
+@lru_cache(maxsize=None)
+def _interior_points(lattice: Lattice, hilbert_basis) -> tuple:
+    """(x, v(x)) for every full-support unit-box point x: a coset
+    representative with its zeros lifted to 1, and the least pairing with the
+    dual Hilbert basis, as a Fraction minimum."""
+    out = []
+    for rep in lattice.coset_table.reps:
+        x = tuple(c if c else F(1) for c in rep)
+        out.append((x, min(sum(F(m[j]) * x[j] for j in range(lattice.dim)) for m in hilbert_basis)))
+    return tuple(out)
+
+
+@lru_cache(maxsize=64)
+def interior_values(germ: ToricGerm) -> tuple:
+    """(A(x), v(x), x) for every full-support unit-box point x, recomputed in
+    Fractions apart from the builder's integer rows (``box_candidates`` and
+    ``interior_multiplicities``): A is ``germ.log_discrepancy``."""
+    return tuple((germ.log_discrepancy(x), v, x) for x, v in _interior_points(germ.lattice, dual_hilbert_basis(germ)))
+
+
+def least_interior_zero(germ: ToricGerm, gamma: F) -> QVec:
+    """The least interior point of value A - gamma v = 0 among the box points
+    and, when gamma > 0, the ray witness: the builder's point witness."""
+    xs = [x for a, v, x in interior_values(germ) if a == gamma * v]
+    if gamma:
+        xs.append(ray_witness(germ))
+    return min(xs)
 
 
 # -- the value model ------------------------------------------------------------
@@ -118,7 +148,7 @@ def test_ray_infimum_is_the_least_box_ratio_up_to_dimension_three(corpus_germs):
     sample = [g for g in corpus_germs if g.lattice.index <= 6 and any(g.weights)]
     assert len(sample) == 6483
     for germ in sample:
-        rho = min(a / v for a, v, _ in germ.interior_values)
+        rho = min(a / v for a, v, _ in interior_values(germ))
         assert ray_infimum(germ) == rho, germ
         assert lct_general_member(germ).lct == min(1, rho), germ
 
@@ -127,7 +157,7 @@ def test_ray_infimum_can_undercut_every_box_ratio_in_dimension_four():
     lat = Lattice.from_generators(4, [(F(1, 2), 0, 0, F(1, 2)), (0, F(1, 2), 0, F(1, 2))])
     germ = ToricGerm(lat, (0, 0, 0, 0))
     assert ray_infimum(germ) == F(5, 2)
-    assert min(a / v for a, v, _ in germ.interior_values) == 3
+    assert min(a / v for a, v, _ in interior_values(germ)) == 3
 
 
 def test_ray_witness_realizes_the_infimum(corpus_germs):
@@ -166,7 +196,7 @@ def oracle_require_log_canonical(state: FlatState) -> None:
     """Negative values can only appear along the interior (proper-face combos
     are A(x) + nonnegative terms); check the box and the ray infimum."""
     gamma = state.total
-    for a, v, x in state.germ.interior_values:
+    for a, v, x in interior_values(state.germ):
         if a - gamma * v < 0:
             raise NotLogCanonical(f"value {(a - gamma * v)} < 0 at {x}")
     if gamma > 0 and any(w for w in state.germ.weights) and ray_infimum(state.germ) < gamma:
@@ -198,7 +228,7 @@ def zero_combos_oracle(state: FlatState) -> list[ZeroCombo]:
         found.setdefault(key, ZeroCombo(x, J, center))
 
     # interior box zeros (full support forbids any divisor subset)
-    for a, v, x in state.germ.interior_values:
+    for a, v, x in interior_values(state.germ):
         if a - gamma * v == 0:
             add(x, (), full_face(d))
     # proper-face zeros: v = 0 there, so zero means A(x) = 0 and all chosen
@@ -235,7 +265,7 @@ def oracle_threshold_step(state: FlatState) -> F:
     gamma = state.total
     rho = ray_infimum(state.germ)
     bound = min(F(1), rho - gamma)
-    for a, v, x in state.germ.interior_values:
+    for a, v, x in interior_values(state.germ):
         if v > 0:
             ratio = (a - gamma * v) / v
             assert ratio >= rho - gamma, "box ratios dominate the ray bound"
@@ -393,12 +423,14 @@ def test_corpus_terminates_within_dimension(corpus_germs):
 
 
 def test_large_weight_denominators_stay_exact_in_the_builder_tables():
-    """The interior A-values and the proper-face zeros are exact when the
-    weight denominators are near 2^29, where int64 products overflow."""
+    """The builder's interior witness and the proper-face zeros are exact
+    when the weight denominators are near 2^29, where int64 products
+    overflow."""
     lat = germ_cyclic_quotient(101, (1, 37, 63)).lattice
     germ = ToricGerm(lat, (F(1, 2**29 - 3), F(1, 2**29 + 11), 1))
-    for a, _, x in germ.interior_values:
-        assert a == germ.log_discrepancy(x)
+    res = build_flat_structure(germ)
+    assert res.witness.x == least_interior_zero(germ, res.state.total)
+    assert all(a >= ray_infimum(germ) * v for a, v, _ in interior_values(germ))
     expected = []
     for face in all_faces(3)[:-1]:
         on = {i - 1 for i in face.support}
@@ -446,6 +478,72 @@ def test_steps_and_centers_match_the_oracle_on_visited_and_random_states(corpus_
     assert outcomes == {"threshold_step", "minimal_center", AlreadyFlat, NotLogCanonical, InputError}
 
 
+def test_witness_and_rho_check_agree_with_the_fraction_recomputation(corpus_germs, monkeypatch):
+    """On the corpus to index 6 the builder's point witness is the least
+    interior zero that ``interior_values`` finds, and the once-per-germ check
+    that no box point has A < rho v raises exactly when the recomputation
+    finds such a point: never at the true rho, and whenever an overstated
+    rho (mu scaled by 3/4) exceeds some box ratio."""
+    import toricmld.flat as flat
+
+    germs = [g for g in corpus_germs if g.lattice.index <= 6]
+    assert len(germs) == 6596
+    for germ in germs:
+        res = build_flat_structure(germ)
+        assert res.witness.x == least_interior_zero(germ, res.state.total), germ
+        if any(germ.weights):
+            assert all(a >= ray_infimum(germ) * v for a, v, _ in interior_values(germ)), germ
+
+    exact = flat._first_intersection
+
+    def overstated(exponents, w_row, wd):
+        res = exact(exponents, w_row, wd)
+        return dataclasses.replace(res, mu=res.mu * F(3, 4))
+
+    monkeypatch.setattr(flat, "_first_intersection", overstated)
+    raised = 0
+    for germ in germs:
+        if not any(germ.weights):
+            continue
+        fresh = ToricGerm(germ.lattice, germ.boundary)
+        undercut = any(a < ray_infimum(germ) * F(4, 3) * v for a, v, _ in interior_values(germ))
+        try:
+            ray_infimum(fresh)
+        except ModelViolation:
+            raised += 1
+            assert undercut, germ
+        else:
+            assert not undercut, germ
+    assert raised > 0
+
+
+def test_flat_keeps_the_traced_call_structure(monkeypatch):
+    """``build_flat_structure`` on a d = 3 germ of index > 1 calls the layers
+    that ``perfbench/predictions.json`` lists as called on the flat corpus,
+    and never the threshold entry points of the survey and the check, at
+    every place the package binds them."""
+    import importlib
+
+    called = ("newton_poly_from_exponents", "solve_lp_max_slack", "ray_infimum", "threshold_step", "minimal_center")
+    bypassed = ("lct_general_member", "lct_newton")
+    counts = {}
+    for name in called + bypassed:
+        for mod in ("flat", "newton", "linprog", "germ", "survey"):
+            module = importlib.import_module(f"toricmld.{mod}")
+            if hasattr(module, name):
+
+                def counted(*args, _fn=getattr(module, name), _name=name):
+                    counts[_name] = counts.get(_name, 0) + 1
+                    return _fn(*args)
+
+                monkeypatch.setattr(module, name, counted)
+    germ = germ_cyclic_quotient(5, (1, 2, 3))
+    assert germ.dim == 3 and germ.lattice.index > 1
+    build_flat_structure(germ)
+    assert all(counts.get(name, 0) >= 1 for name in called), counts
+    assert not any(counts.get(name) for name in bypassed), counts
+
+
 def test_ray_witness_rejects_zero_weights():
     germ = ToricGerm(Lattice.standard(2), (1, 1))
     with pytest.raises(InputError, match="zero weight vector"):
@@ -459,8 +557,8 @@ def test_an_overstated_ray_infimum_is_a_model_violation(monkeypatch):
 
     exact = flat._first_intersection
 
-    def halved(exponents, weights):
-        res = exact(exponents, weights)
+    def halved(exponents, w_row, wd):
+        res = exact(exponents, w_row, wd)
         return dataclasses.replace(res, mu=res.mu / 2)
 
     monkeypatch.setattr(flat, "_first_intersection", halved)

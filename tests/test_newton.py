@@ -125,7 +125,7 @@ def test_dominated_exponent_is_neutral():
 def test_mu_examples():
     cusp = newton_poly_from_exponents(std_germ(2), [(2, 0), (0, 3)])
     assert first_intersection_mu(cusp) == F(6, 5)
-    res = _first_intersection(cusp.exponents, cusp.germ.weights)
+    res = _first_intersection(cusp.exponents, *cusp.germ._weight_ints)
     # witness weights are aligned with the sorted exponents ((0,3),(2,0))
     assert res.weights == (F(2, 5), F(3, 5))
 
@@ -157,7 +157,7 @@ def test_weights_off_a_convex_combination_are_a_model_violation(monkeypatch):
 
 
 def _certificate(poly):
-    res = _first_intersection(poly.exponents, poly.germ.weights)
+    res = _first_intersection(poly.exponents, *poly.germ._weight_ints)
     assert res.mu is not None
     w = poly.germ.weights
     combo = [sum(l * F(m[i]) for l, m in zip(res.weights, poly.exponents)) for i in range(poly.dim)]
@@ -219,7 +219,7 @@ def test_general_member_certificates_and_oracle_on_the_corpus(corpus_germs):
         if mu is not None:
             _certificate(poly)
             zero = [i for i, w in enumerate(germ.weights) if w == 0]
-            lifted += any(_first_intersection(poly.exponents, germ.weights).normal[i] for i in zero)
+            lifted += any(_first_intersection(poly.exponents, *germ._weight_ints).normal[i] for i in zero)
     assert lifted > 0, "some certificate must need the zero-weight lift"
 
 
@@ -290,7 +290,7 @@ def test_soundness_against_random_valuations(exps):
 
 def normal_witness_ray(poly):
     """Primitive lattice point on the pricing ray; realizes 1/mu exactly."""
-    return _primitive_normal(poly.germ.lattice, _first_intersection(poly.exponents, poly.germ.weights))
+    return _primitive_normal(poly.germ.lattice, _first_intersection(poly.exponents, *poly.germ._weight_ints))
 
 
 @given(st.lists(exponent, min_size=1, max_size=6))

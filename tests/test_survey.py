@@ -125,9 +125,44 @@ def test_survey_one_dimensional_flat():
     assert len(rows) == 1 and rows[0].mld_point == 0 and rows[0].mld_exceptional is None
 
 
-def test_survey_row_cap():
+def test_survey_row_cap(monkeypatch):
+    import toricmld.survey as survey
+
+    monkeypatch.setattr(survey, "ROW_CAP_DEFAULT", 3)
     with pytest.raises(ResourceLimit):
-        run_survey(2, 3, [0, F(1, 2)], row_cap=3)
+        run_survey(2, 3, [0, F(1, 2)])
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_survey_row_cap_trips_before_any_lattice_is_built(monkeypatch, jobs):
+    """The cap is checked on the lattice count, before any lattice is
+    dualized or any row computed, and rejects exactly the surveys whose
+    lattices times assignments exceed it, for every job count."""
+    import multiprocessing
+
+    import toricmld.lattice as lattice
+    import toricmld.survey as survey
+
+    built = []
+    dual = lattice._dual_of_int_rows
+
+    def counted(t, den):
+        built.append(den)
+        return dual(t, den)
+
+    ctx = _RecordingContext()
+    monkeypatch.setattr(multiprocessing, "get_context", lambda method=None: ctx)
+    monkeypatch.setattr(lattice, "_dual_of_int_rows", counted)
+    rows = len(enumerate_superlattices(3, 6)) * 27
+    built.clear()
+    monkeypatch.setattr(survey, "ROW_CAP_DEFAULT", rows - 1)
+    with pytest.raises(ResourceLimit, match=f"row cap {rows - 1}"):
+        run_survey(3, 30, [0, F(1, 2), 1], jobs=jobs)
+    with pytest.raises(ResourceLimit, match=f"row cap {rows - 1}"):
+        run_survey(3, 6, [0, F(1, 2), 1], jobs=jobs)
+    assert built == [] and ctx.sizes == []
+    monkeypatch.setattr(survey, "ROW_CAP_DEFAULT", rows)
+    assert len(run_survey(3, 6, [0, F(1, 2), 1], jobs=jobs, mod_permutations=True)) < rows
 
 
 def test_survey_validation():
@@ -172,7 +207,7 @@ def test_survey_mod_permutations():
 def test_orbit_representatives_permute_integer_rows(monkeypatch):
     """The orbit minimum taken over permuted integer rows keeps the same
     boundaries as the one over Fraction rows through ``from_rows``, and
-    builds no lattice through ``from_rows``."""
+    builds no lattice, through ``from_rows`` or ``_from_int_rows``."""
     coeffs = [F(0), F(1, 2), F(1)]
     assignments = list(product(coeffs, repeat=3))
     lattices = enumerate_superlattices(3, 6)
@@ -194,7 +229,14 @@ def test_orbit_representatives_permute_integer_rows(monkeypatch):
         calls.append(dim)
         return from_rows(cls, dim, rows)
 
+    from_int_rows = Lattice._from_int_rows.__func__
+
+    def counted_int_rows(cls, dim, rows, den):
+        calls.append(dim)
+        return from_int_rows(cls, dim, rows, den)
+
     monkeypatch.setattr(Lattice, "from_rows", classmethod(counted))
+    monkeypatch.setattr(Lattice, "_from_int_rows", classmethod(counted_int_rows))
     assert [_orbit_representatives(lat, assignments) for lat in lattices] == expected
     assert calls == []
     rows = run_survey(3, 6, coeffs, mod_permutations=True)
