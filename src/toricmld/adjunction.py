@@ -12,7 +12,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import InputError
-from .germ import ToricGerm, full_face, germ_normalize, mld_face
+from .germ import ToricGerm, full_face, germ_document, germ_normalize, mld_face
+from .rationals import rat_str
 
 
 @dataclass(frozen=True)
@@ -21,8 +22,6 @@ class AdjunctionResult:
     scales: tuple[int, ...]  # n_j, in the original order of the kept coordinates
 
     def to_json_dict(self) -> dict:
-        from .survey import germ_document
-
         return {"germ": germ_document(self.germ), "scales": list(self.scales)}
 
 
@@ -32,8 +31,6 @@ class CheckReport:
     details: tuple[tuple[str, Fraction, Fraction], ...]
 
     def to_json_dict(self) -> dict:
-        from .rationals import rat_str
-
         return {
             "passed": self.passed,
             "details": [[label, rat_str(lhs), rat_str(rhs)] for label, lhs, rhs in self.details],

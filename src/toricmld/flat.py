@@ -59,9 +59,9 @@ from fractions import Fraction
 from operator import mul
 
 from .errors import AlreadyFlat, InputError, ModelViolation, NotLogCanonical
-from .germ import Face, ToricGerm, full_face, log_discrepancy_of_valuation
+from .germ import Face, ToricGerm, full_face, germ_document, log_discrepancy_of_valuation
 from .newton import FirstIntersection, _first_intersection, _primitive_normal, dual_hilbert_basis, newton_poly_from_exponents
-from .rationals import QVec, qvec, qvec_str, scaled_int_vector
+from .rationals import QVec, qvec, qvec_str, rat_str, scaled_int_vector
 
 POINT = "point-P"
 INVARIANT_CYCLE = "invariant-cycle"
@@ -89,9 +89,6 @@ class FlatState:
         return sum(self.gammas, start=Fraction(0))
 
     def to_json_dict(self) -> dict:
-        from .rationals import rat_str
-        from .survey import germ_document
-
         return {"germ": germ_document(self.germ), "gammas": [rat_str(g) for g in self.gammas]}
 
 
@@ -261,8 +258,6 @@ class FlatBuildResult:
     witness: ZeroCombo
 
     def to_json_dict(self) -> dict:
-        from .rationals import rat_str
-
         return {
             "state": self.state.to_json_dict(),
             "trace": [

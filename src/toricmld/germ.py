@@ -27,13 +27,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import product
-from math import ceil, gcd, lcm
+from math import gcd, lcm
 from operator import mul
 
-from .errors import InputError, ModelViolation, NotPrimitive
-from .lattice import Lattice, _divisors
-from .rationals import IntVec, QVec, qvec, qvec_str, rat
+from .errors import InputError, ModelViolation, NotPrimitive, ResourceLimit
+from .lattice import TABLE_CAP, Lattice, _divisors
+from .rationals import IntVec, QVec, qvec, qvec_str, rat, rat_str
 
 
 @dataclass(frozen=True)
@@ -68,8 +67,6 @@ class MldReport:
     face: Face
 
     def to_json_dict(self) -> dict:
-        from .rationals import rat_str
-
         return {
             "value": rat_str(self.value),
             "witnesses": [[rat_str(c) for c in w] for w in self.witnesses],
@@ -168,6 +165,14 @@ class ToricGerm:
 
     def __repr__(self) -> str:
         return f"ToricGerm({self.lattice!r}, b={qvec_str(self.boundary)})"
+
+
+def germ_document(germ: ToricGerm) -> dict:
+    return {
+        "dim": germ.dim,
+        "lattice": {"generators": [[rat_str(c) for c in row] for row in germ.lattice.basis]},
+        "boundary": [rat_str(b) for b in germ.boundary],
+    }
 
 
 # -- constructors --------------------------------------------------------------
@@ -275,8 +280,10 @@ def mld_bruteforce_oracle(germ: ToricGerm, face, radius: int) -> Fraction:
     Read from the coset residues themselves, apart from the face table: each
     den-scaled residue u vanishing off S is shifted on S, a zero entry over
     den, 2 den, .., radius den and any other entry over u_j + s den for s in
-    [0, radius); every shifted point's value is summed from its
-    per-coordinate terms.
+    [0, radius).  Each shifted point's value is a sum of per-coordinate
+    terms chosen independently, so the least value over all shifts of u is
+    the sum of the least term of each coordinate: linear in the radius, and
+    the same exhaustive minimum for any term values.
     """
     if radius < 1:
         raise InputError("radius must be >= 1")
@@ -297,7 +304,7 @@ def mld_bruteforce_oracle(germ: ToricGerm, face, radius: int) -> Fraction:
                 terms.append([w * s * den for s in range(1, radius + 1)])
             else:
                 terms.append([w * (c + s * den) for s in range(radius)])
-        lows.append(min(map(sum, product(*terms))))
+        lows.append(sum(map(min, terms)))
     # the zero residue vanishes off every support, so lows is nonempty
     return Fraction(min(lows), den * wd)
 
@@ -324,13 +331,21 @@ def verify_minkowski(germ: ToricGerm, t, delta) -> bool:
 
 def px_mld_formula(x) -> Fraction:
     """min over n >= 0 of sum_i (1 + n x_i - ceil(n x_i)); periodic in n with
-    period q where q*x is integral, so only n = 0..q-1 are scanned."""
+    period q where q*x is integral, so only n = 0..q-1 are scanned.
+
+    In integers: with a_i = q x_i the i-th term is (q - (-n a_i) mod q) / q.
+    q is the index of Z^d + Z*x, so a q above ``TABLE_CAP`` raises
+    ``ResourceLimit`` before the scan, as the coset tables of that lattice do.
+    """
     x = qvec(x)
     for c in x:
         if not 0 < c <= 1:
             raise InputError(f"coordinate {c} outside (0,1]")
     q = lcm(*(c.denominator for c in x))
-    return min(sum((1 + n * c - ceil(n * c) for c in x), start=Fraction(0)) for n in range(q))
+    if q > TABLE_CAP:
+        raise ResourceLimit(f"period {q} exceeds the cap {TABLE_CAP}")
+    a = [c.numerator * (q // c.denominator) for c in x]
+    return Fraction(min(sum(q - (-n * ai) % q for ai in a) for n in range(q)), q)
 
 
 def cartier_index(germ: ToricGerm) -> int:

@@ -24,6 +24,12 @@ from operator import mul
 from .errors import InputError, ModelViolation, NotInLattice, ResourceLimit
 from .rationals import QVec, common_denominator, qvec, scaled_int_vector
 
+# Largest lattice index whose per-lattice tables (``Lattice.rep_ints`` and
+# the tables built from it, about one row per coset) are built.  It admits
+# 1/1000003(1,2,5), whose tables peaked at 234 MB, and every lattice of the
+# default corpus and of survey --dim 3 --max-index 150.
+TABLE_CAP = 2**20
+
 
 def xgcd(a: int, b: int) -> tuple[int, int, int]:
     """Return (g, s, t) with g = gcd(a,b) >= 0 and s*a + t*b = g."""
@@ -154,11 +160,12 @@ class Lattice:
 
     @property
     def index(self) -> int:
-        """[N : Z^d] for a lattice containing Z^d."""
-        inv = 1 / self.det
-        if inv.denominator != 1 or not self.is_superlattice:
+        """[N : Z^d] for a lattice containing Z^d: the product of den / p_i
+        over the pivots p_i of ``int_rows`` (see ``rep_ints``)."""
+        if not self.is_superlattice:
             raise InputError("lattice does not contain Z^d")
-        return inv.numerator
+        den = self.den
+        return prod(den // row[i] for i, row in enumerate(self.int_rows))
 
     # -- membership --------------------------------------------------------
 
@@ -197,28 +204,30 @@ class Lattice:
         """Residues den*x mod den of a full set of coset representatives,
         sorted.
 
-        Built as the additive closure of the basis rows mod den; the group
-        N/Z^d is finite of order ``index``, which must not exceed
-        ``newton.TABLE_CAP`` (``ResourceLimit`` before anything is built).
+        Read off the pivots p_i of T = ``int_rows``, which is upper
+        triangular.  Each p_i divides den, because den * e_i lies in the row
+        span of T and its coefficients on rows 0..i-1 vanish.  The residues
+        sum a_i T_i mod den with 0 <= a_i < den / p_i are pairwise distinct:
+        at the first index k where two coefficient vectors differ, coordinate
+        k of the difference is a nonzero multiple of p_k of absolute value
+        below den.  There are prod den / p_i = ``index`` of them, so they are
+        every coset of N/Z^d (see Cohen, A Course in Computational Algebraic
+        Number Theory, on the Hermite normal form).  The index must not
+        exceed ``TABLE_CAP`` (``ResourceLimit`` before anything is built).
         """
-        from .newton import TABLE_CAP
-
         if not self.is_superlattice:
             raise InputError("coset table requires a lattice containing Z^d")
         if self.index > TABLE_CAP:
             raise ResourceLimit(f"coset table of index {self.index} exceeds the cap {TABLE_CAP}")
         den = self.den
-        gens = [tuple(x % den for x in row) for row in self.int_rows]
-        seen = {tuple([0] * self.dim)}
-        frontier = [tuple([0] * self.dim)]
-        while frontier:
-            cur = frontier.pop()
-            for g in gens:
-                nxt = tuple((a + b) % den for a, b in zip(cur, g))
-                if nxt not in seen:
-                    seen.add(nxt)
-                    frontier.append(nxt)
-        return tuple(sorted(seen))
+        cols = [[0] for _ in range(self.dim)]  # cols[j][s]: coordinate j of residue s
+        for i, row in enumerate(self.int_rows):
+            n = den // row[i]
+            cols = [
+                [(c + a * t) % den for c in col for a in range(n)] if t else [c for c in col for _ in range(n)]
+                for col, t in zip(cols, row)
+            ]
+        return tuple(sorted(zip(*cols)))
 
     @cached_property
     def box_candidates(self) -> dict[tuple[int, ...], tuple[tuple[int, ...], ...]]:

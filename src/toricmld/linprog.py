@@ -1,22 +1,20 @@
-"""Exact rational linear programming by single-phase dense simplex.
+"""Exact linear programming over integer rows by single-phase dense simplex.
 
 Problems here are tiny (a handful of variables or constraints), so the
 priority is exactness and determinism, not speed: pivoting follows Bland's
 rule (smallest eligible index enters, smallest index breaks ratio ties),
 which rules out cycling and makes the returned basic solution reproducible.
 
-Problem form:  maximize c.x  subject to  A[i].x <= b[i],  x >= 0,  b >= 0.
-The result carries the optimal point, the objective, and the row
-multipliers ("duals"), which are the certificate used throughout the
-tests.  It holds them as integers over two denominators and reads them
-out as ``Fraction``s, so a caller that works in integers (the ray programs
-of ``newton``) builds no ``Fraction`` at all.  The general-form two-phase
-solver that the tests compare it with lives in ``tests/lp_oracle.py``.
+Problem form:  maximize c.x  subject to  A[i].x <= b[i],  x >= 0,  b >= 0,
+with every entry a Python int.  The result carries the optimal point, the
+objective, and the row multipliers ("duals"), which are the certificate used
+throughout the tests, as integers over two denominators, so every step
+stays in Python ints.  The general-form two-phase solver that the tests
+compare it with lives in ``tests/lp_oracle.py``.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from math import gcd, lcm
 
 from .errors import InputError
@@ -29,8 +27,8 @@ UNBOUNDED = "unbounded"
 class LpResult:
     """Outcome of ``solve_lp_max_slack``.  At an optimum the point is
     ``x_num`` over ``x_den``, and the objective ``obj_num`` and the row
-    multipliers ``dual_num`` are over ``obj_scale``; ``x``, ``objective`` and
-    ``duals`` read them as ``Fraction``s (None when unbounded)."""
+    multipliers ``dual_num`` are over ``obj_scale`` (all None when
+    unbounded)."""
 
     status: str
     x_num: tuple[int, ...] | None = None
@@ -39,60 +37,40 @@ class LpResult:
     dual_num: tuple[int, ...] | None = None
     obj_scale: int = 1
 
-    @property
-    def x(self) -> tuple[Fraction, ...] | None:
-        return None if self.x_num is None else tuple(Fraction(v, self.x_den) for v in self.x_num)
-
-    @property
-    def objective(self) -> Fraction | None:
-        return None if self.obj_num is None else Fraction(self.obj_num, self.obj_scale)
-
-    @property
-    def duals(self) -> tuple[Fraction, ...] | None:
-        return None if self.dual_num is None else tuple(Fraction(v, self.obj_scale) for v in self.dual_num)
-
 
 def solve_lp_max_slack(c, rows) -> LpResult:
     """Single-phase simplex for max c.x, A x <= b, x >= 0 with b >= 0.
 
     The slack basis is feasible from the start, so no artificials are needed;
-    this is the hot path for the ray-intersection programs.  ``rows`` is a
-    list of (coefficients, rhs).  Duals are the standard multipliers of the
-    <= constraints (nonnegative for a max problem).
+    this is the hot path for the ray-intersection programs.  ``c`` and the
+    (coefficients, rhs) pairs of ``rows`` hold Python ints.  Duals are the
+    standard multipliers of the <= constraints (nonnegative for a max
+    problem).
 
-    Internally every constraint row is kept as an integer vector (scaling a
-    constraint by a positive rational is free), the objective row is carried
-    through the same fraction-free pivots with its own positive scale
-    ``obj_scale`` and right-hand side (the objective value times that
-    scale), and rows are gcd-reduced after each pivot.  All pivoting
-    decisions are pure integer comparisons, and the result is read off in
-    integers too: the basic values over the lcm of their pivots, the
-    objective and the slack columns of the objective row over ``obj_scale``.
-    ``LpResult`` turns them into ``Fraction``s only when they are read.
-    Entries that are ints or Fractions are used as given (both carry
-    ``numerator`` and ``denominator``); anything else is read by Fraction.
+    The objective row is carried through the same fraction-free pivots as
+    the constraint rows, with its own positive scale ``obj_scale`` and
+    right-hand side (the objective value times that scale), and rows are
+    gcd-reduced after each pivot.  All pivoting decisions are pure integer
+    comparisons, and the result is read off in integers too: the basic
+    values over the lcm of their pivots, the objective and the slack columns
+    of the objective row over ``obj_scale``.
     """
     n = len(c)
     m = len(rows)
     tableau: list[list[int]] = []
     rhs_col: list[int] = []
     for coeffs, rhs in rows:
-        coeffs = [_exact(v) for v in coeffs]
-        rhs = _exact(rhs)
         if len(coeffs) != n:
             raise InputError("constraint length does not match the objective")
         if rhs < 0:
             raise InputError("slack start requires nonnegative right-hand sides")
-        den = lcm(rhs.denominator, *(v.denominator for v in coeffs))
-        row = [v.numerator * (den // v.denominator) for v in coeffs] + [0] * m
-        row[n + len(tableau)] = den
+        row = list(coeffs) + [0] * m
+        row[n + len(tableau)] = 1
         tableau.append(row)
-        rhs_col.append(rhs.numerator * (den // rhs.denominator))
-    cfrac = [_exact(v) for v in c]
-    cden = lcm(*(v.denominator for v in cfrac))
+        rhs_col.append(rhs)
     # objective row of the minimization of -c.x: obj . (x, s) + obj_scale * c.x = obj_rhs
-    obj = [-v.numerator * (cden // v.denominator) for v in cfrac] + [0] * m
-    obj_scale = cden
+    obj = [-v for v in c] + [0] * m
+    obj_scale = 1
     obj_rhs = 0
     basis = list(range(n, n + m))
 
@@ -157,6 +135,3 @@ def solve_lp_max_slack(c, rows) -> LpResult:
             x_num[j] = rhs_col[r] * (x_den // tableau[r][j])
     return LpResult(OPTIMAL, tuple(x_num), x_den, obj_rhs, tuple(obj[n:]), obj_scale)
 
-
-def _exact(v):
-    return v if type(v) is int or isinstance(v, Fraction) else Fraction(v)

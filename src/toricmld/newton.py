@@ -24,7 +24,7 @@ from .errors import DimensionMismatch, InputError, ModelViolation, NotInLattice,
 from .germ import ToricGerm, log_discrepancy_of_valuation
 from .lattice import Lattice
 from .linprog import OPTIMAL, solve_lp_max_slack
-from .rationals import IntVec, QVec, qvec, rat
+from .rationals import IntVec, QVec, qvec, rat, rat_str
 
 CAP_ONE = "cap-one"
 RAY = "ray"
@@ -34,12 +34,6 @@ RAY = "ray"
 # index 255 in dimension 3 and 63 in dimension 4; near the cap one call took
 # under half a second and 50 MB (2.1 GHz Xeon vCPU, Python 3.11).
 BOX_CAP = 2**24
-
-# Largest lattice index whose per-lattice tables (``Lattice.rep_ints`` and
-# the tables built from it, about one row per coset) are built.  It admits
-# 1/1000003(1,2,5), whose tables peaked at 234 MB, and every lattice of the
-# default corpus and of survey --dim 3 --max-index 150.
-TABLE_CAP = 2**20
 
 
 # -- dual monoid generators -----------------------------------------------------
@@ -323,8 +317,6 @@ class LctReport:
     witness: tuple[Fraction, ...] | None  # convex weights, or None when infeasible
 
     def to_json_dict(self) -> dict:
-        from .rationals import rat_str
-
         return {
             "mu": "infinity" if self.mu is None else rat_str(self.mu),
             "lct": rat_str(self.lct),

@@ -28,6 +28,7 @@ from .germ import (
     ToricGerm,
     cartier_index,
     full_face,
+    germ_document,
     germ_normalize,
     mld_bruteforce_oracle,
     mld_face,
@@ -42,14 +43,6 @@ ROW_CAP_DEFAULT = 10**6
 
 
 # -- documents -------------------------------------------------------------------
-
-
-def germ_document(germ: ToricGerm) -> dict:
-    return {
-        "dim": germ.dim,
-        "lattice": {"generators": [[rat_str(c) for c in row] for row in germ.lattice.basis]},
-        "boundary": [rat_str(b) for b in germ.boundary],
-    }
 
 
 def serialize_germ(germ: ToricGerm) -> str:
@@ -234,19 +227,12 @@ def run_survey(
         if not 0 <= b <= 1:
             raise InputError(f"boundary coefficient {b} outside [0,1]")
     assignments = list(product(coeffs, repeat=dim))
-    # one dual HNF basis per lattice: the cap is checked on their count
-    for count, _ in enumerate(_dual_hnf_bases(dim, max_index), 1):
-        if count * len(assignments) > ROW_CAP_DEFAULT:
-            raise ResourceLimit(f"survey exceeds the row cap {ROW_CAP_DEFAULT}")
-    lattices = enumerate_superlattices(dim, max_index)
+    count = _count_lattices((dim,), max_index, len(coeffs), ROW_CAP_DEFAULT, "survey")
 
     def task(lattice: Lattice):
         return lattice, _orbit_representatives(lattice, assignments) if mod_permutations else assignments
 
-    # popped in order from the reversed list, so no finished lattice stays
-    # referenced and its tables are freed with its rows
-    lattices.reverse()
-    tasks = (task(lattices.pop()) for _ in range(len(lattices)))
+    tasks = map(task, _popped(enumerate_superlattices(dim, max_index)))
     if jobs == 1:
         return [row for chunk in map(_rows_for_lattice, tasks) for row in chunk]
     import multiprocessing as mp
@@ -255,9 +241,33 @@ def run_survey(
         ctx = mp.get_context("fork")
     except ValueError:  # pragma: no cover
         ctx = mp.get_context("spawn")
-    chunksize = -(-len(lattices) // (4 * jobs))  # as Pool.map derives it
+    chunksize = -(-count // (4 * jobs))  # as Pool.map derives it
     with ctx.Pool(jobs) as pool:
         return [row for chunk in pool.imap(_rows_for_lattice, tasks, chunksize) for row in chunk]
+
+
+def _count_lattices(dims, max_index: int, coeffs: int, cap: int, what: str) -> int:
+    """Number of lattices that ``enumerate_superlattices`` returns over
+    ``dims``, counted on their dual HNF bases, so no lattice is built.  Each
+    lattice of dimension d carries coeffs**d rows; ``ResourceLimit`` at the
+    first lattice that takes the rows past ``cap``."""
+    lattices = rows = 0
+    for d in dims:
+        for _ in _dual_hnf_bases(d, max_index):
+            lattices += 1
+            rows += coeffs**d
+            if rows > cap:
+                raise ResourceLimit(f"{what} exceeds the row cap {cap}")
+    return lattices
+
+
+def _popped(lattices: list[Lattice]):
+    """The lattices in order, each dropped from the list as it is yielded,
+    so no finished lattice stays referenced and its tables are freed with
+    its rows."""
+    lattices.reverse()
+    while lattices:
+        yield lattices.pop()
 
 
 def rows_to_csv(rows) -> str:
@@ -399,9 +409,13 @@ class CorpusConfig:
 
 
 def corpus_germs(config: CorpusConfig):
+    """The germs of the corpus in canonical order; a corpus of more than
+    ``config.row_cap`` germs raises ``ResourceLimit`` before any lattice is
+    built."""
     coeffs = sorted(set(config.boundary_set))
+    _count_lattices(config.dims, config.max_index, len(coeffs), config.row_cap, "corpus")
     for d in config.dims:
-        for lattice in enumerate_superlattices(d, config.max_index):
+        for lattice in _popped(enumerate_superlattices(d, config.max_index)):
             for b in product(coeffs, repeat=d):
                 yield ToricGerm(lattice, b)
 

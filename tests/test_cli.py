@@ -213,8 +213,9 @@ def test_mld_above_the_table_cap_exits_one(tmp_path, capsys, monkeypatch):
     1 with an error line at once instead of running out of memory."""
     from functools import cached_property
 
-    from toricmld.lattice import Lattice
+    from toricmld.lattice import TABLE_CAP, Lattice
 
+    assert TABLE_CAP < 10000019
     asked = []
     build = Lattice.rep_ints.func
 

@@ -22,7 +22,6 @@ LATTICE_FIELDS = {
     "basis",
     "den",
     "int_rows",
-    "det",
     "is_superlattice",
     "unit_scales",
     "rep_ints",

@@ -1,12 +1,14 @@
 import random
 from fractions import Fraction as F
 from itertools import product
+from math import ceil, lcm
 
 import pytest
 from hypothesis import given, strategies as st
 
 from faces import all_faces
-from toricmld.errors import InputError, NotInLattice, NotPrimitive
+from toricmld import survey
+from toricmld.errors import InputError, NotInLattice, NotPrimitive, ResourceLimit
 from toricmld.germ import (
     Face,
     ToricGerm,
@@ -155,6 +157,47 @@ def test_oracle_examples():
     assert mld_bruteforce_oracle(ToricGerm(std(4), (0,) * 4), full_face(4), 2) == 4
 
 
+def product_oracle(germ, support, radius):
+    """The exhaustive minimum as the least sum over every shifted point of
+    each residue (the Cartesian product of the per-coordinate terms): the
+    reference for ``mld_bruteforce_oracle``, which sums per-coordinate
+    minima."""
+    lat = germ.lattice
+    den = lat.den
+    on = [j + 1 in support for j in range(lat.dim)]
+    wn, wd = germ._weight_ints
+    lows = []
+    for u in lat.rep_ints:
+        if any(c for c, o in zip(u, on) if not o):
+            continue
+        terms = []
+        for w, c, o in zip(wn, u, on):
+            if not o:
+                terms.append((0,))
+            elif c == 0:
+                terms.append([w * s * den for s in range(1, radius + 1)])
+            else:
+                terms.append([w * (c + s * den) for s in range(radius)])
+        lows.append(min(map(sum, product(*terms))))
+    return F(min(lows), den * wd)
+
+
+def test_oracle_equals_the_product_form_on_the_corpus():
+    """Every (germ, face) of the default corpus cut to index 6, at radii 1
+    to 4."""
+    for germ in survey.corpus_germs(survey.CorpusConfig(max_index=6)):
+        for support in germ.face_table.supports():
+            for radius in range(1, 5):
+                assert mld_bruteforce_oracle(germ, support, radius) == product_oracle(germ, support, radius)
+
+
+def test_oracle_is_linear_in_its_radius():
+    """Radius 10^5 on 1/7(1,2,4) needs 10^15 shifted points per residue in
+    product form; summed per coordinate it is 3 * 10^5 terms."""
+    germ = germ_cyclic_quotient(7, (1, 2, 4))
+    assert mld_bruteforce_oracle(germ, full_face(3), 10**5) == mld_face(germ, full_face(3)).value
+
+
 small_coeff = st.sampled_from([F(0), F(1, 3), F(1, 2), F(3, 4), F(1)])
 small_gen = st.tuples(
     st.fractions(min_value=0, max_value=1, max_denominator=5),
@@ -193,15 +236,31 @@ def test_px_formula_examples():
     assert px_mld_formula((1, 1, 1, 1)) == 4
 
 
+def px_fraction_scan(x):
+    """min over n = 0..q-1 of sum_i (1 + n x_i - ceil(n x_i)), in Fractions."""
+    q = lcm(*(F(c).denominator for c in x))
+    return min(sum((1 + n * c - ceil(n * c) for c in x), start=F(0)) for n in range(q))
+
+
 def test_px_formula_matches_engine_on_random_points():
     rng = random.Random(20260810)
     for _ in range(60):
         d = rng.randint(1, 4)
         x = tuple(F(rng.randint(1, q), q) for q in [rng.randint(1, 12) for _ in range(d)])
         germ, scales = germ_from_px(x)
-        assert px_mld_formula(x) == mld_face(germ, full_face(d)).value
+        assert px_mld_formula(x) == mld_face(germ, full_face(d)).value == px_fraction_scan(x)
         lat = lattice_from_generators(d, [x])
         assert scales == lat.unit_scales
+
+
+def test_px_formula_above_the_table_cap_raises_before_the_scan(monkeypatch):
+    """q is the index of Z^d + Z*x; past the cap the scan is refused."""
+    import toricmld.germ as germ_mod
+
+    monkeypatch.setattr(germ_mod, "TABLE_CAP", 12)
+    assert px_mld_formula((F(1, 3), F(3, 4))) == px_fraction_scan((F(1, 3), F(3, 4)))
+    with pytest.raises(ResourceLimit, match="exceeds the cap 12"):
+        px_mld_formula((F(1, 5), F(1, 3)))
 
 
 # -- dilation verifier ------------------------------------------------------------------

@@ -6,6 +6,7 @@ from hypothesis import given, strategies as st
 
 from toricmld.errors import InputError, NotInLattice, ResourceLimit
 from toricmld.lattice import (
+    TABLE_CAP,
     Lattice,
     coset_reps,
     dual_lattice,
@@ -18,7 +19,6 @@ from toricmld.lattice import (
     project_drop_coord,
     xgcd,
 )
-from toricmld.newton import TABLE_CAP
 
 
 def frac(num, den=1):
@@ -122,6 +122,7 @@ def test_canonical_form_unique_under_representation(gens, rng):
 @given(gen_lists)
 def test_contains_agrees_with_coset_reps(gens):
     lat = lattice_from_generators(2, gens)
+    assert lat.rep_ints == closure_residues(lat)
     reps = set(coset_reps(lat).reps)
     for num1 in range(-3, 4):
         for num2 in range(-3, 4):
@@ -153,6 +154,43 @@ def test_index_equals_coset_count():
     for gens in ([], [(F(1, 3), F(2, 3))], [(F(1, 2), F(1, 4))]):
         lat = lattice_from_generators(2, gens)
         assert lattice_index(lat) == len(coset_reps(lat).reps)
+
+
+def closure_residues(lat):
+    """Reference coset residues: the additive closure of the rows of
+    ``int_rows`` mod den, by search."""
+    den = lat.den
+    gens = [tuple(x % den for x in row) for row in lat.int_rows]
+    zero = (0,) * lat.dim
+    seen, frontier = {zero}, [zero]
+    while frontier:
+        cur = frontier.pop()
+        for g in gens:
+            nxt = tuple((a + b) % den for a, b in zip(cur, g))
+            if nxt not in seen:
+                seen.add(nxt)
+                frontier.append(nxt)
+    return tuple(sorted(seen))
+
+
+def test_pivot_cosets_and_index_match_the_closure_and_the_determinant():
+    """On every lattice of d <= 3 to index 20 and of d = 4 to index 8, the
+    residues read off the Hermite pivots are the closure of the rows, there
+    are ``index`` of them, and ``index`` is 1/det."""
+    for d, max_index in ((1, 20), (2, 20), (3, 20), (4, 8)):
+        for lat in enumerate_superlattices(d, max_index):
+            assert lat.rep_ints == closure_residues(lat), lat
+            assert len(lat.rep_ints) == lat.index == (1 / lat.det).numerator, lat
+
+
+def test_index_and_cosets_require_a_superlattice():
+    half = Lattice.from_rows(2, [(2, 0), (0, 1)])
+    unimodular = Lattice.from_rows(2, [(F(1, 2), 0), (0, 2)])
+    for lat in (half, unimodular):
+        with pytest.raises(InputError, match="contain"):
+            lat.index
+        with pytest.raises(InputError, match="contain"):
+            lat.rep_ints
 
 
 def test_coset_table_above_the_cap_raises_before_building():

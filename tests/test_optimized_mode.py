@@ -32,6 +32,30 @@ def test_no_module_checks_an_invariant_with_assert():
     assert found == []
 
 
+def _deferred_imports(tree):
+    """(function, module) for each package-relative import inside a function."""
+    seen = set()
+    for fn in ast.walk(tree):
+        if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            for node in ast.walk(fn):
+                if isinstance(node, ast.ImportFrom) and node.level and node not in seen:
+                    seen.add(node)
+                    yield fn.name, node.module
+
+
+def test_only_import_cycles_defer_an_import():
+    """A module imports from the package inside a function only where a
+    cycle forces it: the per-lattice Hilbert basis (lattice, which newton
+    imports, reaches newton) and the per-germ general-member intersection
+    (germ, which flat imports, reaches flat)."""
+    found = sorted(
+        f"{path.name}:{name}:{module}"
+        for path in PACKAGE.rglob("*.py")
+        for name, module in _deferred_imports(ast.parse(path.read_text(encoding="utf-8"), filename=str(path)))
+    )
+    assert found == ["germ.py:general_member_intersection:flat", "lattice.py:hilbert_basis:newton"]
+
+
 def test_check_gives_the_same_report_under_optimize(tmp_path):
     config = tmp_path / "config.json"
     config.write_text('{"dims": [1, 2, 3], "max_index": 3}')

@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 from fractions import Fraction as F
 from itertools import permutations, product
 
@@ -325,6 +326,32 @@ def test_verify_empty_corpus_warns():
     status, report = verify_corpus(cfg)
     assert status == 0
     assert report["warnings"]
+
+
+def test_check_row_cap_trips_before_any_lattice_is_built(monkeypatch):
+    """The corpus's germs are counted on its dual HNF bases, so an over-cap
+    corpus is refused before any lattice is dualized or any germ checked,
+    and a corpus of exactly the cap runs.  Germs that a caller supplies are
+    still capped as they are checked."""
+    import toricmld.lattice as lattice
+    import toricmld.survey as survey
+
+    calls = []
+    dual, check = lattice._dual_of_int_rows, survey._check_germ
+    monkeypatch.setattr(lattice, "_dual_of_int_rows", lambda t, den: calls.append("dual") or dual(t, den))
+    monkeypatch.setattr(survey, "_check_germ", lambda germ, config: calls.append("check") or check(germ, config))
+    germs = 3 + 6 * 9
+    over = CorpusConfig(dims=(1, 2), max_index=4, boundary_set=(F(0), F(1, 2), F(1)), row_cap=germs - 1)
+    with pytest.raises(ResourceLimit, match=f"row cap {germs - 1}"):
+        verify_corpus(over)
+    with pytest.raises(ResourceLimit, match="row cap 2000"):
+        verify_corpus(CorpusConfig(dims=(3,), max_index=40, row_cap=2000))
+    assert calls == []
+    status, report = verify_corpus(replace(over, row_cap=germs))
+    assert status == 0 and report["checked"] == germs == calls.count("check")
+    supplied = [germ_cyclic_quotient(3, (1, 2))] * 2
+    with pytest.raises(ResourceLimit, match="row cap 1"):
+        verify_corpus(replace(over, row_cap=1), germs=supplied)
 
 
 def test_verify_catches_corrupted_lattice():
