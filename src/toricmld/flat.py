@@ -61,7 +61,7 @@ from operator import mul
 from .errors import AlreadyFlat, InputError, ModelViolation, NotLogCanonical
 from .germ import Face, ToricGerm, full_face, germ_document, log_discrepancy_of_valuation
 from .newton import FirstIntersection, _first_intersection, _primitive_normal, dual_hilbert_basis, newton_poly_from_exponents
-from .rationals import QVec, qvec, qvec_str, rat_str, scaled_int_vector
+from .rationals import QVec, integer, qvec, qvec_str, rat_str, scaled_int_vector
 
 POINT = "point-P"
 INVARIANT_CYCLE = "invariant-cycle"
@@ -127,7 +127,7 @@ def _multiplicity(germ: ToricGerm, x: QVec) -> Fraction:
 
 def state_value(state: FlatState, x, divisors=()) -> Fraction:
     """Log discrepancy of the combo valuation (x, J) in the resolved model."""
-    J = tuple(sorted(set(int(j) for j in divisors)))
+    J = tuple(sorted(set(integer(j, "a divisor index") for j in divisors)))
     if any(j < 1 or j > state.members for j in J):
         raise InputError(f"divisor subset {J} out of range 1..{state.members}")
     x = qvec(x, state.germ.dim)

@@ -31,8 +31,8 @@ from math import gcd, lcm
 from operator import mul
 
 from .errors import InputError, ModelViolation, NotPrimitive, ResourceLimit
-from .lattice import TABLE_CAP, Lattice, _divisors
-from .rationals import IntVec, QVec, qvec, qvec_str, rat, rat_str
+from .lattice import TABLE_CAP, Lattice
+from .rationals import IntVec, QVec, integer, qvec, qvec_str, rat, rat_str
 
 
 @dataclass(frozen=True)
@@ -43,7 +43,7 @@ class Face:
     support: tuple[int, ...]
 
     def __post_init__(self):
-        sup = tuple(sorted(set(int(i) for i in self.support)))
+        sup = tuple(sorted(set(integer(i, "a face support entry") for i in self.support)))
         if not sup:
             raise InputError("a face needs a nonempty support")
         object.__setattr__(self, "support", sup)
@@ -184,10 +184,6 @@ def germ_normalize(lattice: Lattice, boundary) -> ToricGerm:
     The i-th coordinate is multiplied by the primitive scale of e_i; boundary
     coefficients stay attached to their divisors.  Idempotent.
     """
-    boundary = qvec(boundary, lattice.dim)
-    for b in boundary:
-        if not 0 <= b <= 1:
-            raise InputError(f"boundary coefficient {b} outside [0,1]")
     if not lattice.is_superlattice:
         raise InputError("germ lattice must contain Z^d")
     scales = lattice.unit_scales
@@ -200,9 +196,9 @@ def germ_normalize(lattice: Lattice, boundary) -> ToricGerm:
 
 def germ_cyclic_quotient(q: int, a) -> ToricGerm:
     """Quotient-singularity germ of type (1/q)(a_1,...,a_d) with zero boundary."""
-    if q < 1:
+    if integer(q, "q") < 1:
         raise InputError("q must be a positive integer")
-    a = [int(x) for x in a]
+    a = [integer(x, "a weight") for x in a]
     gen = [Fraction(x, q) for x in a]
     lat = Lattice.from_generators(len(a), [gen])
     return germ_normalize(lat, [0] * len(a))
@@ -349,9 +345,12 @@ def px_mld_formula(x) -> Fraction:
 
 
 def cartier_index(germ: ToricGerm) -> int:
-    """Smallest r >= 1 with r*(1-b_1,...,1-b_d) in the dual lattice."""
+    """Smallest r >= 1 with r*(1-b_1,...,1-b_d) in the dual lattice M: the
+    weights are wn / wd with gcd(wd, wn) = 1 and M lies in Z^d, so r is wd
+    times ``Lattice.dual_order(wn)``, which divides the index [Z^d : M]."""
     wn, wd = germ._weight_ints
-    for k in _divisors(germ.lattice.index):
-        if germ.lattice.dual_contains_int([k * c for c in wn]):
-            return wd * k
-    raise ModelViolation("order of the weight vector must divide the index")
+    lat = germ.lattice
+    k = lat.dual_order(wn)
+    if lat.index % k:
+        raise ModelViolation("order of the weight vector must divide the index")
+    return wd * k

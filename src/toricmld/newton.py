@@ -17,152 +17,26 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm, prod
+from math import lcm
 from operator import itemgetter, mul
 
-from .errors import DimensionMismatch, InputError, ModelViolation, NotInLattice, ResourceLimit
+from .errors import DimensionMismatch, InputError, ModelViolation, NotInLattice
 from .germ import ToricGerm, log_discrepancy_of_valuation
 from .lattice import Lattice
 from .linprog import OPTIMAL, solve_lp_max_slack
-from .rationals import IntVec, QVec, qvec, rat, rat_str
+from .rationals import IntVec, QVec, integer, qvec, rat, rat_str
 
 CAP_ONE = "cap-one"
 RAY = "ray"
 
-# Largest box prod (c_i + 1) that ``dual_hilbert_basis`` marks out, as Python-int
-# bitsets of that many bits.  Since c_i <= index, it admits every lattice up to
-# index 255 in dimension 3 and 63 in dimension 4; near the cap one call took
-# under half a second and 50 MB (2.1 GHz Xeon vCPU, Python 3.11).
-BOX_CAP = 2**24
-
-
 # -- dual monoid generators -----------------------------------------------------
-
-
-def _ray_orders(lat: Lattice) -> tuple[int, ...]:
-    """Smallest positive c_i with c_i * e_i in the dual lattice.
-
-    k * e_i pairs integrally with the lattice exactly when den divides k times
-    every entry of column i of ``int_rows``, that is, when den / gcd(den,
-    column i) divides k.
-    """
-    den = lat.den
-    return tuple(den // gcd(den, *(row[i] for row in lat.int_rows)) for i in range(lat.dim))
-
-
-def _box_bits(rows: list[IntVec], c: IntVec, strides: IntVec) -> int:
-    """Bitset of the lattice points in the box prod [0, c_i]; the point x is
-    bit sum x_i * strides[i] in the mixed radix (c_i + 1) whose last
-    coordinate is fastest (stride 1).
-
-    ``rows`` is an upper-triangular basis of the lattice with positive
-    pivots.  The walk fixes one coordinate at a time along it: once
-    x_0..x_{i-1} are fixed, the coefficients of rows 0..i-1 are too, and x_i
-    runs through v_i + k * pivot_i for the partial sum v of those rows, so
-    only lattice points are ever visited.  The last coordinate of each fixed
-    prefix is a whole progression, taken at once from a comb of bits one
-    pivot apart; the lines are then joined pairwise, so each bit is copied
-    O(log lines) times rather than once per line.  Prefixes are kept as
-    parallel lists of integers, not one tuple each: that allocates far fewer
-    objects, and the walk ran about 2.5 times faster on the d = 3, index <= 20
-    lattices.
-    """
-    d = len(c)
-    offsets = [0]  # bit offset of each fixed prefix x_0..x_{i-1}
-    sums = [[0] for _ in range(d)]  # sums[j][s]: coordinate j of prefix s's partial sum v
-    for i in range(d - 1):
-        piv, ci, st = rows[i][i], c[i], strides[i]
-        parents, ks, next_offsets = [], [], []
-        for s, vi in enumerate(sums[i]):
-            x = vi % piv  # smallest x_i in [0, c_i] of the form v_i + k * piv
-            n = (ci - x) // piv + 1
-            k0 = (x - vi) // piv
-            parents += [s] * n
-            ks += range(k0, k0 + n)
-            start = offsets[s] + x * st
-            next_offsets += range(start, start + n * piv * st, piv * st)
-        offsets = next_offsets
-        sums = [None] * (i + 1) + [
-            [sums[j][s] + k * rows[i][j] for s, k in zip(parents, ks)] for j in range(i + 1, d)
-        ]
-    piv, last = rows[-1][-1], c[-1]
-    line = (1 << (last + 1)) - 1
-    comb = sum(1 << x for x in range(0, last + 1, piv))
-    lines = [(comb << (v % piv)) & line for v in sums[-1]]
-    while len(lines) > 1:
-        joined = [a | b << (q - p) for a, b, p, q in zip(lines[::2], lines[1::2], offsets[::2], offsets[1::2])]
-        lines, offsets = joined + lines[2 * len(joined) :], offsets[::2]
-    return lines[0] << offsets[0]
-
-
-def _block_mask(total: int, block: int, run: int) -> int:
-    """Bitset of ``total`` bits whose every ``block``-bit block (``block``
-    divides ``total``) has exactly its low ``run`` bits set."""
-    mask, width = (1 << run) - 1, block
-    while width < total:
-        mask |= mask << width
-        width *= 2
-    return mask & ((1 << total) - 1)
 
 
 def dual_hilbert_basis(germ: ToricGerm) -> tuple[IntVec, ...]:
     """Minimal generating set of the monoid (dual lattice) cap (dual orthant),
     sorted lexicographically; computed once per lattice
-    (``Lattice.hilbert_basis``, by ``_hilbert_basis``)."""
+    (``Lattice.hilbert_basis``)."""
     return germ.lattice.hilbert_basis
-
-
-def _hilbert_basis(lat: Lattice) -> tuple[IntVec, ...]:
-    """The dual Hilbert basis of a lattice containing Z^d, sorted.
-
-    Every irreducible element lies in the box prod [0, c_i], where c_i e_i is
-    the primitive dual vector on ray i: anything beyond can shed a c_i e_i and
-    stay in the monoid.  The box is a bitset in mixed radix (c_i + 1), first
-    coordinate fastest, filled with the dual lattice points by a walk from
-    the last coordinate to the first (``_box_bits``) along the integer dual
-    basis of ``Lattice.dual_int_basis``, which is triangular in that order.
-
-    Reducibility criterion: a nonzero monoid point p is reducible exactly
-    when some nonzero monoid point q satisfies q <= p - e_k for some k.  If
-    p = q + r with q, r nonzero monoid points, then r >= 0 and r != 0, so
-    some r_k >= 1 and q <= p - e_k.  Conversely, q <= p - e_k gives q <= p
-    and q != p, so r = p - q is a nonzero lattice point of the orthant, that
-    is, a nonzero monoid point, and p = q + r.  Every such q lies in the box
-    with p.
-
-    So with D the down-closure "some nonzero monoid point is <= x", the
-    reducible points are the union over k of D shifted up by e_k.  D is the
-    prefix-OR of the nonzero points along every axis in turn, each done by
-    masked doubling shifts (distances 1, 2, 4, ... along the axis, masked so
-    that no bit leaves its line), and the basis is the nonzero points minus
-    the shifted copies: O(box * d * log c) bit operations on Python ints,
-    against the box cap ``BOX_CAP`` (``ResourceLimit`` above it).
-    """
-    c = _ray_orders(lat)
-    total = prod(ci + 1 for ci in c)
-    if total > BOX_CAP:
-        raise ResourceLimit(f"Hilbert basis box of {total} points exceeds the cap {BOX_CAP}")
-    strides = tuple(prod(cj + 1 for cj in c[:i]) for i in range(lat.dim))
-    walk_basis = [col[::-1] for col in reversed(lat.dual_int_basis())]
-    nonzero = _box_bits(walk_basis, c[::-1], strides[::-1]) & ~1
-    below = nonzero
-    for ci, st in zip(c, strides):
-        block = (ci + 1) * st
-        s = 1
-        while s <= ci:
-            below |= (below & _block_mask(total, block, (ci + 1 - s) * st)) << (s * st)
-            s *= 2
-    shifted = 0
-    for ci, st in zip(c, strides):
-        shifted |= (below & _block_mask(total, (ci + 1) * st, ci * st)) << st
-    digits = format(nonzero & ~shifted, "b")  # bit pos is digits[-1 - pos]
-    result = []
-    i = digits.rfind("1")
-    while i >= 0:
-        pos = len(digits) - 1 - i
-        result.append(tuple(pos // st % (ci + 1) for ci, st in zip(c, strides)))
-        i = digits.rfind("1", 0, i)
-    return tuple(sorted(result))
 
 
 # -- polyhedra -------------------------------------------------------------------
@@ -348,7 +222,7 @@ def lct_monomial(germ: ToricGerm, n) -> Fraction:
 def lct_fermat(dim: int, boundary, degrees) -> Fraction:
     """Threshold of x_1^{n_1} + ... + x_d^{n_d} on the standard germ."""
     germ = ToricGerm(Lattice.standard(dim), qvec(boundary, dim))
-    degrees = [int(n) for n in degrees]
+    degrees = [integer(n, "a degree") for n in degrees]
     if len(degrees) != dim or any(n < 1 for n in degrees):
         raise InputError("need one positive integer degree per coordinate")
     total = sum((Fraction(w, n) for w, n in zip(germ.weights, degrees)), start=Fraction(0))

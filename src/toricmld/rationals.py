@@ -12,7 +12,7 @@ from fractions import Fraction
 from math import lcm
 from typing import Iterable, Sequence
 
-from .errors import DimensionMismatch, MalformedRational
+from .errors import DimensionMismatch, InputError, MalformedRational
 
 Rat = Fraction
 QVec = tuple[Fraction, ...]
@@ -45,9 +45,18 @@ def rat(value) -> Fraction:
     raise MalformedRational(f"cannot interpret {value!r} as a rational")
 
 
+def integer(value, name: str) -> int:
+    """``value`` when it is a Python int and not a bool; anything else,
+    a float or a numeric string included, is an ``InputError`` rather than
+    a truncated or reparsed number."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise InputError(f"{name} must be an integer, got {value!r}")
+    return value
+
+
 def rat_str(value: Fraction) -> str:
-    """Render a Fraction as "n" or "p/q"."""
-    value = Fraction(value)
+    """Render a Fraction as "n" or "p/q"; ``value`` is read by ``rat``."""
+    value = rat(value)
     if value.denominator == 1:
         return str(value.numerator)
     return f"{value.numerator}/{value.denominator}"

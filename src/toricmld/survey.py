@@ -37,7 +37,7 @@ from .germ import (
 )
 from .lattice import Lattice, _dual_hnf_bases, enumerate_superlattices, hnf
 from .newton import lct_fermat, lct_general_member, lct_newton, newton_poly_from_exponents
-from .rationals import qvec, rat, rat_str
+from .rationals import integer, qvec, rat, rat_str
 
 ROW_CAP_DEFAULT = 10**6
 
@@ -75,10 +75,20 @@ def parse_germ(text: str | dict) -> ToricGerm:
 
 
 def _positive_int(value, name: str) -> int:
-    """A JSON integer >= 1; floats, booleans and strings are rejected."""
-    if type(value) is not int or value < 1:
+    """An int >= 1; floats, booleans and strings are rejected (``integer``)."""
+    if integer(value, name) < 1:
         raise InputError(f"{name} must be a positive integer, got {value!r}")
     return value
+
+
+def _coefficients(values) -> tuple[Fraction, ...]:
+    """Boundary coefficients read by ``rat``, deduplicated and sorted; each
+    must lie in [0,1]."""
+    coeffs = tuple(sorted({rat(b) for b in values}))
+    for b in coeffs:
+        if not 0 <= b <= 1:
+            raise InputError(f"boundary coefficient {b} outside [0,1]")
+    return coeffs
 
 
 def _json_list(value, name: str) -> list:
@@ -217,15 +227,12 @@ def run_survey(
     is built.  ``jobs`` below 1 is an input error, and above
     ``os.cpu_count()`` it is clamped to the core count.
     """
-    if jobs < 1:
+    if integer(jobs, "jobs") < 1:
         raise InputError(f"jobs must be at least 1, got {jobs}")
     jobs = min(jobs, os.cpu_count() or 1)
-    coeffs = sorted({rat(b) for b in boundary_set})
+    coeffs = _coefficients(boundary_set)
     if not coeffs:
         raise InputError("boundary set must be nonempty")
-    for b in coeffs:
-        if not 0 <= b <= 1:
-            raise InputError(f"boundary coefficient {b} outside [0,1]")
     assignments = list(product(coeffs, repeat=dim))
     count = _count_lattices((dim,), max_index, len(coeffs), ROW_CAP_DEFAULT, "survey")
 
@@ -375,44 +382,35 @@ class CorpusConfig:
     fail_fast: bool = False
     row_cap: int = ROW_CAP_DEFAULT
 
+    def __post_init__(self):
+        """Range checks on every field, however the config was built."""
+        object.__setattr__(self, "dims", tuple(_positive_int(d, "each of dims") for d in self.dims))
+        for key in ("max_index", "oracle_radius", "row_cap"):
+            _positive_int(getattr(self, key), key)
+        object.__setattr__(self, "boundary_set", _coefficients(self.boundary_set))
+        object.__setattr__(self, "minkowski_delta", rat(self.minkowski_delta))
+        if self.minkowski_delta <= 0:
+            raise InputError("minkowski_delta must be positive")
+        if not isinstance(self.fail_fast, bool):
+            raise InputError(f"fail_fast must be true or false, got {self.fail_fast!r}")
+
     @classmethod
     def from_dict(cls, doc: dict) -> "CorpusConfig":
-        """Config from a decoded JSON object; every field is optional, and
-        a wrong type, an out-of-range value or an unknown key is an input
-        error."""
+        """Config from a decoded JSON object, every field optional; an unknown
+        key, a non-list dims or boundary set or a bad value is an ``InputError``."""
         if not isinstance(doc, dict):
             raise InputError("corpus config must be a JSON object")
         unknown = sorted(set(doc) - {f.name for f in fields(cls)})
         if unknown:
             raise InputError(f"unknown corpus config keys: {unknown}")
-        kwargs = {}
-        if "dims" in doc:
-            kwargs["dims"] = tuple(_positive_int(d, "each of dims") for d in _json_list(doc["dims"], "dims"))
-        for key in ("max_index", "oracle_radius", "row_cap"):
-            if key in doc:
-                kwargs[key] = _positive_int(doc[key], key)
-        if "boundary_set" in doc:
-            coeffs = tuple(rat(b) for b in _json_list(doc["boundary_set"], "boundary_set"))
-            for b in coeffs:
-                if not 0 <= b <= 1:
-                    raise InputError(f"boundary coefficient {b} outside [0,1]")
-            kwargs["boundary_set"] = coeffs
-        if "minkowski_delta" in doc:
-            kwargs["minkowski_delta"] = rat(doc["minkowski_delta"])
-            if kwargs["minkowski_delta"] <= 0:
-                raise InputError("minkowski_delta must be positive")
-        if "fail_fast" in doc:
-            if not isinstance(doc["fail_fast"], bool):
-                raise InputError(f"fail_fast must be true or false, got {doc['fail_fast']!r}")
-            kwargs["fail_fast"] = doc["fail_fast"]
-        return cls(**kwargs)
+        return cls(**{k: _json_list(v, k) if k in ("dims", "boundary_set") else v for k, v in doc.items()})
 
 
 def corpus_germs(config: CorpusConfig):
     """The germs of the corpus in canonical order; a corpus of more than
     ``config.row_cap`` germs raises ``ResourceLimit`` before any lattice is
     built."""
-    coeffs = sorted(set(config.boundary_set))
+    coeffs = config.boundary_set
     _count_lattices(config.dims, config.max_index, len(coeffs), config.row_cap, "corpus")
     for d in config.dims:
         for lattice in _popped(enumerate_superlattices(d, config.max_index)):

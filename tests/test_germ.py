@@ -24,7 +24,8 @@ from toricmld.germ import (
     px_mld_formula,
     verify_minkowski,
 )
-from toricmld.lattice import Lattice, enumerate_superlattices, lattice_from_generators
+from toricmld.errors import ModelViolation
+from toricmld.lattice import Lattice, _divisors, enumerate_superlattices, lattice_from_generators
 
 
 def std(dim):
@@ -283,6 +284,26 @@ def test_cartier_examples():
     assert cartier_index(germ_cyclic_quotient(3, (1, 1))) == 3
     quarter = ToricGerm(lattice_from_generators(3, [(F(1, 4), F(2, 4), F(3, 4))]), (0, 0, 0))
     assert cartier_index(quarter) == 2
+
+
+def cartier_by_divisors(germ):
+    """Smallest r >= 1 with r * (1 - b) in the dual lattice, by trying
+    wd * k for each divisor k of the index in turn."""
+    wn, wd = germ._weight_ints
+    for k in _divisors(germ.lattice.index):
+        if germ.lattice.dual_contains_int([k * c for c in wn]):
+            return wd * k
+    raise ModelViolation("order of the weight vector must divide the index")
+
+
+def test_cartier_order_matches_the_divisor_scan(corpus_germs):
+    for germ in corpus_germs:
+        assert cartier_index(germ) == cartier_by_divisors(germ), germ
+    coeffs = [F(0), F(1, 2), F(2, 3), F(1)]
+    for lat in enumerate_superlattices(4, 4):
+        for b in product(coeffs, repeat=4):
+            germ = ToricGerm(lat, b)
+            assert cartier_index(germ) == cartier_by_divisors(germ), germ
 
 
 @given(st.lists(small_gen, max_size=2), st.tuples(small_coeff, small_coeff))

@@ -14,8 +14,8 @@ import pytest
 
 from toricmld.errors import ResourceLimit
 from toricmld.germ import ToricGerm, germ_cyclic_quotient
-from toricmld.lattice import enumerate_superlattices
-from toricmld.newton import BOX_CAP, _ray_orders, dual_hilbert_basis
+from toricmld.lattice import BOX_CAP, enumerate_superlattices
+from toricmld.newton import dual_hilbert_basis
 
 
 def scan_ray_orders(lat):
@@ -25,6 +25,12 @@ def scan_ray_orders(lat):
         next(k for k in range(1, lat.index + 1) if lat.dual_contains_int([k * (j == i) for j in range(d)]))
         for i in range(d)
     )
+
+
+def ray_orders(lat):
+    """``Lattice.dual_order`` of each standard basis vector."""
+    d = lat.dim
+    return tuple(lat.dual_order([int(j == i) for j in range(d)]) for i in range(d))
 
 
 def oracle_hilbert_basis(lat):
@@ -50,7 +56,7 @@ def zero_germ(lat):
 def test_ray_orders_closed_form_matches_scan(corpus_lattices):
     for d in (1, 2, 3):
         for lat in corpus_lattices[d]:
-            assert _ray_orders(lat) == scan_ray_orders(lat), lat
+            assert ray_orders(lat) == scan_ray_orders(lat), lat
 
 
 @pytest.mark.parametrize("d", [1, 2, 3])
@@ -61,7 +67,7 @@ def test_basis_matches_oracle_on_corpus(corpus_lattices, d):
 
 def test_basis_matches_oracle_in_dimension_four():
     for lat in enumerate_superlattices(4, 6):
-        assert _ray_orders(lat) == scan_ray_orders(lat), lat
+        assert ray_orders(lat) == scan_ray_orders(lat), lat
         assert dual_hilbert_basis(zero_germ(lat)) == oracle_hilbert_basis(lat), lat
 
 
@@ -93,7 +99,7 @@ def test_basis_matches_continued_fraction_for_cyclic_surfaces():
 
 def test_box_above_the_cap_raises_before_walking():
     germ = germ_cyclic_quotient(100003, (1, 2, 5))
-    assert _ray_orders(germ.lattice) == (100003,) * 3 and 100004**3 > BOX_CAP
+    assert ray_orders(germ.lattice) == (100003,) * 3 and 100004**3 > BOX_CAP
     with pytest.raises(ResourceLimit):
         dual_hilbert_basis(germ)
     assert "dual" not in germ.lattice.__dict__, "the dual lattice must not even be built"

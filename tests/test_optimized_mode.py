@@ -45,15 +45,24 @@ def _deferred_imports(tree):
 
 def test_only_import_cycles_defer_an_import():
     """A module imports from the package inside a function only where a
-    cycle forces it: the per-lattice Hilbert basis (lattice, which newton
-    imports, reaches newton) and the per-germ general-member intersection
-    (germ, which flat imports, reaches flat)."""
+    cycle forces it: the per-germ general-member intersection (germ, which
+    flat imports, reaches flat)."""
     found = sorted(
         f"{path.name}:{name}:{module}"
         for path in PACKAGE.rglob("*.py")
         for name, module in _deferred_imports(ast.parse(path.read_text(encoding="utf-8"), filename=str(path)))
     )
-    assert found == ["germ.py:general_member_intersection:flat", "lattice.py:hilbert_basis:newton"]
+    assert found == ["germ.py:general_member_intersection:flat"]
+
+
+def test_lattice_imports_only_errors_and_rationals():
+    """The lattice layer, dual lattice and Hilbert basis included, sits
+    below every other module: it imports from the package, at module or
+    function level, only the exceptions and the rational helpers."""
+    path = PACKAGE / "lattice.py"
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    modules = {node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) and node.level}
+    assert modules == {"errors", "rationals"}
 
 
 def test_check_gives_the_same_report_under_optimize(tmp_path):

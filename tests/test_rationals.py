@@ -2,8 +2,9 @@ from fractions import Fraction as F
 
 import pytest
 
-from toricmld.errors import DimensionMismatch, MalformedRational
-from toricmld.rationals import common_denominator, qvec, rat, rat_str, scaled_int_vector
+import toricmld
+from toricmld.errors import DimensionMismatch, InputError, MalformedRational
+from toricmld.rationals import common_denominator, integer, qvec, rat, rat_str, scaled_int_vector
 
 
 def test_rat_parsing():
@@ -25,6 +26,20 @@ def test_rat_str_round_trip():
         assert rat(rat_str(value)) == value
 
 
+def test_rat_str_reads_through_rat():
+    """A float printed its binary expansion, 0.1 as 3602879701896397/36028797018963968."""
+    assert rat_str(3) == "3" and rat_str("2/4") == "1/2"
+    with pytest.raises(MalformedRational):
+        rat_str(0.1)
+
+
+def test_integer_accepts_ints_only():
+    assert integer(-4, "n") == -4
+    for bad in (1.0, 1.5, True, "1", None, F(2)):
+        with pytest.raises(InputError):
+            integer(bad, "n")
+
+
 def test_qvec_dim_check():
     with pytest.raises(DimensionMismatch):
         qvec(["1", "2"], 3)
@@ -37,3 +52,28 @@ def test_denominator_clearing():
     assert scaled_int_vector(vecs[0], den) == (6, 4)
     with pytest.raises(ValueError):
         scaled_int_vector((F(1, 5),), 12)
+
+
+def _cyclic():
+    return toricmld.germ_cyclic_quotient(5, (1, 2, 3))
+
+
+INTEGER_ARGUMENTS = {
+    "cyclic-quotient-weight": lambda: toricmld.germ_cyclic_quotient(5, (1.5, 2, 3)),
+    "cyclic-quotient-order": lambda: toricmld.germ_cyclic_quotient(2.5, (1, 1)),
+    "face-float": lambda: toricmld.mld_face(_cyclic(), [1.7, 2]),
+    "face-string": lambda: toricmld.mld_face(_cyclic(), ["1"]),
+    "face-letter": lambda: toricmld.mld_face(_cyclic(), ["a"]),
+    "fermat-degree": lambda: toricmld.lct_fermat(2, (0, 0), (2.5, 3)),
+    "state-divisor": lambda: toricmld.state_value(toricmld.FlatState(_cyclic(), (F(1, 2),)), (0, 0, 0), [1.5]),
+    "survey-jobs": lambda: toricmld.run_survey(2, 3, [0], jobs=1.5),
+    "projection-coordinate": lambda: toricmld.project_drop_coord(toricmld.Lattice.standard(3), 1.5),
+}
+
+
+@pytest.mark.parametrize("call", INTEGER_ARGUMENTS.values(), ids=INTEGER_ARGUMENTS.keys())
+def test_integer_arguments_are_checked_not_truncated(call):
+    """Each call truncated its argument (1.5 to 1, "1" to 1) and returned a
+    value, or raised TypeError or a bare ValueError."""
+    with pytest.raises(InputError, match="must be an integer"):
+        call()

@@ -368,6 +368,13 @@ def test_verify_catches_corrupted_lattice():
     assert report["failures"] and report["failures"][0]["problems"]
 
 
+@pytest.mark.parametrize("field", [{"oracle_radius": 0}, {"minkowski_delta": 0}])
+def test_corpus_config_checks_its_own_fields(field):
+    """Built directly, such a config ran, and every germ "failed" (status 2)."""
+    with pytest.raises(InputError):
+        verify_corpus(CorpusConfig(dims=(1,), max_index=2, **field))
+
+
 def test_corpus_config_from_dict():
     cfg = CorpusConfig.from_dict({"dims": [2], "max_index": 3, "boundary_set": ["0", "1/2"], "fail_fast": True})
     assert cfg.dims == (2,) and cfg.max_index == 3
