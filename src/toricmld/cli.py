@@ -167,7 +167,13 @@ def build_parser() -> _Parser:
     p.add_argument("-i", "--input", required=True)
     p.add_argument("--face", help="comma-separated 1-based support, e.g. 1,3")
     p.add_argument("--global", dest="global_", action="store_true", help="minimum over all faces")
-    p.add_argument("--oracle-radius", type=int, default=0, help="cross-check by brute force up to this radius")
+    p.add_argument(
+        "--oracle-radius",
+        type=int,
+        default=0,
+        help="cross-check by brute force up to this radius; weights are >= 0, so any radius >= 1 gives the same"
+        " value; it reads the coset residues apart from the face table, and the tests check those residues",
+    )
     p.add_argument("--out")
     p.set_defaults(fn=_cmd_mld)
 

@@ -94,9 +94,15 @@ class FaceTable:
     def value(self, support: tuple[int, ...]) -> Fraction:
         return Fraction(self.entries[support][0], self.scale)
 
+    def scaled(self, support: tuple[int, ...]) -> tuple[int, tuple[IntVec, ...]]:
+        """The face value times ``scale``, and the den-scaled minimizers."""
+        return self.entries[support]
+
+    def witness(self, row: IntVec) -> QVec:
+        return tuple(Fraction(c, self.den) for c in row)
+
     def witnesses(self, support: tuple[int, ...]) -> tuple[QVec, ...]:
-        den = self.den
-        return tuple(tuple(Fraction(c, den) for c in row) for row in self.entries[support][1])
+        return tuple(map(self.witness, self.entries[support][1]))
 
     def minimizing_support(self, min_codim: int = 1) -> tuple[int, ...] | None:
         """First support of codimension >= ``min_codim`` with the least
@@ -273,15 +279,16 @@ def mld_bruteforce_oracle(germ: ToricGerm, face, radius: int) -> Fraction:
     """Exhaustive minimum over lattice points with coordinates in (0, radius]
     on the support and 0 off it, by direct coset-shift enumeration.
 
-    Read from the coset residues themselves, apart from the face table: each
-    den-scaled residue u vanishing off S is shifted on S, a zero entry over
-    den, 2 den, .., radius den and any other entry over u_j + s den for s in
-    [0, radius).  Each shifted point's value is a sum of per-coordinate
-    terms chosen independently, so the least value over all shifts of u is
-    the sum of the least term of each coordinate: linear in the radius, and
-    the same exhaustive minimum for any term values.
+    Its independence of the face table rests on reading the coset residues
+    ``rep_ints`` apart from ``box_candidates``, and on the tests checking
+    ``rep_ints`` against a closure oracle.  Each den-scaled residue u that
+    vanishes off S is shifted on S, a zero entry over den, .., radius den and
+    any other over u_j + s den for s in [0, radius).  A shifted point's value
+    sums per-coordinate terms chosen independently, so the least value is the
+    sum of each coordinate's least term.  Weights are >= 0, so that is the
+    first term, and the value is the same at every radius >= 1.
     """
-    if radius < 1:
+    if integer(radius, "radius") < 1:
         raise InputError("radius must be >= 1")
     face = Face.coerce(face, germ.dim)
     lat = germ.lattice

@@ -132,7 +132,7 @@ class Lattice:
     @classmethod
     def from_generators(cls, dim: int, gens) -> "Lattice":
         """Z^dim + sum of Z*gen over the given rational generators."""
-        if dim < 1:
+        if integer(dim, "dim") < 1:
             raise InputError("dimension must be positive")
         rows = [qvec(g, dim) for g in gens]
         rows += [tuple(Fraction(int(i == j)) for j in range(dim)) for i in range(dim)]
@@ -580,7 +580,7 @@ def _ordered_factorizations(n: int, parts: int):
 def _dual_hnf_bases(dim: int, max_index: int):
     """(n, HNF basis) of the dual of each lattice ``enumerate_superlattices``
     returns, n its index, in increasing n; counting them builds no lattice."""
-    if dim < 1 or max_index < 1:
+    if integer(dim, "dim") < 1 or integer(max_index, "max_index") < 1:
         raise InputError("dim and max_index must be positive")
     return ((n, rows) for n in range(1, max_index + 1) for rows in _hnf_tuples_with_unit_columns(dim, n))
 

@@ -21,6 +21,7 @@ from dataclasses import dataclass, fields
 from fractions import Fraction
 from hashlib import sha256
 from itertools import permutations, product
+from operator import mul
 
 from .adjunction import check_lower_semicontinuity, check_precise_inversion, check_shokurov_bounds
 from .errors import CheckFailed, InputError, ResourceLimit
@@ -37,7 +38,7 @@ from .germ import (
 )
 from .lattice import Lattice, _dual_hnf_bases, enumerate_superlattices, hnf
 from .newton import lct_fermat, lct_general_member, lct_newton, newton_poly_from_exponents
-from .rationals import integer, qvec, rat, rat_str
+from .rationals import integer, qvec, qvec_str, rat, rat_str
 
 ROW_CAP_DEFAULT = 10**6
 
@@ -112,7 +113,7 @@ class SurveyRow:
     boundary: tuple[str, ...]
     mld_point: Fraction
     mld_global: Fraction
-    mld_exceptional: Fraction | None  # min over codim >= 2 faces; None in dim 1
+    mld_exceptional: Fraction | None  # min over codim >= 2 faces, the exceptional valuations; None in dim 1
     witnesses: tuple[str, ...]
     cartier: int
     lsc_ok: bool
@@ -154,36 +155,24 @@ class SurveyRow:
         )
 
 
-def exceptional_mld(germ: ToricGerm) -> Fraction | None:
-    """Minimum over the faces of codimension at least 2 (the valuations that
-    are genuinely exceptional over the germ); None in dimension 1, where no
-    such valuation exists."""
-    table = germ.face_table
-    support = table.minimizing_support(min_codim=2)
-    return None if support is None else table.value(support)
-
-
 def _survey_row(germ: ToricGerm) -> SurveyRow:
     point = mld_face(germ, full_face(germ.dim))
-    glob = mld_global(germ)
-    pia: bool | None = None
-    if germ.dim >= 2:
-        ones = [i + 1 for i, b in enumerate(germ.boundary) if b == 1]
-        if ones:
-            pia = all(check_precise_inversion(germ, i).passed for i in ones)
+    table = germ.face_table
+    exceptional = table.minimizing_support(min_codim=2)  # None in dimension 1
+    ones = [i + 1 for i, b in enumerate(germ.boundary) if b == 1] if germ.dim >= 2 else []
     return SurveyRow(
         germ_id=germ_id(germ),
         dim=germ.dim,
         index=germ.lattice.index,
         boundary=tuple(rat_str(b) for b in germ.boundary),
         mld_point=point.value,
-        mld_global=glob.value,
-        mld_exceptional=exceptional_mld(germ),
-        witnesses=tuple("(" + ",".join(rat_str(c) for c in w) + ")" for w in point.witnesses),
+        mld_global=mld_global(germ).value,
+        mld_exceptional=None if exceptional is None else table.value(exceptional),
+        witnesses=tuple(map(qvec_str, point.witnesses)),
         cartier=cartier_index(germ),
         lsc_ok=check_lower_semicontinuity(germ).passed,
         bounds_ok=check_shokurov_bounds(germ).passed,
-        pia_ok=pia,
+        pia_ok=all(check_precise_inversion(germ, i).passed for i in ones) if ones else None,
         lct_general=lct_general_member(germ).lct,
     )
 
@@ -233,13 +222,8 @@ def run_survey(
     coeffs = _coefficients(boundary_set)
     if not coeffs:
         raise InputError("boundary set must be nonempty")
-    assignments = list(product(coeffs, repeat=dim))
-    count = _count_lattices((dim,), max_index, len(coeffs), ROW_CAP_DEFAULT, "survey")
-
-    def task(lattice: Lattice):
-        return lattice, _orbit_representatives(lattice, assignments) if mod_permutations else assignments
-
-    tasks = map(task, _popped(enumerate_superlattices(dim, max_index)))
+    pick = _orbit_representatives if mod_permutations else None
+    count, tasks = _lattice_stream((dim,), max_index, coeffs, ROW_CAP_DEFAULT, "survey", pick)
     if jobs == 1:
         return [row for chunk in map(_rows_for_lattice, tasks) for row in chunk]
     import multiprocessing as mp
@@ -253,28 +237,28 @@ def run_survey(
         return [row for chunk in pool.imap(_rows_for_lattice, tasks, chunksize) for row in chunk]
 
 
-def _count_lattices(dims, max_index: int, coeffs: int, cap: int, what: str) -> int:
-    """Number of lattices that ``enumerate_superlattices`` returns over
-    ``dims``, counted on their dual HNF bases, so no lattice is built.  Each
-    lattice of dimension d carries coeffs**d rows; ``ResourceLimit`` at the
-    first lattice that takes the rows past ``cap``."""
-    lattices = rows = 0
+def _lattice_stream(dims, max_index: int, coeffs, cap: int, what: str, pick=None):
+    """The number of lattices ``enumerate_superlattices`` returns over
+    ``dims``, counted on their dual HNF bases and checked against ``cap``
+    before any is built, and a stream of each lattice with its boundaries
+    (those ``pick`` keeps), dropped from its list so its tables are freed."""
+    count = rows = 0
     for d in dims:
         for _ in _dual_hnf_bases(d, max_index):
-            lattices += 1
-            rows += coeffs**d
+            count += 1
+            rows += len(coeffs) ** d
             if rows > cap:
                 raise ResourceLimit(f"{what} exceeds the row cap {cap}")
-    return lattices
 
+    def stream():
+        for d in dims:
+            assignments = list(product(coeffs, repeat=d))
+            lattices = enumerate_superlattices(d, max_index)
+            for i, lattice in enumerate(lattices):
+                lattices[i] = None
+                yield lattice, pick(lattice, assignments) if pick else assignments
 
-def _popped(lattices: list[Lattice]):
-    """The lattices in order, each dropped from the list as it is yielded,
-    so no finished lattice stays referenced and its tables are freed with
-    its rows."""
-    lattices.reverse()
-    while lattices:
-        yield lattices.pop()
+    return count, stream()
 
 
 def rows_to_csv(rows) -> str:
@@ -410,41 +394,42 @@ def corpus_germs(config: CorpusConfig):
     """The germs of the corpus in canonical order; a corpus of more than
     ``config.row_cap`` germs raises ``ResourceLimit`` before any lattice is
     built."""
-    coeffs = config.boundary_set
-    _count_lattices(config.dims, config.max_index, len(coeffs), config.row_cap, "corpus")
-    for d in config.dims:
-        for lattice in _popped(enumerate_superlattices(d, config.max_index)):
-            for b in product(coeffs, repeat=d):
-                yield ToricGerm(lattice, b)
+    _, stream = _lattice_stream(config.dims, config.max_index, config.boundary_set, config.row_cap, "corpus")
+    return (ToricGerm(lattice, b) for lattice, assignments in stream for b in assignments)
 
 
 def _check_germ(germ: ToricGerm, config: CorpusConfig) -> list[str]:
+    """The survey row plus the oracle, witness, divisibility, dilation and
+    closed-form checks.  A den-scaled minimizer u of scaled minimum m is
+    checked in integers: wn . u == m, u pairs to 0 mod den with the dual
+    basis (apart from the walk that built u), and scale | cartier * m."""
     problems = []
-    point = mld_face(germ, full_face(germ.dim))
-    table = germ.face_table
+    row = _survey_row(germ)
+    table, (wn, _) = germ.face_table, germ._weight_ints
+    dual = germ.lattice.dual_int_basis()
     for support in table.supports():
         value = table.value(support)
         oracle = mld_bruteforce_oracle(germ, support, config.oracle_radius)
         if value != oracle:
             problems.append(f"oracle mismatch on face {support}: {value} vs {oracle}")
-        for w in table.witnesses(support):
-            if value != germ.log_discrepancy(w):
-                problems.append(f"witness {w} does not attain the face value")
-            if not germ.lattice.contains(w):
-                problems.append(f"witness {w} is outside the lattice")
-    if not check_lower_semicontinuity(germ).passed:
+        m, minimizers = table.scaled(support)
+        for u in minimizers:
+            if sum(map(mul, wn, u)) != m:
+                problems.append(f"witness {table.witness(u)} does not attain the face value")
+            if any(sum(map(mul, u, col)) % table.den for col in dual):
+                problems.append(f"witness {table.witness(u)} is outside the lattice")
+    if not row.lsc_ok:
         problems.append("lower semicontinuity inequality failed")
-    if not check_shokurov_bounds(germ).passed:
+    if not row.bounds_ok:
         problems.append("dimension bound check failed")
-    r = cartier_index(germ)
     for support in table.supports():
-        if (r * table.value(support)).denominator != 1:
+        if row.cartier * table.scaled(support)[0] % table.scale:
             problems.append(f"index divisibility failed on face {support}")
-    if not verify_minkowski(germ, point.value, config.minkowski_delta):
+    if not verify_minkowski(germ, row.mld_point, config.minkowski_delta):
         problems.append("lattice-point-free dilation check failed")
-    for i, b in enumerate(germ.boundary, start=1):
-        if b == 1 and germ.dim >= 2:
-            if not check_precise_inversion(germ, i).passed:
+    if row.pia_ok is False:
+        for i, b in enumerate(germ.boundary, start=1):
+            if b == 1 and not check_precise_inversion(germ, i).passed:
                 problems.append(f"adjunction equality failed on divisor {i}")
     if germ.lattice.index == 1:
         degrees = tuple((i % 3) + 1 for i in range(germ.dim))
@@ -454,7 +439,7 @@ def _check_germ(germ: ToricGerm, config: CorpusConfig) -> list[str]:
         )
         if closed != lct_newton(poly).lct:
             problems.append("closed-form threshold disagrees with the ray program")
-    lct = lct_general_member(germ).lct
+    lct = row.lct_general
     if all(b == 1 for b in germ.boundary):
         if lct != 0:
             problems.append("zero weights must give a zero general-member threshold")

@@ -1,0 +1,149 @@
+"""The `check` battery: its failure messages, the invariants it reads off the
+survey row, the oracle's independence of its radius, and byte-identical
+reports."""
+from dataclasses import replace
+from fractions import Fraction as F
+from hashlib import sha256
+
+from toricmld import cli
+from toricmld.adjunction import CheckReport
+from toricmld.germ import ToricGerm, germ_cyclic_quotient, mld_bruteforce_oracle
+from toricmld.lattice import Lattice
+from toricmld.survey import CorpusConfig, _check_germ, corpus_germs, verify_corpus
+
+# sha256 of the outputs below, recorded before the check battery was rebuilt
+# on the survey row; any change to a report or a survey shows here.
+DIGESTS = {
+    "check": "daf6c958425655c7179be592380b048a814029eb786658fa61738243b7909c98",
+    "csv": "701ff4d9984473c2338927abde7ab73835d243fc71d2ee271957acd124c099de",
+    "json": "ce42c348eaae4ff986d5b57238168b49cd46de90ceafaf74a6175dc0e12b2ac4",
+}
+
+
+def test_check_and_survey_outputs_are_byte_identical(tmp_path):
+    config = tmp_path / "cfg.json"
+    config.write_text('{"max_index": 4}')
+    survey = ["survey", "--dim", "3", "--max-index", "8", "--boundary-set", "0,1/2,1"]
+    runs = {
+        "check": ["check", "--corpus-config", str(config)],
+        "csv": survey,
+        "json": survey + ["--json"],
+    }
+    for name, argv in runs.items():
+        out = tmp_path / name
+        assert cli.main(argv + ["--out", str(out)]) == 0
+        assert sha256(out.read_bytes()).hexdigest() == DIGESTS[name], name
+
+
+# -- failure messages ---------------------------------------------------------------
+
+
+def with_entry(germ, support, scaled, rows):
+    """The germ with one face-table entry replaced (the table is a cached
+    field, so it is swapped in place of the computed one)."""
+    table = germ.face_table
+    entries = dict(table.entries)
+    entries[support] = (scaled, rows)
+    vars(germ)["face_table"] = replace(table, entries=entries)
+    return germ
+
+
+def test_a_minimizer_off_the_lattice_is_reported_with_its_fraction_vector():
+    # N = Z^2 + Z(1/3, 2/3), weights (1, 1/2): scale 6, full-face minimum 4 at
+    # (1, 2)/3; (2, 0)/3 has the same value but is no lattice point
+    germ = ToricGerm(germ_cyclic_quotient(3, (1, 2)).lattice, (0, F(1, 2)))
+    scaled, rows = germ.face_table.entries[(1, 2)]
+    assert (scaled, rows, germ.face_table.scale) == (4, ((1, 2),), 6)
+    with_entry(germ, (1, 2), 4, ((1, 2), (2, 0)))
+    assert _check_germ(germ, CorpusConfig()) == [
+        "witness (Fraction(2, 3), Fraction(0, 1)) is outside the lattice",
+    ]
+
+
+def test_a_wrong_scaled_minimum_is_reported_on_every_minimizer():
+    germ = ToricGerm(germ_cyclic_quotient(3, (1, 2)).lattice, (0, F(1, 2)))
+    with_entry(germ, (1, 2), 5, ((1, 2),))
+    assert _check_germ(germ, CorpusConfig()) == [
+        "oracle mismatch on face (1, 2): 5/6 vs 2/3",
+        "witness (Fraction(1, 3), Fraction(2, 3)) does not attain the face value",
+        "lattice-point-free dilation check failed",
+    ]
+
+
+def test_a_broken_divisibility_names_each_face_it_breaks_on(monkeypatch):
+    # face values 1, 1/2 and 2/3; a claimed index of 1 clears only the first
+    import toricmld.survey as survey
+
+    germ = ToricGerm(germ_cyclic_quotient(3, (1, 2)).lattice, (0, F(1, 2)))
+    assert survey.cartier_index(germ) == 6
+    monkeypatch.setattr(survey, "cartier_index", lambda germ: 1)
+    assert _check_germ(germ, CorpusConfig()) == [
+        "index divisibility failed on face (2,)",
+        "index divisibility failed on face (1, 2)",
+    ]
+
+
+def test_a_failed_inversion_names_only_its_divisor(monkeypatch):
+    import toricmld.survey as survey
+
+    real = survey.check_precise_inversion
+
+    def fail_on_two(germ, divisor):
+        return CheckReport(False, ()) if divisor == 2 else real(germ, divisor)
+
+    monkeypatch.setattr(survey, "check_precise_inversion", fail_on_two)
+    germ = ToricGerm(germ_cyclic_quotient(5, (1, 2, 3)).lattice, (1, 1, 0))
+    assert _check_germ(germ, CorpusConfig()) == ["adjunction equality failed on divisor 2"]
+
+
+# -- what one check computes --------------------------------------------------------
+
+
+def test_each_invariant_runs_once_per_checked_germ(monkeypatch):
+    import toricmld.survey as survey
+
+    names = (
+        "_survey_row",
+        "mld_face",
+        "mld_global",
+        "cartier_index",
+        "check_lower_semicontinuity",
+        "check_shokurov_bounds",
+        "lct_general_member",
+        "check_precise_inversion",
+    )
+    calls = dict.fromkeys(names, 0)
+    for name in names:
+
+        def counted(*args, _fn=getattr(survey, name), _name=name):
+            calls[_name] += 1
+            return _fn(*args)
+
+        monkeypatch.setattr(survey, name, counted)
+    for cls, name in ((Lattice, "contains"), (ToricGerm, "log_discrepancy")):
+
+        def refused(*args, _name=name):
+            raise AssertionError(f"{_name} called on a passing corpus")
+
+        monkeypatch.setattr(cls, name, refused)
+    config = CorpusConfig(dims=(1, 2, 3), max_index=3, boundary_set=(0, F(1, 2), 1))
+    germs = list(corpus_germs(config))
+    status, report = verify_corpus(config)
+    assert status == 0 and report["checked"] == len(germs)
+    ones = sum(germ.boundary.count(1) for germ in germs if germ.dim >= 2)
+    assert calls.pop("check_precise_inversion") == ones
+    assert calls == dict.fromkeys(calls, len(germs))
+
+
+# -- the oracle ---------------------------------------------------------------------
+
+
+def test_the_oracle_does_not_depend_on_its_radius():
+    """Weights are >= 0, so shifting a point further out never lowers its
+    value: the oracle reads the same minimum at every radius >= 1, and that
+    minimum is the face table's."""
+    for germ in corpus_germs(CorpusConfig(max_index=6)):
+        table = germ.face_table
+        for support in table.supports():
+            value = table.value(support)
+            assert [mld_bruteforce_oracle(germ, support, r) for r in (1, 3, 10)] == [value] * 3, (germ, support)

@@ -6,8 +6,8 @@ from itertools import permutations, product
 import pytest
 
 from toricmld.errors import InputError, MalformedRational, ResourceLimit
-from toricmld.germ import ToricGerm, germ_cyclic_quotient
-from toricmld.lattice import Lattice, enumerate_superlattices
+from toricmld.germ import ToricGerm, germ_cyclic_quotient, mld_bruteforce_oracle
+from toricmld.lattice import Lattice, enumerate_superlattices, lattice_from_generators
 from toricmld.rationals import rat_str
 from toricmld.survey import (
     CorpusConfig,
@@ -171,6 +171,23 @@ def test_survey_validation():
         run_survey(2, 2, [])
     with pytest.raises(InputError):
         run_survey(2, 2, [F(3, 2)])
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: mld_bruteforce_oracle(germ_cyclic_quotient(3, (1, 2)), (1, 2), 1.5),
+        lambda: run_survey(2, 2.5, [0]),
+        lambda: run_survey(2.0, 2, [0]),
+        lambda: enumerate_superlattices(2, 2.5),
+        lambda: enumerate_superlattices(2.0, 2),
+        lambda: lattice_from_generators(2.0, []),
+    ],
+    ids=["oracle-radius", "survey-index", "survey-dim", "enumerate-index", "enumerate-dim", "generators-dim"],
+)
+def test_float_radius_dim_and_index_are_input_errors(call):
+    with pytest.raises(InputError, match="must be an integer"):
+        call()
 
 
 def test_survey_determinism_and_formats():
