@@ -13,7 +13,7 @@ from fractions import Fraction
 
 from .errors import InputError
 from .germ import ToricGerm, full_face, germ_document, germ_normalize, mld_face
-from .rationals import rat_str
+from .rationals import integer, rat_str
 
 
 @dataclass(frozen=True)
@@ -42,7 +42,7 @@ def adjoin_invariant_divisor(germ: ToricGerm, divisor: int) -> AdjunctionResult:
     d = germ.dim
     if d < 2:
         raise InputError("adjunction needs dimension at least 2")
-    if not 1 <= divisor <= d:
+    if not 1 <= integer(divisor, "divisor") <= d:
         raise InputError(f"divisor index {divisor} out of range 1..{d}")
     if germ.boundary[divisor - 1] != 1:
         raise InputError("adjunction requires boundary coefficient 1 on the chosen divisor")

@@ -56,6 +56,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from operator import mul
 
 from .errors import AlreadyFlat, InputError, ModelViolation, NotLogCanonical
@@ -84,7 +85,7 @@ class FlatState:
     def members(self) -> int:
         return len(self.gammas)
 
-    @property
+    @cached_property
     def total(self) -> Fraction:
         return sum(self.gammas, start=Fraction(0))
 

@@ -43,14 +43,18 @@ class Face:
     support: tuple[int, ...]
 
     def __post_init__(self):
-        sup = tuple(sorted(set(integer(i, "a face support entry") for i in self.support)))
+        try:
+            entries = iter(self.support)
+        except TypeError:
+            raise InputError(f"a face support must be a collection of integers, got {self.support!r}") from None
+        sup = tuple(sorted(set(integer(i, "a face support entry") for i in entries)))
         if not sup:
             raise InputError("a face needs a nonempty support")
         object.__setattr__(self, "support", sup)
 
     @classmethod
     def coerce(cls, value, dim: int) -> "Face":
-        face = value if isinstance(value, Face) else cls(tuple(value))
+        face = value if isinstance(value, Face) else cls(value)
         if face.support[0] < 1 or face.support[-1] > dim:
             raise InputError(f"face support {face.support} out of range 1..{dim}")
         return face

@@ -250,14 +250,19 @@ class Lattice:
         ``rep_ints`` that vanish off S, with their zeros on S lifted to den.
 
         One pass over the residues; a residue with support exactly S is its
-        own candidate there.
+        own candidate there.  A residue of support m lies in the 2^(d - |m|)
+        faces containing m (2^d - 1 when m is empty), and more rows than
+        ``TABLE_CAP`` in all raise ``ResourceLimit`` before any face is built.
         """
         den, d = self.den, self.dim
+        supports = [sum(1 << j for j, c in enumerate(u) if c) for u in self.rep_ints]
+        total = sum((1 << (d - m.bit_count())) - (not m) for m in supports)
+        if total > TABLE_CAP:
+            raise ResourceLimit(f"a box candidate table of {total} rows exceeds the cap {TABLE_CAP}")
         faces = [on for size in range(1, d + 1) for on in combinations(range(d), size)]
         masks = [sum(1 << j for j in on) for on in faces]
         rows: list[list[tuple[int, ...]]] = [[] for _ in faces]
-        for u in self.rep_ints:
-            m = sum(1 << j for j, c in enumerate(u) if c)
+        for u, m in zip(self.rep_ints, supports):
             for s, out in zip(masks, rows):
                 if m | s == s:
                     out.append(u if m == s else tuple(den if s >> j & 1 and not c else c for j, c in enumerate(u)))
@@ -270,6 +275,7 @@ class Lattice:
 
     # -- derived lattices ----------------------------------------------------
 
+    @cached_property
     def dual_int_basis(self) -> tuple[tuple[int, ...], ...]:
         """Integer basis of the dual of a lattice containing Z^d, built
         without fractions: the columns of den * T^-1 for T = ``int_rows``.
@@ -323,7 +329,7 @@ class Lattice:
         """
         if not self.is_superlattice:
             raise NotInLattice("a standard basis vector is not a lattice element")
-        cols = self.dual_int_basis()
+        cols = self.dual_int_basis
         return tuple(gcd(*(col[i] for col in cols)) for i in range(self.dim))
 
     # -- the dual monoid, and per-lattice data of the other modules -----------
@@ -364,7 +370,7 @@ class Lattice:
         if total > BOX_CAP:
             raise ResourceLimit(f"Hilbert basis box of {total} points exceeds the cap {BOX_CAP}")
         strides = tuple(prod(cj + 1 for cj in c[:i]) for i in range(d))
-        walk_basis = [col[::-1] for col in reversed(self.dual_int_basis())]
+        walk_basis = [col[::-1] for col in reversed(self.dual_int_basis)]
         nonzero = _box_bits(walk_basis, c[::-1], strides[::-1]) & ~1
         below = nonzero
         for ci, st in zip(c, strides):
@@ -543,12 +549,15 @@ def _hnf_tuples_with_unit_columns(dim: int, n: int):
 
     The column-gcd condition is exactly primitivity of the standard basis
     vectors in the dual superlattice, so filtering here avoids building the
-    rejected lattices at all.
+    rejected lattices at all.  Column j has diag_j^j candidates above its
+    pivot; more than ``TABLE_CAP`` raise ``ResourceLimit`` before any is built.
     """
     for diag in _ordered_factorizations(n, dim):
         cols: list[list[tuple[int, ...]]] = []
         ok = True
         for j in range(dim):
+            if diag[j] ** j > TABLE_CAP:
+                raise ResourceLimit(f"an HNF column of {diag[j] ** j} candidates exceeds the cap {TABLE_CAP}")
             opts = []
             for above in product(*(range(diag[j]) for _ in range(j))):
                 if gcd(*above, diag[j]) == 1:
@@ -588,17 +597,18 @@ def _dual_hnf_bases(dim: int, max_index: int):
 def enumerate_superlattices(dim: int, max_index: int) -> list[Lattice]:
     """All N containing Z^dim with [N:Z^dim] <= max_index and every e_i primitive.
 
-    Realized by enumerating finite-index sublattices of Z^dim in Hermite
-    normal form (these are the duals) and dualizing.  Output is duplicate-free
-    and sorted by (index, canonical basis).
+    The duals, index-n sublattices of Z^dim in Hermite normal form, are
+    dualized; the output is duplicate-free and sorted by (index, canonical
+    basis), keyed in integers: den, the exponent of N/Z^d, divides n, and
+    ``int_rows`` times n // den is n times the basis, so it compares as that.
     """
     seen: dict = {}
     for n, rows in _dual_hnf_bases(dim, max_index):
         sup = _dual_of_int_rows(rows, 1)
         if sup.index != n:
             raise ModelViolation("duality must preserve the index")
-        key = sup.basis
+        key = (n, tuple(tuple(x * (n // sup.den) for x in row) for row in sup.int_rows))
         if key in seen:
             raise ModelViolation("HNF enumeration may not repeat a lattice")
         seen[key] = sup
-    return sorted(seen.values(), key=lambda L: (L.index, L.basis))
+    return [seen[key] for key in sorted(seen)]

@@ -33,7 +33,6 @@ from .germ import (
     germ_normalize,
     mld_bruteforce_oracle,
     mld_face,
-    mld_global,
     verify_minkowski,
 )
 from .lattice import Lattice, _dual_hnf_bases, enumerate_superlattices, hnf
@@ -83,9 +82,11 @@ def _positive_int(value, name: str) -> int:
 
 
 def _coefficients(values) -> tuple[Fraction, ...]:
-    """Boundary coefficients read by ``rat``, deduplicated and sorted; each
-    must lie in [0,1]."""
+    """Boundary coefficients read by ``rat``, deduplicated and sorted; there
+    must be at least one, and each must lie in [0,1]."""
     coeffs = tuple(sorted({rat(b) for b in values}))
+    if not coeffs:
+        raise InputError("boundary set must be nonempty")
     for b in coeffs:
         if not 0 <= b <= 1:
             raise InputError(f"boundary coefficient {b} outside [0,1]")
@@ -166,7 +167,7 @@ def _survey_row(germ: ToricGerm) -> SurveyRow:
         index=germ.lattice.index,
         boundary=tuple(rat_str(b) for b in germ.boundary),
         mld_point=point.value,
-        mld_global=mld_global(germ).value,
+        mld_global=table.value(table.minimizing_support()),
         mld_exceptional=None if exceptional is None else table.value(exceptional),
         witnesses=tuple(map(qvec_str, point.witnesses)),
         cartier=cartier_index(germ),
@@ -220,8 +221,6 @@ def run_survey(
         raise InputError(f"jobs must be at least 1, got {jobs}")
     jobs = min(jobs, os.cpu_count() or 1)
     coeffs = _coefficients(boundary_set)
-    if not coeffs:
-        raise InputError("boundary set must be nonempty")
     pick = _orbit_representatives if mod_permutations else None
     count, tasks = _lattice_stream((dim,), max_index, coeffs, ROW_CAP_DEFAULT, "survey", pick)
     if jobs == 1:
@@ -406,7 +405,7 @@ def _check_germ(germ: ToricGerm, config: CorpusConfig) -> list[str]:
     problems = []
     row = _survey_row(germ)
     table, (wn, _) = germ.face_table, germ._weight_ints
-    dual = germ.lattice.dual_int_basis()
+    dual = germ.lattice.dual_int_basis
     for support in table.supports():
         value = table.value(support)
         oracle = mld_bruteforce_oracle(germ, support, config.oracle_radius)

@@ -1,0 +1,28 @@
+"""Run the command line in a child process with a capped address space, so a
+test of a resource cap cannot exhaust the host when the cap is missing."""
+import os
+import resource
+import subprocess
+import sys
+from pathlib import Path
+
+SRC = str(Path(__file__).resolve().parent.parent / "src")
+
+
+def run_capped(argv, limit: int = 2**30, timeout: int = 300) -> subprocess.CompletedProcess:
+    """``python -m toricmld *argv`` with ``RLIMIT_AS`` set to ``limit`` bytes
+    in the child only.  Past the limit an allocation raises ``MemoryError``,
+    which the command line reports as an internal error (exit 3)."""
+
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+    path = os.pathsep.join(filter(None, (SRC, os.environ.get("PYTHONPATH"))))
+    return subprocess.run(
+        [sys.executable, "-m", "toricmld", *argv],
+        preexec_fn=cap,
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+        timeout=timeout,
+    )

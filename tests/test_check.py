@@ -105,7 +105,6 @@ def test_each_invariant_runs_once_per_checked_germ(monkeypatch):
     names = (
         "_survey_row",
         "mld_face",
-        "mld_global",
         "cartier_index",
         "check_lower_semicontinuity",
         "check_shokurov_bounds",

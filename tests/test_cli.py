@@ -3,6 +3,7 @@ import tracemalloc
 
 import pytest
 
+from limits import run_capped
 from toricmld import cli
 
 A2_DOC = '{"dim":2,"lattice":{"generators":[["1/3","2/3"]]},"boundary":["0","0"]}'
@@ -244,3 +245,33 @@ def test_mld_above_the_table_cap_exits_one(tmp_path, capsys, monkeypatch):
 def test_survey_rejects_nonpositive_jobs(capsys):
     assert cli.main(["survey", "--dim", "2", "--max-index", "2", "--jobs", "0"]) == 1
     assert "jobs must be at least 1" in capsys.readouterr().err
+
+
+def test_check_with_an_empty_boundary_set_exits_one(tmp_path, capsys):
+    """An empty boundary set is an input error; empty dims still pass
+    vacuously with a warning."""
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"boundary_set": [], "max_index": 4}))
+    assert cli.main(["check", "--corpus-config", str(cfg)]) == 1
+    assert "boundary set must be nonempty" in capsys.readouterr().err
+    cfg.write_text(json.dumps({"dims": []}))
+    code, out = run(capsys, "check", "--corpus-config", str(cfg))
+    assert code == 0 and json.loads(out)["warnings"] == ["empty corpus: all checks passed vacuously"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["mld", "-i", "GERM"], ["survey", "--dim", "26", "--max-index", "2"]],
+    ids=["box-rows", "hnf-column"],
+)
+def test_high_dimensions_exit_one_before_allocating(tmp_path, argv):
+    """The standard germ of dimension 24 has 2^24 - 1 faces, each one box
+    row; the first dual HNF basis of index 2 in dimension 26 has 2^25
+    candidates for its last column.  Both are counted against the table cap
+    before they are built, so the child exits 1 well inside 1 GiB; without
+    the count it ran into ``MemoryError`` (exit 3)."""
+    germ = tmp_path / "c24.json"
+    germ.write_text(json.dumps({"dim": 24, "lattice": {"generators": []}, "boundary": ["0"] * 24}))
+    proc = run_capped([str(germ) if a == "GERM" else a for a in argv], limit=2**30)
+    assert proc.returncode == 1, proc.stderr
+    assert proc.stderr.startswith("error:") and "exceeds the cap" in proc.stderr

@@ -23,6 +23,7 @@ LATTICE_FIELDS = {
     "den",
     "int_rows",
     "is_superlattice",
+    "dual_int_basis",
     "unit_scales",
     "rep_ints",
     "box_candidates",

@@ -564,3 +564,11 @@ def test_an_overstated_ray_infimum_is_a_model_violation(monkeypatch):
     monkeypatch.setattr(flat, "_first_intersection", halved)
     with pytest.raises(ModelViolation):
         ray_infimum(std_germ(2))
+
+
+def test_a_state_keeps_its_coefficient_sum():
+    from functools import cached_property
+
+    assert isinstance(vars(FlatState)["total"], cached_property)
+    state = FlatState(germ_cyclic_quotient(5, (1, 2, 3)), (F(1, 2), F(1, 3)))
+    assert state.total == F(5, 6) and vars(state)["total"] is state.total

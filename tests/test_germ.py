@@ -8,6 +8,7 @@ from hypothesis import given, strategies as st
 
 from faces import all_faces
 from toricmld import survey
+from toricmld.adjunction import adjoin_invariant_divisor, check_precise_inversion
 from toricmld.errors import InputError, NotInLattice, NotPrimitive, ResourceLimit
 from toricmld.germ import (
     Face,
@@ -43,6 +44,25 @@ def test_face_validation():
     with pytest.raises(InputError):
         Face.coerce((3,), 2)
     assert Face.coerce((2, 1, 1), 3).support == (1, 2)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda g: adjoin_invariant_divisor(g, 1.5),
+        lambda g: check_precise_inversion(g, 1.5),
+        lambda g: adjoin_invariant_divisor(g, "1"),
+        lambda g: adjoin_invariant_divisor(g, True),
+        lambda g: mld_face(g, 5),
+        lambda g: Face(5),
+        lambda g: mld_bruteforce_oracle(g, 5, 1),
+    ],
+    ids=["adjoin-float", "inversion-float", "adjoin-str", "adjoin-bool", "mld-face-int", "face-int", "oracle-int"],
+)
+def test_a_divisor_that_is_no_int_or_a_support_that_is_no_collection_is_an_input_error(call):
+    """These raised TypeError (exit 3), or read True as divisor 1."""
+    with pytest.raises(InputError):
+        call(ToricGerm(std(2), (1, 0)))
 
 
 def test_germ_rejects_bad_boundary():

@@ -1,4 +1,5 @@
-from fractions import Fraction as F
+from fractions import Fraction, Fraction as F
+from hashlib import sha256
 from itertools import product
 
 import pytest
@@ -19,6 +20,7 @@ from toricmld.lattice import (
     project_drop_coord,
     xgcd,
 )
+from toricmld.rationals import rat_str
 
 
 def frac(num, den=1):
@@ -270,13 +272,13 @@ def test_double_dual_and_index(gens):
 def test_integer_dual_basis_spans_the_dual(corpus_lattices):
     for d in (1, 2, 3):
         for lat in corpus_lattices[d]:
-            cols = lat.dual_int_basis()
+            cols = lat.dual_int_basis
             assert Lattice.from_rows(d, cols) == lat.dual, lat
             assert all(col[j] > 0 and not any(col[j + 1 :]) for j, col in enumerate(cols))
             assert_matches_fraction_oracles(lat)
             assert_matches_fraction_oracles(lat.dual)
     with pytest.raises(InputError):
-        Lattice.from_rows(2, [(2, 0), (0, 1)]).dual_int_basis()  # 2Z x Z misses e_1
+        Lattice.from_rows(2, [(2, 0), (0, 1)]).dual_int_basis  # 2Z x Z misses e_1
 
 
 # -- projection -------------------------------------------------------------------
@@ -352,3 +354,68 @@ def test_enumeration_matches_subgroup_bruteforce(dim, max_index):
     brute = set(_bruteforce_superlattices(dim, max_index))
     assert enumerated == brute
 
+
+
+# sha256 of the bases of ``enumerate_superlattices(d, m)``, one lattice a line,
+# rows joined by ";" and entries (``rat_str``) by ",", recorded while the
+# enumeration still sorted on its Fraction bases; lattices of one index but
+# different denominators meet from index 4 on.
+ORDER_DIGESTS = {
+    (2, 40): "03bc7a0010976ea4a8ba5f341df3b566f9b9f32ad404f2ef54d6f537664f947b",
+    (3, 20): "e733e46e0cda3027bcdffeedb63bd136bd5e36d805dc8620fbcd0432efc5ff67",
+    (4, 8): "0dc7cf601bcd8c8a2be1f22a5442076b3660f02b035b89178a2c9f1874bd8a08",
+}
+
+
+@pytest.mark.parametrize("dim,max_index", sorted(ORDER_DIGESTS))
+def test_canonical_order_across_denominators_is_pinned(dim, max_index):
+    text = "\n".join(
+        ";".join(",".join(map(rat_str, row)) for row in lat.basis) for lat in enumerate_superlattices(dim, max_index)
+    )
+    assert sha256(text.encode()).hexdigest() == ORDER_DIGESTS[dim, max_index]
+
+
+def test_enumeration_neither_hashes_nor_compares_a_fraction(monkeypatch):
+    expected = [lat.basis for lat in enumerate_superlattices(3, 12)]
+
+    def refused(*args):
+        raise AssertionError("a Fraction was hashed or compared")
+
+    for name in ("__eq__", "__hash__", "__lt__", "__le__", "__gt__", "__ge__"):
+        monkeypatch.setattr(Fraction, name, refused)
+    lattices = enumerate_superlattices(3, 12)
+    monkeypatch.undo()
+    assert [lat.basis for lat in lattices] == expected
+
+
+def test_an_hnf_column_above_the_cap_is_refused_before_it_is_built(monkeypatch):
+    """Column j of a dual HNF basis has diag_j^j candidates above its pivot:
+    with the cap at 3, index 2 in dimension 3 puts 4 of them in the last
+    column, and index 2 in dimension 2 only 2."""
+    import toricmld.lattice as lattice
+
+    monkeypatch.setattr(lattice, "TABLE_CAP", 3)
+    assert [lat.index for lat in enumerate_superlattices(2, 3)] == [1, 2, 3, 3]
+    with pytest.raises(ResourceLimit, match="HNF column of 4 candidates exceeds the cap 3"):
+        enumerate_superlattices(3, 2)
+
+
+def test_box_candidate_rows_are_counted_before_any_is_built(monkeypatch):
+    """A residue of support m lies in the 2^(d - |m|) faces that contain m,
+    the zero residue in all 2^d - 1; a lattice whose rows exceed the cap is
+    refused, one whose rows meet it is built.  1/1000003(1,2,5) has 1,000,002
+    full-support residues and the zero one, 1,000,009 rows in all."""
+    import toricmld.lattice as lattice
+
+    assert 1000002 + 7 <= TABLE_CAP
+    lattices = [Lattice.standard(5), lattice_from_generators(3, [(F(1, 7), F(2, 7), F(5, 7))])]
+    lattices += enumerate_superlattices(3, 6)
+    counts = [sum(map(len, lat.box_candidates.values())) for lat in lattices]
+    assert counts[:2] == [2**5 - 1, 6 + 7]
+    for lat, rows in zip(lattices, counts):
+        fresh = Lattice.from_rows(lat.dim, lat.basis)
+        monkeypatch.setattr(lattice, "TABLE_CAP", rows - 1)
+        with pytest.raises(ResourceLimit, match=f"table of {rows} rows exceeds the cap"):
+            fresh.box_candidates
+        monkeypatch.setattr(lattice, "TABLE_CAP", rows)
+        assert fresh.box_candidates == lat.box_candidates

@@ -6,7 +6,7 @@ from itertools import permutations, product
 import pytest
 
 from toricmld.errors import InputError, MalformedRational, ResourceLimit
-from toricmld.germ import ToricGerm, germ_cyclic_quotient, mld_bruteforce_oracle
+from toricmld.germ import ToricGerm, germ_cyclic_quotient, mld_bruteforce_oracle, mld_global
 from toricmld.lattice import Lattice, enumerate_superlattices, lattice_from_generators
 from toricmld.rationals import rat_str
 from toricmld.survey import (
@@ -336,6 +336,33 @@ def test_verify_small_corpus_passes():
     # one 1-dim lattice (3 boundary choices), six 2-dim lattices (9 each)
     assert report["checked"] == 3 + 6 * 9
     assert report["failures"] == []
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: CorpusConfig(boundary_set=()),
+        lambda: CorpusConfig.from_dict({"boundary_set": [], "max_index": 100}),
+        lambda: run_survey(2, 2, []),
+    ],
+    ids=["config", "config-dict", "survey"],
+)
+def test_an_empty_boundary_set_is_refused_before_any_lattice(call, monkeypatch):
+    """With no coefficient the rows stayed 0 and the row cap never tripped:
+    ``check`` built every lattice up to the index only to check no germ."""
+    import toricmld.survey as survey
+
+    monkeypatch.setattr(survey, "enumerate_superlattices", None)
+    with pytest.raises(InputError, match="boundary set must be nonempty"):
+        call()
+
+
+def test_the_survey_reads_its_global_minimum_off_the_face_table():
+    import toricmld.survey as survey
+
+    assert not hasattr(survey, "mld_global")
+    for germ in survey.corpus_germs(CorpusConfig(max_index=4)):
+        assert _survey_row(germ).mld_global == mld_global(germ).value
 
 
 def test_verify_empty_corpus_warns():
