@@ -300,7 +300,7 @@ def build_flat_structure(germ: ToricGerm) -> FlatBuildResult:
     xs = [tuple(Fraction(c, lat.den) for c in min(zeros))] if zeros else []
     if gamma:
         xs.append(ray_witness(germ))
-    witness = ZeroCombo(min(xs), (), minimal_center(state))
+    witness = ZeroCombo(min(xs), (), trace[-1][1] if trace else minimal_center(state))
     if state_value(state, witness.x) != 0:
         raise ModelViolation("the reported witness must have value exactly zero")
     return FlatBuildResult(state, tuple(trace), witness)

@@ -27,12 +27,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import gcd, lcm
+from math import lcm
 from operator import mul
 
 from .errors import InputError, ModelViolation, NotPrimitive, ResourceLimit
 from .lattice import TABLE_CAP, Lattice
-from .rationals import IntVec, QVec, integer, qvec, qvec_str, rat, rat_str
+from .rationals import IntVec, QVec, integer, iterate, qvec, qvec_str, rat, rat_str
 
 
 @dataclass(frozen=True)
@@ -43,10 +43,7 @@ class Face:
     support: tuple[int, ...]
 
     def __post_init__(self):
-        try:
-            entries = iter(self.support)
-        except TypeError:
-            raise InputError(f"a face support must be a collection of integers, got {self.support!r}") from None
+        entries = iterate(self.support, "a face support")
         sup = tuple(sorted(set(integer(i, "a face support entry") for i in entries)))
         if not sup:
             raise InputError("a face needs a nonempty support")
@@ -215,32 +212,19 @@ def germ_cyclic_quotient(q: int, a) -> ToricGerm:
 
 
 def germ_from_px(x) -> tuple[ToricGerm, tuple[int, ...]]:
-    """Germ over Z^d + Z*x with boundary 1 - 1/n_j, plus the scales n_j.
-
-    q is any (here the least) positive integer with q*x integral; the scales
-    n_j = gcd(q, qx_1, .., qx_j omitted, .., qx_d) / gcd(q, qx_1, .., qx_d)
-    do not depend on that choice, and agree with the primitive scales of the
-    standard basis vectors in Z^d + Z*x (checked).
-    """
+    """Germ over Z^d + Z*x with boundary 1 - 1/n_j, plus the scales n_j: the
+    primitive scales of the standard basis vectors in Z^d + Z*x
+    (``Lattice.unit_scales``); the tests check them against the formula
+    gcd(q, q x_i for i != j) / gcd(q, q x) for q*x integral."""
     x = qvec(x)
-    d = len(x)
-    if d == 0:
+    if not x:
         raise InputError("empty vector")
     for c in x:
         if not 0 < c <= 1:
             raise InputError(f"coordinate {c} outside (0,1]")
-    q = lcm(*(c.denominator for c in x))
-    qx = [int(c * q) for c in x]
-    g_all = gcd(q, *qx)
-    scales = []
-    for j in range(d):
-        others = qx[:j] + qx[j + 1 :]
-        scales.append(gcd(q, *others) // g_all if others else q // g_all)
-    lat = Lattice.from_generators(d, [x])
-    if tuple(scales) != lat.unit_scales:
-        raise ModelViolation("gcd formula must match primitive scales")
-    boundary = [1 - Fraction(1, n) for n in scales]
-    return germ_normalize(lat, boundary), tuple(scales)
+    lat = Lattice.from_generators(len(x), [x])
+    scales = lat.unit_scales
+    return germ_normalize(lat, [1 - Fraction(1, n) for n in scales]), scales
 
 
 # -- the engine -----------------------------------------------------------------
@@ -323,6 +307,8 @@ def verify_minkowski(germ: ToricGerm, t, delta) -> bool:
     Interior points have all coordinates positive, so emptiness is decided on
     the full-support unit-box candidates: coordinate reduction by standard
     basis vectors keeps interiority and never increases the defining sum.
+    It weighs them itself, not reading ``face_table``: it is the check
+    battery's independent check on the point minimum that table holds.
     """
     t, delta = rat(t), rat(delta)
     if t < 0 or delta <= 0:

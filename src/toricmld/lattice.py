@@ -19,11 +19,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import combinations, product
-from math import gcd, prod
+from math import gcd, isqrt, prod
 from operator import mul
 
-from .errors import InputError, ModelViolation, NotInLattice, ResourceLimit
-from .rationals import IntVec, QVec, common_denominator, integer, qvec, scaled_int_vector
+from .errors import DimensionMismatch, InputError, ModelViolation, NotInLattice, ResourceLimit
+from .rationals import IntVec, QVec, common_denominator, integer, iterate, qvec, scaled_int_vector
 
 # Largest lattice index whose per-lattice tables (``Lattice.rep_ints`` and
 # the tables built from it, about one row per coset) are built.  It admits
@@ -103,6 +103,18 @@ class Lattice:
     dim: int
     basis: tuple[tuple[Fraction, ...], ...]
 
+    def __post_init__(self):
+        """Build a lattice with ``from_rows`` or ``from_generators``: the
+        constructor takes only its canonical basis (``InputError`` otherwise),
+        and ``_from_int_rows``, which builds that basis, skips this check."""
+        try:
+            canon = Lattice.from_rows(integer(self.dim, "dim"), iterate(self.basis, "a basis"))
+            if canon.basis != tuple(map(tuple, self.basis)):
+                raise InputError(f"{self.basis!r} is not the canonical basis of a lattice")
+        except InputError as exc:
+            raise InputError(f"{exc}; build lattices with Lattice.from_rows") from None
+        self.__dict__.update(canon.__dict__)
+
     @classmethod
     def from_rows(cls, dim: int, rows) -> "Lattice":
         """Lattice generated over Z by ``rows`` (must span Q^dim)."""
@@ -117,42 +129,36 @@ class Lattice:
         """Lattice generated over Z by the vectors row/den, for integer rows.
 
         The smallest q with q*L integral is den / gcd(den, every entry), and
-        the HNF of the rows scaled to q is ``int_rows``; both are stored in
-        the cached properties they would otherwise be recomputed into.
+        the HNF of the rows scaled to q is ``int_rows``; int_rows / q is the
+        canonical basis, so the constructor's check is skipped.
         """
         g = gcd(den, *(x for row in rows for x in row))
         h = hnf([[x // g for x in row] for row in rows], dim)
         if len(h) != dim:
             raise InputError("generators do not span the ambient space")
         den //= g
-        lat = cls(dim, tuple(tuple(Fraction(x, den) for x in row) for row in h))
-        lat.__dict__.update(den=den, int_rows=tuple(tuple(row) for row in h))
+        lat = object.__new__(cls)
+        basis = tuple(tuple(Fraction(x, den) for x in row) for row in h)
+        lat.__dict__.update(dim=dim, basis=basis, den=den, int_rows=tuple(map(tuple, h)))
         return lat
 
     @classmethod
     def from_generators(cls, dim: int, gens) -> "Lattice":
-        """Z^dim + sum of Z*gen over the given rational generators."""
+        """Z^dim + sum of Z*gen: the generators over their common denominator den, and den e_i."""
         if integer(dim, "dim") < 1:
             raise InputError("dimension must be positive")
         rows = [qvec(g, dim) for g in gens]
-        rows += [tuple(Fraction(int(i == j)) for j in range(dim)) for i in range(dim)]
-        return cls.from_rows(dim, rows)
+        den = common_denominator(rows)
+        ints = [scaled_int_vector(r, den) for r in rows] + [[den * (i == j) for j in range(dim)] for i in range(dim)]
+        return cls._from_int_rows(dim, ints, den)
 
     @classmethod
     def standard(cls, dim: int) -> "Lattice":
         return cls.from_generators(dim, [])
 
     # -- canonical integer data -------------------------------------------
-
-    @cached_property
-    def den(self) -> int:
-        """Smallest q with q*L inside Z^d (lcm of basis denominators)."""
-        return common_denominator(self.basis)
-
-    @cached_property
-    def int_rows(self) -> tuple[tuple[int, ...], ...]:
-        """den * basis; an upper-triangular positive-pivot integer matrix."""
-        return tuple(scaled_int_vector(row, self.den) for row in self.basis)
+    # Set with the basis (``_from_int_rows``): den, the smallest q with q*L
+    # inside Z^d, and int_rows = den * basis, triangular, positive pivots.
 
     @cached_property
     def det(self) -> Fraction:
@@ -300,13 +306,14 @@ class Lattice:
         if not 1 <= integer(coord, "coordinate") <= self.dim:
             raise InputError(f"coordinate {coord} out of range 1..{self.dim}")
         j = coord - 1
-        rows = [row[:j] + row[j + 1 :] for row in self.basis]
-        return Lattice.from_rows(self.dim - 1, rows)
+        return Lattice._from_int_rows(self.dim - 1, [row[:j] + row[j + 1 :] for row in self.int_rows], self.den)
 
     def rescale(self, scales) -> "Lattice":
-        """Image under multiplying coordinate i by scales[i]."""
-        rows = [tuple(c * k for c, k in zip(row, scales)) for row in self.basis]
-        return Lattice.from_rows(self.dim, rows)
+        """Image under multiplying coordinate i by the integer scales[i]."""
+        scales = [integer(k, "a scale") for k in iterate(scales, "scales")]
+        if len(scales) != self.dim:
+            raise DimensionMismatch(f"expected {self.dim} scales, got {len(scales)}")
+        return Lattice._from_int_rows(self.dim, [list(map(mul, row, scales)) for row in self.int_rows], self.den)
 
     def primitive_scale(self, vec) -> int:
         """Largest k with vec/k still in the lattice (vec must be a member):
@@ -501,15 +508,8 @@ def _block_mask(total: int, block: int, run: int) -> int:
 
 
 def _divisors(n: int) -> list[int]:
-    n = abs(n)
-    out = set()
-    k = 1
-    while k * k <= n:
-        if n % k == 0:
-            out.add(k)
-            out.add(n // k)
-        k += 1
-    return sorted(out)
+    small = [k for k in range(1, isqrt(n) + 1) if n % k == 0]
+    return sorted({*small, *(n // k for k in small)})
 
 
 # -- contract surface ---------------------------------------------------------
@@ -544,39 +544,6 @@ def project_drop_coord(lat: Lattice, coord: int) -> Lattice:
     return lat.project_drop(coord)
 
 
-def _hnf_tuples_with_unit_columns(dim: int, n: int):
-    """All HNF bases of index-n sublattices of Z^dim whose column gcds are 1.
-
-    The column-gcd condition is exactly primitivity of the standard basis
-    vectors in the dual superlattice, so filtering here avoids building the
-    rejected lattices at all.  Column j has diag_j^j candidates above its
-    pivot; more than ``TABLE_CAP`` raise ``ResourceLimit`` before any is built.
-    """
-    for diag in _ordered_factorizations(n, dim):
-        cols: list[list[tuple[int, ...]]] = []
-        ok = True
-        for j in range(dim):
-            if diag[j] ** j > TABLE_CAP:
-                raise ResourceLimit(f"an HNF column of {diag[j] ** j} candidates exceeds the cap {TABLE_CAP}")
-            opts = []
-            for above in product(*(range(diag[j]) for _ in range(j))):
-                if gcd(*above, diag[j]) == 1:
-                    opts.append(above)
-            if not opts:
-                ok = False
-                break
-            cols.append(opts)
-        if not ok:
-            continue
-        for choice in product(*cols):
-            rows = [[0] * dim for _ in range(dim)]
-            for j in range(dim):
-                rows[j][j] = diag[j]
-                for i, val in enumerate(choice[j]):
-                    rows[i][j] = val
-            yield rows
-
-
 def _ordered_factorizations(n: int, parts: int):
     if parts == 1:
         yield (n,)
@@ -586,29 +553,68 @@ def _ordered_factorizations(n: int, parts: int):
             yield (d,) + rest
 
 
-def _dual_hnf_bases(dim: int, max_index: int):
-    """(n, HNF basis) of the dual of each lattice ``enumerate_superlattices``
-    returns, n its index, in increasing n; counting them builds no lattice."""
+def _hnf_diagonals(dim: int, max_index: int):
+    """(n, diag) for n = 1..max_index and each pivot diagonal of an HNF basis
+    of an index-n sublattice of Z^dim.  Column j has diag_j^j candidates
+    above its pivot; more than ``TABLE_CAP`` raise ``ResourceLimit`` before
+    the diagonal is counted or built."""
     if integer(dim, "dim") < 1 or integer(max_index, "max_index") < 1:
         raise InputError("dim and max_index must be positive")
-    return ((n, rows) for n in range(1, max_index + 1) for rows in _hnf_tuples_with_unit_columns(dim, n))
+    for n in range(1, max_index + 1):
+        for diag in _ordered_factorizations(n, dim):
+            for j, p in enumerate(diag):
+                if p**j > TABLE_CAP:
+                    raise ResourceLimit(f"an HNF column of {p**j} candidates exceeds the cap {TABLE_CAP}")
+            yield n, diag
+
+
+def _unit_columns(p: int, j: int) -> int:
+    """Number of a in [0, p)^j with gcd(a_1, .., a_j, p) = 1, listing none:
+    Jordan's totient J_j(p) = p^j prod over primes q | p of (1 - q^-j).
+
+    Proof, by inclusion-exclusion over the primes dividing p: the a whose
+    entries are divisible by every prime of a set S are the (p / prod S)^j
+    multiples of prod S, so the count is the sum over S of
+    (-1)^|S| (p / prod S)^j, which factors as stated.  For j = 0 the empty
+    tuple counts exactly when gcd(p) = p is 1: each factor is 0 when p > 1,
+    and the product is empty when p = 1.
+    """
+    if not j:
+        return int(p == 1)
+    count = p**j
+    for q in _divisors(p)[1:]:
+        if all(q % r for r in range(2, isqrt(q) + 1)):  # q is prime
+            count = count // q**j * (q**j - 1)
+    return count
+
+
+def _superlattice_counts(dim: int, max_index: int):
+    """How many lattices ``enumerate_superlattices`` builds on each diagonal
+    of ``_hnf_diagonals``, in order, building no basis and no column."""
+    return (prod(_unit_columns(p, j) for j, p in enumerate(diag)) for _, diag in _hnf_diagonals(dim, max_index))
 
 
 def enumerate_superlattices(dim: int, max_index: int) -> list[Lattice]:
     """All N containing Z^dim with [N:Z^dim] <= max_index and every e_i primitive.
 
-    The duals, index-n sublattices of Z^dim in Hermite normal form, are
-    dualized; the output is duplicate-free and sorted by (index, canonical
-    basis), keyed in integers: den, the exponent of N/Z^d, divides n, and
-    ``int_rows`` times n // den is n times the basis, so it compares as that.
+    The duals, the HNF bases along ``_hnf_diagonals`` whose columns have gcd
+    1 (the e_i primitive in N), are dualized; the output is duplicate-free
+    and sorted by (index, canonical basis), keyed in integers: den, the
+    exponent of N/Z^d, divides n, and ``int_rows`` times n // den is n times
+    the basis, so it compares as that.
     """
     seen: dict = {}
-    for n, rows in _dual_hnf_bases(dim, max_index):
-        sup = _dual_of_int_rows(rows, 1)
-        if sup.index != n:
-            raise ModelViolation("duality must preserve the index")
-        key = (n, tuple(tuple(x * (n // sup.den) for x in row) for row in sup.int_rows))
-        if key in seen:
-            raise ModelViolation("HNF enumeration may not repeat a lattice")
-        seen[key] = sup
+    for n, diag in _hnf_diagonals(dim, max_index):
+        cols = [
+            [a + (p,) + (0,) * (dim - 1 - j) for a in product(range(p), repeat=j) if gcd(*a, p) == 1]
+            for j, p in enumerate(diag)
+        ]
+        for choice in product(*cols):
+            sup = _dual_of_int_rows(list(zip(*choice)), 1)
+            if sup.index != n:
+                raise ModelViolation("duality must preserve the index")
+            key = (n, tuple(tuple(x * (n // sup.den) for x in row) for row in sup.int_rows))
+            if key in seen:
+                raise ModelViolation("HNF enumeration may not repeat a lattice")
+            seen[key] = sup
     return [seen[key] for key in sorted(seen)]

@@ -24,7 +24,7 @@ from .errors import DimensionMismatch, InputError, ModelViolation, NotInLattice
 from .germ import ToricGerm, log_discrepancy_of_valuation
 from .lattice import Lattice
 from .linprog import OPTIMAL, solve_lp_max_slack
-from .rationals import IntVec, QVec, integer, qvec, rat, rat_str
+from .rationals import IntVec, QVec, integer, iterate, qvec, rat, rat_str
 
 CAP_ONE = "cap-one"
 RAY = "ray"
@@ -65,8 +65,8 @@ def newton_poly_from_exponents(germ: ToricGerm, exponents) -> NewtonPoly:
     ``Lattice.dual_contains_int``."""
     dim, lat = germ.dim, germ.lattice
     seen: set[IntVec] = set()
-    for e in exponents:
-        ivec = tuple(e)
+    for e in iterate(exponents, "the exponents"):
+        ivec = tuple(iterate(e, "an exponent"))
         integral = all(type(c) is int for c in ivec)
         if not integral:
             # the Fraction form is only built for entries that are not ints

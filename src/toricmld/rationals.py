@@ -10,7 +10,7 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 from math import lcm
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .errors import DimensionMismatch, InputError, MalformedRational
 
@@ -62,9 +62,17 @@ def rat_str(value: Fraction) -> str:
     return f"{value.numerator}/{value.denominator}"
 
 
+def iterate(value, name: str) -> Iterator:
+    """An iterator over ``value``; a value that has none is an ``InputError``."""
+    try:
+        return iter(value)
+    except TypeError:
+        raise InputError(f"{name} must be a collection, got {value!r}") from None
+
+
 def qvec(entries: Iterable, dim: int | None = None) -> QVec:
     """Coerce an iterable of rational-like entries to a QVec."""
-    vec = tuple(rat(e) for e in entries)
+    vec = tuple(rat(e) for e in iterate(entries, "a vector"))
     if dim is not None and len(vec) != dim:
         raise DimensionMismatch(f"expected a vector of length {dim}, got {len(vec)}")
     return vec

@@ -35,7 +35,7 @@ from .germ import (
     mld_face,
     verify_minkowski,
 )
-from .lattice import Lattice, _dual_hnf_bases, enumerate_superlattices, hnf
+from .lattice import Lattice, _superlattice_counts, enumerate_superlattices, hnf
 from .newton import lct_fermat, lct_general_member, lct_newton, newton_poly_from_exponents
 from .rationals import integer, qvec, qvec_str, rat, rat_str
 
@@ -238,14 +238,14 @@ def run_survey(
 
 def _lattice_stream(dims, max_index: int, coeffs, cap: int, what: str, pick=None):
     """The number of lattices ``enumerate_superlattices`` returns over
-    ``dims``, counted on their dual HNF bases and checked against ``cap``
-    before any is built, and a stream of each lattice with its boundaries
-    (those ``pick`` keeps), dropped from its list so its tables are freed."""
+    ``dims``, summed per HNF diagonal and checked against ``cap`` before any
+    is built, and a stream of each lattice with its boundaries (those
+    ``pick`` keeps), dropped from its list so its tables are freed."""
     count = rows = 0
     for d in dims:
-        for _ in _dual_hnf_bases(d, max_index):
-            count += 1
-            rows += len(coeffs) ** d
+        for n in _superlattice_counts(d, max_index):
+            count += n
+            rows += n * len(coeffs) ** d
             if rows > cap:
                 raise ResourceLimit(f"{what} exceeds the row cap {cap}")
 

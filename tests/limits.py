@@ -9,13 +9,17 @@ from pathlib import Path
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 
 
-def run_capped(argv, limit: int = 2**30, timeout: int = 300) -> subprocess.CompletedProcess:
+def run_capped(argv, limit: int = 2**30, timeout: int = 300, cpu: int | None = None) -> subprocess.CompletedProcess:
     """``python -m toricmld *argv`` with ``RLIMIT_AS`` set to ``limit`` bytes
     in the child only.  Past the limit an allocation raises ``MemoryError``,
-    which the command line reports as an internal error (exit 3)."""
+    which the command line reports as an internal error (exit 3).  ``cpu``,
+    when given, sets ``RLIMIT_CPU`` to that many seconds in the child, which
+    past it is killed by ``SIGXCPU`` (return code -24)."""
 
     def cap():
         resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+        if cpu is not None:
+            resource.setrlimit(resource.RLIMIT_CPU, (cpu, cpu))
 
     path = os.pathsep.join(filter(None, (SRC, os.environ.get("PYTHONPATH"))))
     return subprocess.run(

@@ -275,3 +275,18 @@ def test_high_dimensions_exit_one_before_allocating(tmp_path, argv):
     proc = run_capped([str(germ) if a == "GERM" else a for a in argv], limit=2**30)
     assert proc.returncode == 1, proc.stderr
     assert proc.stderr.startswith("error:") and "exceeds the cap" in proc.stderr
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["survey", "--dim", "20", "--max-index", "2"], ["survey", "--dim", "3", "--max-index", "3000"]],
+    ids=["dim-20", "index-3000"],
+)
+def test_the_row_cap_is_read_off_the_hnf_diagonals(argv):
+    """The survey counts its lattices per HNF diagonal, building no basis,
+    so both are refused within 10 s of CPU.  A count that builds every
+    basis needs 21 s for dimension 20, and its child is killed by
+    ``SIGXCPU``."""
+    proc = run_capped(argv, cpu=10)
+    assert proc.returncode == 1, (proc.returncode, proc.stderr)
+    assert proc.stderr.startswith("error:") and "survey exceeds the row cap 1000000" in proc.stderr

@@ -572,3 +572,28 @@ def test_a_state_keeps_its_coefficient_sum():
     assert isinstance(vars(FlatState)["total"], cached_property)
     state = FlatState(germ_cyclic_quotient(5, (1, 2, 3)), (F(1, 2), F(1, 3)))
     assert state.total == F(5, 6) and vars(state)["total"] is state.total
+
+
+def test_the_witness_center_is_the_last_step_center(corpus_germs, monkeypatch):
+    """``build_flat_structure`` calls ``minimal_center`` once per step and
+    reuses the last step's center for the witness; with no step (every
+    weight 0) it calls it once itself.  The center equals a fresh
+    ``minimal_center`` of the final state."""
+    import toricmld.flat as flat
+
+    germs = [g for g in corpus_germs if g.lattice.index <= 6]
+    calls = []
+
+    def counted(state):
+        calls.append(state)
+        return minimal_center(state)
+
+    monkeypatch.setattr(flat, "minimal_center", counted)
+    empty = 0
+    for germ in germs:
+        calls.clear()
+        result = build_flat_structure(germ)
+        assert len(calls) == max(len(result.trace), 1), germ
+        assert calls[-1] == result.state and result.witness.center == minimal_center(result.state), germ
+        empty += not result.trace
+    assert 0 < empty < len(germs)

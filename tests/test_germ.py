@@ -1,7 +1,7 @@
 import random
 from fractions import Fraction as F
 from itertools import product
-from math import ceil, lcm
+from math import ceil, gcd, lcm
 
 import pytest
 from hypothesis import given, strategies as st
@@ -272,6 +272,29 @@ def test_px_formula_matches_engine_on_random_points():
         assert px_mld_formula(x) == mld_face(germ, full_face(d)).value == px_fraction_scan(x)
         lat = lattice_from_generators(d, [x])
         assert scales == lat.unit_scales
+
+
+def px_scales_by_gcd(x):
+    """The oracle for the scales of ``germ_from_px``: with q*x integral,
+    n_j = gcd(q, q x_i for i != j) / gcd(q, q x), whatever such q is taken."""
+    q = lcm(*(F(c).denominator for c in x))
+    qx = [int(c * q) for c in x]
+    return tuple(gcd(q, *qx[:j], *qx[j + 1 :]) // gcd(q, *qx) for j in range(len(x)))
+
+
+def test_px_scales_match_the_gcd_formula():
+    """The scales are ``Lattice.unit_scales``; the gcd formula is their
+    independent oracle, on the points of the px tests and on random ones."""
+    points = [(F(1, 2), F(1, 2)), (F(1, 2), F(1, 4)), (1, 1, 1), (1, 1, 1, 1), (F(1, 3), F(3, 4)), (F(1, 5), F(1, 3))]
+    rng = random.Random(20260810)  # the points of the random px test first, then larger ones
+    for size, top, dmax in [(60, 12, 4), (200, 30, 5)]:
+        for _ in range(size):
+            d = rng.randint(1, dmax)
+            points.append(tuple(F(rng.randint(1, q), q) for q in [rng.randint(1, top) for _ in range(d)]))
+    for x in points:
+        germ, scales = germ_from_px(x)
+        assert scales == px_scales_by_gcd(x) == lattice_from_generators(len(x), [x]).unit_scales, x
+        assert germ.boundary == tuple(1 - F(1, n) for n in scales), x
 
 
 def test_px_formula_above_the_table_cap_raises_before_the_scan(monkeypatch):

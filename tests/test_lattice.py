@@ -419,3 +419,114 @@ def test_box_candidate_rows_are_counted_before_any_is_built(monkeypatch):
             fresh.box_candidates
         monkeypatch.setattr(lattice, "TABLE_CAP", rows)
         assert fresh.box_candidates == lat.box_candidates
+
+
+# -- the constructor contract ---------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "basis",
+    [((1, 0), (1, 1)), ((1, 1), (0, 1)), ((1, 0),), ((1, 0), (0, 1), (0, 0)), ((1, 0), (0, 1.0)), 5, ((1, 0), 5)],
+    ids=["z2-not-reduced", "z2-not-echelon", "one-row", "zero-row", "float-entry", "no-rows", "no-row"],
+)
+def test_the_constructor_refuses_a_basis_that_is_not_canonical(basis):
+    """Each was accepted: the first two are Z^2, yet neither contained (0, 1)
+    or equalled ``Lattice.standard(2)``."""
+    with pytest.raises(InputError, match="Lattice.from_rows"):
+        Lattice(2, basis)
+
+
+def test_the_constructor_keeps_every_canonical_basis():
+    lattices = [lat for d in (1, 2, 3) for lat in enumerate_superlattices(d, 8)]
+    lattices += [lat.dual for lat in lattices]
+    for lat in lattices:
+        again = Lattice(lat.dim, lat.basis)
+        assert again == lat and hash(again) == hash(lat), lat
+        assert (again.den, again.int_rows) == (lat.den, lat.int_rows), lat
+    integral = Lattice(2, ((1, 0), (0, 1)))
+    assert integral == Lattice.standard(2) and hash(integral) == hash(Lattice.standard(2))
+    assert integral.contains((0, 1)) and integral.is_superlattice
+
+
+# -- lattices derived in integer rows ---------------------------------------------
+
+
+@pytest.mark.parametrize("dim,max_index", [(3, 12), (4, 6)])
+def test_derived_lattices_match_the_fraction_route(dim, max_index, monkeypatch):
+    """``project_drop``, ``rescale`` and ``from_generators`` work on the
+    integer rows and call no ``from_rows``; the Fraction route slices or
+    scales ``basis`` and normalizes through ``from_rows``."""
+    lattices = enumerate_superlattices(dim, max_index)
+    unit = [tuple(F(int(i == j)) for j in range(dim)) for i in range(dim)]
+    expected = []
+    for lat in lattices:
+        for j in range(dim):
+            image = Lattice.from_rows(dim - 1, [row[:j] + row[j + 1 :] for row in lat.basis])
+            scales = image.unit_scales
+            scaled = Lattice.from_rows(dim - 1, [tuple(c * k for c, k in zip(row, scales)) for row in image.basis])
+            expected += [image, scaled]
+        expected.append(Lattice.from_rows(dim, list(lat.basis) + unit))
+
+    def refused(*args):
+        raise AssertionError("from_rows was called")
+
+    monkeypatch.setattr(Lattice, "from_rows", classmethod(refused))
+    found = []
+    for lat in lattices:
+        for j in range(dim):
+            image = lat.project_drop(j + 1)
+            found += [image, image.rescale(image.unit_scales)]
+        found.append(Lattice.from_generators(dim, lat.basis))
+    monkeypatch.undo()
+    assert [(a.basis, a.den, a.int_rows) for a in found] == [(b.basis, b.den, b.int_rows) for b in expected]
+
+
+def test_rescale_takes_integer_scales_only():
+    """A rational scale went through the Fraction rows; every caller passes
+    ``unit_scales``, so it is now an input error."""
+    with pytest.raises(InputError, match="must be an integer"):
+        Lattice.standard(2).rescale((F(1, 2), 1))
+    with pytest.raises(InputError):
+        Lattice.standard(2).rescale((2,))
+    assert Lattice.standard(2).rescale((2, 3)) == Lattice.from_rows(2, [(2, 0), (0, 3)])
+
+
+# -- the lattice count, read off the HNF diagonals --------------------------------
+
+
+def test_unit_columns_is_jordans_totient():
+    from math import gcd
+
+    from toricmld.lattice import _unit_columns
+
+    for p in range(1, 40):
+        for j in range(4):
+            brute = sum(1 for a in product(range(p), repeat=j) if gcd(*a, p) == 1)
+            assert _unit_columns(p, j) == brute, (p, j)
+
+
+@pytest.mark.parametrize("dim,max_index", [(1, 30), (2, 40), (3, 20), (4, 8), (5, 4)])
+def test_the_diagonal_counts_sum_to_the_enumeration(dim, max_index, monkeypatch):
+    """The count builds neither a basis nor a column option list."""
+    import toricmld.lattice as lattice
+
+    def refused(*args, **kwargs):
+        raise AssertionError("the count built a column or a lattice")
+
+    for name in ("product", "_dual_of_int_rows"):
+        monkeypatch.setattr(lattice, name, refused)
+    monkeypatch.setattr(Lattice, "_from_int_rows", classmethod(refused))
+    total = sum(lattice._superlattice_counts(dim, max_index))
+    monkeypatch.undo()
+    assert total == len(enumerate_superlattices(dim, max_index))
+
+
+def test_the_count_refuses_an_hnf_column_above_the_cap_first(monkeypatch):
+    import toricmld.lattice as lattice
+
+    monkeypatch.setattr(lattice, "TABLE_CAP", 3)
+    assert sum(lattice._superlattice_counts(2, 3)) == 4
+    with pytest.raises(ResourceLimit, match="HNF column of 4 candidates exceeds the cap 3"):
+        sum(lattice._superlattice_counts(3, 2))
+    with pytest.raises(InputError):
+        sum(lattice._superlattice_counts(0, 2))

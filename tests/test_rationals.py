@@ -77,3 +77,21 @@ def test_integer_arguments_are_checked_not_truncated(call):
     value, or raised TypeError or a bare ValueError."""
     with pytest.raises(InputError, match="must be an integer"):
         call()
+
+
+NON_ITERABLE_VECTORS = {
+    "germ-boundary": lambda: toricmld.ToricGerm(toricmld.Lattice.standard(2), 5),
+    "state-coefficients": lambda: toricmld.FlatState(toricmld.ToricGerm(toricmld.Lattice.standard(2), (0, 0)), 5),
+    "newton-exponent": lambda: toricmld.newton_poly_from_exponents(_cyclic(), [5]),
+    "newton-exponents": lambda: toricmld.newton_poly_from_exponents(_cyclic(), 5),
+    "qvec": lambda: qvec(5),
+    "lattice-rows": lambda: toricmld.Lattice.from_rows(2, [5, (0, 1)]),
+}
+
+
+@pytest.mark.parametrize("call", NON_ITERABLE_VECTORS.values(), ids=NON_ITERABLE_VECTORS.keys())
+def test_a_vector_that_cannot_be_iterated_is_an_input_error(call):
+    """Each raised TypeError, which the command line reports as an internal
+    error (exit 3)."""
+    with pytest.raises(InputError, match="must be a collection"):
+        call()
