@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import InputError
-from .germ import ToricGerm, full_face, germ_document, germ_normalize, mld_face
+from .germ import ToricGerm, germ_document, germ_normalize
 from .rationals import integer, rat_str
 
 
@@ -53,41 +53,40 @@ def adjoin_invariant_divisor(germ: ToricGerm, divisor: int) -> AdjunctionResult:
 
 
 def check_precise_inversion(germ: ToricGerm, divisor: int) -> CheckReport:
-    """Compare the fixed-point minimum upstairs with the one on the divisor."""
+    """Compare the point minimum upstairs with the one on the divisor, in integers."""
     adj = adjoin_invariant_divisor(germ, divisor)
-    lhs = mld_face(germ, full_face(germ.dim)).value
-    rhs = mld_face(adj.germ, full_face(adj.germ.dim)).value
-    detail = (f"point-minimum vs divisor {divisor}", lhs, rhs)
-    return CheckReport(lhs == rhs, (detail,))
+    (lhs, lscale), (rhs, rscale) = map(_point_scaled, (germ, adj.germ))
+    detail = (f"point-minimum vs divisor {divisor}", Fraction(lhs, lscale), Fraction(rhs, rscale))
+    return CheckReport(lhs * rscale == rhs * lscale, (detail,))
+
+
+def _point_scaled(germ: ToricGerm) -> tuple[int, int]:
+    """The point minimum times the face table's scale, and that scale."""
+    table = germ.face_table
+    return table.entries[tuple(range(1, germ.dim + 1))][0], table.scale
 
 
 def check_lower_semicontinuity(germ: ToricGerm) -> CheckReport:
     """mld(P) <= mld(face) + dim(cycle) for every proper invariant cycle."""
-    table = germ.face_table
     d = germ.dim
-    at_point = table.value(full_face(d).support)
-    details = []
-    ok = True
-    for support in table.supports():
-        if len(support) == d:
-            continue
-        bound = table.value(support) + (d - len(support))
-        details.append((f"S={support}", at_point, bound))
-        ok = ok and at_point <= bound
-    return CheckReport(ok, tuple(details))
+    m, scale = _point_scaled(germ)
+    at_point = Fraction(m, scale)
+    bounds = {s: v + (d - len(s)) * scale for s, (v, _) in germ.face_table.entries.items() if len(s) < d}
+    details = tuple((f"S={s}", at_point, Fraction(b, scale)) for s, b in bounds.items())
+    return CheckReport(all(m <= b for b in bounds.values()), details)
 
 
 def check_shokurov_bounds(germ: ToricGerm) -> CheckReport:
     """mld(P) <= d, and values above d-1 only on the standard lattice with
-    the multiplicity formula d - sum(b)."""
+    the multiplicity formula d - sum(b), decided on the scaled minimum."""
     d = germ.dim
-    value = germ.face_table.value(full_face(d).support)
+    m, scale = _point_scaled(germ)
+    value = Fraction(m, scale)
     details = [("point-minimum vs dimension", value, Fraction(d))]
-    ok = value <= d
-    if value > d - 1:
-        smooth = germ.lattice.index == 1
+    ok = m <= d * scale
+    if m > (d - 1) * scale:
         details.append(("smooth-branch lattice index", Fraction(germ.lattice.index), Fraction(1)))
         expected = d - sum(germ.boundary, start=Fraction(0))
         details.append(("smooth-branch multiplicity formula", value, expected))
-        ok = ok and smooth and value == expected
+        ok = ok and germ.lattice.index == 1 and value == expected
     return CheckReport(ok, tuple(details))

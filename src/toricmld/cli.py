@@ -13,7 +13,7 @@ import traceback
 from .adjunction import adjoin_invariant_divisor, check_precise_inversion
 from .errors import CheckFailed, InputError, ResourceLimit
 from .flat import build_flat_structure
-from .germ import Face, full_face, mld_bruteforce_oracle, mld_face, mld_global
+from .germ import full_face, mld_bruteforce_oracle, mld_face, mld_global
 from .newton import (
     lct_fermat,
     lct_general_member,
@@ -65,7 +65,7 @@ def _cmd_mld(args) -> int:
     if args.global_:
         report = mld_global(germ)
     elif args.face:
-        report = mld_face(germ, Face.coerce(_parse_int_list(args.face), germ.dim))
+        report = mld_face(germ, _parse_int_list(args.face))
     else:
         report = mld_face(germ, full_face(germ.dim))
     payload = report.to_json_dict()

@@ -43,18 +43,22 @@ class Face:
     support: tuple[int, ...]
 
     def __post_init__(self):
-        entries = iterate(self.support, "a face support")
-        sup = tuple(sorted(set(integer(i, "a face support entry") for i in entries)))
-        if not sup:
-            raise InputError("a face needs a nonempty support")
-        object.__setattr__(self, "support", sup)
+        object.__setattr__(self, "support", _support(self.support))
 
     @classmethod
     def coerce(cls, value, dim: int) -> "Face":
-        face = value if isinstance(value, Face) else cls(value)
-        if face.support[0] < 1 or face.support[-1] > dim:
-            raise InputError(f"face support {face.support} out of range 1..{dim}")
-        return face
+        return cls(_support(value, dim))
+
+
+def _support(value, dim: int | None = None) -> tuple[int, ...]:
+    """The support ``Face(value)`` keeps (or a Face's), in 1..dim when given."""
+    entries = value.support if isinstance(value, Face) else value
+    sup = tuple(sorted({integer(i, "a face support entry") for i in iterate(entries, "a face support")}))
+    if not sup:
+        raise InputError("a face needs a nonempty support")
+    if dim is not None and (sup[0] < 1 or sup[-1] > dim):
+        raise InputError(f"face support {sup} out of range 1..{dim}")
+    return sup
 
 
 def full_face(dim: int) -> Face:
@@ -82,22 +86,16 @@ class FaceTable:
     ``entries`` maps each face support, in (codimension, lexicographic)
     order, to the pair (minimum, minimizers): the minimum is the face value
     times ``scale`` = den * wd, and the minimizers are the den-scaled box
-    candidates attaining it, sorted.  Callers read it through the methods.
+    candidates attaining it, sorted.  Checks compare these integers; the
+    methods turn them into ``Fraction`` values and witnesses.
     """
 
     den: int
     scale: int
     entries: dict[tuple[int, ...], tuple[int, tuple[IntVec, ...]]]
 
-    def supports(self):
-        return self.entries.keys()
-
     def value(self, support: tuple[int, ...]) -> Fraction:
         return Fraction(self.entries[support][0], self.scale)
-
-    def scaled(self, support: tuple[int, ...]) -> tuple[int, tuple[IntVec, ...]]:
-        """The face value times ``scale``, and the den-scaled minimizers."""
-        return self.entries[support]
 
     def witness(self, row: IntVec) -> QVec:
         return tuple(Fraction(c, self.den) for c in row)
@@ -249,10 +247,7 @@ def mld_face(germ: ToricGerm, face) -> MldReport:
     Evaluated on the finite unit-box candidate set; witnesses are all box
     minimizers, lexicographically sorted.
     """
-    return _report(germ, Face.coerce(face, germ.dim))
-
-
-def _report(germ: ToricGerm, face: Face) -> MldReport:
+    face = Face.coerce(face, germ.dim)
     table = germ.face_table
     return MldReport(table.value(face.support), table.witnesses(face.support), face)
 
@@ -260,7 +255,7 @@ def _report(germ: ToricGerm, face: Face) -> MldReport:
 def mld_global(germ: ToricGerm) -> MldReport:
     """Minimum over all nonempty faces; reports the first minimizing face
     in (codimension, lexicographic) order."""
-    return _report(germ, Face(germ.face_table.minimizing_support()))
+    return mld_face(germ, germ.face_table.minimizing_support())
 
 
 def mld_bruteforce_oracle(germ: ToricGerm, face, radius: int) -> Fraction:
@@ -270,32 +265,29 @@ def mld_bruteforce_oracle(germ: ToricGerm, face, radius: int) -> Fraction:
     Its independence of the face table rests on reading the coset residues
     ``rep_ints`` apart from ``box_candidates``, and on the tests checking
     ``rep_ints`` against a closure oracle.  Each den-scaled residue u that
-    vanishes off S is shifted on S, a zero entry over den, .., radius den and
-    any other over u_j + s den for s in [0, radius).  A shifted point's value
-    sums per-coordinate terms chosen independently, so the least value is the
-    sum of each coordinate's least term.  Weights are >= 0, so that is the
-    first term, and the value is the same at every radius >= 1.
+    vanishes off S is shifted on S: coordinate j runs over x_j + s den for s
+    in [0, radius), where x_j is u_j, or den when u_j is 0.  A shifted
+    point's value sums per-coordinate terms chosen independently, so the
+    least value is the sum of each coordinate's least term, taken over its
+    shifts as they are visited.  Weights are >= 0, so that is the first
+    term, and the value is the same at every radius >= 1.
     """
     if integer(radius, "radius") < 1:
         raise InputError("radius must be >= 1")
-    face = Face.coerce(face, germ.dim)
+    support = _support(face, germ.dim)
     lat = germ.lattice
-    den = lat.den
-    on = [j + 1 in face.support for j in range(lat.dim)]
+    den, span = lat.den, radius * lat.den
     wn, wd = germ._weight_ints
+    off = [j for j in range(lat.dim) if j + 1 not in support]
     lows = []
     for u in lat.rep_ints:
-        if any(c for c, o in zip(u, on) if not o):
+        if any(map(u.__getitem__, off)):
             continue
-        terms = []
-        for w, c, o in zip(wn, u, on):
-            if not o:
-                terms.append((0,))
-            elif c == 0:
-                terms.append([w * s * den for s in range(1, radius + 1)])
-            else:
-                terms.append([w * (c + s * den) for s in range(radius)])
-        lows.append(sum(map(min, terms)))
+        low = 0
+        for j in support:
+            x = u[j - 1] or den
+            low += min(map(wn[j - 1].__mul__, range(x, x + span, den)))
+        lows.append(low)
     # the zero residue vanishes off every support, so lows is nonempty
     return Fraction(min(lows), den * wd)
 
@@ -308,7 +300,9 @@ def verify_minkowski(germ: ToricGerm, t, delta) -> bool:
     the full-support unit-box candidates: coordinate reduction by standard
     basis vectors keeps interiority and never increases the defining sum.
     It weighs them itself, not reading ``face_table``: it is the check
-    battery's independent check on the point minimum that table holds.
+    battery's independent check on the point minimum that table holds.  The
+    least row value v, scaled by den * wd, is compared with p / q = t den wd
+    as v q against p.
     """
     t, delta = rat(t), rat(delta)
     if t < 0 or delta <= 0:
@@ -316,10 +310,8 @@ def verify_minkowski(germ: ToricGerm, t, delta) -> bool:
     lat = germ.lattice
     wn, wd = germ._weight_ints
     low, high = t * lat.den * wd, (t + delta) * lat.den * wd
-    vals = [sum(map(mul, wn, row)) for row in lat.box_candidates[full_face(germ.dim).support]]
-    empty_at_t = all(v >= low for v in vals)
-    nonempty_above = any(v < high for v in vals)
-    return empty_at_t and nonempty_above
+    least = min(sum(map(mul, wn, row)) for row in lat.box_candidates[tuple(range(1, lat.dim + 1))])
+    return least * low.denominator >= low.numerator and least * high.denominator < high.numerator
 
 
 def px_mld_formula(x) -> Fraction:

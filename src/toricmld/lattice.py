@@ -545,12 +545,15 @@ def project_drop_coord(lat: Lattice, coord: int) -> Lattice:
 
 
 def _ordered_factorizations(n: int, parts: int):
-    if parts == 1:
-        yield (n,)
-        return
-    for d in _divisors(n):
-        for rest in _ordered_factorizations(n // d, parts - 1):
-            yield (d,) + rest
+    """The tuples of ``parts`` positive integers with product n, in
+    lexicographic order, walked on a stack of its own, not by recursion."""
+    stack = [((), n)]
+    while stack:
+        head, rest = stack.pop()
+        if len(head) == parts - 1:
+            yield head + (rest,)
+        else:
+            stack.extend((head + (k,), rest // k) for k in reversed(_divisors(rest)))
 
 
 def _hnf_diagonals(dim: int, max_index: int):

@@ -35,7 +35,7 @@ from .germ import (
     mld_face,
     verify_minkowski,
 )
-from .lattice import Lattice, _superlattice_counts, enumerate_superlattices, hnf
+from .lattice import TABLE_CAP, Lattice, _superlattice_counts, enumerate_superlattices, hnf
 from .newton import lct_fermat, lct_general_member, lct_newton, newton_poly_from_exponents
 from .rationals import integer, qvec, qvec_str, rat, rat_str
 
@@ -156,25 +156,31 @@ class SurveyRow:
         )
 
 
+def _invariants(germ: ToricGerm) -> dict:
+    """The survey row's fields that ``check`` reads too; no string is built."""
+    ones = [i + 1 for i, b in enumerate(germ.boundary) if b == 1] if germ.dim >= 2 else []
+    return {
+        "mld_point": mld_face(germ, full_face(germ.dim)).value,
+        "cartier": cartier_index(germ),
+        "lsc_ok": check_lower_semicontinuity(germ).passed,
+        "bounds_ok": check_shokurov_bounds(germ).passed,
+        "pia_ok": all(check_precise_inversion(germ, i).passed for i in ones) if ones else None,
+        "lct_general": lct_general_member(germ).lct,
+    }
+
+
 def _survey_row(germ: ToricGerm) -> SurveyRow:
-    point = mld_face(germ, full_face(germ.dim))
     table = germ.face_table
     exceptional = table.minimizing_support(min_codim=2)  # None in dimension 1
-    ones = [i + 1 for i, b in enumerate(germ.boundary) if b == 1] if germ.dim >= 2 else []
     return SurveyRow(
         germ_id=germ_id(germ),
         dim=germ.dim,
         index=germ.lattice.index,
         boundary=tuple(rat_str(b) for b in germ.boundary),
-        mld_point=point.value,
         mld_global=table.value(table.minimizing_support()),
         mld_exceptional=None if exceptional is None else table.value(exceptional),
-        witnesses=tuple(map(qvec_str, point.witnesses)),
-        cartier=cartier_index(germ),
-        lsc_ok=check_lower_semicontinuity(germ).passed,
-        bounds_ok=check_shokurov_bounds(germ).passed,
-        pia_ok=all(check_precise_inversion(germ, i).passed for i in ones) if ones else None,
-        lct_general=lct_general_member(germ).lct,
+        witnesses=tuple(map(qvec_str, table.witnesses(tuple(range(1, germ.dim + 1))))),
+        **_invariants(germ),
     )
 
 
@@ -240,9 +246,12 @@ def _lattice_stream(dims, max_index: int, coeffs, cap: int, what: str, pick=None
     """The number of lattices ``enumerate_superlattices`` returns over
     ``dims``, summed per HNF diagonal and checked against ``cap`` before any
     is built, and a stream of each lattice with its boundaries (those
-    ``pick`` keeps), dropped from its list so its tables are freed."""
+    ``pick`` keeps), dropped from its list so its tables are freed.  A
+    dimension whose box tables (2^d - 1 rows or more) exceed ``TABLE_CAP`` is refused first."""
     count = rows = 0
     for d in dims:
+        if d >= (TABLE_CAP + 1).bit_length():  # exactly when 2^d - 1 > TABLE_CAP
+            raise ResourceLimit(f"a box candidate table of 2^{d} - 1 rows exceeds the cap {TABLE_CAP}")
         for n in _superlattice_counts(d, max_index):
             count += n
             rows += n * len(coeffs) ** d
@@ -398,47 +407,44 @@ def corpus_germs(config: CorpusConfig):
 
 
 def _check_germ(germ: ToricGerm, config: CorpusConfig) -> list[str]:
-    """The survey row plus the oracle, witness, divisibility, dilation and
-    closed-form checks.  A den-scaled minimizer u of scaled minimum m is
-    checked in integers: wn . u == m, u pairs to 0 mod den with the dual
-    basis (apart from the walk that built u), and scale | cartier * m."""
+    """The shared invariants (``_invariants``) plus the oracle, witness,
+    divisibility, dilation and closed-form checks, in integers: the oracle's
+    p / q against a face's scaled minimum m as p scale == m q, and each
+    den-scaled minimizer u by wn . u == m, u pairing to 0 mod den with the
+    dual basis (apart from the walk that built u), and scale | cartier * m."""
     problems = []
-    row = _survey_row(germ)
+    inv = _invariants(germ)
     table, (wn, _) = germ.face_table, germ._weight_ints
     dual = germ.lattice.dual_int_basis
-    for support in table.supports():
-        value = table.value(support)
+    for support, (m, minimizers) in table.entries.items():
         oracle = mld_bruteforce_oracle(germ, support, config.oracle_radius)
-        if value != oracle:
-            problems.append(f"oracle mismatch on face {support}: {value} vs {oracle}")
-        m, minimizers = table.scaled(support)
+        if oracle.numerator * table.scale != m * oracle.denominator:
+            problems.append(f"oracle mismatch on face {support}: {table.value(support)} vs {oracle}")
         for u in minimizers:
             if sum(map(mul, wn, u)) != m:
                 problems.append(f"witness {table.witness(u)} does not attain the face value")
             if any(sum(map(mul, u, col)) % table.den for col in dual):
                 problems.append(f"witness {table.witness(u)} is outside the lattice")
-    if not row.lsc_ok:
+    if not inv["lsc_ok"]:
         problems.append("lower semicontinuity inequality failed")
-    if not row.bounds_ok:
+    if not inv["bounds_ok"]:
         problems.append("dimension bound check failed")
-    for support in table.supports():
-        if row.cartier * table.scaled(support)[0] % table.scale:
+    for support, (m, _) in table.entries.items():
+        if inv["cartier"] * m % table.scale:
             problems.append(f"index divisibility failed on face {support}")
-    if not verify_minkowski(germ, row.mld_point, config.minkowski_delta):
+    if not verify_minkowski(germ, inv["mld_point"], config.minkowski_delta):
         problems.append("lattice-point-free dilation check failed")
-    if row.pia_ok is False:
+    if inv["pia_ok"] is False:
         for i, b in enumerate(germ.boundary, start=1):
             if b == 1 and not check_precise_inversion(germ, i).passed:
                 problems.append(f"adjunction equality failed on divisor {i}")
     if germ.lattice.index == 1:
         degrees = tuple((i % 3) + 1 for i in range(germ.dim))
         closed = lct_fermat(germ.dim, germ.boundary, degrees)
-        poly = newton_poly_from_exponents(
-            germ, [tuple(degrees[i] if j == i else 0 for j in range(germ.dim)) for i in range(germ.dim)]
-        )
-        if closed != lct_newton(poly).lct:
+        exps = [tuple(k * (j == i) for j in range(germ.dim)) for i, k in enumerate(degrees)]
+        if closed != lct_newton(newton_poly_from_exponents(germ, exps)).lct:
             problems.append("closed-form threshold disagrees with the ray program")
-    lct = row.lct_general
+    lct = inv["lct_general"]
     if all(b == 1 for b in germ.boundary):
         if lct != 0:
             problems.append("zero weights must give a zero general-member threshold")

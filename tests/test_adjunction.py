@@ -2,7 +2,9 @@ from fractions import Fraction as F
 
 import pytest
 
+from faces import all_faces, with_entry
 from toricmld.adjunction import (
+    CheckReport,
     adjoin_invariant_divisor,
     check_lower_semicontinuity,
     check_precise_inversion,
@@ -11,6 +13,7 @@ from toricmld.adjunction import (
 from toricmld.errors import InputError
 from toricmld.germ import ToricGerm, full_face, germ_cyclic_quotient, mld_face
 from toricmld.lattice import Lattice, lattice_from_generators
+from toricmld.survey import CorpusConfig, corpus_germs
 
 
 def test_adjoin_smooth_case():
@@ -111,3 +114,74 @@ def test_corpus_checks(corpus_germs):
         for i, b in enumerate(germ.boundary, start=1):
             if b == 1 and germ.dim >= 2:
                 assert check_precise_inversion(germ, i).passed
+
+
+# -- the integer comparisons against their Fraction formulas --------------------------
+
+
+def precise_inversion_formula(germ, divisor):
+    lhs = mld_face(germ, full_face(germ.dim)).value
+    adjoined = adjoin_invariant_divisor(germ, divisor).germ
+    rhs = mld_face(adjoined, full_face(adjoined.dim)).value
+    return CheckReport(lhs == rhs, ((f"point-minimum vs divisor {divisor}", lhs, rhs),))
+
+
+def lsc_formula(germ):
+    d = germ.dim
+    at_point = mld_face(germ, full_face(d)).value
+    details = tuple(
+        (f"S={face.support}", at_point, mld_face(germ, face).value + d - len(face.support))
+        for face in all_faces(d)
+        if len(face.support) < d
+    )
+    return CheckReport(all(lhs <= rhs for _, lhs, rhs in details), details)
+
+
+def bounds_formula(germ):
+    d = germ.dim
+    value = mld_face(germ, full_face(d)).value
+    details = [("point-minimum vs dimension", value, F(d))]
+    passed = value <= d
+    if value > d - 1:
+        expected = d - sum(germ.boundary, start=F(0))
+        details.append(("smooth-branch lattice index", F(germ.lattice.index), F(1)))
+        details.append(("smooth-branch multiplicity formula", value, expected))
+        passed = passed and germ.lattice.index == 1 and value == expected
+    return CheckReport(passed, tuple(details))
+
+
+def test_checks_equal_their_fraction_formulas_on_the_corpus():
+    for germ in corpus_germs(CorpusConfig(max_index=4)):
+        assert check_lower_semicontinuity(germ) == lsc_formula(germ), germ
+        assert check_shokurov_bounds(germ) == bounds_formula(germ), germ
+        for i, b in enumerate(germ.boundary, start=1):
+            if b == 1 and germ.dim >= 2:
+                assert check_precise_inversion(germ, i) == precise_inversion_formula(germ, i), (germ, i)
+
+
+def test_precise_inversion_compares_minima_over_different_scales():
+    """Upstairs the face table's scale den * wd is 12, on the divisor 6: the
+    equal minima 2/3 are the different integers 8 and 4, and a tampered
+    upstairs minimum of 4 (that is 1/3) must fail although 4 == 4."""
+    germ = ToricGerm(lattice_from_generators(3, [(F(1, 2), 0, F(1, 2))]), (F(2, 3), F(1, 2), 1))
+    adjoined = adjoin_invariant_divisor(germ, 3).germ
+    assert (germ.face_table.scale, adjoined.face_table.scale) == (12, 6)
+    assert germ.face_table.entries[(1, 2, 3)][0] == 8 and adjoined.face_table.entries[(1, 2)][0] == 4
+    assert check_precise_inversion(germ, 3) == CheckReport(True, (("point-minimum vs divisor 3", F(2, 3), F(2, 3)),))
+    rows = germ.face_table.entries[(1, 2, 3)][1]
+    with_entry(germ, (1, 2, 3), 4, rows)
+    assert check_precise_inversion(germ, 3) == CheckReport(False, (("point-minimum vs divisor 3", F(1, 3), F(2, 3)),))
+    assert check_precise_inversion(germ, 3) == precise_inversion_formula(germ, 3)
+
+
+def test_failing_semicontinuity_and_bounds_equal_their_fraction_formulas():
+    """Face values of Z^2 + Z(1/3, 2/3) with weights (1, 1/2), scale 6: 1 on
+    (1,), 1/2 on (2,), 2/3 at the point.  A point minimum of 5/3 breaks
+    semicontinuity on (2,) only (5/3 > 1/2 + 1) and sits above d - 1 on a
+    lattice of index 3, so the bound fails too; 3/2 is exactly 1/2 + 1."""
+    for scaled, lsc_ok in ((10, False), (9, True)):
+        germ = ToricGerm(germ_cyclic_quotient(3, (1, 2)).lattice, (0, F(1, 2)))
+        with_entry(germ, (1, 2), scaled, germ.face_table.entries[(1, 2)][1])
+        lsc, bounds = check_lower_semicontinuity(germ), check_shokurov_bounds(germ)
+        assert (lsc, bounds) == (lsc_formula(germ), bounds_formula(germ))
+        assert lsc.passed is lsc_ok and bounds.passed is False and len(bounds.details) == 3

@@ -1,15 +1,16 @@
-"""The `check` battery: its failure messages, the invariants it reads off the
-survey row, the oracle's independence of its radius, and byte-identical
-reports."""
-from dataclasses import replace
+"""The `check` battery: its failure messages, the invariants it shares with
+the survey row, the oracle's independence of its radius and of the box
+candidates, and byte-identical reports."""
 from fractions import Fraction as F
 from hashlib import sha256
+from operator import mul
 
+from faces import with_entry
 from toricmld import cli
 from toricmld.adjunction import CheckReport
 from toricmld.germ import ToricGerm, germ_cyclic_quotient, mld_bruteforce_oracle
 from toricmld.lattice import Lattice
-from toricmld.survey import CorpusConfig, _check_germ, corpus_germs, verify_corpus
+from toricmld.survey import CorpusConfig, _check_germ, corpus_germs, run_survey, verify_corpus
 
 # sha256 of the outputs below, recorded before the check battery was rebuilt
 # on the survey row; any change to a report or a survey shows here.
@@ -36,16 +37,6 @@ def test_check_and_survey_outputs_are_byte_identical(tmp_path):
 
 
 # -- failure messages ---------------------------------------------------------------
-
-
-def with_entry(germ, support, scaled, rows):
-    """The germ with one face-table entry replaced (the table is a cached
-    field, so it is swapped in place of the computed one)."""
-    table = germ.face_table
-    entries = dict(table.entries)
-    entries[support] = (scaled, rows)
-    vars(germ)["face_table"] = replace(table, entries=entries)
-    return germ
 
 
 def test_a_minimizer_off_the_lattice_is_reported_with_its_fraction_vector():
@@ -103,7 +94,7 @@ def test_each_invariant_runs_once_per_checked_germ(monkeypatch):
     import toricmld.survey as survey
 
     names = (
-        "_survey_row",
+        "_invariants",
         "mld_face",
         "cartier_index",
         "check_lower_semicontinuity",
@@ -143,6 +134,47 @@ def test_the_oracle_does_not_depend_on_its_radius():
     minimum is the face table's."""
     for germ in corpus_germs(CorpusConfig(max_index=6)):
         table = germ.face_table
-        for support in table.supports():
+        for support in table.entries:
             value = table.value(support)
             assert [mld_bruteforce_oracle(germ, support, r) for r in (1, 3, 10)] == [value] * 3, (germ, support)
+
+
+def test_the_oracle_catches_a_minimizer_dropped_from_the_box_candidates(monkeypatch):
+    """The oracle shifts the coset residues itself, so a box candidate table
+    that lost a face's only minimizer shows as an oracle mismatch on exactly
+    that face.  Each face with more than one row loses its least row under
+    the germ's weights; a face of one row keeps it, since the table needs a
+    candidate on every face."""
+    real = Lattice.box_candidates.func
+
+    def dropped(lat):
+        return {
+            s: tuple(sorted(rows, key=lambda row: sum(map(mul, wn, row)))[1:]) if len(rows) > 1 else rows
+            for s, rows in real(lat).items()
+        }
+
+    caught = 0
+    for germ in corpus_germs(CorpusConfig(dims=(2, 3), max_index=4)):
+        rows = real(germ.lattice)
+        expected = [s for s, (_, best) in germ.face_table.entries.items() if len(best) == 1 < len(rows[s])]
+        wn = germ._weight_ints[0]
+        monkeypatch.setattr(Lattice, "box_candidates", property(dropped))
+        problems = _check_germ(ToricGerm(Lattice(germ.dim, germ.lattice.basis), germ.boundary), CorpusConfig())
+        monkeypatch.undo()
+        mismatched = [p.split(":")[0] for p in problems if p.startswith("oracle mismatch")]
+        assert mismatched == [f"oracle mismatch on face {s}" for s in expected], (germ, problems)
+        caught += len(expected)
+    assert caught > 100
+
+
+def test_germ_id_runs_once_per_survey_row_and_never_in_a_check(monkeypatch):
+    """The survey's row latency is stamped on ``germ_id``; a check reads no id."""
+    import toricmld.survey as survey
+
+    real, ids = survey.germ_id, []
+    monkeypatch.setattr(survey, "germ_id", lambda germ: ids.append(real(germ)) or ids[-1])
+    rows = run_survey(2, 4, (0, F(1, 2), 1))
+    assert ids == [row.germ_id for row in rows]
+    ids.clear()
+    status, report = verify_corpus(CorpusConfig(dims=(1, 2), max_index=3))
+    assert status == 0 and report["checked"] > 0 and ids == []

@@ -261,12 +261,12 @@ def test_check_with_an_empty_boundary_set_exits_one(tmp_path, capsys):
 
 @pytest.mark.parametrize(
     "argv",
-    [["mld", "-i", "GERM"], ["survey", "--dim", "26", "--max-index", "2"]],
+    [["mld", "-i", "GERM"], ["survey", "--dim", "14", "--max-index", "3"]],
     ids=["box-rows", "hnf-column"],
 )
 def test_high_dimensions_exit_one_before_allocating(tmp_path, argv):
     """The standard germ of dimension 24 has 2^24 - 1 faces, each one box
-    row; the first dual HNF basis of index 2 in dimension 26 has 2^25
+    row; the first dual HNF basis of index 3 in dimension 14 has 3^13
     candidates for its last column.  Both are counted against the table cap
     before they are built, so the child exits 1 well inside 1 GiB; without
     the count it ran into ``MemoryError`` (exit 3)."""
@@ -290,3 +290,20 @@ def test_the_row_cap_is_read_off_the_hnf_diagonals(argv):
     proc = run_capped(argv, cpu=10)
     assert proc.returncode == 1, (proc.returncode, proc.stderr)
     assert proc.stderr.startswith("error:") and "survey exceeds the row cap 1000000" in proc.stderr
+
+
+@pytest.mark.parametrize("command", ["survey", "check"])
+def test_a_dimension_over_the_box_cap_is_refused_before_any_walk(tmp_path, command):
+    """Every germ of dimension d has at least 2^d - 1 box rows (the zero
+    residue lifts into every face), so a dimension where that exceeds the
+    table cap is refused before its HNF diagonals are walked.  Dimension
+    1500 used to die of ``RecursionError`` (exit 3) in that walk."""
+    config = tmp_path / "cfg.json"
+    config.write_text('{"dims": [1500], "max_index": 1}')
+    argv = {
+        "survey": ["survey", "--dim", "1500", "--max-index", "1", "--boundary-set", "0"],
+        "check": ["check", "--corpus-config", str(config)],
+    }[command]
+    proc = run_capped(argv, cpu=10)
+    assert proc.returncode == 1, (proc.returncode, proc.stderr)
+    assert proc.stderr == "error: a box candidate table of 2^1500 - 1 rows exceeds the cap 1048576\n"

@@ -186,7 +186,7 @@ def _face_zero_points(germ):
     table = germ.face_table
     return tuple(
         (Face(s), x)
-        for s in table.supports()
+        for s in table.entries
         if len(s) < germ.dim and table.value(s) == 0
         for x in table.witnesses(s)
     )

@@ -207,7 +207,7 @@ def test_oracle_equals_the_product_form_on_the_corpus():
     """Every (germ, face) of the default corpus cut to index 6, at radii 1
     to 4."""
     for germ in survey.corpus_germs(survey.CorpusConfig(max_index=6)):
-        for support in germ.face_table.supports():
+        for support in germ.face_table.entries:
             for radius in range(1, 5):
                 assert mld_bruteforce_oracle(germ, support, radius) == product_oracle(germ, support, radius)
 
@@ -317,6 +317,22 @@ def test_minkowski_examples():
     # sharpness on both sides
     assert not verify_minkowski(germ_cyclic_quotient(2, (1, 1)), F(11, 10), F(1, 10))
     assert not verify_minkowski(germ_cyclic_quotient(2, (1, 1)), F(1, 2), F(1, 10))
+
+
+def test_minkowski_at_the_point_minimum_exactly():
+    """Rows are weighed in integers and compared with t den wd = p / q as
+    v q against p: both dilates are open, so t exactly at the point minimum
+    m passes and t + delta exactly at m fails.  Here den wd = 30, so the
+    least row value is 18 = m den wd, and (m - delta) den wd is not an
+    integer."""
+    germ = ToricGerm(germ_cyclic_quotient(5, (1, 2, 3)).lattice, (0, F(1, 2), F(2, 3)))
+    m = mld_face(germ, full_face(3)).value
+    assert (m, germ.face_table.scale) == (F(3, 5), 30)
+    delta, eps = F(1, 7), F(1, 10**6)
+    assert verify_minkowski(germ, m, delta)
+    assert not verify_minkowski(germ, m + eps, delta)
+    assert not verify_minkowski(germ, m - delta, delta)
+    assert verify_minkowski(germ, m - delta + eps, delta)
 
 
 # -- the Cartier index -------------------------------------------------------------------

@@ -9,6 +9,8 @@ from toricmld.errors import InputError, NotInLattice, ResourceLimit
 from toricmld.lattice import (
     TABLE_CAP,
     Lattice,
+    _divisors,
+    _ordered_factorizations,
     coset_reps,
     dual_lattice,
     enumerate_superlattices,
@@ -530,3 +532,19 @@ def test_the_count_refuses_an_hnf_column_above_the_cap_first(monkeypatch):
         sum(lattice._superlattice_counts(3, 2))
     with pytest.raises(InputError):
         sum(lattice._superlattice_counts(0, 2))
+
+
+def test_ordered_factorizations_walk_without_recursion():
+    """The same tuples, in the same order, as the recursive definition, and
+    a dimension far past the interpreter's recursion limit."""
+
+    def recursive(n, parts):
+        if parts == 1:
+            return [(n,)]
+        return [(k,) + rest for k in _divisors(n) for rest in recursive(n // k, parts - 1)]
+
+    for n in range(1, 50):
+        for parts in range(1, 5):
+            assert list(_ordered_factorizations(n, parts)) == recursive(n, parts), (n, parts)
+    assert list(_ordered_factorizations(1, 5000)) == [(1,) * 5000]
+    assert len(list(_ordered_factorizations(2, 300))) == 300

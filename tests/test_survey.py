@@ -11,6 +11,7 @@ from toricmld.lattice import Lattice, enumerate_superlattices, lattice_from_gene
 from toricmld.rationals import rat_str
 from toricmld.survey import (
     CorpusConfig,
+    _lattice_stream,
     _orbit_representatives,
     _survey_row,
     acc_report,
@@ -370,6 +371,17 @@ def test_verify_empty_corpus_warns():
     status, report = verify_corpus(cfg)
     assert status == 0
     assert report["warnings"]
+
+
+def test_a_dimension_is_refused_when_its_box_tables_exceed_the_cap():
+    """Dimension 20 has 2^20 - 1 box rows per germ, within ``TABLE_CAP``,
+    and is counted without building a lattice; dimension 21 is refused
+    before its diagonals are walked, and so is a corpus that contains it."""
+    assert _lattice_stream((20,), 1, (F(0),), 1, "survey")[0] == 1
+    with pytest.raises(ResourceLimit, match="2\\^21 - 1 rows exceeds the cap 1048576"):
+        _lattice_stream((21,), 1, (F(0),), 1, "survey")
+    with pytest.raises(ResourceLimit, match="2\\^21 - 1 rows"):
+        verify_corpus(CorpusConfig(dims=(1, 21), max_index=1))
 
 
 def test_check_row_cap_trips_before_any_lattice_is_built(monkeypatch):
