@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import InputError
-from .germ import ToricGerm, germ_document, germ_normalize
+from .germ import ToricGerm, germ_document
 from .rationals import integer, rat_str
 
 
@@ -38,7 +38,8 @@ class CheckReport:
 
 
 def adjoin_invariant_divisor(germ: ToricGerm, divisor: int) -> AdjunctionResult:
-    """Restrict to the invariant divisor ``divisor`` (1-based, b_i = 1)."""
+    """Restrict to the invariant divisor ``divisor`` (1-based, b_i = 1), on
+    the lattice of ``Lattice.restrictions`` as built: normal, as ``ToricGerm`` checks."""
     d = germ.dim
     if d < 2:
         raise InputError("adjunction needs dimension at least 2")
@@ -49,7 +50,7 @@ def adjoin_invariant_divisor(germ: ToricGerm, divisor: int) -> AdjunctionResult:
     restricted, scales = germ.lattice.restrictions[divisor - 1]
     kept = [b for j, b in enumerate(germ.boundary) if j != divisor - 1]
     induced = [1 - (1 - b) / n for b, n in zip(kept, scales)]
-    return AdjunctionResult(germ_normalize(restricted, induced), scales)
+    return AdjunctionResult(ToricGerm(restricted, induced), scales)
 
 
 def check_precise_inversion(germ: ToricGerm, divisor: int) -> CheckReport:

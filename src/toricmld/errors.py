@@ -37,11 +37,7 @@ class AlreadyFlat(InputError):
 
 
 class CheckFailed(Exception):
-    """A verification run found a counterexample; carries the report."""
-
-    def __init__(self, message: str, report=None):
-        super().__init__(message)
-        self.report = report
+    """A verification run found a counterexample."""
 
 
 class ModelViolation(RuntimeError):

@@ -162,7 +162,7 @@ def _general_member_intersection(germ: ToricGerm) -> FirstIntersection:
     res = _first_intersection(poly.exponents, wn, wd)
     lat = germ.lattice
     p, q = res.mu.numerator, res.mu.denominator * wd
-    for row, m in zip(lat.box_candidates[full_face(germ.dim).support], lat.interior_multiplicities):
+    for row, m in zip(lat.box_candidates[tuple(range(1, germ.dim + 1))], lat.interior_multiplicities):
         a = sum(map(mul, wn, row))
         if p * a < q * m:
             x = qvec_str(tuple(Fraction(c, lat.den) for c in row))
@@ -295,7 +295,7 @@ def build_flat_structure(germ: ToricGerm) -> FlatBuildResult:
     wn, wd = germ._weight_ints
     lat = germ.lattice
     p, q = gamma.denominator, gamma.numerator * wd
-    rows = lat.box_candidates[full_face(germ.dim).support]
+    rows = lat.box_candidates[tuple(range(1, germ.dim + 1))]
     zeros = [row for row, m in zip(rows, lat.interior_multiplicities) if p * sum(map(mul, wn, row)) == q * m]
     xs = [tuple(Fraction(c, lat.den) for c in min(zeros))] if zeros else []
     if gamma:

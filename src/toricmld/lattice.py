@@ -412,7 +412,9 @@ class Lattice:
         """For each coordinate i, in order: the image under deleting
         coordinate i, each remaining coordinate multiplied by the primitive
         scale n_j of its standard basis vector there, and those scales (the
-        lattice half of adjunction to the divisor x_i = 0)."""
+        lattice half of adjunction to the divisor x_i = 0).  A rescaled image
+        is normal: it holds each e_j, the image of e_j/n_j, and e_j/k in it
+        would put e_j/(k n_j) in the image, so k = 1."""
         out = []
         for coord in range(1, self.dim + 1):
             image = self.project_drop(coord)

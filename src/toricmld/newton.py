@@ -252,6 +252,6 @@ def _primitive_normal(lat: Lattice, res: FirstIntersection) -> QVec | None:
     if res.mu is None or res.normal is None or not any(res.normal):
         return None
     den = lcm(*(c.denominator for c in res.normal))
-    vec = tuple(Fraction(int(c * den)) for c in res.normal)
+    vec = tuple(c.numerator * (den // c.denominator) for c in res.normal)
     k = lat.primitive_scale(vec)
-    return tuple(c / k for c in vec)
+    return tuple(Fraction(c, k) for c in vec)

@@ -26,6 +26,7 @@ from operator import mul
 from .adjunction import check_lower_semicontinuity, check_precise_inversion, check_shokurov_bounds
 from .errors import CheckFailed, InputError, ResourceLimit
 from .germ import (
+    MldReport,
     ToricGerm,
     cartier_index,
     full_face,
@@ -63,7 +64,7 @@ def parse_germ(text: str | dict) -> ToricGerm:
     for key in ("dim", "boundary"):
         if key not in doc:
             raise InputError(f"missing field in germ document: {key!r}")
-    dim = _positive_int(doc["dim"], "dim")
+    dim = _refuse_box_dimension(_positive_int(doc["dim"], "dim"))
     lattice = doc.get("lattice", {})
     if not isinstance(lattice, dict):
         raise InputError("lattice must be a JSON object")
@@ -72,6 +73,13 @@ def parse_germ(text: str | dict) -> ToricGerm:
     boundary = _json_list(doc["boundary"], "boundary")
     lattice = Lattice.from_generators(dim, rows)
     return germ_normalize(lattice, qvec([rat(b) for b in boundary], dim))
+
+
+def _refuse_box_dimension(d: int) -> int:
+    """``d``, refused when 2^d - 1, the fewest box rows a germ of dimension d has, exceeds ``TABLE_CAP``."""
+    if d >= (TABLE_CAP + 1).bit_length():  # exactly when 2^d - 1 > TABLE_CAP
+        raise ResourceLimit(f"a box candidate table of 2^{d} - 1 rows exceeds the cap {TABLE_CAP}")
+    return d
 
 
 def _positive_int(value, name: str) -> int:
@@ -156,11 +164,11 @@ class SurveyRow:
         )
 
 
-def _invariants(germ: ToricGerm) -> dict:
-    """The survey row's fields that ``check`` reads too; no string is built."""
+def _invariants(germ: ToricGerm, point: MldReport) -> dict:
+    """The survey row's fields that ``check`` reads too, from the point's ``mld_face`` report."""
     ones = [i + 1 for i, b in enumerate(germ.boundary) if b == 1] if germ.dim >= 2 else []
     return {
-        "mld_point": mld_face(germ, full_face(germ.dim)).value,
+        "mld_point": point.value,
         "cartier": cartier_index(germ),
         "lsc_ok": check_lower_semicontinuity(germ).passed,
         "bounds_ok": check_shokurov_bounds(germ).passed,
@@ -172,6 +180,7 @@ def _invariants(germ: ToricGerm) -> dict:
 def _survey_row(germ: ToricGerm) -> SurveyRow:
     table = germ.face_table
     exceptional = table.minimizing_support(min_codim=2)  # None in dimension 1
+    point = mld_face(germ, full_face(germ.dim))
     return SurveyRow(
         germ_id=germ_id(germ),
         dim=germ.dim,
@@ -179,8 +188,8 @@ def _survey_row(germ: ToricGerm) -> SurveyRow:
         boundary=tuple(rat_str(b) for b in germ.boundary),
         mld_global=table.value(table.minimizing_support()),
         mld_exceptional=None if exceptional is None else table.value(exceptional),
-        witnesses=tuple(map(qvec_str, table.witnesses(tuple(range(1, germ.dim + 1))))),
-        **_invariants(germ),
+        witnesses=tuple(map(qvec_str, point.witnesses)),
+        **_invariants(germ, point),
     )
 
 
@@ -243,16 +252,13 @@ def run_survey(
 
 
 def _lattice_stream(dims, max_index: int, coeffs, cap: int, what: str, pick=None):
-    """The number of lattices ``enumerate_superlattices`` returns over
-    ``dims``, summed per HNF diagonal and checked against ``cap`` before any
-    is built, and a stream of each lattice with its boundaries (those
-    ``pick`` keeps), dropped from its list so its tables are freed.  A
-    dimension whose box tables (2^d - 1 rows or more) exceed ``TABLE_CAP`` is refused first."""
+    """The number of lattices ``enumerate_superlattices`` returns over ``dims``
+    (each first read by ``_refuse_box_dimension``), summed per HNF diagonal and
+    checked against ``cap`` before any is built, and a stream of each lattice with
+    its boundaries (those ``pick`` keeps), dropped from its list so its tables are freed."""
     count = rows = 0
     for d in dims:
-        if d >= (TABLE_CAP + 1).bit_length():  # exactly when 2^d - 1 > TABLE_CAP
-            raise ResourceLimit(f"a box candidate table of 2^{d} - 1 rows exceeds the cap {TABLE_CAP}")
-        for n in _superlattice_counts(d, max_index):
+        for n in _superlattice_counts(_refuse_box_dimension(d), max_index):
             count += n
             rows += n * len(coeffs) ** d
             if rows > cap:
@@ -413,7 +419,7 @@ def _check_germ(germ: ToricGerm, config: CorpusConfig) -> list[str]:
     den-scaled minimizer u by wn . u == m, u pairing to 0 mod den with the
     dual basis (apart from the walk that built u), and scale | cartier * m."""
     problems = []
-    inv = _invariants(germ)
+    inv = _invariants(germ, mld_face(germ, full_face(germ.dim)))
     table, (wn, _) = germ.face_table, germ._weight_ints
     dual = germ.lattice.dual_int_basis
     for support, (m, minimizers) in table.entries.items():

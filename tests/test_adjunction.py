@@ -11,7 +11,7 @@ from toricmld.adjunction import (
     check_shokurov_bounds,
 )
 from toricmld.errors import InputError
-from toricmld.germ import ToricGerm, full_face, germ_cyclic_quotient, mld_face
+from toricmld.germ import ToricGerm, full_face, germ_cyclic_quotient, germ_normalize, mld_face
 from toricmld.lattice import Lattice, lattice_from_generators
 from toricmld.survey import CorpusConfig, corpus_germs
 
@@ -46,6 +46,34 @@ def test_adjoin_builds_the_restricted_lattice_once_per_lattice():
     two = adjoin_invariant_divisor(ToricGerm(lat, (F(1, 2), F(2, 3), 1)), 3)
     assert one.scales == two.scales == (2, 1)
     assert one.germ.lattice is two.germ.lattice
+
+
+def test_adjunction_reads_the_restriction_as_built(corpus_lattices, monkeypatch):
+    """Every restriction of the corpus lattices to index 12 is normal as
+    ``Lattice.restrictions`` builds it, so adjunction and precise inversion,
+    over the corpus to index 6, never pass it through ``germ_normalize``."""
+    import sys
+
+    for d in (2, 3):
+        for lat in corpus_lattices[d]:
+            assert all(set(image.unit_scales) == {1} for image, _ in lat.restrictions), lat
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return germ_normalize(*args)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("toricmld") and hasattr(module, "germ_normalize"):
+            monkeypatch.setattr(module, "germ_normalize", counted)
+    adjoined = 0
+    for germ in corpus_germs(CorpusConfig(max_index=6)):
+        for i, b in enumerate(germ.boundary, start=1):
+            if b == 1 and germ.dim >= 2:
+                adjoin_invariant_divisor(germ, i)
+                check_precise_inversion(germ, i)
+                adjoined += 1
+    assert adjoined > 0 and not calls
 
 
 def test_adjoin_preconditions():

@@ -307,3 +307,19 @@ def test_a_dimension_over_the_box_cap_is_refused_before_any_walk(tmp_path, comma
     proc = run_capped(argv, cpu=10)
     assert proc.returncode == 1, (proc.returncode, proc.stderr)
     assert proc.stderr == "error: a box candidate table of 2^1500 - 1 rows exceeds the cap 1048576\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["mld"], ["lct", "--general-member"], ["adjoin", "--divisor", "1"]],
+    ids=["mld", "lct", "adjoin"],
+)
+def test_a_document_over_the_box_cap_dimension_is_refused_as_read(tmp_path, argv):
+    """A germ document of dimension 4000 is refused right after its ``dim``
+    is read, as survey and check dimensions are.  Building its lattice
+    first took 30 s and died of ``MemoryError`` (exit 3) under 1 GiB."""
+    germ = tmp_path / "c4000.json"
+    germ.write_text(json.dumps({"dim": 4000, "boundary": ["0"] * 4000}))
+    proc = run_capped([argv[0], "-i", str(germ), *argv[1:]], cpu=10)
+    assert proc.returncode == 1, (proc.returncode, proc.stderr)
+    assert proc.stderr == "error: a box candidate table of 2^4000 - 1 rows exceeds the cap 1048576\n"

@@ -544,6 +544,26 @@ def test_flat_keeps_the_traced_call_structure(monkeypatch):
     assert not any(counts.get(name) for name in bypassed), counts
 
 
+def test_the_builder_builds_a_face_only_for_a_reported_center(corpus_germs, monkeypatch):
+    """``build_flat_structure`` reads the interior rows under their support
+    key and builds a ``Face`` only for a center it reports: at most one per
+    step, or one when there is no step.  The germs of the corpus to index 6
+    are built afresh, so their ray program runs inside the count."""
+    built = []
+    post_init = Face.__post_init__
+
+    def counted(face):
+        built.append(face)
+        post_init(face)
+
+    monkeypatch.setattr(Face, "__post_init__", counted)
+    for germ in corpus_germs:
+        if germ.lattice.index <= 6:
+            built.clear()
+            result = build_flat_structure(ToricGerm(germ.lattice, germ.boundary))
+            assert len(built) <= max(len(result.trace), 1), germ
+
+
 def test_ray_witness_rejects_zero_weights():
     germ = ToricGerm(Lattice.standard(2), (1, 1))
     with pytest.raises(InputError, match="zero weight vector"):

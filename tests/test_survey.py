@@ -15,6 +15,7 @@ from toricmld.survey import (
     _orbit_representatives,
     _survey_row,
     acc_report,
+    corpus_germs,
     germ_id,
     parse_germ,
     rows_to_csv,
@@ -284,6 +285,20 @@ def test_survey_row_keeps_the_traced_call_structure(monkeypatch):
     assert germ.dim == 3 and germ.lattice.index > 1
     _survey_row(germ)
     assert all(counts.get(name, 0) >= 1 for name in names), counts
+
+
+def test_a_survey_row_reads_the_point_witnesses_once(monkeypatch):
+    """A row reads its witness strings off the one point ``mld_face`` report
+    that also gives ``mld_point``, so ``FaceTable.witnesses`` runs once."""
+    from toricmld.germ import FaceTable
+
+    calls = []
+    witnesses = FaceTable.witnesses
+    monkeypatch.setattr(FaceTable, "witnesses", lambda table, s: calls.append(s) or witnesses(table, s))
+    for germ in corpus_germs(CorpusConfig(max_index=2)):
+        calls.clear()
+        _survey_row(germ)
+        assert calls == [tuple(range(1, germ.dim + 1))], germ
 
 
 # -- the chain-condition report -------------------------------------------------------
