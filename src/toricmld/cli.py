@@ -44,13 +44,20 @@ def _read_germ(path: str):
     return parse_germ(text)
 
 
-def _emit(payload: dict, out: str | None) -> None:
-    text = json.dumps(payload, indent=1, sort_keys=True) + "\n"
-    if out:
+def _write(text: str, out: str | None) -> None:
+    """``text`` to the file ``out`` (``InputError`` if it cannot), or stdout."""
+    if not out:
+        sys.stdout.write(text)
+        return
+    try:
         with open(out, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(text)
-    else:
-        sys.stdout.write(text)
+    except OSError as exc:
+        raise InputError(f"cannot write {out}: {exc}") from exc
+
+
+def _emit(payload: dict, out: str | None) -> None:
+    _write(json.dumps(payload, indent=1, sort_keys=True) + "\n", out)
 
 
 def _parse_int_list(text: str) -> list[int]:
@@ -64,7 +71,7 @@ def _cmd_mld(args) -> int:
     germ = _read_germ(args.input)
     if args.global_:
         report = mld_global(germ)
-    elif args.face:
+    elif args.face is not None:
         report = mld_face(germ, _parse_int_list(args.face))
     else:
         report = mld_face(germ, full_face(germ.dim))
@@ -81,25 +88,20 @@ def _cmd_mld(args) -> int:
 
 def _cmd_lct(args) -> int:
     germ = _read_germ(args.input)
-    if args.exponents:
-        exps = []
-        for part in args.exponents.split(";"):
-            exps.append(tuple(_parse_int_list(part)))
-        report = lct_newton(newton_poly_from_exponents(germ, exps))
-        payload = report.to_json_dict()
+    if args.exponents is not None:
+        exps = [tuple(_parse_int_list(part)) for part in args.exponents.split(";")]
+        payload = lct_newton(newton_poly_from_exponents(germ, exps)).to_json_dict()
     elif args.general_member:
         payload = lct_general_member(germ).to_json_dict()
-    elif args.monomial:
+    elif args.monomial is not None:
         value = lct_monomial(germ, tuple(_parse_int_list(args.monomial)))
         payload = {"lct": rat_str(value), "kind": "monomial"}
-    elif args.fermat:
+    else:  # --fermat: the group requires one mode
         if germ.lattice.index != 1:
             raise InputError("the diagonal-sum closed form needs the standard lattice")
         degrees = _parse_int_list(args.fermat)
         value = lct_fermat(germ.dim, germ.boundary, degrees)
         payload = {"lct": rat_str(value), "kind": "fermat"}
-    else:
-        raise InputError("choose one of --exponents, --general-member, --monomial, --fermat")
     _emit(payload, args.out)
     return EXIT_OK
 
@@ -134,12 +136,7 @@ def _cmd_survey(args) -> int:
         mod_permutations=args.mod_permutations,
         jobs=args.jobs,
     )
-    text = rows_to_json(rows) if args.json else rows_to_csv(rows)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    _write(rows_to_json(rows) if args.json else rows_to_csv(rows), args.out)
     return EXIT_OK
 
 
@@ -165,8 +162,9 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("mld", help="minimal log discrepancy of a germ document")
     p.add_argument("-i", "--input", required=True)
-    p.add_argument("--face", help="comma-separated 1-based support, e.g. 1,3")
-    p.add_argument("--global", dest="global_", action="store_true", help="minimum over all faces")
+    mode = p.add_mutually_exclusive_group()
+    mode.add_argument("--face", help="comma-separated 1-based support, e.g. 1,3")
+    mode.add_argument("--global", dest="global_", action="store_true", help="minimum over all faces")
     p.add_argument(
         "--oracle-radius",
         type=int,
@@ -179,10 +177,11 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("lct", help="log canonical threshold")
     p.add_argument("-i", "--input", required=True)
-    p.add_argument("--exponents", help='semicolon-separated exponent vectors, e.g. "2,0;0,3"')
-    p.add_argument("--general-member", action="store_true")
-    p.add_argument("--monomial", help='single exponent vector, e.g. "1,2,3"')
-    p.add_argument("--fermat", help='degrees, e.g. "2,3"')
+    mode = p.add_mutually_exclusive_group(required=True)
+    mode.add_argument("--exponents", help='semicolon-separated exponent vectors, e.g. "2,0;0,3"')
+    mode.add_argument("--general-member", action="store_true")
+    mode.add_argument("--monomial", help='single exponent vector, e.g. "1,2,3"')
+    mode.add_argument("--fermat", help='degrees, e.g. "2,3"')
     p.add_argument("--out")
     p.set_defaults(fn=_cmd_lct)
 

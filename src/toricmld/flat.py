@@ -154,19 +154,19 @@ def _general_member_intersection(germ: ToricGerm) -> FirstIntersection:
     rests on: no interior box point x has A(x) < rho v(x), rho = 1/mu.  Over
     the den-scaled row of x, A = (wn . row) / (den wd) and v = m / den with m
     from ``Lattice.interior_multiplicities``, so the check is the integer
-    comparison mu_num (wn . row) < mu_den wd m."""
+    comparison mu_num (wn . row) < scale wd m."""
     wn, wd = germ._weight_ints
     if not any(wn):
         raise InputError("zero weight vector: the interior ratio is identically 0")
     poly = newton_poly_from_exponents(germ, dual_hilbert_basis(germ))
     res = _first_intersection(poly.exponents, wn, wd)
     lat = germ.lattice
-    p, q = res.mu.numerator, res.mu.denominator * wd
+    p, q = res.mu_num, res.scale * wd
     for row, m in zip(lat.box_candidates[tuple(range(1, germ.dim + 1))], lat.interior_multiplicities):
         a = sum(map(mul, wn, row))
         if p * a < q * m:
             x = qvec_str(tuple(Fraction(c, lat.den) for c in row))
-            raise ModelViolation(f"box point {x} has A/v = {Fraction(a, wd * m)} below the ray infimum {1 / res.mu}")
+            raise ModelViolation(f"box point {x} has A/v = {Fraction(a, wd * m)} below the ray infimum {Fraction(res.scale, p)}")
     return res
 
 
@@ -177,9 +177,9 @@ def ray_infimum(germ: ToricGerm) -> Fraction:
     direction to v = 1 identifies the two programs.  ``InputError`` when
     every weight is 0, where the ratio is identically 0."""
     res = germ.general_member_intersection
-    if res.mu is None or res.mu <= 0:
-        raise ModelViolation("the weight ray must meet the general-member polyhedron at a positive parameter")
-    return 1 / res.mu
+    if res.mu_num is None:
+        raise ModelViolation("the weight ray must meet the general-member polyhedron")
+    return Fraction(res.scale, res.mu_num)
 
 
 def ray_witness(germ: ToricGerm) -> QVec:

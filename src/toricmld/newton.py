@@ -17,7 +17,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
 from operator import itemgetter, mul
 
 from .errors import DimensionMismatch, InputError, ModelViolation, NotInLattice
@@ -89,9 +88,11 @@ def newton_poly_from_exponents(germ: ToricGerm, exponents) -> NewtonPoly:
 
 @dataclass(frozen=True)
 class FirstIntersection:
-    mu: Fraction | None  # None encodes +infinity (ray never enters)
-    weights: tuple[Fraction, ...] | None  # convex combination, aligned with exponents
-    normal: tuple[Fraction, ...] | None  # y >= 0, <y,w> = 1, <y,m> >= mu for all m
+    mu_num: int | None  # mu = mu_num / scale; None encodes +infinity (ray never enters)
+    scale: int = 1
+    lam: IntVec | None = None  # convex weights over scale, aligned with exponents
+    y_num: IntVec | None = None  # y = y_num / y_den >= 0, <y,w> = 1, <y,m> >= mu for all m
+    y_den: int = 1
 
 
 def _mu_lp(exponents: list[IntVec], w_row: IntVec, wd: int) -> tuple[int, int, IntVec, IntVec, int]:
@@ -129,13 +130,14 @@ def _first_intersection(exponents: tuple[IntVec, ...], w_row: IntVec, wd: int) -
     The weight vector is w = w_row / wd, as ``ToricGerm._weight_ints`` holds
     it.  ``exponents`` are sorted, as ``NewtonPoly`` keeps them, so the first
     minimum of a scan is also the lexicographically least one.  Pricing and
-    the zero-weight lift run in integers over the LP's denominators; mu, the
-    weights and the normal become ``Fraction``s once, at the end.
+    the zero-weight lift run in integers over the LP's denominators, and the
+    result stays in them (``ModelViolation`` unless mu > 0); the functions
+    that return mu, the weights or the normal build the ``Fraction``s.
     """
     zero_coords = [i for i, w in enumerate(w_row) if w == 0]
     valid = [m for m in exponents if all(m[i] == 0 for i in zero_coords)]
     if not valid:
-        return FirstIntersection(None, None, None)
+        return FirstIntersection(None)
 
     active = {min(valid, key=sum)}
     for i in range(len(w_row)):
@@ -152,35 +154,34 @@ def _first_intersection(exponents: tuple[IntVec, ...], w_row: IntVec, wd: int) -
         active.add(worst)
         active_list = sorted(active)
 
-    mu = Fraction(mu_num, scale)
-    normal = tuple(Fraction(v, nd) for v in pn)
+    if mu_num <= 0:
+        raise ModelViolation("mu must be positive: the exponents are nonzero and nonnegative")
     # lift the normal so it prices every exponent, including the ones forced
-    # out by a zero-weight coordinate (raising those coordinates is free):
-    # m falls short by (mu - <y, m>) = gap / (scale * nd)
+    # out by a zero-weight coordinate (raising those coordinates is free): m
+    # falls short by gap / (scale * nd), so lift them by the largest gap / z
+    # over scale * nd, z the sum of m on those coordinates
+    y_num, y_den = pn, nd
     if zero_coords:
-        bump = 0
+        gap_max, z_max = 0, 1
         for m in exponents:
             z = sum(m[i] for i in zero_coords)
             if z:
                 gap = mu_num * nd - scale * sum(map(mul, pn, m))
-                if gap > 0:
-                    bump = max(bump, Fraction(gap, scale * nd * z))
-        if bump:
-            normal = tuple(n + bump if i in zero_coords else n for i, n in enumerate(normal))
+                if gap * z_max > gap_max * z:
+                    gap_max, z_max = gap, z
+        if gap_max:
+            y_num = tuple(v * scale * z_max + (gap_max if i in zero_coords else 0) for i, v in enumerate(pn))
+            y_den = nd * scale * z_max
 
     by_exp = dict(zip(active_list, lam))
-    zero = Fraction(0)
-    full_lam = tuple(Fraction(by_exp[m], scale) if m in by_exp else zero for m in exponents)
-    return FirstIntersection(mu, full_lam, normal)
+    return FirstIntersection(mu_num, scale, tuple(by_exp.get(m, 0) for m in exponents), y_num, y_den)
 
 
 def first_intersection_mu(poly: NewtonPoly) -> Fraction | None:
     """Parameter of the first ray point t*w inside the polyhedron; None means
     the ray never enters (possible only when some weight vanishes)."""
     res = _first_intersection(poly.exponents, *poly.germ._weight_ints)
-    if res.mu is not None and res.mu <= 0:
-        raise ModelViolation("mu must be positive: the exponents are nonzero and nonnegative")
-    return res.mu
+    return None if res.mu_num is None else Fraction(res.mu_num, res.scale)
 
 
 @dataclass(frozen=True)
@@ -202,12 +203,13 @@ class LctReport:
 def lct_newton(poly: NewtonPoly) -> LctReport:
     """General-coefficient threshold min(1, 1/mu), with 1/infinity = 0."""
     res = _first_intersection(poly.exponents, *poly.germ._weight_ints)
-    if res.mu is None:
+    if res.mu_num is None:
         return LctReport(None, Fraction(0), RAY, None)
-    inv = 1 / res.mu
-    if inv > 1:
-        return LctReport(res.mu, Fraction(1), CAP_ONE, res.weights)
-    return LctReport(res.mu, inv, RAY, res.weights)
+    mu = Fraction(res.mu_num, res.scale)
+    weights = tuple(Fraction(v, res.scale) for v in res.lam)
+    if res.scale > res.mu_num:
+        return LctReport(mu, Fraction(1), CAP_ONE, weights)
+    return LctReport(mu, Fraction(res.scale, res.mu_num), RAY, weights)
 
 
 def lct_monomial(germ: ToricGerm, n) -> Fraction:
@@ -249,9 +251,7 @@ def lct_upper_bound_from_valuation(poly: NewtonPoly, x) -> Fraction | None:
 
 def _primitive_normal(lat: Lattice, res: FirstIntersection) -> QVec | None:
     """Primitive lattice point on the ray of the pricing normal of ``res``."""
-    if res.mu is None or res.normal is None or not any(res.normal):
+    if res.mu_num is None or not any(res.y_num):
         return None
-    den = lcm(*(c.denominator for c in res.normal))
-    vec = tuple(c.numerator * (den // c.denominator) for c in res.normal)
-    k = lat.primitive_scale(vec)
-    return tuple(Fraction(c, k) for c in vec)
+    k = lat.primitive_scale(res.y_num)
+    return tuple(Fraction(c, k) for c in res.y_num)

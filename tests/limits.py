@@ -9,6 +9,12 @@ from pathlib import Path
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 
 
+def child_env() -> dict:
+    """This environment with ``src`` first on ``PYTHONPATH``, so that a child
+    Python imports the package of this checkout, installed or not."""
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (SRC, os.environ.get("PYTHONPATH"))))}
+
+
 def run_capped(argv, limit: int = 2**30, timeout: int = 300, cpu: int | None = None) -> subprocess.CompletedProcess:
     """``python -m toricmld *argv`` with ``RLIMIT_AS`` set to ``limit`` bytes
     in the child only.  Past the limit an allocation raises ``MemoryError``,
@@ -21,11 +27,10 @@ def run_capped(argv, limit: int = 2**30, timeout: int = 300, cpu: int | None = N
         if cpu is not None:
             resource.setrlimit(resource.RLIMIT_CPU, (cpu, cpu))
 
-    path = os.pathsep.join(filter(None, (SRC, os.environ.get("PYTHONPATH"))))
     return subprocess.run(
         [sys.executable, "-m", "toricmld", *argv],
         preexec_fn=cap,
-        env={**os.environ, "PYTHONPATH": path},
+        env=child_env(),
         capture_output=True,
         text=True,
         timeout=timeout,

@@ -3,7 +3,7 @@ import tracemalloc
 
 import pytest
 
-from limits import run_capped
+from limits import child_env, run_capped
 from toricmld import cli
 
 A2_DOC = '{"dim":2,"lattice":{"generators":[["1/3","2/3"]]},"boundary":["0","0"]}'
@@ -179,7 +179,7 @@ def test_runs_without_numpy():
         "build_flat_structure(germ_cyclic_quotient(5, (1, 2, 3)))\n"
         "sys.exit(status)\n"
     )
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=child_env())
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.startswith("germ_id,")
 
@@ -194,9 +194,43 @@ def test_entrypoint_subprocess(tmp_path):
         [sys.executable, "-m", "toricmld", "mld", "-i", str(path)],
         capture_output=True,
         text=True,
+        env=child_env(),
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["value"] == "2"
+
+
+@pytest.mark.parametrize("command", ["mld", "survey", "check"])
+def test_an_unwritable_out_exits_one(tmp_path, c2, capsys, command):
+    """An ``--out`` that cannot be written (its directory is missing, or it
+    names a directory) is an input error, not a traceback with exit 3."""
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"dims": [1], "max_index": 2, "boundary_set": ["0"]}))
+    argv = {
+        "mld": ["mld", "-i", c2, "--out", str(tmp_path / "missing" / "x.json")],
+        "survey": ["survey", "--dim", "2", "--max-index", "2", "--out", str(tmp_path / "missing" / "x.csv")],
+        "check": ["check", "--corpus-config", str(cfg), "--out", str(tmp_path)],
+    }[command]
+    assert cli.main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot write {argv[-1]}: ") and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (["mld", "--face", ""], "a face needs a nonempty support"),
+        (["mld", "--global", "--face", "1"], "argument --face: not allowed with argument --global"),
+        (["lct", "--monomial", "1,1", "--fermat", "1,1"], "argument --fermat: not allowed with argument --monomial"),
+        (["lct", "--exponents", ""], "expected a vector of length 2, got 0"),
+    ],
+    ids=["empty-face", "face-and-global", "two-lct-modes", "empty-exponents"],
+)
+def test_an_empty_or_second_mode_exits_one(c2, capsys, argv, message):
+    """A mode option is read when it is given, even empty, and two modes of
+    one command are refused rather than one of them silently dropped."""
+    assert cli.main([argv[0], "-i", c2, *argv[1:]]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
 
 
 def test_general_member_box_cap_exits_one(tmp_path, capsys):

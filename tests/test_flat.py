@@ -498,7 +498,7 @@ def test_witness_and_rho_check_agree_with_the_fraction_recomputation(corpus_germ
 
     def overstated(exponents, w_row, wd):
         res = exact(exponents, w_row, wd)
-        return dataclasses.replace(res, mu=res.mu * F(3, 4))
+        return dataclasses.replace(res, mu_num=res.mu_num * 3, scale=res.scale * 4)
 
     monkeypatch.setattr(flat, "_first_intersection", overstated)
     raised = 0
@@ -579,7 +579,7 @@ def test_an_overstated_ray_infimum_is_a_model_violation(monkeypatch):
 
     def halved(exponents, w_row, wd):
         res = exact(exponents, w_row, wd)
-        return dataclasses.replace(res, mu=res.mu / 2)
+        return dataclasses.replace(res, scale=res.scale * 2)
 
     monkeypatch.setattr(flat, "_first_intersection", halved)
     with pytest.raises(ModelViolation):

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 from fractions import Fraction as F
 from itertools import product
@@ -125,9 +126,8 @@ def test_dominated_exponent_is_neutral():
 def test_mu_examples():
     cusp = newton_poly_from_exponents(std_germ(2), [(2, 0), (0, 3)])
     assert first_intersection_mu(cusp) == F(6, 5)
-    res = _first_intersection(cusp.exponents, *cusp.germ._weight_ints)
     # witness weights are aligned with the sorted exponents ((0,3),(2,0))
-    assert res.weights == (F(2, 5), F(3, 5))
+    assert lct_newton(cusp).witness == (F(2, 5), F(3, 5))
 
     axes = newton_poly_from_exponents(std_germ(2), [(1, 0), (0, 1)])
     assert first_intersection_mu(axes) == F(1, 2)
@@ -140,8 +140,6 @@ def test_mu_examples():
 
 
 def test_weights_off_a_convex_combination_are_a_model_violation(monkeypatch):
-    import dataclasses
-
     import toricmld.newton as newton
 
     exact = newton.solve_lp_max_slack
@@ -156,25 +154,64 @@ def test_weights_off_a_convex_combination_are_a_model_violation(monkeypatch):
         lct_newton(cusp)
 
 
+def test_a_nonpositive_mu_is_a_model_violation(monkeypatch):
+    """The ray program refuses mu <= 0 itself, so every reader is covered;
+    ``lct_newton`` would otherwise divide by zero."""
+    import toricmld.newton as newton
+
+    exact = newton._mu_lp
+
+    def zero_mu(exponents, w_row, wd):
+        return (0, *exact(exponents, w_row, wd)[1:])
+
+    monkeypatch.setattr(newton, "_mu_lp", zero_mu)
+    cusp = newton_poly_from_exponents(std_germ(2), [(2, 0), (0, 3)])
+    for read in (lct_newton, first_intersection_mu):
+        with pytest.raises(ModelViolation, match="mu must be positive"):
+            read(cusp)
+
+
+def _assert_integral(res):
+    """Every field of the ray program's answer is an int, a tuple of ints or
+    None: ``Fraction``s are built only by the functions that return them."""
+    for field in dataclasses.fields(res):
+        v = getattr(res, field.name)
+        assert v is None or type(v) is int or all(type(c) is int for c in v), field.name
+
+
 def _certificate(poly):
     res = _first_intersection(poly.exponents, *poly.germ._weight_ints)
-    assert res.mu is not None
+    assert res.mu_num is not None
+    _assert_integral(res)
+    mu = F(res.mu_num, res.scale)
+    weights = [F(v, res.scale) for v in res.lam]
+    normal = [F(v, res.y_den) for v in res.y_num]
     w = poly.germ.weights
-    combo = [sum(l * F(m[i]) for l, m in zip(res.weights, poly.exponents)) for i in range(poly.dim)]
-    assert sum(res.weights) == 1 and all(l >= 0 for l in res.weights)
+    combo = [sum(l * F(m[i]) for l, m in zip(weights, poly.exponents)) for i in range(poly.dim)]
+    assert sum(weights) == 1 and all(l >= 0 for l in weights)
     for i in range(poly.dim):
-        assert combo[i] <= res.mu * w[i]
-    assert all(y >= 0 for y in res.normal)
-    assert sum(y * wi for y, wi in zip(res.normal, w)) <= 1
+        assert combo[i] <= mu * w[i]
+    assert all(y >= 0 for y in normal)
+    assert sum(y * wi for y, wi in zip(normal, w)) <= 1
     for m in poly.exponents:
-        assert sum(y * F(c) for y, c in zip(res.normal, m)) >= res.mu
+        assert sum(y * F(c) for y, c in zip(normal, m)) >= mu
     # complementary slackness
-    for lam, m in zip(res.weights, poly.exponents):
+    for lam, m in zip(weights, poly.exponents):
         if lam:
-            assert sum(y * F(c) for y, c in zip(res.normal, m)) == res.mu
+            assert sum(y * F(c) for y, c in zip(normal, m)) == mu
     for i in range(poly.dim):
-        if res.normal[i]:
-            assert combo[i] == res.mu * w[i]
+        if normal[i]:
+            assert combo[i] == mu * w[i]
+    # the zero-weight lift is the least one: each zero-weight coordinate is
+    # the largest shortfall (mu - <y off them, m>) / (their sum in m), or 0
+    zero = [i for i, wi in enumerate(w) if wi == 0]
+    base = [0 if i in zero else y for i, y in enumerate(normal)]
+    short = [
+        (mu - sum(y * c for y, c in zip(base, m))) / sum(m[i] for i in zero)
+        for m in poly.exponents
+        if any(m[i] for i in zero)
+    ]
+    assert all(normal[i] == max([F(0), *short]) for i in zero)
 
 
 exponent = st.tuples(st.integers(0, 5), st.integers(0, 5)).filter(any)
@@ -185,6 +222,7 @@ def test_random_intersections_carry_certificates(exps, b1, b2):
     germ = std_germ(2, (b1, b2))
     poly = newton_poly_from_exponents(germ, exps)
     if first_intersection_mu(poly) is None:
+        _assert_integral(_first_intersection(poly.exponents, *germ._weight_ints))
         zero = [i for i, w in enumerate(germ.weights) if w == 0]
         assert all(any(m[i] > 0 for i in zero) for m in poly.exponents)
     else:
@@ -219,7 +257,7 @@ def test_general_member_certificates_and_oracle_on_the_corpus(corpus_germs):
         if mu is not None:
             _certificate(poly)
             zero = [i for i, w in enumerate(germ.weights) if w == 0]
-            lifted += any(_first_intersection(poly.exponents, *germ._weight_ints).normal[i] for i in zero)
+            lifted += any(_first_intersection(poly.exponents, *germ._weight_ints).y_num[i] for i in zero)
     assert lifted > 0, "some certificate must need the zero-weight lift"
 
 
