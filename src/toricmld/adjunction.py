@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import InputError
-from .germ import ToricGerm, germ_document
+from .germ import ToricGerm, _least_interior, germ_document
 from .rationals import integer, rat_str
 
 
@@ -54,9 +54,11 @@ def adjoin_invariant_divisor(germ: ToricGerm, divisor: int) -> AdjunctionResult:
 
 
 def check_precise_inversion(germ: ToricGerm, divisor: int) -> CheckReport:
-    """Compare the point minimum upstairs with the one on the divisor, in integers."""
+    """Compare the point minimum upstairs, off the face table the survey row
+    fills anyway, with the one on the divisor, off the restricted germ's
+    full-support candidates alone; in integers."""
     adj = adjoin_invariant_divisor(germ, divisor)
-    (lhs, lscale), (rhs, rscale) = map(_point_scaled, (germ, adj.germ))
+    (lhs, lscale), (rhs, rscale) = _point_scaled(germ), _least_interior(adj.germ)
     detail = (f"point-minimum vs divisor {divisor}", Fraction(lhs, lscale), Fraction(rhs, rscale))
     return CheckReport(lhs * rscale == rhs * lscale, (detail,))
 

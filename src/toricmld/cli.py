@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import traceback
 
@@ -46,7 +47,7 @@ def _read_germ(path: str):
 
 def _write(text: str, out: str | None) -> None:
     """``text`` to the file ``out`` (``InputError`` if it cannot), or stdout."""
-    if not out:
+    if out is None:
         sys.stdout.write(text)
         return
     try:
@@ -54,6 +55,15 @@ def _write(text: str, out: str | None) -> None:
             fh.write(text)
     except OSError as exc:
         raise InputError(f"cannot write {out}: {exc}") from exc
+
+
+def _refuse_unwritable(out: str | None) -> None:
+    """Refuse, before any work, an ``out`` that is empty, names a directory or
+    sits in a missing one; nothing is opened, so no file is created or truncated."""
+    if out is None:
+        return
+    if not out or os.path.isdir(out) or not os.path.isdir(os.path.dirname(out) or os.curdir):
+        raise InputError(f"cannot write {out}: not a file path in an existing directory")
 
 
 def _emit(payload: dict, out: str | None) -> None:
@@ -76,14 +86,13 @@ def _cmd_mld(args) -> int:
     else:
         report = mld_face(germ, full_face(germ.dim))
     payload = report.to_json_dict()
-    if args.oracle_radius:
-        oracle = mld_bruteforce_oracle(germ, report.face, args.oracle_radius)
+    status = EXIT_OK
+    if args.oracle:
+        oracle = mld_bruteforce_oracle(germ, report.face, 1)
         payload["oracle"] = rat_str(oracle)
-        if oracle != report.value:
-            _emit(payload, args.out)
-            return EXIT_CHECK
+        status = EXIT_OK if oracle == report.value else EXIT_CHECK
     _emit(payload, args.out)
-    return EXIT_OK
+    return status
 
 
 def _cmd_lct(args) -> int:
@@ -166,11 +175,10 @@ def build_parser() -> _Parser:
     mode.add_argument("--face", help="comma-separated 1-based support, e.g. 1,3")
     mode.add_argument("--global", dest="global_", action="store_true", help="minimum over all faces")
     p.add_argument(
-        "--oracle-radius",
-        type=int,
-        default=0,
-        help="cross-check by brute force up to this radius; weights are >= 0, so any radius >= 1 gives the same"
-        " value; it reads the coset residues apart from the face table, and the tests check those residues",
+        "--oracle",
+        action="store_true",
+        help="cross-check by brute force at radius 1, the unit box, which holds every minimum as weights are >= 0;"
+        " it reads the coset residues apart from the face table, and the tests check those residues",
     )
     p.add_argument("--out")
     p.set_defaults(fn=_cmd_mld)
@@ -218,6 +226,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        _refuse_unwritable(args.out)
         return args.fn(args)
     except (InputError, ResourceLimit) as exc:
         print(f"error: {exc}", file=sys.stderr)

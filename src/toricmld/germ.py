@@ -307,11 +307,17 @@ def verify_minkowski(germ: ToricGerm, t, delta) -> bool:
     t, delta = rat(t), rat(delta)
     if t < 0 or delta <= 0:
         raise InputError("need t >= 0 and delta > 0")
+    least, scale = _least_interior(germ)
+    low, high = t * scale, (t + delta) * scale
+    return least * low.denominator >= low.numerator and least * high.denominator < high.numerator
+
+
+def _least_interior(germ: ToricGerm) -> tuple[int, int]:
+    """The least full-support box candidate value times den * wd, which is the
+    point minimum so scaled, and that scale; ``face_table`` is not filled."""
     lat = germ.lattice
     wn, wd = germ._weight_ints
-    low, high = t * lat.den * wd, (t + delta) * lat.den * wd
-    least = min(sum(map(mul, wn, row)) for row in lat.box_candidates[tuple(range(1, lat.dim + 1))])
-    return least * low.denominator >= low.numerator and least * high.denominator < high.numerator
+    return min(sum(map(mul, wn, row)) for row in lat.box_candidates[tuple(range(1, lat.dim + 1))]), lat.den * wd
 
 
 def px_mld_formula(x) -> Fraction:

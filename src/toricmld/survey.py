@@ -372,23 +372,20 @@ def acc_report(rows) -> AccReport:
 
 @dataclass(frozen=True)
 class CorpusConfig:
+    """Which germs ``verify_corpus`` checks and when it stops; no check has a setting (``_check_germ``)."""
+
     dims: tuple[int, ...] = (1, 2, 3)
     max_index: int = 12
     boundary_set: tuple[Fraction, ...] = (Fraction(0), Fraction(1, 2), Fraction(2, 3), Fraction(1))
-    oracle_radius: int = 3
-    minkowski_delta: Fraction = Fraction(1, 7)
     fail_fast: bool = False
     row_cap: int = ROW_CAP_DEFAULT
 
     def __post_init__(self):
         """Range checks on every field, however the config was built."""
         object.__setattr__(self, "dims", tuple(_positive_int(d, "each of dims") for d in self.dims))
-        for key in ("max_index", "oracle_radius", "row_cap"):
+        for key in ("max_index", "row_cap"):
             _positive_int(getattr(self, key), key)
         object.__setattr__(self, "boundary_set", _coefficients(self.boundary_set))
-        object.__setattr__(self, "minkowski_delta", rat(self.minkowski_delta))
-        if self.minkowski_delta <= 0:
-            raise InputError("minkowski_delta must be positive")
         if not isinstance(self.fail_fast, bool):
             raise InputError(f"fail_fast must be true or false, got {self.fail_fast!r}")
 
@@ -417,13 +414,16 @@ def _check_germ(germ: ToricGerm, config: CorpusConfig) -> list[str]:
     divisibility, dilation and closed-form checks, in integers: the oracle's
     p / q against a face's scaled minimum m as p scale == m q, and each
     den-scaled minimizer u by wn . u == m, u pairing to 0 mod den with the
-    dual basis (apart from the walk that built u), and scale | cartier * m."""
+    dual basis (apart from the walk that built u), and scale | cartier * m.
+    ``config`` sets nothing here: the oracle's radius is 1, as the box reduction
+    puts every minimum in the unit box, and the dilation gap is 1 / scale, of
+    which every lattice-point value is a multiple; no radius or gap is stronger."""
     problems = []
     inv = _invariants(germ, mld_face(germ, full_face(germ.dim)))
     table, (wn, _) = germ.face_table, germ._weight_ints
     dual = germ.lattice.dual_int_basis
     for support, (m, minimizers) in table.entries.items():
-        oracle = mld_bruteforce_oracle(germ, support, config.oracle_radius)
+        oracle = mld_bruteforce_oracle(germ, support, 1)
         if oracle.numerator * table.scale != m * oracle.denominator:
             problems.append(f"oracle mismatch on face {support}: {table.value(support)} vs {oracle}")
         for u in minimizers:
@@ -438,7 +438,7 @@ def _check_germ(germ: ToricGerm, config: CorpusConfig) -> list[str]:
     for support, (m, _) in table.entries.items():
         if inv["cartier"] * m % table.scale:
             problems.append(f"index divisibility failed on face {support}")
-    if not verify_minkowski(germ, inv["mld_point"], config.minkowski_delta):
+    if not verify_minkowski(germ, inv["mld_point"], Fraction(1, table.scale)):
         problems.append("lattice-point-free dilation check failed")
     if inv["pia_ok"] is False:
         for i, b in enumerate(germ.boundary, start=1):

@@ -202,6 +202,18 @@ def test_precise_inversion_compares_minima_over_different_scales():
     assert check_precise_inversion(germ, 3) == precise_inversion_formula(germ, 3)
 
 
+def test_precise_inversion_fills_no_face_table_on_the_divisor(monkeypatch):
+    """The divisor's point minimum is read off the restricted lattice's
+    full-support candidates: only the upstairs germ, whose table the survey
+    row fills anyway, has its face table filled (each access is counted)."""
+    germ = ToricGerm(lattice_from_generators(3, [(F(1, 3), F(1, 3), F(2, 3))]), (1, F(1, 2), 1))
+    expected = [check_precise_inversion(germ, i) for i in (1, 3)]
+    real, filled = ToricGerm.face_table.func, []
+    monkeypatch.setattr(ToricGerm, "face_table", property(lambda g: filled.append(g.dim) or real(g)))
+    assert [check_precise_inversion(germ, i) for i in (1, 3)] == expected
+    assert filled and set(filled) == {3}
+
+
 def test_failing_semicontinuity_and_bounds_equal_their_fraction_formulas():
     """Face values of Z^2 + Z(1/3, 2/3) with weights (1, 1/2), scale 6: 1 on
     (1,), 1/2 on (2,), 2/3 at the point.  A point minimum of 5/3 breaks

@@ -41,10 +41,13 @@ def test_mld_default_face(a2, capsys):
 
 
 def test_mld_face_and_oracle(a2, capsys):
-    code, out = run(capsys, "mld", "-i", a2, "--face", "1", "--oracle-radius", "2")
+    code, out = run(capsys, "mld", "-i", a2, "--face", "1", "--oracle")
     assert code == 0
     payload = json.loads(out)
     assert payload["value"] == payload["oracle"] == "1"
+    # the oracle's radius is fixed at 1, so the option that set it is gone
+    assert cli.main(["mld", "-i", a2, "--oracle-radius", "2"]) == 1
+    assert "--oracle-radius" in capsys.readouterr().err
 
 
 def test_mld_global(a2, capsys):
@@ -200,20 +203,27 @@ def test_entrypoint_subprocess(tmp_path):
     assert json.loads(proc.stdout)["value"] == "2"
 
 
-@pytest.mark.parametrize("command", ["mld", "survey", "check"])
-def test_an_unwritable_out_exits_one(tmp_path, c2, capsys, command):
-    """An ``--out`` that cannot be written (its directory is missing, or it
-    names a directory) is an input error, not a traceback with exit 3."""
+@pytest.mark.parametrize("command", ["mld", "survey", "check", "empty"])
+def test_an_unwritable_out_exits_one(tmp_path, c2, capsys, monkeypatch, command):
+    """An ``--out`` that cannot be written (its directory is missing, it
+    names a directory, or it is empty) is an input error, not a traceback
+    with exit 3 or a report on stdout, and it is refused before the germ is
+    read or the corpus checked or surveyed; no file or directory is made."""
+    reached = []
+    for name in ("_read_germ", "verify_corpus", "run_survey"):
+        monkeypatch.setattr(cli, name, lambda *args, _name=name, **kwargs: reached.append(_name))
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"dims": [1], "max_index": 2, "boundary_set": ["0"]}))
     argv = {
         "mld": ["mld", "-i", c2, "--out", str(tmp_path / "missing" / "x.json")],
         "survey": ["survey", "--dim", "2", "--max-index", "2", "--out", str(tmp_path / "missing" / "x.csv")],
         "check": ["check", "--corpus-config", str(cfg), "--out", str(tmp_path)],
+        "empty": ["mld", "-i", c2, "--out", ""],
     }[command]
     assert cli.main(argv) == 1
-    err = capsys.readouterr().err
-    assert err.startswith(f"error: cannot write {argv[-1]}: ") and "Traceback" not in err
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"error: cannot write {argv[-1]}: ") and "Traceback" not in captured.err
+    assert captured.out == "" and reached == [] and not (tmp_path / "missing").exists()
 
 
 @pytest.mark.parametrize(

@@ -1,7 +1,9 @@
 import json
-from dataclasses import replace
+import re
+from dataclasses import fields, replace
 from fractions import Fraction as F
 from itertools import permutations, product
+from pathlib import Path
 
 import pytest
 
@@ -439,11 +441,18 @@ def test_verify_catches_corrupted_lattice():
     assert report["failures"] and report["failures"][0]["problems"]
 
 
-@pytest.mark.parametrize("field", [{"oracle_radius": 0}, {"minkowski_delta": 0}])
-def test_corpus_config_checks_its_own_fields(field):
-    """Built directly, such a config ran, and every germ "failed" (status 2)."""
-    with pytest.raises(InputError):
-        verify_corpus(CorpusConfig(dims=(1,), max_index=2, **field))
+@pytest.mark.parametrize("key", ["oracle_radius", "minkowski_delta"])
+def test_a_corpus_config_has_no_oracle_radius_or_dilation_gap(key):
+    """No radius >= 1 changes the oracle's value and no gap changes the
+    dilation verdict, so the battery fixes both and the keys are unknown."""
+    with pytest.raises(InputError, match=f"unknown corpus config keys: \\['{key}'\\]"):
+        CorpusConfig.from_dict({key: 1})
+
+
+def test_the_readme_names_exactly_the_corpus_config_keys():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    paragraph = readme.split("A corpus config is a JSON object with any of:")[1].split("Other keys")[0]
+    assert sorted(re.findall(r"`([a-z_]+)`", paragraph)) == sorted(f.name for f in fields(CorpusConfig))
 
 
 def test_corpus_config_from_dict():
