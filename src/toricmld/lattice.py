@@ -1,12 +1,12 @@
 """Rational lattices in canonical form.
 
-A ``Lattice`` is a full-rank subgroup of Q^d stored by the unique basis
-obtained as follows: pick the smallest q with q*L contained in Z^d (q is an
-invariant of L, not of the presentation), put the integer lattice q*L in row
-Hermite normal form (echelon, positive pivots, entries above each pivot
-reduced into [0, pivot)), and divide back by q.  Two presentations of the
-same lattice therefore produce bit-identical bases, which makes lattices
-hashable and directly comparable.
+A ``Lattice`` is a full-rank subgroup of Q^d stored by unique integers: the
+smallest q with q*L contained in Z^d (q is an invariant of L, not of the
+presentation) and the row Hermite normal form of the integer lattice q*L
+(echelon, positive pivots, entries above each pivot reduced into
+[0, pivot)); divided back by q, that is the canonical basis.  Two
+presentations of the same lattice therefore store identical integers, which
+makes lattices hashable and directly comparable.
 
 The lattices of interest here mostly contain Z^d (``index`` counts N/Z^d);
 duals of those are finite-index sublattices of Z^d, represented by the same
@@ -98,19 +98,20 @@ class CosetTable:
         return len(self.reps)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Lattice:
     dim: int
-    basis: tuple[tuple[Fraction, ...], ...]
+    den: int  # the smallest q with q*L inside Z^d
+    int_rows: tuple[tuple[int, ...], ...]  # the HNF of q*L: triangular, positive pivots; basis * den
 
-    def __post_init__(self):
+    def __init__(self, dim: int, basis):
         """Build a lattice with ``from_rows`` or ``from_generators``: the
         constructor takes only its canonical basis (``InputError`` otherwise),
-        and ``_from_int_rows``, which builds that basis, skips this check."""
+        and ``_from_int_rows``, which builds the canonical rows, skips this check."""
         try:
-            canon = Lattice.from_rows(integer(self.dim, "dim"), iterate(self.basis, "a basis"))
-            if canon.basis != tuple(map(tuple, self.basis)):
-                raise InputError(f"{self.basis!r} is not the canonical basis of a lattice")
+            canon = Lattice.from_rows(integer(dim, "dim"), iterate(basis, "a basis"))
+            if canon.basis != tuple(map(tuple, basis)):
+                raise InputError(f"{basis!r} is not the canonical basis of a lattice")
         except InputError as exc:
             raise InputError(f"{exc}; build lattices with Lattice.from_rows") from None
         self.__dict__.update(canon.__dict__)
@@ -136,10 +137,8 @@ class Lattice:
         h = hnf([[x // g for x in row] for row in rows], dim)
         if len(h) != dim:
             raise InputError("generators do not span the ambient space")
-        den //= g
         lat = object.__new__(cls)
-        basis = tuple(tuple(Fraction(x, den) for x in row) for row in h)
-        lat.__dict__.update(dim=dim, basis=basis, den=den, int_rows=tuple(map(tuple, h)))
+        lat.__dict__.update(dim=dim, den=den // g, int_rows=tuple(map(tuple, h)))
         return lat
 
     @classmethod
@@ -156,9 +155,10 @@ class Lattice:
     def standard(cls, dim: int) -> "Lattice":
         return cls.from_generators(dim, [])
 
-    # -- canonical integer data -------------------------------------------
-    # Set with the basis (``_from_int_rows``): den, the smallest q with q*L
-    # inside Z^d, and int_rows = den * basis, triangular, positive pivots.
+    @cached_property
+    def basis(self) -> tuple[tuple[Fraction, ...], ...]:
+        """The canonical basis, ``int_rows`` / ``den``, built when first read."""
+        return tuple(tuple(Fraction(x, self.den) for x in row) for row in self.int_rows)
 
     @cached_property
     def det(self) -> Fraction:
@@ -547,26 +547,27 @@ def project_drop_coord(lat: Lattice, coord: int) -> Lattice:
 
 
 def _ordered_factorizations(n: int, parts: int):
-    """The tuples of ``parts`` positive integers with product n, in
+    """The tuples of ``parts`` >= 0 positive integers with product n, in
     lexicographic order, walked on a stack of its own, not by recursion."""
     stack = [((), n)]
     while stack:
         head, rest = stack.pop()
-        if len(head) == parts - 1:
-            yield head + (rest,)
-        else:
+        if len(head) < parts - 1:
             stack.extend((head + (k,), rest // k) for k in reversed(_divisors(rest)))
+        elif parts or rest == 1:  # no parts: the empty tuple, product 1
+            yield head + (rest,)[:parts]
 
 
 def _hnf_diagonals(dim: int, max_index: int):
     """(n, diag) for n = 1..max_index and each pivot diagonal of an HNF basis
-    of an index-n sublattice of Z^dim.  Column j has diag_j^j candidates
-    above its pivot; more than ``TABLE_CAP`` raise ``ResourceLimit`` before
-    the diagonal is counted or built."""
+    of an index-n sublattice of Z^dim whose first pivot, the gcd of column 0,
+    is 1 as ``enumerate_superlattices`` needs: dimension 1 stops at index 1.
+    Column j has diag_j^j candidates above its pivot; more than ``TABLE_CAP``
+    raise ``ResourceLimit`` before the diagonal is counted or built."""
     if integer(dim, "dim") < 1 or integer(max_index, "max_index") < 1:
         raise InputError("dim and max_index must be positive")
-    for n in range(1, max_index + 1):
-        for diag in _ordered_factorizations(n, dim):
+    for n in range(1, (max_index if dim > 1 else 1) + 1):
+        for diag in ((1,) + rest for rest in _ordered_factorizations(n, dim - 1)):
             for j, p in enumerate(diag):
                 if p**j > TABLE_CAP:
                     raise ResourceLimit(f"an HNF column of {p**j} candidates exceeds the cap {TABLE_CAP}")
@@ -584,8 +585,6 @@ def _unit_columns(p: int, j: int) -> int:
     tuple counts exactly when gcd(p) = p is 1: each factor is 0 when p > 1,
     and the product is empty when p = 1.
     """
-    if not j:
-        return int(p == 1)
     count = p**j
     for q in _divisors(p)[1:]:
         if all(q % r for r in range(2, isqrt(q) + 1)):  # q is prime

@@ -409,13 +409,13 @@ def corpus_germs(config: CorpusConfig):
     return (ToricGerm(lattice, b) for lattice, assignments in stream for b in assignments)
 
 
-def _check_germ(germ: ToricGerm, config: CorpusConfig) -> list[str]:
+def _check_germ(germ: ToricGerm) -> list[str]:
     """The shared invariants (``_invariants``) plus the oracle, witness,
     divisibility, dilation and closed-form checks, in integers: the oracle's
     p / q against a face's scaled minimum m as p scale == m q, and each
     den-scaled minimizer u by wn . u == m, u pairing to 0 mod den with the
     dual basis (apart from the walk that built u), and scale | cartier * m.
-    ``config`` sets nothing here: the oracle's radius is 1, as the box reduction
+    No check has a setting: the oracle's radius is 1, as the box reduction
     puts every minimum in the unit box, and the dilation gap is 1 / scale, of
     which every lattice-point value is a multiple; no radius or gap is stronger."""
     problems = []
@@ -473,7 +473,7 @@ def verify_corpus(config: CorpusConfig, germs=None) -> tuple[int, dict]:
             raise ResourceLimit(f"corpus exceeds the row cap {config.row_cap}")
         report["checked"] += 1
         try:
-            problems = _check_germ(germ, config)
+            problems = _check_germ(germ)
         except Exception as exc:  # a crash while checking is itself a failure
             problems = [f"exception during checks: {type(exc).__name__}: {exc}"]
         if problems:

@@ -46,7 +46,7 @@ def test_a_minimizer_off_the_lattice_is_reported_with_its_fraction_vector():
     scaled, rows = germ.face_table.entries[(1, 2)]
     assert (scaled, rows, germ.face_table.scale) == (4, ((1, 2),), 6)
     with_entry(germ, (1, 2), 4, ((1, 2), (2, 0)))
-    assert _check_germ(germ, CorpusConfig()) == [
+    assert _check_germ(germ) == [
         "witness (Fraction(2, 3), Fraction(0, 1)) is outside the lattice",
     ]
 
@@ -54,7 +54,7 @@ def test_a_minimizer_off_the_lattice_is_reported_with_its_fraction_vector():
 def test_a_wrong_scaled_minimum_is_reported_on_every_minimizer():
     germ = ToricGerm(germ_cyclic_quotient(3, (1, 2)).lattice, (0, F(1, 2)))
     with_entry(germ, (1, 2), 5, ((1, 2),))
-    assert _check_germ(germ, CorpusConfig()) == [
+    assert _check_germ(germ) == [
         "oracle mismatch on face (1, 2): 5/6 vs 2/3",
         "witness (Fraction(1, 3), Fraction(2, 3)) does not attain the face value",
         "lattice-point-free dilation check failed",
@@ -68,7 +68,7 @@ def test_a_broken_divisibility_names_each_face_it_breaks_on(monkeypatch):
     germ = ToricGerm(germ_cyclic_quotient(3, (1, 2)).lattice, (0, F(1, 2)))
     assert survey.cartier_index(germ) == 6
     monkeypatch.setattr(survey, "cartier_index", lambda germ: 1)
-    assert _check_germ(germ, CorpusConfig()) == [
+    assert _check_germ(germ) == [
         "index divisibility failed on face (2,)",
         "index divisibility failed on face (1, 2)",
     ]
@@ -84,7 +84,7 @@ def test_a_failed_inversion_names_only_its_divisor(monkeypatch):
 
     monkeypatch.setattr(survey, "check_precise_inversion", fail_on_two)
     germ = ToricGerm(germ_cyclic_quotient(5, (1, 2, 3)).lattice, (1, 1, 0))
-    assert _check_germ(germ, CorpusConfig()) == ["adjunction equality failed on divisor 2"]
+    assert _check_germ(germ) == ["adjunction equality failed on divisor 2"]
 
 
 # -- what one check computes --------------------------------------------------------
@@ -159,7 +159,7 @@ def test_the_oracle_catches_a_minimizer_dropped_from_the_box_candidates(monkeypa
         expected = [s for s, (_, best) in germ.face_table.entries.items() if len(best) == 1 < len(rows[s])]
         wn = germ._weight_ints[0]
         monkeypatch.setattr(Lattice, "box_candidates", property(dropped))
-        problems = _check_germ(ToricGerm(Lattice(germ.dim, germ.lattice.basis), germ.boundary), CorpusConfig())
+        problems = _check_germ(ToricGerm(Lattice(germ.dim, germ.lattice.basis), germ.boundary))
         monkeypatch.undo()
         mismatched = [p.split(":")[0] for p in problems if p.startswith("oracle mismatch")]
         assert mismatched == [f"oracle mismatch on face {s}" for s in expected], (germ, problems)

@@ -353,6 +353,27 @@ def test_a_dimension_over_the_box_cap_is_refused_before_any_walk(tmp_path, comma
     assert proc.stderr == "error: a box candidate table of 2^1500 - 1 rows exceeds the cap 1048576\n"
 
 
+@pytest.mark.parametrize("command", ["survey", "check"])
+def test_dimension_one_stops_at_index_one(tmp_path, command):
+    """Z is the only lattice of dimension 1 with e_1 primitive, so the walk
+    ends at index 1 whatever the bound.  It walked every index up to it,
+    each diagonal holding no lattice: 5.3 s to 10^6, and 10^12 never ended."""
+    config = tmp_path / "cfg.json"
+    config.write_text('{"dims": [1], "max_index": 1000000000000}')
+    argv = {
+        "survey": ["survey", "--dim", "1", "--max-index", "1000000000000", "--boundary-set", "0"],
+        "check": ["check", "--corpus-config", str(config)],
+    }[command]
+    proc = run_capped(argv, cpu=10)
+    assert proc.returncode == 0, (proc.returncode, proc.stderr)
+    if command == "survey":
+        lines = proc.stdout.splitlines()
+        assert len(lines) == 2 and lines[1].split(",")[1:3] == ["1", "1"]  # dim, index
+    else:
+        report = json.loads(proc.stdout)
+        assert report["checked"] == 4 and report["failures"] == []
+
+
 @pytest.mark.parametrize(
     "argv",
     [["mld"], ["lct", "--general-member"], ["adjoin", "--divisor", "1"]],

@@ -7,7 +7,7 @@ from toricmld.flat import build_flat_structure
 from toricmld.germ import ToricGerm
 from toricmld.lattice import lattice_from_generators
 from toricmld.newton import dual_hilbert_basis, lct_newton, newton_poly_from_exponents
-from toricmld.survey import CorpusConfig, _check_germ, _survey_row
+from toricmld.survey import _check_germ, _survey_row
 
 GERM_FIELDS = {
     "lattice",
@@ -41,7 +41,7 @@ def test_cached_fields_are_named_and_do_not_grow_with_calls():
     def run(ks):
         build_flat_structure(germ)
         _survey_row(germ)
-        assert _check_germ(germ, CorpusConfig()) == []
+        assert _check_germ(germ) == []
         for k in ks:
             lct_newton(newton_poly_from_exponents(germ, [tuple(k * c for c in first), second]))
 

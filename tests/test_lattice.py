@@ -1,3 +1,5 @@
+import dataclasses
+import pickle
 from fractions import Fraction, Fraction as F
 from hashlib import sha256
 from itertools import product
@@ -439,15 +441,43 @@ def test_the_constructor_refuses_a_basis_that_is_not_canonical(basis):
 
 
 def test_the_constructor_keeps_every_canonical_basis():
+    """Every construction route, and a pickle round trip before and after
+    ``basis`` is read, gives an equal lattice with an equal hash."""
     lattices = [lat for d in (1, 2, 3) for lat in enumerate_superlattices(d, 8)]
     lattices += [lat.dual for lat in lattices]
     for lat in lattices:
-        again = Lattice(lat.dim, lat.basis)
-        assert again == lat and hash(again) == hash(lat), lat
-        assert (again.den, again.int_rows) == (lat.den, lat.int_rows), lat
+        routes = [pickle.loads(pickle.dumps(lat)), Lattice(lat.dim, lat.basis), pickle.loads(pickle.dumps(lat))]
+        routes.append(Lattice.from_rows(lat.dim, lat.basis[::-1]))
+        if lat.is_superlattice:
+            routes.append(Lattice.from_generators(lat.dim, lat.basis))
+        for again in routes:
+            assert again == lat and hash(again) == hash(lat), lat
+            assert (again.den, again.int_rows, again.basis) == (lat.den, lat.int_rows, lat.basis), lat
     integral = Lattice(2, ((1, 0), (0, 1)))
     assert integral == Lattice.standard(2) and hash(integral) == hash(Lattice.standard(2))
     assert integral.contains((0, 1)) and integral.is_superlattice
+
+
+def test_a_lattice_is_its_integer_rows(monkeypatch):
+    """``den`` and ``int_rows`` are the stored lattice; enumeration and the
+    lattices derived in integer rows build no ``Fraction``, and ``basis`` is
+    int_rows / den, built and cached when first read."""
+    import toricmld.lattice as lattice
+
+    assert [f.name for f in dataclasses.fields(Lattice)] == ["dim", "den", "int_rows"]
+    built = []
+    monkeypatch.setattr(lattice, "Fraction", lambda *args: built.append(args) or F(*args))
+    lattices = enumerate_superlattices(3, 8)
+    derived = [lat.dual for lat in lattices] + [lat.project_drop(2) for lat in lattices]
+    derived += [lat.rescale((1, 2, 3)) for lat in lattices]
+    derived += [image for lat in lattices for image, _ in lat.restrictions]
+    assert built == []
+    assert not any("basis" in vars(lat) for lat in lattices + derived)
+    for lat in lattices + derived:
+        first = lat.basis
+        assert first == tuple(tuple(F(x, lat.den) for x in row) for row in lat.int_rows), lat
+        assert lat.basis is first and vars(lat)["basis"] is first
+    assert len(built) == sum(lat.dim**2 for lat in lattices + derived)
 
 
 # -- lattices derived in integer rows ---------------------------------------------
@@ -535,16 +565,17 @@ def test_the_count_refuses_an_hnf_column_above_the_cap_first(monkeypatch):
 
 
 def test_ordered_factorizations_walk_without_recursion():
-    """The same tuples, in the same order, as the recursive definition, and
-    a dimension far past the interpreter's recursion limit."""
+    """The same tuples, in the same order, as the recursive definition, no
+    parts included (the walk never ended there), and a dimension far past
+    the interpreter's recursion limit."""
 
     def recursive(n, parts):
-        if parts == 1:
-            return [(n,)]
+        if parts == 0:
+            return [()] if n == 1 else []
         return [(k,) + rest for k in _divisors(n) for rest in recursive(n // k, parts - 1)]
 
     for n in range(1, 50):
-        for parts in range(1, 5):
+        for parts in range(5):
             assert list(_ordered_factorizations(n, parts)) == recursive(n, parts), (n, parts)
     assert list(_ordered_factorizations(1, 5000)) == [(1,) * 5000]
     assert len(list(_ordered_factorizations(2, 300))) == 300

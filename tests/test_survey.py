@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 from toricmld.errors import InputError, MalformedRational, ResourceLimit
-from toricmld.germ import ToricGerm, germ_cyclic_quotient, mld_bruteforce_oracle, mld_global
+from toricmld.germ import ToricGerm, germ_cyclic_quotient, germ_document, mld_bruteforce_oracle, mld_global
 from toricmld.lattice import Lattice, enumerate_superlattices, lattice_from_generators
 from toricmld.rationals import rat_str
 from toricmld.survey import (
@@ -412,7 +412,7 @@ def test_check_row_cap_trips_before_any_lattice_is_built(monkeypatch):
     calls = []
     dual, check = lattice._dual_of_int_rows, survey._check_germ
     monkeypatch.setattr(lattice, "_dual_of_int_rows", lambda t, den: calls.append("dual") or dual(t, den))
-    monkeypatch.setattr(survey, "_check_germ", lambda germ, config: calls.append("check") or check(germ, config))
+    monkeypatch.setattr(survey, "_check_germ", lambda germ: calls.append("check") or check(germ))
     germs = 3 + 6 * 9
     over = CorpusConfig(dims=(1, 2), max_index=4, boundary_set=(F(0), F(1, 2), F(1)), row_cap=germs - 1)
     with pytest.raises(ResourceLimit, match=f"row cap {germs - 1}"):
@@ -428,17 +428,39 @@ def test_check_row_cap_trips_before_any_lattice_is_built(monkeypatch):
 
 
 def test_verify_catches_corrupted_lattice():
-    # surgery: a "canonical" basis that is not canonical breaks the coset
-    # machinery in ways the cross-checks must flag
+    # surgery: "canonical" rows that are not canonical (the basis
+    # (1/3, 2/3), (1/3, 1/6)) break the coset machinery in ways the
+    # cross-checks must flag
     broken = object.__new__(Lattice)
     object.__setattr__(broken, "dim", 2)
-    object.__setattr__(broken, "basis", ((F(1, 3), F(2, 3)), (F(1, 3), F(1, 6))))
+    object.__setattr__(broken, "den", 6)
+    object.__setattr__(broken, "int_rows", ((2, 4), (2, 1)))
     germ = object.__new__(ToricGerm)
     object.__setattr__(germ, "lattice", broken)
     object.__setattr__(germ, "boundary", (F(0), F(0)))
     status, report = verify_corpus(CorpusConfig(), germs=[germ])
     assert status == 2
     assert report["failures"] and report["failures"][0]["problems"]
+
+
+@pytest.mark.parametrize("fail_fast", [False, True])
+def test_fail_fast_stops_at_the_first_failing_germ(fail_fast):
+    """Two surgically broken lattices around a sound germ: neither contains
+    Z^2, so each fails; ``fail_fast`` reports the first and checks no more."""
+
+    def broken(int_rows, den):
+        lat = object.__new__(Lattice)
+        lat.__dict__.update(dim=2, den=den, int_rows=int_rows)
+        germ = object.__new__(ToricGerm)
+        germ.__dict__.update(lattice=lat, boundary=(F(0), F(0)))
+        return germ
+
+    germs = [broken(((2, 4), (2, 1)), 6), germ_cyclic_quotient(3, (1, 2)), broken(((3, 0), (0, 1)), 2)]
+    status, report = verify_corpus(CorpusConfig(fail_fast=fail_fast), germs=germs)
+    assert status == 2
+    assert report["checked"] == (1 if fail_fast else 3)
+    expected = [germ_document(g) for g in (germs[:1] if fail_fast else germs[::2])]
+    assert [f["germ"] for f in report["failures"]] == expected
 
 
 @pytest.mark.parametrize("key", ["oracle_radius", "minkowski_delta"])
