@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import combinations, product
-from math import gcd, isqrt, prod
+from math import gcd, isqrt, lcm, prod
 from operator import mul
 
 from .errors import DimensionMismatch, InputError, ModelViolation, NotInLattice, ResourceLimit
@@ -109,8 +109,10 @@ class Lattice:
         constructor takes only its canonical basis (``InputError`` otherwise),
         and ``_from_int_rows``, which builds the canonical rows, skips this check."""
         try:
-            canon = Lattice.from_rows(integer(dim, "dim"), iterate(basis, "a basis"))
-            if canon.basis != tuple(map(tuple, basis)):
+            dim = integer(dim, "dim")
+            rows = tuple(map(qvec, iterate(basis, "a basis")))  # read once: ``basis`` may be an iterator
+            canon = Lattice.from_rows(dim, rows)
+            if canon.basis != rows:
                 raise InputError(f"{basis!r} is not the canonical basis of a lattice")
         except InputError as exc:
             raise InputError(f"{exc}; build lattices with Lattice.from_rows") from None
@@ -406,6 +408,52 @@ class Lattice:
         hb = self.hilbert_basis
         rows = self.box_candidates[tuple(range(1, self.dim + 1))]
         return tuple(min(sum(map(mul, h, row)) for h in hb) for row in rows)
+
+    @cached_property
+    def threshold_vertices(self) -> tuple[int, tuple[IntVec, ...]]:
+        """(D, rows): the vertices y = row / D of Q = {y >= 0 : <y, m> >= 1
+        for every m of ``hilbert_basis``}, sorted.  Q's recession cone is the
+        orthant, so for weights w >= 0 the general-member threshold
+        min(1, 1/mu) (see ``newton``) is min(1, min <y, w> over the vertices),
+        and mu is infinite exactly when that minimum is 0.
+
+        Exact double description (Motzkin et al. 1953; Fukuda and Prodon
+        1996) of the cone {(y, s) : <m, y> >= s >= 0}, in integers with gcd
+        normalisation.  The axis elements c_i e_i, c_i = ``dual_order(e_i)``,
+        give y_i >= s / c_i, whose cone has the generators (1/c_1, .., 1/c_d, 1)
+        and (e_i, 0); they make y >= 0 redundant, and so is every m with
+        sum m_i / c_i >= 1, since there <m, y> >= s.  The other elements are
+        inserted one at a time: a new generator joins a generator on the
+        positive side to one on the negative side when the two are adjacent,
+        that is, when no third generator is tight on every constraint both are
+        tight on (the combinatorial test).  Each generator carries its tight
+        constraints as a bitmask: bit i for axis i, bit d for s >= 0, and one
+        bit per inserted element.
+        """
+        d = self.dim
+        c = [self.dual_order([int(j == i) for j in range(d)]) for i in range(d)]
+        top = lcm(*c)
+        apex = (*(top // ci for ci in c), top)
+        gens = [(apex, (1 << d) - 1)]
+        gens += [(tuple(int(j == i) for j in range(d + 1)), (2 << d) - 1 - (1 << i)) for i in range(d)]
+        inserted = [m for m in self.hilbert_basis if sum(map(mul, m, apex)) < top]
+        for k, m in enumerate(inserted):
+            bit = 1 << (d + 1 + k)
+            vals = [sum(map(mul, m, g)) - g[d] for g, _ in gens]
+            out = [(g, z | bit if v == 0 else z) for (g, z), v in zip(gens, vals) if v >= 0]
+            for (p, zp), vp in zip(gens, vals):
+                if vp <= 0:
+                    continue
+                for (n, zn), vn in zip(gens, vals):
+                    z = zp & zn
+                    if vn >= 0 or sum(zg & z == z for _, zg in gens) > 2:
+                        continue
+                    ray = [vp * b - vn * a for a, b in zip(p, n)]
+                    g = gcd(*ray)
+                    out.append((tuple(x // g for x in ray), z | bit))
+            gens = out
+        den = lcm(*(g[d] for g, _ in gens if g[d]))
+        return den, tuple(sorted(tuple(x * (den // g[d]) for x in g[:d]) for g, _ in gens if g[d]))
 
     @cached_property
     def restrictions(self) -> tuple[tuple["Lattice", tuple[int, ...]], ...]:

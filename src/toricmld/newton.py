@@ -238,6 +238,15 @@ def lct_general_member(germ: ToricGerm) -> LctReport:
     return lct_newton(poly)
 
 
+def _general_member_threshold(germ: ToricGerm) -> Fraction:
+    """``lct_general_member(germ).lct`` without the program: min(1, min <y, w>
+    over the vertices y = row / D of ``Lattice.threshold_vertices``), the
+    minimum taken in integers as <row, wd * w> over D * wd."""
+    den, rows = germ.lattice.threshold_vertices
+    wn, wd = germ._weight_ints
+    return min(Fraction(1), Fraction(min(sum(map(mul, wn, y)) for y in rows), den * wd))
+
+
 def lct_upper_bound_from_valuation(poly: NewtonPoly, x) -> Fraction | None:
     """A(x) / min_a <m_a, x> for a primitive lattice x; None encodes +infinity
     (the valuation does not see the divisor).  Always >= the ray threshold."""

@@ -37,7 +37,7 @@ from .germ import (
     verify_minkowski,
 )
 from .lattice import TABLE_CAP, Lattice, _superlattice_counts, enumerate_superlattices, hnf
-from .newton import lct_fermat, lct_general_member, lct_newton, newton_poly_from_exponents
+from .newton import _general_member_threshold, lct_fermat, lct_newton, newton_poly_from_exponents
 from .rationals import integer, qvec, qvec_str, rat, rat_str
 
 ROW_CAP_DEFAULT = 10**6
@@ -173,7 +173,7 @@ def _invariants(germ: ToricGerm, point: MldReport) -> dict:
         "lsc_ok": check_lower_semicontinuity(germ).passed,
         "bounds_ok": check_shokurov_bounds(germ).passed,
         "pia_ok": all(check_precise_inversion(germ, i).passed for i in ones) if ones else None,
-        "lct_general": lct_general_member(germ).lct,
+        "lct_general": _general_member_threshold(germ),
     }
 
 

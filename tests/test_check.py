@@ -99,7 +99,7 @@ def test_each_invariant_runs_once_per_checked_germ(monkeypatch):
         "cartier_index",
         "check_lower_semicontinuity",
         "check_shokurov_bounds",
-        "lct_general_member",
+        "_general_member_threshold",
         "check_precise_inversion",
     )
     calls = dict.fromkeys(names, 0)

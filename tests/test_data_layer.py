@@ -29,6 +29,7 @@ LATTICE_FIELDS = {
     "box_candidates",
     "hilbert_basis",
     "interior_multiplicities",
+    "threshold_vertices",
     "restrictions",
 }
 

@@ -458,6 +458,17 @@ def test_the_constructor_keeps_every_canonical_basis():
     assert integral.contains((0, 1)) and integral.is_superlattice
 
 
+def test_the_constructor_reads_a_one_shot_basis_once():
+    """A canonical basis given as an iterator, of rows that are iterators too,
+    is accepted; the basis was read twice, and the second read found it empty."""
+    lat = Lattice(2, (iter(r) for r in ((1, 0), (0, 1))))
+    assert lat == Lattice.standard(2) and lat.int_rows == ((1, 0), (0, 1))
+    third = Lattice.from_generators(2, [(F(1, 3), F(2, 3))])
+    assert Lattice(2, iter(third.basis)) == third
+    with pytest.raises(InputError, match="Lattice.from_rows"):
+        Lattice(2, iter(((1, 0), (1, 1))))
+
+
 def test_a_lattice_is_its_integer_rows(monkeypatch):
     """``den`` and ``int_rows`` are the stored lattice; enumeration and the
     lattices derived in integer rows build no ``Fraction``, and ``basis`` is

@@ -1,14 +1,15 @@
 import dataclasses
 import random
 from fractions import Fraction as F
-from itertools import product
+from itertools import combinations, product
+from operator import mul
 
 import pytest
 from hypothesis import given, strategies as st
 
 from toricmld.errors import DimensionMismatch, InputError, MalformedRational, ModelViolation, NotInLattice
 from toricmld.germ import ToricGerm, germ_cyclic_quotient
-from toricmld.lattice import Lattice, enumerate_superlattices
+from toricmld.lattice import Lattice, enumerate_superlattices, hnf
 from lp_oracle import INFEASIBLE, solve_lp
 from toricmld.newton import (
     CAP_ONE,
@@ -22,6 +23,7 @@ from toricmld.newton import (
     lct_upper_bound_from_valuation,
     newton_poly_from_exponents,
     _first_intersection,
+    _general_member_threshold,
     _primitive_normal,
 )
 
@@ -259,6 +261,69 @@ def test_general_member_certificates_and_oracle_on_the_corpus(corpus_germs):
             zero = [i for i, w in enumerate(germ.weights) if w == 0]
             lifted += any(_first_intersection(poly.exponents, *germ._weight_ints).y_num[i] for i in zero)
     assert lifted > 0, "some certificate must need the zero-weight lift"
+
+
+def _vertex_germs(corpus_germs):
+    """The corpus germs to index 6, and one b = 0 germ per lattice of d = 3
+    to index 20 and of d = 4 to index 6."""
+    germs = [g for g in corpus_germs if g.lattice.index <= 6]
+    germs += [ToricGerm(lat, (0,) * d) for d, n in ((3, 20), (4, 6)) for lat in enumerate_superlattices(d, n)]
+    return germs
+
+
+def test_the_vertex_threshold_is_the_programs(corpus_germs):
+    """The threshold read off ``Lattice.threshold_vertices`` is the one that
+    ``lct_general_member`` solves for, and mu is infinite exactly when the
+    vertex minimum is 0."""
+    for germ in _vertex_germs(corpus_germs):
+        rep = lct_general_member(germ)
+        den, rows = germ.lattice.threshold_vertices
+        wn, _ = germ._weight_ints
+        assert _general_member_threshold(germ) == rep.lct, germ
+        assert (rep.mu is None) == (min(sum(map(mul, wn, y)) for y in rows) == 0), germ
+
+
+def _brute_vertices(lat):
+    """Every vertex of {y >= 0 : <y, m> >= 1 on the Hilbert basis}, from
+    each d of its constraints that meet in one feasible point."""
+    d, hb = lat.dim, lat.hilbert_basis
+    cons = [(tuple(map(F, m)), F(1)) for m in hb] + [(tuple(F(int(j == i)) for j in range(d)), F(0)) for i in range(d)]
+    found = set()
+    for pick in combinations(cons, d):
+        a = [list(row) + [b] for row, b in pick]
+        for col in range(d):  # Gauss-Jordan; a singular pick has no vertex
+            piv = next((r for r in range(col, d) if a[r][col]), None)
+            if piv is None:
+                break
+            a[col], a[piv] = a[piv], a[col]
+            a[col] = [x / a[col][col] for x in a[col]]
+            for r in range(d):
+                if r != col and a[r][col]:
+                    a[r] = [x - a[r][col] * y for x, y in zip(a[r], a[col])]
+        else:
+            y = tuple(row[d] for row in a)
+            if all(x >= 0 for x in y) and all(sum(map(mul, m, y)) >= 1 for m in hb):
+                found.add(y)
+    return found
+
+
+def test_the_vertex_rows_carry_certificates(corpus_germs):
+    """Each row y of ``threshold_vertices`` is a vertex: <m, y> >= D on the
+    Hilbert basis, y >= 0, and the tight ones among those constraints have
+    rank d.  The rows are distinct and sorted, and on the corpus to index 6
+    they are every vertex that d of the constraints cut out."""
+    lattices = {g.lattice: g.lattice.index <= 6 and g.dim <= 3 for g in _vertex_germs(corpus_germs)}
+    for lat, small in lattices.items():
+        d, hb = lat.dim, lat.hilbert_basis
+        den, rows = lat.threshold_vertices
+        assert list(rows) == sorted(set(rows)), lat
+        for y in rows:
+            assert all(x >= 0 for x in y) and all(sum(map(mul, m, y)) >= den for m in hb), (lat, y)
+            tight = [m for m in hb if sum(map(mul, m, y)) == den]
+            tight += [tuple(int(j == i) for j in range(d)) for i in range(d) if y[i] == 0]
+            assert len(hnf(tight, d)) == d, (lat, y)
+        if small:
+            assert {tuple(F(x, den) for x in y) for y in rows} == _brute_vertices(lat), lat
 
 
 # -- thresholds ----------------------------------------------------------------------

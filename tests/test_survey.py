@@ -268,25 +268,29 @@ def test_orbit_representatives_permute_integer_rows(monkeypatch):
 
 
 def test_survey_row_keeps_the_traced_call_structure(monkeypatch):
-    """One row of a d = 3 germ with index > 1 calls the general-member
-    threshold through ``newton_poly_from_exponents``, ``lct_newton`` and
-    ``solve_lp_max_slack``, as ``perfbench/predictions.json`` lists them."""
-    import toricmld.newton as newton
+    """One row of a d = 3 germ with index > 1 reads the general-member
+    threshold off ``Lattice.threshold_vertices`` and reaches none of the
+    program's entry points, at any place the package binds them."""
+    import importlib
 
-    names = ("newton_poly_from_exponents", "lct_newton", "solve_lp_max_slack")
+    bypassed = ("lct_general_member", "newton_poly_from_exponents", "lct_newton", "solve_lp_max_slack")
     counts = {}
-    for name in names:
-        fn = getattr(newton, name)
+    for name in bypassed:
+        for mod in ("newton", "linprog", "germ", "survey"):
+            module = importlib.import_module(f"toricmld.{mod}")
+            if hasattr(module, name):
 
-        def counted(*args, _fn=fn, _name=name):
-            counts[_name] = counts.get(_name, 0) + 1
-            return _fn(*args)
+                def counted(*args, _fn=getattr(module, name), _name=name):
+                    counts[_name] = counts.get(_name, 0) + 1
+                    return _fn(*args)
 
-        monkeypatch.setattr(newton, name, counted)
+                monkeypatch.setattr(module, name, counted)
     germ = germ_cyclic_quotient(5, (1, 2, 3))
     assert germ.dim == 3 and germ.lattice.index > 1
+    assert "threshold_vertices" not in vars(germ.lattice)
     _survey_row(germ)
-    assert all(counts.get(name, 0) >= 1 for name in names), counts
+    assert "threshold_vertices" in vars(germ.lattice)
+    assert not counts, counts
 
 
 def test_a_survey_row_reads_the_point_witnesses_once(monkeypatch):
