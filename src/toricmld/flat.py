@@ -61,8 +61,8 @@ from operator import mul
 
 from .errors import AlreadyFlat, InputError, ModelViolation, NotLogCanonical
 from .germ import Face, ToricGerm, full_face, germ_document, log_discrepancy_of_valuation
-from .newton import FirstIntersection, _first_intersection, _primitive_normal, dual_hilbert_basis, newton_poly_from_exponents
-from .rationals import QVec, integer, qvec, qvec_str, rat_str, scaled_int_vector
+from .newton import FirstIntersection, _first_intersection, _primitive_normal, dual_hilbert_basis
+from .rationals import QVec, integer, iterate, qvec, qvec_str, rat_str, scaled_int_vector
 
 POINT = "point-P"
 INVARIANT_CYCLE = "invariant-cycle"
@@ -128,7 +128,7 @@ def _multiplicity(germ: ToricGerm, x: QVec) -> Fraction:
 
 def state_value(state: FlatState, x, divisors=()) -> Fraction:
     """Log discrepancy of the combo valuation (x, J) in the resolved model."""
-    J = tuple(sorted(set(integer(j, "a divisor index") for j in divisors)))
+    J = tuple(sorted(set(integer(j, "a divisor index") for j in iterate(divisors, "the divisors"))))
     if any(j < 1 or j > state.members for j in J):
         raise InputError(f"divisor subset {J} out of range 1..{state.members}")
     x = qvec(x, state.germ.dim)
@@ -158,8 +158,7 @@ def _general_member_intersection(germ: ToricGerm) -> FirstIntersection:
     wn, wd = germ._weight_ints
     if not any(wn):
         raise InputError("zero weight vector: the interior ratio is identically 0")
-    poly = newton_poly_from_exponents(germ, dual_hilbert_basis(germ))
-    res = _first_intersection(poly.exponents, wn, wd)
+    res = _first_intersection(dual_hilbert_basis(germ), wn, wd)
     lat = germ.lattice
     p, q = res.mu_num, res.scale * wd
     for row, m in zip(lat.box_candidates[tuple(range(1, germ.dim + 1))], lat.interior_multiplicities):

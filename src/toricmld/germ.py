@@ -203,7 +203,7 @@ def germ_cyclic_quotient(q: int, a) -> ToricGerm:
     """Quotient-singularity germ of type (1/q)(a_1,...,a_d) with zero boundary."""
     if integer(q, "q") < 1:
         raise InputError("q must be a positive integer")
-    a = [integer(x, "a weight") for x in a]
+    a = [integer(x, "a weight") for x in iterate(a, "the weights")]
     gen = [Fraction(x, q) for x in a]
     lat = Lattice.from_generators(len(a), [gen])
     return germ_normalize(lat, [0] * len(a))
@@ -329,6 +329,8 @@ def px_mld_formula(x) -> Fraction:
     ``ResourceLimit`` before the scan, as the coset tables of that lattice do.
     """
     x = qvec(x)
+    if not x:
+        raise InputError("empty vector")
     for c in x:
         if not 0 < c <= 1:
             raise InputError(f"coordinate {c} outside (0,1]")

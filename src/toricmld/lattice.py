@@ -121,7 +121,7 @@ class Lattice:
     @classmethod
     def from_rows(cls, dim: int, rows) -> "Lattice":
         """Lattice generated over Z by ``rows`` (must span Q^dim)."""
-        rows = [qvec(r, dim) for r in rows]
+        rows = [qvec(r, dim) for r in iterate(rows, "the rows")]
         if not rows:
             raise InputError("no generators for a full-rank lattice")
         den = common_denominator(rows)
@@ -148,7 +148,7 @@ class Lattice:
         """Z^dim + sum of Z*gen: the generators over their common denominator den, and den e_i."""
         if integer(dim, "dim") < 1:
             raise InputError("dimension must be positive")
-        rows = [qvec(g, dim) for g in gens]
+        rows = [qvec(g, dim) for g in iterate(gens, "the generators")]
         den = common_denominator(rows)
         ints = [scaled_int_vector(r, den) for r in rows] + [[den * (i == j) for j in range(dim)] for i in range(dim)]
         return cls._from_int_rows(dim, ints, den)

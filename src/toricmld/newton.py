@@ -59,19 +59,15 @@ def newton_poly_from_exponents(germ: ToricGerm, exponents) -> NewtonPoly:
     and sorted; componentwise-dominated exponents are kept, since they never
     change the polyhedron.
 
-    An exponent of Python ints is checked as it is, in one pass; any other
-    entry is read by ``rat`` first.  Membership in the dual lattice is
-    ``Lattice.dual_contains_int``."""
+    Every entry is read by ``rat``, and an integral vector becomes its
+    numerators; membership in the dual lattice is ``Lattice.dual_contains_int``.
+    The dual Hilbert basis is valid as built and does not come through here."""
     dim, lat = germ.dim, germ.lattice
     seen: set[IntVec] = set()
     for e in iterate(exponents, "the exponents"):
-        ivec = tuple(iterate(e, "an exponent"))
-        integral = all(type(c) is int for c in ivec)
-        if not integral:
-            # the Fraction form is only built for entries that are not ints
-            vec = tuple(c if type(c) is int else rat(c) for c in ivec)
-            integral = all(c.denominator == 1 for c in vec)
-            ivec = tuple(c.numerator for c in vec) if integral else vec
+        vec = tuple(rat(c) for c in iterate(e, "an exponent"))
+        integral = all(c.denominator == 1 for c in vec)
+        ivec = tuple(c.numerator for c in vec) if integral else vec
         if len(ivec) != dim:
             raise DimensionMismatch(f"expected a vector of length {dim}, got {len(ivec)}")
         if not integral or min(ivec) < 0:
@@ -128,11 +124,12 @@ def _first_intersection(exponents: tuple[IntVec, ...], w_row: IntVec, wd: int) -
     with the exact normal vector, and grow the set until nothing violates.
 
     The weight vector is w = w_row / wd, as ``ToricGerm._weight_ints`` holds
-    it.  ``exponents`` are sorted, as ``NewtonPoly`` keeps them, so the first
-    minimum of a scan is also the lexicographically least one.  Pricing and
-    the zero-weight lift run in integers over the LP's denominators, and the
-    result stays in them (``ModelViolation`` unless mu > 0); the functions
-    that return mu, the weights or the normal build the ``Fraction``s.
+    it.  ``exponents`` are distinct and sorted, as ``NewtonPoly`` and
+    ``Lattice.hilbert_basis`` keep them, so the first minimum of a scan is
+    also the lexicographically least one.  Pricing and the zero-weight lift
+    run in integers over the LP's denominators, and the result stays in them
+    (``ModelViolation`` unless mu > 0); the functions that return mu, the
+    weights or the normal build the ``Fraction``s.
     """
     zero_coords = [i for i, w in enumerate(w_row) if w == 0]
     valid = [m for m in exponents if all(m[i] == 0 for i in zero_coords)]
@@ -224,7 +221,7 @@ def lct_monomial(germ: ToricGerm, n) -> Fraction:
 def lct_fermat(dim: int, boundary, degrees) -> Fraction:
     """Threshold of x_1^{n_1} + ... + x_d^{n_d} on the standard germ."""
     germ = ToricGerm(Lattice.standard(dim), qvec(boundary, dim))
-    degrees = [integer(n, "a degree") for n in degrees]
+    degrees = [integer(n, "a degree") for n in iterate(degrees, "the degrees")]
     if len(degrees) != dim or any(n < 1 for n in degrees):
         raise InputError("need one positive integer degree per coordinate")
     total = sum((Fraction(w, n) for w, n in zip(germ.weights, degrees)), start=Fraction(0))
@@ -233,9 +230,9 @@ def lct_fermat(dim: int, boundary, degrees) -> Fraction:
 
 def lct_general_member(germ: ToricGerm) -> LctReport:
     """Threshold of a general member of the maximal ideal: the Newton
-    polyhedron generated by the dual Hilbert basis."""
-    poly = newton_poly_from_exponents(germ, dual_hilbert_basis(germ))
-    return lct_newton(poly)
+    polyhedron generated by the dual Hilbert basis, which is sorted, distinct
+    and valid as built."""
+    return lct_newton(NewtonPoly(germ, dual_hilbert_basis(germ)))
 
 
 def _general_member_threshold(germ: ToricGerm) -> Fraction:

@@ -38,7 +38,7 @@ from .germ import (
 )
 from .lattice import TABLE_CAP, Lattice, _superlattice_counts, enumerate_superlattices, hnf
 from .newton import _general_member_threshold, lct_fermat, lct_newton, newton_poly_from_exponents
-from .rationals import integer, qvec, qvec_str, rat, rat_str
+from .rationals import integer, iterate, qvec, qvec_str, rat, rat_str
 
 ROW_CAP_DEFAULT = 10**6
 
@@ -92,7 +92,7 @@ def _positive_int(value, name: str) -> int:
 def _coefficients(values) -> tuple[Fraction, ...]:
     """Boundary coefficients read by ``rat``, deduplicated and sorted; there
     must be at least one, and each must lie in [0,1]."""
-    coeffs = tuple(sorted({rat(b) for b in values}))
+    coeffs = tuple(sorted({rat(b) for b in iterate(values, "the boundary set")}))
     if not coeffs:
         raise InputError("boundary set must be nonempty")
     for b in coeffs:
@@ -326,7 +326,7 @@ def acc_report(rows) -> AccReport:
     at least three other distinct values lie within 1/8 of it on one side.
     No convergence claim is implied by the flag.
     """
-    rows = list(rows)
+    rows = list(iterate(rows, "the rows"))
     if not rows:
         raise InputError("acc report needs at least one row")
     dim = max(r.dim for r in rows)
@@ -382,7 +382,7 @@ class CorpusConfig:
 
     def __post_init__(self):
         """Range checks on every field, however the config was built."""
-        object.__setattr__(self, "dims", tuple(_positive_int(d, "each of dims") for d in self.dims))
+        object.__setattr__(self, "dims", tuple(sorted({_positive_int(d, "each of dims") for d in iterate(self.dims, "dims")})))
         for key in ("max_index", "row_cap"):
             _positive_int(getattr(self, key), key)
         object.__setattr__(self, "boundary_set", _coefficients(self.boundary_set))

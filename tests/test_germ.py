@@ -307,6 +307,13 @@ def test_px_formula_above_the_table_cap_raises_before_the_scan(monkeypatch):
         px_mld_formula((F(1, 5), F(1, 3)))
 
 
+def test_px_formula_refuses_the_empty_point_as_the_germ_does():
+    """``px_mld_formula([])`` returned 0 while ``germ_from_px([])`` refused it."""
+    for call in (px_mld_formula, germ_from_px):
+        with pytest.raises(InputError, match="empty vector"):
+            call([])
+
+
 # -- dilation verifier ------------------------------------------------------------------
 
 

@@ -15,7 +15,7 @@ import pytest
 from toricmld.errors import ResourceLimit
 from toricmld.germ import ToricGerm, germ_cyclic_quotient
 from toricmld.lattice import BOX_CAP, enumerate_superlattices
-from toricmld.newton import dual_hilbert_basis
+from toricmld.newton import dual_hilbert_basis, newton_poly_from_exponents
 
 
 def scan_ray_orders(lat):
@@ -59,16 +59,25 @@ def test_ray_orders_closed_form_matches_scan(corpus_lattices):
             assert ray_orders(lat) == scan_ray_orders(lat), lat
 
 
+def assert_basis_is_valid_as_built(germ):
+    """The basis equals the oracle's, and the exponent validation returns it
+    unchanged: ``flat`` and ``lct_general_member`` hand it to the ray program
+    without validating it again."""
+    basis = dual_hilbert_basis(germ)
+    assert basis == oracle_hilbert_basis(germ.lattice), germ.lattice
+    assert newton_poly_from_exponents(germ, basis).exponents == basis, germ.lattice
+
+
 @pytest.mark.parametrize("d", [1, 2, 3])
 def test_basis_matches_oracle_on_corpus(corpus_lattices, d):
     for lat in corpus_lattices[d]:
-        assert dual_hilbert_basis(zero_germ(lat)) == oracle_hilbert_basis(lat), lat
+        assert_basis_is_valid_as_built(zero_germ(lat))
 
 
 def test_basis_matches_oracle_in_dimension_four():
     for lat in enumerate_superlattices(4, 6):
         assert ray_orders(lat) == scan_ray_orders(lat), lat
-        assert dual_hilbert_basis(zero_germ(lat)) == oracle_hilbert_basis(lat), lat
+        assert_basis_is_valid_as_built(zero_germ(lat))
 
 
 def hirzebruch_jung(n, q):

@@ -365,6 +365,16 @@ def test_lct_general_member_examples():
         assert lct_general_member(germ_cyclic_quotient(k, (1, 1))).lct == min(1, F(2, k))
 
 
+def test_general_member_is_the_validated_routes(corpus_germs):
+    """``lct_general_member`` hands the Hilbert basis to the ray program as
+    built; the route through the exponent validation is its oracle, report
+    for report, on the corpus to index 6."""
+    for germ in corpus_germs:
+        if germ.lattice.index <= 6:
+            oracle = lct_newton(newton_poly_from_exponents(germ, dual_hilbert_basis(germ)))
+            assert lct_general_member(germ) == oracle, germ
+
+
 def test_upper_bound_examples():
     cusp = newton_poly_from_exponents(std_germ(2), [(2, 0), (0, 3)])
     assert lct_upper_bound_from_valuation(cusp, (3, 2)) == F(5, 6)

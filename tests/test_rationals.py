@@ -95,3 +95,24 @@ def test_a_vector_that_cannot_be_iterated_is_an_input_error(call):
     error (exit 3)."""
     with pytest.raises(InputError, match="must be a collection"):
         call()
+
+
+NON_COLLECTION_ARGUMENTS = {
+    "fermat-degrees": lambda: toricmld.lct_fermat(2, [0, 0], 5),
+    "cyclic-quotient-weights": lambda: toricmld.germ_cyclic_quotient(3, 5),
+    "lattice-rows": lambda: toricmld.Lattice.from_rows(2, 5),
+    "lattice-generators": lambda: toricmld.Lattice.from_generators(2, 5),
+    "corpus-dims": lambda: toricmld.CorpusConfig(dims=5),
+    "corpus-boundary-set": lambda: toricmld.CorpusConfig(boundary_set=5),
+    "survey-boundary-set": lambda: toricmld.run_survey(2, 2, 5),
+    "state-divisors": lambda: toricmld.state_value(toricmld.FlatState(_cyclic(), (F(1, 2),)), (0, 0, 0), 5),
+    "acc-report-rows": lambda: toricmld.acc_report(5),
+}
+
+
+@pytest.mark.parametrize("call", NON_COLLECTION_ARGUMENTS.values(), ids=NON_COLLECTION_ARGUMENTS.keys())
+def test_a_collection_argument_that_cannot_be_iterated_is_an_input_error(call):
+    """Each raised TypeError ("'int' object is not iterable"); the command
+    line passes lists, so only a library caller could reach it."""
+    with pytest.raises(InputError, match="must be a collection"):
+        call()

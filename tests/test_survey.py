@@ -487,6 +487,18 @@ def test_corpus_config_from_dict():
     assert cfg.boundary_set == (F(0), F(1, 2)) and cfg.fail_fast
 
 
+def test_corpus_config_reads_dims_as_a_set():
+    """A repeated dimension checked each germ twice, and dims (2, 1) gave
+    dimension 2 first, against the canonical order of ``corpus_germs``."""
+    one = CorpusConfig(dims=(2,), max_index=2, boundary_set=(0,))
+    twice = CorpusConfig(dims=(2, 2), max_index=2, boundary_set=(0,))
+    assert twice == one and twice.dims == (2,)
+    assert verify_corpus(twice)[1]["checked"] == verify_corpus(one)[1]["checked"] == 2
+    unordered = CorpusConfig(dims=(2, 1), max_index=2, boundary_set=(0,))
+    assert unordered.dims == (1, 2)
+    assert [g.dim for g in corpus_germs(unordered)] == [1, 2, 2]
+
+
 def test_germ_id_is_stable_and_boundary_sensitive():
     a = germ_id(germ_cyclic_quotient(3, (1, 2)))
     b = germ_id(germ_cyclic_quotient(3, (1, 2)))
