@@ -10,9 +10,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 from .errors import InputError
 from .germ import ToricGerm, _least_interior, germ_document
+from .lattice import Lattice
 from .rationals import integer, rat_str
 
 
@@ -40,6 +42,13 @@ class CheckReport:
 def adjoin_invariant_divisor(germ: ToricGerm, divisor: int) -> AdjunctionResult:
     """Restrict to the invariant divisor ``divisor`` (1-based, b_i = 1), on
     the lattice of ``Lattice.restrictions`` as built: normal, as ``ToricGerm`` checks."""
+    restricted, scales = _restriction(germ, divisor)
+    induced = [1 - (1 - b) / n for b, n in zip(germ.boundary[: divisor - 1] + germ.boundary[divisor:], scales)]
+    return AdjunctionResult(ToricGerm(restricted, induced), scales)
+
+
+def _restriction(germ: ToricGerm, divisor: int) -> tuple[Lattice, tuple[int, ...]]:
+    """The restricted lattice and its scales n_j, once ``divisor`` is checked."""
     d = germ.dim
     if d < 2:
         raise InputError("adjunction needs dimension at least 2")
@@ -47,18 +56,17 @@ def adjoin_invariant_divisor(germ: ToricGerm, divisor: int) -> AdjunctionResult:
         raise InputError(f"divisor index {divisor} out of range 1..{d}")
     if germ.boundary[divisor - 1] != 1:
         raise InputError("adjunction requires boundary coefficient 1 on the chosen divisor")
-    restricted, scales = germ.lattice.restrictions[divisor - 1]
-    kept = [b for j, b in enumerate(germ.boundary) if j != divisor - 1]
-    induced = [1 - (1 - b) / n for b, n in zip(kept, scales)]
-    return AdjunctionResult(ToricGerm(restricted, induced), scales)
+    return germ.lattice.restrictions[divisor - 1]
 
 
 def check_precise_inversion(germ: ToricGerm, divisor: int) -> CheckReport:
-    """Compare the point minimum upstairs, off the face table the survey row
-    fills anyway, with the one on the divisor, off the restricted germ's
-    full-support candidates alone; in integers."""
-    adj = adjoin_invariant_divisor(germ, divisor)
-    (lhs, lscale), (rhs, rscale) = _point_scaled(germ), _least_interior(adj.germ)
+    """The point minimum upstairs, off the face table, against the one on the
+    divisor, with no restricted germ: the induced weights (1 - b_j) / n_j are
+    wn_j k / n_j over wd k, k = lcm(n), on the restricted lattice; in integers."""
+    restricted, scales = _restriction(germ, divisor)
+    (wn, wd), k = germ._weight_ints, lcm(*scales)
+    rhs = _least_interior(restricted, [w * (k // n) for w, n in zip(wn[: divisor - 1] + wn[divisor:], scales)])
+    (lhs, lscale), rscale = _point_scaled(germ), restricted.den * wd * k
     detail = (f"point-minimum vs divisor {divisor}", Fraction(lhs, lscale), Fraction(rhs, rscale))
     return CheckReport(lhs * rscale == rhs * lscale, (detail,))
 

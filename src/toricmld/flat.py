@@ -76,6 +76,8 @@ class FlatState:
     gammas: tuple[Fraction, ...]
 
     def __post_init__(self):
+        if not isinstance(self.germ, ToricGerm):
+            raise InputError(f"a flat state needs a ToricGerm, got {self.germ!r}")
         object.__setattr__(self, "gammas", qvec(self.gammas))
         for g in self.gammas:
             if not 0 <= g <= 1:
@@ -278,8 +280,8 @@ def build_flat_structure(germ: ToricGerm) -> FlatBuildResult:
     coefficient sum exactly on the interior infimum (an interior zero), and
     cap steps raise the sum by 1 toward an infimum that is at most d.
     """
-    rho = _rho(germ)
     state = FlatState(germ, ())
+    rho = _rho(germ)
     trace: list[tuple[Fraction, CenterDescriptor]] = []
     while not _is_flat(state, rho):
         if len(trace) == germ.dim:

@@ -19,8 +19,13 @@ holds both for every face, over the one scale den * wd; face minima, the
 global and exceptional minima, and the semicontinuity, dimension-bound and
 corpus checks all read it, so each germ's candidates are weighed once, and
 comparing minima of different faces is comparing integers.  The brute-force
-oracle does not read the table or its rows: it shifts the coset residues
-itself, so it can catch a defect in either.
+oracle reads only the coset residues ``rep_ints``, never the table or
+``box_candidates``, so a defect in either shows as a mismatch.  A residue u
+(den-scaled) of support m, the j with u_j != 0, inside a face S lifts to the
+value wn . u + den (W(S) - W(m)), W(X) the sum of wn_j over X.  One walk per
+germ keeps the least wn . u - den W(m) for each m that occurs; the minimum on
+S is den W(S) plus the least of those over the m inside S, and the zero
+residue's m, the empty set, lies inside every S.
 """
 from __future__ import annotations
 
@@ -59,6 +64,15 @@ def _support(value, dim: int | None = None) -> tuple[int, ...]:
     if dim is not None and (sup[0] < 1 or sup[-1] > dim):
         raise InputError(f"face support {sup} out of range 1..{dim}")
     return sup
+
+
+def _boundary(values, dim: int) -> QVec:
+    """``values`` as the dim boundary coefficients of a germ, each in [0,1]."""
+    boundary = qvec(values, dim)
+    for b in boundary:
+        if not 0 <= b <= 1:
+            raise InputError(f"boundary coefficient {b} outside [0,1]")
+    return boundary
 
 
 def full_face(dim: int) -> Face:
@@ -118,10 +132,9 @@ class ToricGerm:
     boundary: tuple[Fraction, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "boundary", qvec(self.boundary, self.lattice.dim))
-        for b in self.boundary:
-            if not 0 <= b <= 1:
-                raise InputError(f"boundary coefficient {b} outside [0,1]")
+        if not isinstance(self.lattice, Lattice):
+            raise InputError(f"a germ needs a Lattice, got {self.lattice!r}")
+        object.__setattr__(self, "boundary", _boundary(self.boundary, self.lattice.dim))
         if not self.lattice.is_superlattice:
             raise InputError("germ lattice must contain Z^d")
         if any(k != 1 for k in self.lattice.unit_scales):
@@ -137,8 +150,9 @@ class ToricGerm:
 
     @cached_property
     def _weight_ints(self) -> tuple[IntVec, int]:
-        wd = lcm(*(w.denominator for w in self.weights))
-        return tuple(w.numerator * (wd // w.denominator) for w in self.weights), wd
+        """Weights wn / wd: 1 - p/q is (q - p)/q, already in lowest terms."""
+        wd = lcm(*(b.denominator for b in self.boundary))
+        return tuple((b.denominator - b.numerator) * (wd // b.denominator) for b in self.boundary), wd
 
     def log_discrepancy(self, x: QVec) -> Fraction:
         return sum((w * c for w, c in zip(self.weights, x)), start=Fraction(0))
@@ -260,36 +274,27 @@ def mld_global(germ: ToricGerm) -> MldReport:
 
 def mld_bruteforce_oracle(germ: ToricGerm, face, radius: int) -> Fraction:
     """Exhaustive minimum over lattice points with coordinates in (0, radius]
-    on the support and 0 off it, by direct coset-shift enumeration.
-
-    Its independence of the face table rests on reading the coset residues
-    ``rep_ints`` apart from ``box_candidates``, and on the tests checking
-    ``rep_ints`` against a closure oracle.  Each den-scaled residue u that
-    vanishes off S is shifted on S: coordinate j runs over x_j + s den for s
-    in [0, radius), where x_j is u_j, or den when u_j is 0.  A shifted
-    point's value sums per-coordinate terms chosen independently, so the
-    least value is the sum of each coordinate's least term, taken over its
-    shifts as they are visited.  Weights are >= 0, so that is the first
-    term, and the value is the same at every radius >= 1.
-    """
+    on the support and 0 off it, from the coset residues alone (see the
+    module docstring): weights are >= 0, so every radius gives the value at 1."""
     if integer(radius, "radius") < 1:
         raise InputError("radius must be >= 1")
-    support = _support(face, germ.dim)
-    lat = germ.lattice
-    den, span = lat.den, radius * lat.den
-    wn, wd = germ._weight_ints
-    off = [j for j in range(lat.dim) if j + 1 not in support]
-    lows = []
-    for u in lat.rep_ints:
-        if any(map(u.__getitem__, off)):
-            continue
-        low = 0
-        for j in support:
-            x = u[j - 1] or den
-            low += min(map(wn[j - 1].__mul__, range(x, x + span, den)))
-        lows.append(low)
-    # the zero residue vanishes off every support, so lows is nonempty
-    return Fraction(min(lows), den * wd)
+    (least,) = _oracle_minima(germ, [_support(face, germ.dim)])
+    return Fraction(least, germ.lattice.den * germ._weight_ints[1])
+
+
+def _oracle_minima(germ: ToricGerm, supports) -> list[int]:
+    """The oracle's minimum on each of ``supports``, times den * wd, from one walk of ``rep_ints``."""
+    den, (wn, _) = germ.lattice.den, germ._weight_ints
+    lows: dict[int, int] = {}  # support m of u as a mask (bit j for u_j != 0) -> least wn . u - den W(m)
+    for u in germ.lattice.rep_ints:
+        m = low = 0
+        for j, (w, c) in enumerate(zip(wn, u)):
+            if c:
+                m |= 1 << j
+                low += w * (c - den)
+        lows[m] = min(low, lows.get(m, low))
+    faces = [(sum(1 << (j - 1) for j in s), den * sum(wn[j - 1] for j in s)) for s in supports]
+    return [lift + min(v for m, v in lows.items() if not m & ~mask) for mask, lift in faces]
 
 
 def verify_minkowski(germ: ToricGerm, t, delta) -> bool:
@@ -307,17 +312,15 @@ def verify_minkowski(germ: ToricGerm, t, delta) -> bool:
     t, delta = rat(t), rat(delta)
     if t < 0 or delta <= 0:
         raise InputError("need t >= 0 and delta > 0")
-    least, scale = _least_interior(germ)
+    least, scale = _least_interior(germ.lattice, germ._weight_ints[0]), germ.lattice.den * germ._weight_ints[1]
     low, high = t * scale, (t + delta) * scale
     return least * low.denominator >= low.numerator and least * high.denominator < high.numerator
 
 
-def _least_interior(germ: ToricGerm) -> tuple[int, int]:
-    """The least full-support box candidate value times den * wd, which is the
-    point minimum so scaled, and that scale; ``face_table`` is not filled."""
-    lat = germ.lattice
-    wn, wd = germ._weight_ints
-    return min(sum(map(mul, wn, row)) for row in lat.box_candidates[tuple(range(1, lat.dim + 1))]), lat.den * wd
+def _least_interior(lat: Lattice, wn: IntVec) -> int:
+    """Least wn . row over the full-support box candidates of ``lat``: for
+    weights wn / wd, the point minimum times den * wd; no table is filled."""
+    return min(sum(map(mul, wn, row)) for row in lat.box_candidates[tuple(range(1, lat.dim + 1))])
 
 
 def px_mld_formula(x) -> Fraction:

@@ -20,7 +20,7 @@ from fractions import Fraction
 from operator import itemgetter, mul
 
 from .errors import DimensionMismatch, InputError, ModelViolation, NotInLattice
-from .germ import ToricGerm, log_discrepancy_of_valuation
+from .germ import ToricGerm, _boundary, log_discrepancy_of_valuation
 from .lattice import Lattice
 from .linprog import OPTIMAL, solve_lp_max_slack
 from .rationals import IntVec, QVec, integer, iterate, qvec, rat, rat_str
@@ -219,12 +219,14 @@ def lct_monomial(germ: ToricGerm, n) -> Fraction:
 
 
 def lct_fermat(dim: int, boundary, degrees) -> Fraction:
-    """Threshold of x_1^{n_1} + ... + x_d^{n_d} on the standard germ."""
-    germ = ToricGerm(Lattice.standard(dim), qvec(boundary, dim))
+    """Threshold of x_1^{n_1} + ... + x_d^{n_d} on the standard germ, off its boundary alone."""
+    if integer(dim, "dim") < 1:
+        raise InputError("dimension must be positive")
+    weights = [1 - b for b in _boundary(boundary, dim)]
     degrees = [integer(n, "a degree") for n in iterate(degrees, "the degrees")]
     if len(degrees) != dim or any(n < 1 for n in degrees):
         raise InputError("need one positive integer degree per coordinate")
-    total = sum((Fraction(w, n) for w, n in zip(germ.weights, degrees)), start=Fraction(0))
+    total = sum((Fraction(w, n) for w, n in zip(weights, degrees)), start=Fraction(0))
     return min(Fraction(1), total)
 
 

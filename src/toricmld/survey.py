@@ -28,11 +28,11 @@ from .errors import CheckFailed, InputError, ResourceLimit
 from .germ import (
     MldReport,
     ToricGerm,
+    _oracle_minima,
     cartier_index,
     full_face,
     germ_document,
     germ_normalize,
-    mld_bruteforce_oracle,
     mld_face,
     verify_minkowski,
 )
@@ -329,6 +329,9 @@ def acc_report(rows) -> AccReport:
     rows = list(iterate(rows, "the rows"))
     if not rows:
         raise InputError("acc report needs at least one row")
+    for r in rows:
+        if not isinstance(r, SurveyRow):
+            raise InputError(f"acc report rows must be survey rows, got {r!r}")
     dim = max(r.dim for r in rows)
     counts: dict[Fraction, int] = {}
     for r in rows:
@@ -383,6 +386,8 @@ class CorpusConfig:
     def __post_init__(self):
         """Range checks on every field, however the config was built."""
         object.__setattr__(self, "dims", tuple(sorted({_positive_int(d, "each of dims") for d in iterate(self.dims, "dims")})))
+        if not self.dims:
+            raise InputError("dims must be nonempty")
         for key in ("max_index", "row_cap"):
             _positive_int(getattr(self, key), key)
         object.__setattr__(self, "boundary_set", _coefficients(self.boundary_set))
@@ -412,7 +417,8 @@ def corpus_germs(config: CorpusConfig):
 def _check_germ(germ: ToricGerm) -> list[str]:
     """The shared invariants (``_invariants``) plus the oracle, witness,
     divisibility, dilation and closed-form checks, in integers: the oracle's
-    p / q against a face's scaled minimum m as p scale == m q, and each
+    minimum on each face, from one walk of the coset residues and over the
+    table's scale den * wd, against the face's scaled minimum m, and each
     den-scaled minimizer u by wn . u == m, u pairing to 0 mod den with the
     dual basis (apart from the walk that built u), and scale | cartier * m.
     No check has a setting: the oracle's radius is 1, as the box reduction
@@ -422,10 +428,9 @@ def _check_germ(germ: ToricGerm) -> list[str]:
     inv = _invariants(germ, mld_face(germ, full_face(germ.dim)))
     table, (wn, _) = germ.face_table, germ._weight_ints
     dual = germ.lattice.dual_int_basis
-    for support, (m, minimizers) in table.entries.items():
-        oracle = mld_bruteforce_oracle(germ, support, 1)
-        if oracle.numerator * table.scale != m * oracle.denominator:
-            problems.append(f"oracle mismatch on face {support}: {table.value(support)} vs {oracle}")
+    for (support, (m, minimizers)), oracle in zip(table.entries.items(), _oracle_minima(germ, table.entries)):
+        if oracle != m:
+            problems.append(f"oracle mismatch on face {support}: {table.value(support)} vs {Fraction(oracle, table.scale)}")
         for u in minimizers:
             if sum(map(mul, wn, u)) != m:
                 problems.append(f"witness {table.witness(u)} does not attain the face value")

@@ -202,6 +202,21 @@ def test_precise_inversion_compares_minima_over_different_scales():
     assert check_precise_inversion(germ, 3) == precise_inversion_formula(germ, 3)
 
 
+def test_precise_inversion_equals_the_restricted_germ_route():
+    """The check rescales the weights onto ``Lattice.restrictions``; the
+    reference (``precise_inversion_formula``) builds the restricted germ and
+    reads its point minimum.  Every unit coefficient of the default corpus
+    to index 6 and of its dimension-4 germs to index 4."""
+    compared = 0
+    for config in (CorpusConfig(max_index=6), CorpusConfig(dims=(4,), max_index=4)):
+        for germ in corpus_germs(config):
+            for i, b in enumerate(germ.boundary, start=1):
+                if b == 1 and germ.dim >= 2:
+                    assert check_precise_inversion(germ, i) == precise_inversion_formula(germ, i), (germ, i)
+                    compared += 1
+    assert compared > 40000
+
+
 def test_precise_inversion_fills_no_face_table_on_the_divisor(monkeypatch):
     """The divisor's point minimum is read off the restricted lattice's
     full-support candidates: only the upstairs germ, whose table the survey

@@ -125,6 +125,18 @@ def test_each_invariant_runs_once_per_checked_germ(monkeypatch):
     assert calls == dict.fromkeys(calls, len(germs))
 
 
+def test_a_check_builds_no_germ_beyond_the_one_it_checks(monkeypatch):
+    """Precise inversion reads the restricted lattice and rescaled weights,
+    and the closed-form threshold reads the boundary alone, so the only
+    germs built are the corpus's own (each construction is counted)."""
+    real, built = ToricGerm.__post_init__, []
+    monkeypatch.setattr(ToricGerm, "__post_init__", lambda germ: built.append(germ) or real(germ))
+    config = CorpusConfig(dims=(1, 2, 3), max_index=4, boundary_set=(0, F(1, 2), 1))
+    status, report = verify_corpus(config)
+    assert status == 0 and report["checked"] == len(built) > 0
+    assert sum(g.lattice.index == 1 and 1 in g.boundary for g in built) > 0
+
+
 # -- the oracle ---------------------------------------------------------------------
 
 

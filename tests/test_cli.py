@@ -292,15 +292,14 @@ def test_survey_rejects_nonpositive_jobs(capsys):
 
 
 def test_check_with_an_empty_boundary_set_exits_one(tmp_path, capsys):
-    """An empty boundary set is an input error; empty dims still pass
-    vacuously with a warning."""
+    """An empty boundary set is an input error, and so are empty dims, which
+    checked nothing and exited 0."""
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"boundary_set": [], "max_index": 4}))
-    assert cli.main(["check", "--corpus-config", str(cfg)]) == 1
-    assert "boundary set must be nonempty" in capsys.readouterr().err
-    cfg.write_text(json.dumps({"dims": []}))
-    code, out = run(capsys, "check", "--corpus-config", str(cfg))
-    assert code == 0 and json.loads(out)["warnings"] == ["empty corpus: all checks passed vacuously"]
+    for doc, message in (({"boundary_set": [], "max_index": 4}, "boundary set"), ({"dims": []}, "dims")):
+        cfg.write_text(json.dumps(doc))
+        assert cli.main(["check", "--corpus-config", str(cfg)]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and f"{message} must be nonempty" in err
 
 
 @pytest.mark.parametrize(

@@ -205,11 +205,19 @@ def product_oracle(germ, support, radius):
 
 def test_oracle_equals_the_product_form_on_the_corpus():
     """Every (germ, face) of the default corpus cut to index 6, at radii 1
-    to 4."""
-    for germ in survey.corpus_germs(survey.CorpusConfig(max_index=6)):
-        for support in germ.face_table.entries:
-            for radius in range(1, 5):
-                assert mld_bruteforce_oracle(germ, support, radius) == product_oracle(germ, support, radius)
+    to 4, and of its dimension-4 germs to index 4, where a face can hold
+    residues of several supports below it and the oracle's subset minimum
+    first picks among them, at radii 1 and 2 (the product form has up to
+    radius^4 points per residue)."""
+    inputs = (
+        (survey.CorpusConfig(max_index=6), range(1, 5)),
+        (survey.CorpusConfig(dims=(4,), max_index=4), range(1, 3)),
+    )
+    for config, radii in inputs:
+        for germ in survey.corpus_germs(config):
+            for support in germ.face_table.entries:
+                for radius in radii:
+                    assert mld_bruteforce_oracle(germ, support, radius) == product_oracle(germ, support, radius)
 
 
 def test_oracle_is_linear_in_its_radius():

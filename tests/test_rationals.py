@@ -116,3 +116,19 @@ def test_a_collection_argument_that_cannot_be_iterated_is_an_input_error(call):
     line passes lists, so only a library caller could reach it."""
     with pytest.raises(InputError, match="must be a collection"):
         call()
+
+
+WRONG_TYPE_ARGUMENTS = {
+    "germ-lattice": lambda: toricmld.ToricGerm(5, (0,)),
+    "state-germ": lambda: toricmld.FlatState(5, ()),
+    "flat-germ": lambda: toricmld.build_flat_structure(5),
+    "acc-report-row": lambda: toricmld.acc_report([5]),
+}
+
+
+@pytest.mark.parametrize("call", WRONG_TYPE_ARGUMENTS.values(), ids=WRONG_TYPE_ARGUMENTS.keys())
+def test_an_argument_of_the_wrong_type_is_an_input_error(call):
+    """The state was accepted; the others raised AttributeError, which the
+    command line would report as an internal error (exit 3)."""
+    with pytest.raises(InputError, match="got 5"):
+        call()
