@@ -23,10 +23,10 @@ Two structural facts drive the builder:
   the interior infimum rho = inf A(x)/v(x), a number that depends only on
   the germ.  By LP duality rho equals 1/mu of the general-member Newton
   polyhedron, and the pricing vector of that LP lies on an optimal ray, so
-  an exact lattice witness is always available.  Where rho is made, each
-  germ checks once that no interior box point has A(x) < rho v(x).  (The
-  same infimum can be computed cell by cell over the linearity regions of
-  v, one LP per cell; the tests keep that slower route as a cross-check.)
+  an exact lattice witness, an integer row over den like every box point,
+  is always available.  Where rho is made, each germ checks once that no
+  interior box point has A(x) < rho v(x).  (The tests also compute rho cell
+  by cell over the linearity regions of v, one LP per cell, as a cross-check.)
 
 So a state is read off rho, the zero-weight face Z = {i : b_i = 1} and its
 unit members (coefficient 1), with Gamma the coefficient sum:
@@ -57,12 +57,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from math import gcd
 from operator import mul
 
 from .errors import AlreadyFlat, InputError, ModelViolation, NotLogCanonical
 from .germ import Face, ToricGerm, full_face, germ_document, log_discrepancy_of_valuation
-from .newton import FirstIntersection, _first_intersection, _primitive_normal, dual_hilbert_basis
-from .rationals import QVec, integer, iterate, qvec, qvec_str, rat_str, scaled_int_vector
+from .newton import FirstIntersection, _first_intersection, dual_hilbert_basis
+from .rationals import IntVec, QVec, integer, iterate, qvec, qvec_str, rat_str, scaled_int_vector
 
 POINT = "point-P"
 INVARIANT_CYCLE = "invariant-cycle"
@@ -183,9 +184,19 @@ def ray_infimum(germ: ToricGerm) -> Fraction:
     return Fraction(res.scale, res.mu_num)
 
 
+def _ray_row(germ: ToricGerm) -> IntVec:
+    """den times the primitive lattice point on the pricing normal's ray:
+    den * y_num / k, k the gcd of the (integer) coordinates of den * y_num."""
+    den = germ.lattice.den
+    u = tuple(den * c for c in germ.general_member_intersection.y_num)
+    k = gcd(*germ.lattice._int_coordinates(u))
+    return tuple(c // k for c in u)
+
+
 def ray_witness(germ: ToricGerm) -> QVec:
     """Primitive lattice point realizing the interior infimum exactly."""
-    return _primitive_normal(germ.lattice, germ.general_member_intersection)
+    den = germ.lattice.den
+    return tuple(Fraction(c, den) for c in _ray_row(germ))
 
 
 # -- thresholds and centers -------------------------------------------------------
@@ -240,7 +251,7 @@ def minimal_center(state: FlatState) -> CenterDescriptor:
     d = state.germ.dim
     if _is_flat(state, rho):
         return CenterDescriptor(POINT, full_face(d), (), 0)
-    zero_face = tuple(i for i, w in enumerate(state.germ.weights, 1) if w == 0)
+    zero_face = tuple(i for i, w in enumerate(state.germ._weight_ints[0], 1) if not w)
     ones = tuple(j for j, g in enumerate(state.gammas, 1) if g == 1)
     if not zero_face and not ones:
         raise InputError("no zero combo: the state is log terminal at every center")
@@ -278,7 +289,11 @@ def build_flat_structure(germ: ToricGerm) -> FlatBuildResult:
 
     Terminates in at most d steps: any step below the cap lands the
     coefficient sum exactly on the interior infimum (an interior zero), and
-    cap steps raise the sum by 1 toward an infimum that is at most d.
+    cap steps raise the sum by 1 toward an infimum that is at most d.  The
+    witness is the least den-scaled row among the interior box zeros and the
+    ray row, checked in integers to be a primitive lattice point of the
+    orthant of value exactly zero (``ModelViolation`` otherwise); only the
+    result is built in ``Fraction``s.
     """
     state = FlatState(germ, ())
     rho = _rho(germ)
@@ -289,8 +304,7 @@ def build_flat_structure(germ: ToricGerm) -> FlatBuildResult:
         gamma = threshold_step(state)
         state = FlatState(germ, state.gammas + (gamma,))
         trace.append((gamma, minimal_center(state)))
-    # the least point combo: x is the least interior zero, J is empty.  An
-    # interior box row is a zero when A = gamma v, that is, when
+    # an interior box row is a zero when A = gamma v, that is, when
     # gamma_den (wn . row) = gamma_num wd m (see ``_general_member_intersection``)
     gamma = state.total
     wn, wd = germ._weight_ints
@@ -298,10 +312,13 @@ def build_flat_structure(germ: ToricGerm) -> FlatBuildResult:
     p, q = gamma.denominator, gamma.numerator * wd
     rows = lat.box_candidates[tuple(range(1, germ.dim + 1))]
     zeros = [row for row, m in zip(rows, lat.interior_multiplicities) if p * sum(map(mul, wn, row)) == q * m]
-    xs = [tuple(Fraction(c, lat.den) for c in min(zeros))] if zeros else []
     if gamma:
-        xs.append(ray_witness(germ))
-    witness = ZeroCombo(min(xs), (), trace[-1][1] if trace else minimal_center(state))
-    if state_value(state, witness.x) != 0:
-        raise ModelViolation("the reported witness must have value exactly zero")
-    return FlatBuildResult(state, tuple(trace), witness)
+        zeros.append(_ray_row(germ))
+    u = min(zeros)
+    coords = lat._int_coordinates(u) if min(u) >= 0 else None
+    x = tuple(Fraction(c, lat.den) for c in u)
+    if coords is None or gcd(*coords) != 1:
+        raise ModelViolation(f"the witness {qvec_str(x)} must be a primitive lattice point of the orthant")
+    if p * sum(map(mul, wn, u)) != q * min(sum(map(mul, h, u)) for h in lat.hilbert_basis):
+        raise ModelViolation(f"the witness {qvec_str(x)} must have value exactly zero")
+    return FlatBuildResult(state, tuple(trace), ZeroCombo(x, (), trace[-1][1] if trace else minimal_center(state)))

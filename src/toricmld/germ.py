@@ -52,17 +52,19 @@ class Face:
 
     @classmethod
     def coerce(cls, value, dim: int) -> "Face":
-        return cls(_support(value, dim))
+        """``value`` as a Face in 1..dim; a Face is only range-checked."""
+        face = value if isinstance(value, Face) else cls(value)
+        if face.support[0] < 1 or face.support[-1] > dim:
+            raise InputError(f"face support {face.support} out of range 1..{dim}")
+        return face
 
 
-def _support(value, dim: int | None = None) -> tuple[int, ...]:
-    """The support ``Face(value)`` keeps (or a Face's), in 1..dim when given."""
+def _support(value) -> tuple[int, ...]:
+    """The support ``Face(value)`` keeps (or a Face's)."""
     entries = value.support if isinstance(value, Face) else value
     sup = tuple(sorted({integer(i, "a face support entry") for i in iterate(entries, "a face support")}))
     if not sup:
         raise InputError("a face needs a nonempty support")
-    if dim is not None and (sup[0] < 1 or sup[-1] > dim):
-        raise InputError(f"face support {sup} out of range 1..{dim}")
     return sup
 
 
@@ -278,7 +280,7 @@ def mld_bruteforce_oracle(germ: ToricGerm, face, radius: int) -> Fraction:
     module docstring): weights are >= 0, so every radius gives the value at 1."""
     if integer(radius, "radius") < 1:
         raise InputError("radius must be >= 1")
-    (least,) = _oracle_minima(germ, [_support(face, germ.dim)])
+    (least,) = _oracle_minima(germ, [Face.coerce(face, germ.dim).support])
     return Fraction(least, germ.lattice.den * germ._weight_ints[1])
 
 

@@ -189,14 +189,19 @@ class Lattice:
 
     def _coordinates(self, vec) -> list[int] | None:
         """Integer coordinates of vec (ints or ``Fraction``s) over ``basis``,
-        or None when vec is not a lattice point.  The rows of ``int_rows`` are
-        upper triangular, so den * vec is peeled off one pivot at a time; it
-        lies in their span exactly when it is integral, every pivot divides
-        what is left in its column, and nothing is left over."""
+        or None when vec is not a lattice point: ``_int_coordinates`` of
+        den * vec, which must be integral."""
         try:
-            u = scaled_int_vector(vec, self.den)
+            return self._int_coordinates(scaled_int_vector(vec, self.den))
         except ValueError:
             return None
+
+    def _int_coordinates(self, u) -> list[int] | None:
+        """Integer coordinates of u / den over ``basis`` for an integer row u,
+        or None when u / den is not a lattice point.  The rows of
+        ``int_rows`` are upper triangular, so u is peeled off one pivot at a
+        time; it lies in their span exactly when every pivot divides what is
+        left in its column and nothing is left over."""
         coords = []
         for i, row in enumerate(self.int_rows):
             a, r = divmod(u[i], row[i])

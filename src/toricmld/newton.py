@@ -21,9 +21,8 @@ from operator import itemgetter, mul
 
 from .errors import DimensionMismatch, InputError, ModelViolation, NotInLattice
 from .germ import ToricGerm, _boundary, log_discrepancy_of_valuation
-from .lattice import Lattice
 from .linprog import OPTIMAL, solve_lp_max_slack
-from .rationals import IntVec, QVec, integer, iterate, qvec, rat, rat_str
+from .rationals import IntVec, integer, iterate, qvec, rat, rat_str
 
 CAP_ONE = "cap-one"
 RAY = "ray"
@@ -255,11 +254,3 @@ def lct_upper_bound_from_valuation(poly: NewtonPoly, x) -> Fraction | None:
     if v == 0:
         return None
     return a / v
-
-
-def _primitive_normal(lat: Lattice, res: FirstIntersection) -> QVec | None:
-    """Primitive lattice point on the ray of the pricing normal of ``res``."""
-    if res.mu_num is None or not any(res.y_num):
-        return None
-    k = lat.primitive_scale(res.y_num)
-    return tuple(Fraction(c, k) for c in res.y_num)

@@ -2,6 +2,9 @@
 the library's slack-form solver (``toricmld.linprog.solve_lp_max_slack``)
 and the interior ray infimum are compared against.
 
+It also keeps ``primitive_normal``, the ``Fraction`` route from the ray
+program's pricing normal to the flat builder's ray witness.
+
 Problem form:  minimize c.x  subject to  A[i].x (sense[i]) b[i],  x >= 0,
 with senses "<=", ">=", "==".  The result carries the optimal point, the
 objective, and the row pricing vector y = c_B B^{-1} ("duals"): at
@@ -149,3 +152,13 @@ def solve_lp(c, rows, minimize: bool = True) -> LpResult:
         value = -value
         signed = [-y for y in signed]
     return LpResult(OPTIMAL, tuple(x), value, tuple(signed))
+
+
+def primitive_normal(lat, res):
+    """Primitive lattice point on the ray of the pricing normal of ``res``, a
+    ``newton.FirstIntersection``, found over ``Fraction``s by
+    ``Lattice.primitive_scale``; None when there is no normal."""
+    if res.mu_num is None or not any(res.y_num):
+        return None
+    k = lat.primitive_scale(res.y_num)
+    return tuple(Fraction(c, k) for c in res.y_num)

@@ -5,19 +5,23 @@ from fractions import Fraction as F
 from hashlib import sha256
 from operator import mul
 
+import json
+
 from faces import with_entry
 from toricmld import cli
 from toricmld.adjunction import CheckReport
-from toricmld.germ import ToricGerm, germ_cyclic_quotient, mld_bruteforce_oracle
+from toricmld.germ import ToricGerm, germ_cyclic_quotient, germ_document, mld_bruteforce_oracle
 from toricmld.lattice import Lattice
 from toricmld.survey import CorpusConfig, _check_germ, corpus_germs, run_survey, verify_corpus
 
 # sha256 of the outputs below, recorded before the check battery was rebuilt
-# on the survey row; any change to a report or a survey shows here.
+# on the survey row (and, for flat, before its builder moved to integer
+# rows); any change to a report, a survey or a flat structure shows here.
 DIGESTS = {
     "check": "daf6c958425655c7179be592380b048a814029eb786658fa61738243b7909c98",
     "csv": "701ff4d9984473c2338927abde7ab73835d243fc71d2ee271957acd124c099de",
     "json": "ce42c348eaae4ff986d5b57238168b49cd46de90ceafaf74a6175dc0e12b2ac4",
+    "flat": "d40609471d12d884eab17430decbb02ae0e477810e21672798126903b1d8dc6c",
 }
 
 
@@ -34,6 +38,21 @@ def test_check_and_survey_outputs_are_byte_identical(tmp_path):
         out = tmp_path / name
         assert cli.main(argv + ["--out", str(out)]) == 0
         assert sha256(out.read_bytes()).hexdigest() == DIGESTS[name], name
+
+
+def test_flat_outputs_are_byte_identical(tmp_path, capsys):
+    """``toricmld flat -i`` on every germ of the default corpus to index 4
+    (2,148 germs): one sha256 over each run's exit code and stdout, in
+    corpus order, recorded before the builder moved to integer rows."""
+    germ_file = tmp_path / "germ.json"
+    digest, runs = sha256(), 0
+    for germ in corpus_germs(CorpusConfig(max_index=4)):
+        germ_file.write_text(json.dumps(germ_document(germ)))
+        code = cli.main(["flat", "-i", str(germ_file)])
+        digest.update(f"{code}\n{capsys.readouterr().out}".encode())
+        runs += 1
+    assert runs == 2148
+    assert digest.hexdigest() == DIGESTS["flat"]
 
 
 # -- failure messages ---------------------------------------------------------------

@@ -2,12 +2,12 @@ import dataclasses
 import random
 from fractions import Fraction as F
 from functools import lru_cache
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
 
 from faces import all_faces
-from lp_oracle import solve_lp
+from lp_oracle import primitive_normal, solve_lp
 from toricmld.errors import AlreadyFlat, InputError, ModelViolation, NotLogCanonical
 from toricmld.flat import (
     GENERAL_DIVISOR,
@@ -26,7 +26,7 @@ from toricmld.flat import (
     threshold_step,
 )
 from toricmld.germ import Face, ToricGerm, full_face, germ_cyclic_quotient
-from toricmld.lattice import Lattice
+from toricmld.lattice import Lattice, enumerate_superlattices
 from toricmld.linprog import OPTIMAL
 from toricmld.newton import dual_hilbert_basis, lct_general_member
 from toricmld.rationals import QVec
@@ -618,3 +618,63 @@ def test_the_witness_center_is_the_last_step_center(corpus_germs, monkeypatch):
         assert calls[-1] == result.state and result.witness.center == minimal_center(result.state), germ
         empty += not result.trace
     assert 0 < empty < len(germs)
+
+
+# -- the builder in integer rows ------------------------------------------------------
+
+
+def test_ray_witness_equals_the_fraction_route(corpus_germs):
+    """``ray_witness`` reads the integer row den * y_num / k; the ``Fraction``
+    route scales the pricing normal by ``Lattice.primitive_scale``.  Both agree
+    on every germ of the corpus to index 6 with a nonzero weight, and on
+    d = 4 with b in {0, 1/2}^4 to index 4."""
+    germs = [g for g in corpus_germs if g.lattice.index <= 6 and any(g.weights)]
+    assert len(germs) == 6483
+    for lat in enumerate_superlattices(4, 4):
+        germs += [ToricGerm(lat, b) for b in product((0, F(1, 2)), repeat=4)]
+    for germ in germs:
+        assert ray_witness(germ) == primitive_normal(germ.lattice, germ.general_member_intersection), germ
+
+
+@pytest.mark.parametrize(
+    "row, scale, message",
+    [((4, 4, 8, 4), 2, "primitive"), ((1, 2, 4, 2), None, "primitive"), ((2, 2, 2, 2), 1, "value exactly zero")],
+    ids=["multiple", "off-the-lattice", "nonzero-value"],
+)
+def test_the_witness_check_refuses_a_bad_row(row, scale, message, monkeypatch):
+    """A witness row that is a proper multiple, off the lattice or of nonzero
+    value is an internal fault: ``ModelViolation``, not an ``InputError``.
+    ``scale`` is the row's primitive scale, None off the lattice."""
+    import toricmld.flat as flat
+
+    # the interior infimum 5/2 undercuts every box ratio, so the builder's
+    # witness is the ray row (2, 2, 4, 2) over den 2
+    lat = Lattice.from_generators(4, [(F(1, 2), 0, 0, F(1, 2)), (0, F(1, 2), 0, F(1, 2))])
+    germ = ToricGerm(lat, (0, 0, 0, 0))
+    result = build_flat_structure(germ)
+    assert result.state.total == F(5, 2) and result.witness.x == (1, 1, 2, 1)
+    x = tuple(F(c, germ.lattice.den) for c in row)
+    assert (germ.lattice.primitive_scale(x) if germ.lattice.contains(x) else None) == scale
+    monkeypatch.setattr(flat, "_ray_row", lambda germ: row)
+    with pytest.raises(ModelViolation, match=message):
+        build_flat_structure(germ)
+
+
+def test_the_builder_builds_few_fractions(corpus_germs, monkeypatch):
+    """With the weights read, the ray program solved and the lattice basis
+    built, the builder makes ``Fraction``s only for rho, the coefficients
+    and the witness it returns: at most 15 per germ on average over the
+    corpus to index 6."""
+    germs = [g for g in corpus_germs if g.lattice.index <= 6]
+    assert len(germs) == 6596
+    for germ in germs:
+        germ.lattice.basis
+        if any(germ.weights):
+            germ.general_member_intersection
+    made = []
+    real = F.__new__
+    monkeypatch.setattr(F, "__new__", staticmethod(lambda cls, *args, **kw: made.append(1) or real(cls, *args, **kw)))
+    for germ in germs:
+        build_flat_structure(germ)
+    monkeypatch.undo()
+    assert len(made) <= 15 * len(germs), len(made) / len(germs)

@@ -46,6 +46,26 @@ def test_face_validation():
     assert Face.coerce((2, 1, 1), 3).support == (1, 2)
 
 
+def test_a_face_is_validated_once(monkeypatch):
+    """``Face.coerce`` range-checks a ``Face`` and returns it, and validates
+    any other value once, so ``mld_face(germ, full_face(d))`` validates one
+    support: the one ``full_face`` builds."""
+    import toricmld.germ as germ_module
+
+    calls = []
+    real = germ_module._support
+    monkeypatch.setattr(germ_module, "_support", lambda *args: calls.append(args) or real(*args))
+    germ = germ_cyclic_quotient(5, (1, 2, 3))
+    face = full_face(3)
+    assert Face.coerce(face, 3) is face
+    assert mld_face(germ, face).face is face and calls == [(face.support,)]
+    assert mld_face(germ, [3, 1, 2]).face == face and len(calls) == 2
+    with pytest.raises(InputError, match="out of range"):
+        Face.coerce(Face((3,)), 2)
+    with pytest.raises(InputError, match="out of range"):
+        Face.coerce(Face((0, 1)), 2)
+
+
 @pytest.mark.parametrize(
     "call",
     [

@@ -10,7 +10,7 @@ from hypothesis import given, strategies as st
 from toricmld.errors import DimensionMismatch, InputError, MalformedRational, ModelViolation, NotInLattice
 from toricmld.germ import ToricGerm, germ_cyclic_quotient
 from toricmld.lattice import Lattice, enumerate_superlattices, hnf
-from lp_oracle import INFEASIBLE, solve_lp
+from lp_oracle import INFEASIBLE, primitive_normal, solve_lp
 from toricmld.newton import (
     CAP_ONE,
     RAY,
@@ -24,7 +24,6 @@ from toricmld.newton import (
     newton_poly_from_exponents,
     _first_intersection,
     _general_member_threshold,
-    _primitive_normal,
 )
 
 
@@ -403,7 +402,7 @@ def test_soundness_against_random_valuations(exps):
 
 def normal_witness_ray(poly):
     """Primitive lattice point on the pricing ray; realizes 1/mu exactly."""
-    return _primitive_normal(poly.germ.lattice, _first_intersection(poly.exponents, *poly.germ._weight_ints))
+    return primitive_normal(poly.germ.lattice, _first_intersection(poly.exponents, *poly.germ._weight_ints))
 
 
 @given(st.lists(exponent, min_size=1, max_size=6))
