@@ -77,12 +77,18 @@ def _point_scaled(germ: ToricGerm) -> tuple[int, int]:
     return table.entries[tuple(range(1, germ.dim + 1))][0], table.scale
 
 
-def check_lower_semicontinuity(germ: ToricGerm) -> CheckReport:
-    """mld(P) <= mld(face) + dim(cycle) for every proper invariant cycle."""
+def _semicontinuity_bounds(germ: ToricGerm) -> tuple[int, int, dict[tuple[int, ...], int]]:
+    """The point minimum and, per proper face S, mld(S) + dim(S-cycle), both
+    times the face table's scale, and that scale."""
     d = germ.dim
     m, scale = _point_scaled(germ)
+    return m, scale, {s: v + (d - len(s)) * scale for s, (v, _) in germ.face_table.entries.items() if len(s) < d}
+
+
+def check_lower_semicontinuity(germ: ToricGerm) -> CheckReport:
+    """mld(P) <= mld(face) + dim(cycle) for every proper invariant cycle."""
+    m, scale, bounds = _semicontinuity_bounds(germ)
     at_point = Fraction(m, scale)
-    bounds = {s: v + (d - len(s)) * scale for s, (v, _) in germ.face_table.entries.items() if len(s) < d}
     details = tuple((f"S={s}", at_point, Fraction(b, scale)) for s, b in bounds.items())
     return CheckReport(all(m <= b for b in bounds.values()), details)
 

@@ -57,7 +57,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import gcd
+from math import ceil, gcd
 from operator import mul
 
 from .errors import AlreadyFlat, InputError, ModelViolation, NotLogCanonical
@@ -122,8 +122,6 @@ class ZeroCombo:
 def _multiplicity(germ: ToricGerm, x: QVec) -> Fraction:
     """v(x) for a lattice point x: the least pairing with the dual Hilbert
     basis, in integers over den as in ``Lattice.interior_multiplicities``."""
-    if not any(x):
-        return Fraction(0)
     den = germ.lattice.den
     u = scaled_int_vector(x, den)
     return Fraction(min(sum(map(mul, h, u)) for h in dual_hilbert_basis(germ)), den)
@@ -202,25 +200,20 @@ def ray_witness(germ: ToricGerm) -> QVec:
 # -- thresholds and centers -------------------------------------------------------
 
 
-def _rho(germ: ToricGerm) -> Fraction | None:
-    """``ray_infimum``, or None when every weight is 0 (where it raises)."""
-    return ray_infimum(germ) if any(germ.weights) else None
+def _rho(germ: ToricGerm) -> Fraction | int:
+    """``ray_infimum``, or 0 when every weight is 0 (where the ratio is
+    identically 0 and ``ray_infimum`` raises)."""
+    return ray_infimum(germ) if any(germ._weight_ints[0]) else 0
 
 
-def _require_log_canonical(state: FlatState, rho: Fraction | None) -> None:
-    """Log canonical exactly when Gamma = 0, or some weight is nonzero and
-    Gamma <= rho (see the module docstring); rho is ``_rho`` of the germ."""
-    gamma = state.total
-    if gamma and rho is None:
-        raise NotLogCanonical(f"coefficient sum {gamma} > 0 where every weight is 0")
-    if gamma and rho < gamma:
-        raise NotLogCanonical(f"coefficient sum {gamma} above the interior ray infimum")
-
-
-def _is_flat(state: FlatState, rho: Fraction | None) -> bool:
-    """Whether a log canonical state has a value-zero combo centered at the
-    distinguished point: every weight is 0, or Gamma = rho."""
-    return rho is None or state.total == rho
+def _checked_rho(state: FlatState) -> Fraction | int:
+    """``_rho`` of the state's germ, once the state is checked log canonical,
+    Gamma <= rho; it is flat exactly when Gamma = rho (see the module docstring)."""
+    rho = _rho(state.germ)
+    if state.total > rho:
+        where = "above the interior ray infimum" if rho else "> 0 where every weight is 0"
+        raise NotLogCanonical(f"coefficient sum {state.total} {where}")
+    return rho
 
 
 def threshold_step(state: FlatState) -> Fraction:
@@ -232,9 +225,8 @@ def threshold_step(state: FlatState) -> Fraction:
     (rho - Gamma - t) v, with equality along the ray witness, so the bound is
     rho - Gamma, and the member's own coefficient caps it at 1.
     """
-    rho = _rho(state.germ)
-    _require_log_canonical(state, rho)
-    if _is_flat(state, rho):
+    rho = _checked_rho(state)
+    if state.total == rho:
         raise AlreadyFlat("the state is already flat at the distinguished point")
     return min(Fraction(1), rho - state.total)
 
@@ -246,13 +238,14 @@ def minimal_center(state: FlatState) -> CenterDescriptor:
     The distinguished point when the state is flat; otherwise the stratum
     cut by the zero-weight face (the coordinates with b_i = 1) and every
     member of coefficient 1 (see the module docstring)."""
-    rho = _rho(state.germ)
-    _require_log_canonical(state, rho)
-    d = state.germ.dim
-    if _is_flat(state, rho):
-        return CenterDescriptor(POINT, full_face(d), (), 0)
-    zero_face = tuple(i for i, w in enumerate(state.germ._weight_ints[0], 1) if not w)
-    ones = tuple(j for j, g in enumerate(state.gammas, 1) if g == 1)
+    if state.total == _checked_rho(state):
+        return CenterDescriptor(POINT, full_face(state.germ.dim), (), 0)
+    return _cut_center(state.germ, tuple(j for j, g in enumerate(state.gammas, 1) if g == 1))
+
+
+def _cut_center(germ: ToricGerm, ones: tuple[int, ...]) -> CenterDescriptor:
+    """The center cut by the zero-weight face and the coefficient-1 members ``ones``."""
+    zero_face = tuple(i for i, w in enumerate(germ._weight_ints[0], 1) if not w)
     if not zero_face and not ones:
         raise InputError("no zero combo: the state is log terminal at every center")
     if not ones:
@@ -261,7 +254,7 @@ def minimal_center(state: FlatState) -> CenterDescriptor:
         kind = GENERAL_DIVISOR
     else:
         kind = STRATUM
-    return CenterDescriptor(kind, Face(zero_face) if zero_face else None, ones, d - len(zero_face) - len(ones))
+    return CenterDescriptor(kind, Face(zero_face) if zero_face else None, ones, germ.dim - len(zero_face) - len(ones))
 
 
 @dataclass(frozen=True)
@@ -285,34 +278,34 @@ class FlatBuildResult:
 
 def build_flat_structure(germ: ToricGerm) -> FlatBuildResult:
     """Add general members of the maximal ideal at their thresholds until the
-    distinguished point carries a value-zero valuation.
-
-    Terminates in at most d steps: any step below the cap lands the
-    coefficient sum exactly on the interior infimum (an interior zero), and
-    cap steps raise the sum by 1 toward an infimum that is at most d.  The
-    witness is the least den-scaled row among the interior box zeros and the
-    ray row, checked in integers to be a primitive lattice point of the
-    orthant of value exactly zero (``ModelViolation`` otherwise); only the
-    result is built in ``Fraction``s.
+    distinguished point carries a value-zero valuation, in closed form: the
+    thresholds min(1, rho - Gamma) are n = ceil(rho) coefficients 1, .., 1,
+    rho - n + 1 (n > d is a ``ModelViolation``), step j < n is centered on the
+    cut of the zero-weight face and members 1..j, and the last on the point.
+    The witness is the least den-scaled row among the interior box zeros and
+    the ray row, checked in integers to be a primitive lattice point of the
+    orthant of value zero (else ``ModelViolation``); only the result is built
+    in ``Fraction``s.
     """
-    state = FlatState(germ, ())
+    if not isinstance(germ, ToricGerm):
+        raise InputError(f"the flat builder needs a ToricGerm, got {germ!r}")
     rho = _rho(germ)
-    trace: list[tuple[Fraction, CenterDescriptor]] = []
-    while not _is_flat(state, rho):
-        if len(trace) == germ.dim:
-            raise ModelViolation(f"no flat structure after {germ.dim} steps; the model promises <= dim steps")
-        gamma = threshold_step(state)
-        state = FlatState(germ, state.gammas + (gamma,))
-        trace.append((gamma, minimal_center(state)))
-    # an interior box row is a zero when A = gamma v, that is, when
-    # gamma_den (wn . row) = gamma_num wd m (see ``_general_member_intersection``)
-    gamma = state.total
+    steps = ceil(rho)
+    if steps > germ.dim:
+        raise ModelViolation(f"no flat structure after {germ.dim} steps; the model promises <= dim steps")
+    one = Fraction(1)
+    point = CenterDescriptor(POINT, full_face(germ.dim), (), 0)
+    trace = [(one, _cut_center(germ, tuple(range(1, j + 1)))) for j in range(1, steps)]
+    trace += [(rho - (steps - 1), point)] if steps else []
+    state = FlatState(germ, tuple(g for g, _ in trace))
+    # the final coefficient sum is rho, so an interior box row is a zero when
+    # A = rho v, that is, rho_den (wn . row) = rho_num wd m (see ``_general_member_intersection``)
     wn, wd = germ._weight_ints
     lat = germ.lattice
-    p, q = gamma.denominator, gamma.numerator * wd
+    p, q = rho.denominator, rho.numerator * wd
     rows = lat.box_candidates[tuple(range(1, germ.dim + 1))]
     zeros = [row for row, m in zip(rows, lat.interior_multiplicities) if p * sum(map(mul, wn, row)) == q * m]
-    if gamma:
+    if rho:
         zeros.append(_ray_row(germ))
     u = min(zeros)
     coords = lat._int_coordinates(u) if min(u) >= 0 else None
@@ -321,4 +314,4 @@ def build_flat_structure(germ: ToricGerm) -> FlatBuildResult:
         raise ModelViolation(f"the witness {qvec_str(x)} must be a primitive lattice point of the orthant")
     if p * sum(map(mul, wn, u)) != q * min(sum(map(mul, h, u)) for h in lat.hilbert_basis):
         raise ModelViolation(f"the witness {qvec_str(x)} must have value exactly zero")
-    return FlatBuildResult(state, tuple(trace), ZeroCombo(x, (), trace[-1][1] if trace else minimal_center(state)))
+    return FlatBuildResult(state, tuple(trace), ZeroCombo(x, (), point))

@@ -23,10 +23,9 @@ from hashlib import sha256
 from itertools import permutations, product
 from operator import mul
 
-from .adjunction import check_lower_semicontinuity, check_precise_inversion, check_shokurov_bounds
+from .adjunction import _semicontinuity_bounds, check_precise_inversion, check_shokurov_bounds
 from .errors import CheckFailed, InputError, ResourceLimit
 from .germ import (
-    MldReport,
     ToricGerm,
     _oracle_minima,
     cartier_index,
@@ -164,13 +163,14 @@ class SurveyRow:
         )
 
 
-def _invariants(germ: ToricGerm, point: MldReport) -> dict:
-    """The survey row's fields that ``check`` reads too, from the point's ``mld_face`` report."""
+def _invariants(germ: ToricGerm) -> dict:
+    """The survey row's fields that ``check`` reads too, off the face table in integers."""
     ones = [i + 1 for i, b in enumerate(germ.boundary) if b == 1] if germ.dim >= 2 else []
+    m, scale, bounds = _semicontinuity_bounds(germ)
     return {
-        "mld_point": point.value,
+        "mld_point": Fraction(m, scale),
         "cartier": cartier_index(germ),
-        "lsc_ok": check_lower_semicontinuity(germ).passed,
+        "lsc_ok": all(m <= b for b in bounds.values()),
         "bounds_ok": check_shokurov_bounds(germ).passed,
         "pia_ok": all(check_precise_inversion(germ, i).passed for i in ones) if ones else None,
         "lct_general": _general_member_threshold(germ),
@@ -189,7 +189,7 @@ def _survey_row(germ: ToricGerm) -> SurveyRow:
         mld_global=table.value(table.minimizing_support()),
         mld_exceptional=None if exceptional is None else table.value(exceptional),
         witnesses=tuple(map(qvec_str, point.witnesses)),
-        **_invariants(germ, point),
+        **_invariants(germ),
     )
 
 
@@ -425,7 +425,7 @@ def _check_germ(germ: ToricGerm) -> list[str]:
     puts every minimum in the unit box, and the dilation gap is 1 / scale, of
     which every lattice-point value is a multiple; no radius or gap is stronger."""
     problems = []
-    inv = _invariants(germ, mld_face(germ, full_face(germ.dim)))
+    inv = _invariants(germ)
     table, (wn, _) = germ.face_table, germ._weight_ints
     dual = germ.lattice.dual_int_basis
     for (support, (m, minimizers)), oracle in zip(table.entries.items(), _oracle_minima(germ, table.entries)):

@@ -110,13 +110,16 @@ def test_a_failed_inversion_names_only_its_divisor(monkeypatch):
 
 
 def test_each_invariant_runs_once_per_checked_germ(monkeypatch):
+    """Each invariant runs once per checked germ; the point minimum and lower
+    semicontinuity are read in integers, so no ``mld_face`` report and no
+    ``check_lower_semicontinuity`` details are built."""
+    import toricmld.adjunction as adjunction
     import toricmld.survey as survey
 
     names = (
         "_invariants",
-        "mld_face",
         "cartier_index",
-        "check_lower_semicontinuity",
+        "_semicontinuity_bounds",
         "check_shokurov_bounds",
         "_general_member_threshold",
         "check_precise_inversion",
@@ -129,12 +132,18 @@ def test_each_invariant_runs_once_per_checked_germ(monkeypatch):
             return _fn(*args)
 
         monkeypatch.setattr(survey, name, counted)
-    for cls, name in ((Lattice, "contains"), (ToricGerm, "log_discrepancy")):
+    never = (
+        (Lattice, "contains"),
+        (ToricGerm, "log_discrepancy"),
+        (survey, "mld_face"),
+        (adjunction, "check_lower_semicontinuity"),
+    )
+    for owner, name in never:
 
         def refused(*args, _name=name):
             raise AssertionError(f"{_name} called on a passing corpus")
 
-        monkeypatch.setattr(cls, name, refused)
+        monkeypatch.setattr(owner, name, refused)
     config = CorpusConfig(dims=(1, 2, 3), max_index=3, boundary_set=(0, F(1, 2), 1))
     germs = list(corpus_germs(config))
     status, report = verify_corpus(config)

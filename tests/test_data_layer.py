@@ -12,7 +12,6 @@ from toricmld.survey import _check_germ, _survey_row
 GERM_FIELDS = {
     "lattice",
     "boundary",
-    "weights",
     "_weight_ints",
     "face_table",
     "general_member_intersection",
