@@ -60,15 +60,20 @@ def _restriction(germ: ToricGerm, divisor: int) -> tuple[Lattice, tuple[int, ...
 
 
 def check_precise_inversion(germ: ToricGerm, divisor: int) -> CheckReport:
-    """The point minimum upstairs, off the face table, against the one on the
-    divisor, with no restricted germ: the induced weights (1 - b_j) / n_j are
-    wn_j k / n_j over wd k, k = lcm(n), on the restricted lattice; in integers."""
+    """The point minimum upstairs against the one on the divisor (``_precise_inversion``)."""
+    passed, lhs, rhs = _precise_inversion(germ, divisor)
+    return CheckReport(passed, ((f"point-minimum vs divisor {divisor}", Fraction(*lhs), Fraction(*rhs)),))
+
+
+def _precise_inversion(germ: ToricGerm, divisor: int) -> tuple[bool, tuple[int, int], tuple[int, int]]:
+    """Whether it holds, and both point minima as (scaled minimum, scale), with
+    no restricted germ: the induced weights (1 - b_j) / n_j are wn_j k / n_j
+    over wd k, k = lcm(n), on the restricted lattice."""
     restricted, scales = _restriction(germ, divisor)
     (wn, wd), k = germ._weight_ints, lcm(*scales)
     rhs = _least_interior(restricted, [w * (k // n) for w, n in zip(wn[: divisor - 1] + wn[divisor:], scales)])
     (lhs, lscale), rscale = _point_scaled(germ), restricted.den * wd * k
-    detail = (f"point-minimum vs divisor {divisor}", Fraction(lhs, lscale), Fraction(rhs, rscale))
-    return CheckReport(lhs * rscale == rhs * lscale, (detail,))
+    return lhs * rscale == rhs * lscale, (lhs, lscale), (rhs, rscale)
 
 
 def _point_scaled(germ: ToricGerm) -> tuple[int, int]:
@@ -95,15 +100,17 @@ def check_lower_semicontinuity(germ: ToricGerm) -> CheckReport:
 
 def check_shokurov_bounds(germ: ToricGerm) -> CheckReport:
     """mld(P) <= d, and values above d-1 only on the standard lattice with
-    the multiplicity formula d - sum(b), decided on the scaled minimum."""
-    d = germ.dim
-    m, scale = _point_scaled(germ)
+    the multiplicity formula d - sum(b) (see ``_shokurov_holds``)."""
+    d, (m, scale) = germ.dim, _point_scaled(germ)
     value = Fraction(m, scale)
     details = [("point-minimum vs dimension", value, Fraction(d))]
-    ok = m <= d * scale
     if m > (d - 1) * scale:
         details.append(("smooth-branch lattice index", Fraction(germ.lattice.index), Fraction(1)))
-        expected = d - sum(germ.boundary, start=Fraction(0))
-        details.append(("smooth-branch multiplicity formula", value, expected))
-        ok = ok and germ.lattice.index == 1 and value == expected
-    return CheckReport(ok, tuple(details))
+        details.append(("smooth-branch multiplicity formula", value, d - sum(germ.boundary, start=Fraction(0))))
+    return CheckReport(_shokurov_holds(germ), tuple(details))
+
+
+def _shokurov_holds(germ: ToricGerm) -> bool:
+    """``check_shokurov_bounds(germ).passed`` in integers: d - sum(b) is sum(wn) / wd."""
+    (m, scale), (wn, wd), d = _point_scaled(germ), germ._weight_ints, germ.dim
+    return m <= (d - 1) * scale or (m <= d * scale and germ.lattice.index == 1 and m * wd == scale * sum(wn))

@@ -24,9 +24,11 @@ Two structural facts drive the builder:
   the germ.  By LP duality rho equals 1/mu of the general-member Newton
   polyhedron, and the pricing vector of that LP lies on an optimal ray, so
   an exact lattice witness, an integer row over den like every box point,
-  is always available.  Where rho is made, each germ checks once that no
-  interior box point has A(x) < rho v(x).  (The tests also compute rho cell
-  by cell over the linearity regions of v, one LP per cell, as a cross-check.)
+  is always available.  Both are read off the vertex list, the LP solved only
+  where tied vertices leave it a choice (``newton._vertex_intersection``).
+  Where rho is made, each germ checks once that no interior box point has
+  A(x) < rho v(x).  (The tests also compute rho cell by cell over the
+  linearity regions of v, one LP per cell, as a cross-check.)
 
 So a state is read off rho, the zero-weight face Z = {i : b_i = 1} and its
 unit members (coefficient 1), with Gamma the coefficient sum:
@@ -62,7 +64,7 @@ from operator import mul
 
 from .errors import AlreadyFlat, InputError, ModelViolation, NotLogCanonical
 from .germ import Face, ToricGerm, full_face, germ_document, log_discrepancy_of_valuation
-from .newton import FirstIntersection, _first_intersection, dual_hilbert_basis
+from .newton import FirstIntersection, _first_intersection, _vertex_intersection, dual_hilbert_basis
 from .rationals import IntVec, QVec, integer, iterate, qvec, qvec_str, rat_str, scaled_int_vector
 
 POINT = "point-P"
@@ -149,7 +151,7 @@ def state_value(state: FlatState, x, divisors=()) -> Fraction:
 
 def _general_member_intersection(germ: ToricGerm) -> FirstIntersection:
     """``ToricGerm.general_member_intersection``: the first intersection of
-    the weight ray with the general-member Newton polyhedron.
+    the weight ray with the general-member Newton polyhedron (on a tie, the LP's).
 
     It also checks, once per germ, the fact that the log canonicity rule
     rests on: no interior box point x has A(x) < rho v(x), rho = 1/mu.  Over
@@ -159,7 +161,7 @@ def _general_member_intersection(germ: ToricGerm) -> FirstIntersection:
     wn, wd = germ._weight_ints
     if not any(wn):
         raise InputError("zero weight vector: the interior ratio is identically 0")
-    res = _first_intersection(dual_hilbert_basis(germ), wn, wd)
+    res = _vertex_intersection(germ) or _first_intersection(dual_hilbert_basis(germ), wn, wd)
     lat = germ.lattice
     p, q = res.mu_num, res.scale * wd
     for row, m in zip(lat.box_candidates[tuple(range(1, germ.dim + 1))], lat.interior_multiplicities):

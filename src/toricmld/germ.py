@@ -37,7 +37,7 @@ from operator import mul
 
 from .errors import InputError, ModelViolation, NotPrimitive, ResourceLimit
 from .lattice import TABLE_CAP, Lattice
-from .rationals import IntVec, QVec, integer, iterate, qvec, qvec_str, rat, rat_str
+from .rationals import IntVec, QVec, integer, iterate, qvec, qvec_str, rat, rat_str, ratio_str
 
 
 @dataclass(frozen=True)
@@ -191,7 +191,7 @@ class ToricGerm:
 def germ_document(germ: ToricGerm) -> dict:
     return {
         "dim": germ.dim,
-        "lattice": {"generators": [[rat_str(c) for c in row] for row in germ.lattice.basis]},
+        "lattice": {"generators": [[ratio_str(x, germ.lattice.den) for x in row] for row in germ.lattice.int_rows]},
         "boundary": [rat_str(b) for b in germ.boundary],
     }
 

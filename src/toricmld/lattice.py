@@ -23,7 +23,7 @@ from math import gcd, isqrt, lcm, prod
 from operator import mul
 
 from .errors import DimensionMismatch, InputError, ModelViolation, NotInLattice, ResourceLimit
-from .rationals import IntVec, QVec, common_denominator, integer, iterate, qvec, scaled_int_vector
+from .rationals import IntVec, QVec, common_denominator, integer, iterate, qvec, ratio_str, scaled_int_vector
 
 # Largest lattice index whose per-lattice tables (``Lattice.rep_ints`` and
 # the tables built from it, about one row per coset) are built.  It admits
@@ -476,7 +476,7 @@ class Lattice:
         return tuple(out)
 
     def __repr__(self) -> str:
-        rows = ";".join("(" + ",".join(str(x) for x in row) + ")" for row in self.basis)
+        rows = ";".join("(" + ",".join(ratio_str(x, self.den) for x in row) + ")" for row in self.int_rows)
         return f"Lattice(dim={self.dim}, basis=[{rows}])"
 
 

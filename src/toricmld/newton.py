@@ -85,7 +85,7 @@ def newton_poly_from_exponents(germ: ToricGerm, exponents) -> NewtonPoly:
 class FirstIntersection:
     mu_num: int | None  # mu = mu_num / scale; None encodes +infinity (ray never enters)
     scale: int = 1
-    lam: IntVec | None = None  # convex weights over scale, aligned with exponents
+    lam: IntVec | None = None  # convex weights over scale, aligned with exponents; None if read off the vertices
     y_num: IntVec | None = None  # y = y_num / y_den >= 0, <y,w> = 1, <y,m> >= mu for all m
     y_den: int = 1
 
@@ -153,24 +153,24 @@ def _first_intersection(exponents: tuple[IntVec, ...], w_row: IntVec, wd: int) -
     if mu_num <= 0:
         raise ModelViolation("mu must be positive: the exponents are nonzero and nonnegative")
     # lift the normal so it prices every exponent, including the ones forced
-    # out by a zero-weight coordinate (raising those coordinates is free): m
-    # falls short by gap / (scale * nd), so lift them by the largest gap / z
-    # over scale * nd, z the sum of m on those coordinates
-    y_num, y_den = pn, nd
-    if zero_coords:
-        gap_max, z_max = 0, 1
-        for m in exponents:
-            z = sum(m[i] for i in zero_coords)
-            if z:
-                gap = mu_num * nd - scale * sum(map(mul, pn, m))
-                if gap * z_max > gap_max * z:
-                    gap_max, z_max = gap, z
-        if gap_max:
-            y_num = tuple(v * scale * z_max + (gap_max if i in zero_coords else 0) for i, v in enumerate(pn))
-            y_den = nd * scale * z_max
-
+    # out by a zero-weight coordinate (raising those coordinates is free)
+    y_num, k = _zero_weight_lift(pn, mu_num * nd, scale, exponents, zero_coords)
     by_exp = dict(zip(active_list, lam))
-    return FirstIntersection(mu_num, scale, tuple(by_exp.get(m, 0) for m in exponents), y_num, y_den)
+    return FirstIntersection(mu_num, scale, tuple(by_exp.get(m, 0) for m in exponents), y_num, nd * k)
+
+
+def _zero_weight_lift(y: IntVec, target: int, s: int, exponents, zero_coords) -> tuple[IntVec, int]:
+    """(y_num, k): y lifted on the zero-weight coordinates to y_num / k so that
+    s <y, m> >= target for every exponent m, by the largest gap / z over s,
+    gap = target - s <y, m> and z the sum of m on those coordinates."""
+    gap_max, z_max = 0, 1
+    for m in exponents:
+        z = sum(m[i] for i in zero_coords)
+        if z and (gap := target - s * sum(map(mul, y, m))) * z_max > gap_max * z:
+            gap_max, z_max = gap, z
+    if not gap_max:
+        return y, 1
+    return tuple(v * s * z_max + (gap_max if i in zero_coords else 0) for i, v in enumerate(y)), s * z_max
 
 
 def first_intersection_mu(poly: NewtonPoly) -> Fraction | None:
@@ -243,6 +243,23 @@ def _general_member_threshold(germ: ToricGerm) -> Fraction:
     den, rows = germ.lattice.threshold_vertices
     wn, wd = germ._weight_ints
     return min(Fraction(1), Fraction(min(sum(map(mul, wn, y)) for y in rows), den * wd))
+
+
+def _vertex_intersection(germ: ToricGerm) -> FirstIntersection | None:
+    """``_first_intersection`` of the Hilbert basis, read off the rows / D of
+    ``Lattice.threshold_vertices``: mu = D wd / min <row, wd w>, and the LP's
+    normal before its lift is mu / D times the minimizing rows zeroed on the
+    zero-weight coordinates if those are one row; None, the LP's pick, if not."""
+    (den, rows), (wn, wd) = germ.lattice.threshold_vertices, germ._weight_ints
+    vals = [sum(map(mul, wn, y)) for y in rows]
+    best = min(vals)
+    if not best:
+        return FirstIntersection(None)
+    p, *tied = {tuple(c if w else 0 for c, w in zip(y, wn)) for y, v in zip(rows, vals) if v == best}
+    if tied:
+        return None
+    y_num, k = _zero_weight_lift(p, den, 1, germ.lattice.hilbert_basis, [i for i, w in enumerate(wn) if not w])
+    return FirstIntersection(den * wd, best, None, tuple(wd * c for c in y_num), best * k)
 
 
 def lct_upper_bound_from_valuation(poly: NewtonPoly, x) -> Fraction | None:

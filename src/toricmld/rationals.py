@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from typing import Iterable, Iterator, Sequence
 
 from .errors import DimensionMismatch, InputError, MalformedRational
@@ -57,9 +57,13 @@ def integer(value, name: str) -> int:
 def rat_str(value: Fraction) -> str:
     """Render a Fraction as "n" or "p/q"; ``value`` is read by ``rat``."""
     value = rat(value)
-    if value.denominator == 1:
-        return str(value.numerator)
-    return f"{value.numerator}/{value.denominator}"
+    return ratio_str(value.numerator, value.denominator)
+
+
+def ratio_str(num: int, den: int) -> str:
+    """``rat_str`` of num / den for ints with den > 0, in integers."""
+    g = gcd(num, den)
+    return str(num // g) if g == den else f"{num // g}/{den // g}"
 
 
 def iterate(value, name: str) -> Iterator:

@@ -23,7 +23,7 @@ from hashlib import sha256
 from itertools import permutations, product
 from operator import mul
 
-from .adjunction import _semicontinuity_bounds, check_precise_inversion, check_shokurov_bounds
+from .adjunction import _precise_inversion, _semicontinuity_bounds, _shokurov_holds
 from .errors import CheckFailed, InputError, ResourceLimit
 from .germ import (
     ToricGerm,
@@ -171,8 +171,8 @@ def _invariants(germ: ToricGerm) -> dict:
         "mld_point": Fraction(m, scale),
         "cartier": cartier_index(germ),
         "lsc_ok": all(m <= b for b in bounds.values()),
-        "bounds_ok": check_shokurov_bounds(germ).passed,
-        "pia_ok": all(check_precise_inversion(germ, i).passed for i in ones) if ones else None,
+        "bounds_ok": _shokurov_holds(germ),
+        "pia_ok": all(_precise_inversion(germ, i)[0] for i in ones) if ones else None,
         "lct_general": _general_member_threshold(germ),
     }
 
@@ -447,7 +447,7 @@ def _check_germ(germ: ToricGerm) -> list[str]:
         problems.append("lattice-point-free dilation check failed")
     if inv["pia_ok"] is False:
         for i, b in enumerate(germ.boundary, start=1):
-            if b == 1 and not check_precise_inversion(germ, i).passed:
+            if b == 1 and not _precise_inversion(germ, i)[0]:
                 problems.append(f"adjunction equality failed on divisor {i}")
     if germ.lattice.index == 1:
         degrees = tuple((i % 3) + 1 for i in range(germ.dim))

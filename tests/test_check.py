@@ -3,25 +3,27 @@ the survey row, the oracle's independence of its radius and of the box
 candidates, and byte-identical reports."""
 from fractions import Fraction as F
 from hashlib import sha256
+from itertools import product
 from operator import mul
 
 import json
 
 from faces import with_entry
 from toricmld import cli
-from toricmld.adjunction import CheckReport
 from toricmld.germ import ToricGerm, germ_cyclic_quotient, germ_document, mld_bruteforce_oracle
-from toricmld.lattice import Lattice
+from toricmld.lattice import Lattice, enumerate_superlattices
 from toricmld.survey import CorpusConfig, _check_germ, corpus_germs, run_survey, verify_corpus
 
 # sha256 of the outputs below, recorded before the check battery was rebuilt
 # on the survey row (and, for flat, before its builder moved to integer
-# rows); any change to a report, a survey or a flat structure shows here.
+# rows; flat4 before flat read rho off the vertex list); any change to a
+# report, a survey or a flat structure shows here.
 DIGESTS = {
     "check": "daf6c958425655c7179be592380b048a814029eb786658fa61738243b7909c98",
     "csv": "701ff4d9984473c2338927abde7ab73835d243fc71d2ee271957acd124c099de",
     "json": "ce42c348eaae4ff986d5b57238168b49cd46de90ceafaf74a6175dc0e12b2ac4",
     "flat": "d40609471d12d884eab17430decbb02ae0e477810e21672798126903b1d8dc6c",
+    "flat4": "438a71c81be9e6542651a46933a532692a11070567ff6d9494f73293213a92b9",
 }
 
 
@@ -40,19 +42,32 @@ def test_check_and_survey_outputs_are_byte_identical(tmp_path):
         assert sha256(out.read_bytes()).hexdigest() == DIGESTS[name], name
 
 
-def test_flat_outputs_are_byte_identical(tmp_path, capsys):
-    """``toricmld flat -i`` on every germ of the default corpus to index 4
-    (2,148 germs): one sha256 over each run's exit code and stdout, in
-    corpus order, recorded before the builder moved to integer rows."""
+def _flat_digest(germs, tmp_path, capsys) -> tuple[str, int]:
+    """One sha256 over the exit code and stdout of ``toricmld flat -i`` on
+    each germ, in order, and the number of runs."""
     germ_file = tmp_path / "germ.json"
     digest, runs = sha256(), 0
-    for germ in corpus_germs(CorpusConfig(max_index=4)):
+    for germ in germs:
         germ_file.write_text(json.dumps(germ_document(germ)))
         code = cli.main(["flat", "-i", str(germ_file)])
         digest.update(f"{code}\n{capsys.readouterr().out}".encode())
         runs += 1
-    assert runs == 2148
-    assert digest.hexdigest() == DIGESTS["flat"]
+    return digest.hexdigest(), runs
+
+
+def test_flat_outputs_are_byte_identical(tmp_path, capsys):
+    """``toricmld flat -i`` on every germ of the default corpus to index 4
+    (2,148 germs), recorded before the builder moved to integer rows."""
+    assert _flat_digest(corpus_germs(CorpusConfig(max_index=4)), tmp_path, capsys) == (DIGESTS["flat"], 2148)
+
+
+def test_flat_outputs_are_byte_identical_in_dimension_four(tmp_path, capsys):
+    """``toricmld flat -i`` on d = 4 to index 4 with b in {0, 1/2, 1}^4
+    (149 lattices, 12,069 germs), where a vertex of the general-member
+    polyhedron can have a primitive point outside the unit box; recorded
+    before flat read rho off the vertex list."""
+    germs = [ToricGerm(lat, b) for lat in enumerate_superlattices(4, 4) for b in product((0, F(1, 2), 1), repeat=4)]
+    assert _flat_digest(germs, tmp_path, capsys) == (DIGESTS["flat4"], 12069)
 
 
 # -- failure messages ---------------------------------------------------------------
@@ -96,12 +111,8 @@ def test_a_broken_divisibility_names_each_face_it_breaks_on(monkeypatch):
 def test_a_failed_inversion_names_only_its_divisor(monkeypatch):
     import toricmld.survey as survey
 
-    real = survey.check_precise_inversion
-
-    def fail_on_two(germ, divisor):
-        return CheckReport(False, ()) if divisor == 2 else real(germ, divisor)
-
-    monkeypatch.setattr(survey, "check_precise_inversion", fail_on_two)
+    real = survey._precise_inversion
+    monkeypatch.setattr(survey, "_precise_inversion", lambda germ, i: (False, None, None) if i == 2 else real(germ, i))
     germ = ToricGerm(germ_cyclic_quotient(5, (1, 2, 3)).lattice, (1, 1, 0))
     assert _check_germ(germ) == ["adjunction equality failed on divisor 2"]
 
@@ -110,9 +121,10 @@ def test_a_failed_inversion_names_only_its_divisor(monkeypatch):
 
 
 def test_each_invariant_runs_once_per_checked_germ(monkeypatch):
-    """Each invariant runs once per checked germ; the point minimum and lower
-    semicontinuity are read in integers, so no ``mld_face`` report and no
-    ``check_lower_semicontinuity`` details are built."""
+    """Each invariant runs once per checked germ; the point minimum, lower
+    semicontinuity, the dimension bounds and precise inversion are read in
+    integers, so no ``mld_face`` report and no ``CheckReport`` details are
+    built."""
     import toricmld.adjunction as adjunction
     import toricmld.survey as survey
 
@@ -120,9 +132,9 @@ def test_each_invariant_runs_once_per_checked_germ(monkeypatch):
         "_invariants",
         "cartier_index",
         "_semicontinuity_bounds",
-        "check_shokurov_bounds",
+        "_shokurov_holds",
         "_general_member_threshold",
-        "check_precise_inversion",
+        "_precise_inversion",
     )
     calls = dict.fromkeys(names, 0)
     for name in names:
@@ -137,6 +149,8 @@ def test_each_invariant_runs_once_per_checked_germ(monkeypatch):
         (ToricGerm, "log_discrepancy"),
         (survey, "mld_face"),
         (adjunction, "check_lower_semicontinuity"),
+        (adjunction, "check_shokurov_bounds"),
+        (adjunction, "check_precise_inversion"),
     )
     for owner, name in never:
 
@@ -149,7 +163,7 @@ def test_each_invariant_runs_once_per_checked_germ(monkeypatch):
     status, report = verify_corpus(config)
     assert status == 0 and report["checked"] == len(germs)
     ones = sum(germ.boundary.count(1) for germ in germs if germ.dim >= 2)
-    assert calls.pop("check_precise_inversion") == ones
+    assert calls.pop("_precise_inversion") == ones
     assert calls == dict.fromkeys(calls, len(germs))
 
 

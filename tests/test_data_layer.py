@@ -18,7 +18,6 @@ GERM_FIELDS = {
 }
 LATTICE_FIELDS = {
     "dim",
-    "basis",
     "den",
     "int_rows",
     "is_superlattice",

@@ -3,6 +3,8 @@ import random
 from fractions import Fraction as F
 from functools import lru_cache
 from itertools import combinations, product
+from math import gcd
+from operator import mul
 
 import pytest
 
@@ -28,7 +30,7 @@ from toricmld.flat import (
 from toricmld.germ import Face, ToricGerm, full_face, germ_cyclic_quotient
 from toricmld.lattice import Lattice, enumerate_superlattices
 from toricmld.linprog import OPTIMAL
-from toricmld.newton import dual_hilbert_basis, lct_general_member
+from toricmld.newton import _first_intersection, _vertex_intersection, dual_hilbert_basis, lct_general_member
 from toricmld.rationals import QVec
 
 
@@ -483,9 +485,8 @@ def test_witness_and_rho_check_agree_with_the_fraction_recomputation(corpus_germ
     interior zero that ``interior_values`` finds, and the once-per-germ check
     that no box point has A < rho v raises exactly when the recomputation
     finds such a point: never at the true rho, and whenever an overstated
-    rho (mu scaled by 3/4) exceeds some box ratio."""
-    import toricmld.flat as flat
-
+    rho (mu scaled by 3/4) exceeds some box ratio, on the vertex route and
+    the LP route alike."""
     germs = [g for g in corpus_germs if g.lattice.index <= 6]
     assert len(germs) == 6596
     for germ in germs:
@@ -494,14 +495,8 @@ def test_witness_and_rho_check_agree_with_the_fraction_recomputation(corpus_germ
         if any(germ.weights):
             assert all(a >= ray_infimum(germ) * v for a, v, _ in interior_values(germ)), germ
 
-    exact = flat._first_intersection
-
-    def overstated(exponents, w_row, wd):
-        res = exact(exponents, w_row, wd)
-        return dataclasses.replace(res, mu_num=res.mu_num * 3, scale=res.scale * 4)
-
-    monkeypatch.setattr(flat, "_first_intersection", overstated)
-    raised = 0
+    overstate_both_routes(monkeypatch, lambda res: dataclasses.replace(res, mu_num=res.mu_num * 3, scale=res.scale * 4))
+    raised = {True: 0, False: 0}  # keyed by whether the germ's vertices tie
     for germ in germs:
         if not any(germ.weights):
             continue
@@ -510,26 +505,47 @@ def test_witness_and_rho_check_agree_with_the_fraction_recomputation(corpus_germ
         try:
             ray_infimum(fresh)
         except ModelViolation:
-            raised += 1
+            raised[vertices_tie(germ)] += 1
             assert undercut, germ
         else:
             assert not undercut, germ
-    assert raised > 0
+    assert raised[True] > 0 and raised[False] > 0, raised
+
+
+def overstate_both_routes(monkeypatch, change) -> None:
+    """Apply ``change`` to the first intersection that flat reads, on the
+    vertex route and on the LP route alike."""
+    import toricmld.flat as flat
+
+    lp, vertex = flat._first_intersection, flat._vertex_intersection
+    monkeypatch.setattr(flat, "_first_intersection", lambda *args: change(lp(*args)))
+    monkeypatch.setattr(flat, "_vertex_intersection", lambda germ: None if (res := vertex(germ)) is None else change(res))
+
+
+def vertices_tie(germ) -> bool:
+    """Whether two vertices of ``Lattice.threshold_vertices`` minimize
+    <y, w> and differ off the zero-weight coordinates: the germs whose ray
+    normal the LP picks."""
+    _, rows = germ.lattice.threshold_vertices
+    w = germ.weights
+    vals = [sum(map(mul, w, y)) for y in rows]
+    return len({tuple(c if x else 0 for c, x in zip(y, w)) for y, v in zip(rows, vals) if v == min(vals)}) > 1
 
 
 def test_flat_keeps_the_traced_call_structure(monkeypatch):
-    """``build_flat_structure`` on a d = 3 germ of index > 1 calls the ray
-    program's layers and never the threshold entry points of the survey and
+    """``build_flat_structure`` on a d = 3 germ of index > 1 calls
+    ``ray_infimum`` and never the threshold entry points of the survey and
     the check, at every place the package binds them.  It reads the Hilbert
     basis as built, so the exponent validation is bypassed too, and writes its
     trace in closed form, so it takes no ``threshold_step`` or
-    ``minimal_center``."""
+    ``minimal_center``.  A germ whose minimizing vertex is one solves no LP;
+    a germ with tied vertices solves at least one, over ``dual_hilbert_basis``."""
     import importlib
 
-    called = ("dual_hilbert_basis", "solve_lp_max_slack", "ray_infimum")
+    program = ("dual_hilbert_basis", "solve_lp_max_slack")
     bypassed = ("lct_general_member", "lct_newton", "newton_poly_from_exponents", "threshold_step", "minimal_center")
     counts = {}
-    for name in called + bypassed:
+    for name in ("ray_infimum",) + program + bypassed:
         for mod in ("flat", "newton", "linprog", "germ", "survey"):
             module = importlib.import_module(f"toricmld.{mod}")
             if hasattr(module, name):
@@ -539,11 +555,13 @@ def test_flat_keeps_the_traced_call_structure(monkeypatch):
                     return _fn(*args)
 
                 monkeypatch.setattr(module, name, counted)
-    germ = germ_cyclic_quotient(5, (1, 2, 3))
-    assert germ.dim == 3 and germ.lattice.index > 1
-    build_flat_structure(germ)
-    assert all(counts.get(name, 0) >= 1 for name in called), counts
-    assert not any(counts.get(name) for name in bypassed), counts
+    for germ, lp in ((germ_cyclic_quotient(5, (1, 2, 3)), False), (germ_cyclic_quotient(7, (1, 2, 4)), True)):
+        assert germ.dim == 3 and germ.lattice.index > 1 and vertices_tie(germ) == lp
+        counts.clear()
+        build_flat_structure(germ)
+        called = ("ray_infimum",) + program * lp
+        assert all(counts.get(name, 0) >= 1 for name in called), (germ, counts)
+        assert not any(counts.get(name) for name in bypassed + program * (not lp)), (germ, counts)
 
 
 def test_the_builder_builds_a_face_only_for_a_reported_center(corpus_germs, monkeypatch):
@@ -575,17 +593,12 @@ def test_ray_witness_rejects_zero_weights():
 
 
 def test_an_overstated_ray_infimum_is_a_model_violation(monkeypatch):
-    import toricmld.flat as flat
-
-    exact = flat._first_intersection
-
-    def halved(exponents, w_row, wd):
-        res = exact(exponents, w_row, wd)
-        return dataclasses.replace(res, scale=res.scale * 2)
-
-    monkeypatch.setattr(flat, "_first_intersection", halved)
-    with pytest.raises(ModelViolation):
-        ray_infimum(std_germ(2))
+    """On a germ with one minimizing vertex and on one with tied vertices."""
+    overstate_both_routes(monkeypatch, lambda res: dataclasses.replace(res, scale=res.scale * 2))
+    for germ, tied in ((std_germ(2), False), (germ_cyclic_quotient(3, (1, 2)), True)):
+        assert vertices_tie(germ) == tied
+        with pytest.raises(ModelViolation):
+            ray_infimum(germ)
 
 
 def test_a_state_keeps_its_coefficient_sum():
@@ -668,6 +681,59 @@ def test_ray_witness_equals_the_fraction_route(corpus_germs):
         assert ray_witness(germ) == primitive_normal(germ.lattice, germ.general_member_intersection), germ
 
 
+def test_the_vertex_route_equals_the_program(corpus_germs):
+    """Where the minimizing vertices project to one row off the zero-weight
+    coordinates, ``_vertex_intersection`` gives the LP's mu and the
+    direction of its lifted normal, with ``_first_intersection`` over the
+    dual Hilbert basis as the oracle; elsewhere it leaves the germ to the LP.
+    On the corpus to index 6 and on d = 4 with b in {0, 1/2, 1}^4 to index 4,
+    both routes occur."""
+    germs = [g for g in corpus_germs if g.lattice.index <= 6 and any(g.weights)]
+    assert len(germs) == 6483
+    for lat in enumerate_superlattices(4, 4):
+        germs += [g for b in product((0, F(1, 2), 1), repeat=4) if any((g := ToricGerm(lat, b)).weights)]
+    ties = 0
+    for germ in germs:
+        res = _vertex_intersection(germ)
+        assert (res is None) == vertices_tie(germ), germ
+        if res is None:
+            ties += 1
+            continue
+        lp = _first_intersection(dual_hilbert_basis(germ), *germ._weight_ints)
+        assert F(res.mu_num, res.scale) == F(lp.mu_num, lp.scale), germ
+        assert [c // gcd(*res.y_num) for c in res.y_num] == [c // gcd(*lp.y_num) for c in lp.y_num], germ
+    assert 0 < ties < len(germs), ties
+
+
+def test_a_tie_reports_the_programs_normal():
+    """On 1/6(1, 3, 4, 5) with b = 0 the vertices (2, 3, 2, 4)/6 and
+    (5, 3, 2, 1)/6 tie.  The LP's normal is the second, whose primitive point
+    is the witness; the first would give (2, 3, 2, 4)/3, which sorts first.
+    In the flat digests of ``tests/test_check.py`` no tie's pick shows."""
+    germ = ToricGerm(Lattice.from_generators(4, [(F(1, 6), F(1, 2), F(2, 3), F(5, 6))]), (0, 0, 0, 0))
+    assert germ.lattice.threshold_vertices == (6, ((1, 3, 4, 5), (2, 3, 2, 4), (5, 3, 2, 1))) and vertices_tie(germ)
+    assert build_flat_structure(germ).witness.x == (F(5, 6), F(1, 2), F(1, 3), F(1, 6))
+
+
+def test_flat_solves_programs_only_on_tied_germs(corpus_germs, monkeypatch):
+    """Over the corpus to index 6, built afresh, the builder solves an LP on
+    exactly the germs whose minimizing vertices tie."""
+    import toricmld.newton as newton
+
+    solves = []
+    solve = newton.solve_lp_max_slack
+    monkeypatch.setattr(newton, "solve_lp_max_slack", lambda *args: solves.append(1) or solve(*args))
+    tied = 0
+    for germ in corpus_germs:
+        if germ.lattice.index <= 6:
+            solves.clear()
+            build_flat_structure(ToricGerm(germ.lattice, germ.boundary))
+            tie = any(germ.weights) and vertices_tie(germ)
+            assert bool(solves) == tie, germ
+            tied += tie
+    assert tied > 0
+
+
 @pytest.mark.parametrize(
     "row, scale, message",
     [((4, 4, 8, 4), 2, "primitive"), ((1, 2, 4, 2), None, "primitive"), ((2, 2, 2, 2), 1, "value exactly zero")],
@@ -693,14 +759,12 @@ def test_the_witness_check_refuses_a_bad_row(row, scale, message, monkeypatch):
 
 
 def test_the_builder_builds_few_fractions(corpus_germs, monkeypatch):
-    """With the weights read, the ray program solved and the lattice basis
-    built, the builder makes ``Fraction``s only for rho, the coefficients
-    and the witness it returns: at most 6 per germ on average over the
-    corpus to index 6 (5.94 measured)."""
+    """With the weights read and the ray program solved, the builder makes
+    ``Fraction``s only for rho, the coefficients and the witness it returns:
+    at most 6 per germ on average over the corpus to index 6 (5.94 measured)."""
     germs = [g for g in corpus_germs if g.lattice.index <= 6]
     assert len(germs) == 6596
     for germ in germs:
-        germ.lattice.basis
         if any(germ.weights):
             germ.general_member_intersection
     made = []
