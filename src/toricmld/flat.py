@@ -24,8 +24,8 @@ Two structural facts drive the builder:
   the germ.  By LP duality rho equals 1/mu of the general-member Newton
   polyhedron, and the pricing vector of that LP lies on an optimal ray, so
   an exact lattice witness, an integer row over den like every box point,
-  is always available.  Both are read off the vertex list, the LP solved only
-  where tied vertices leave it a choice (``newton._vertex_intersection``).
+  is always available.  Both are read off the vertex list, no LP solved
+  (``newton._vertex_intersection``; on a tie, the greatest vertex).
   Where rho is made, each germ checks once that no interior box point has
   A(x) < rho v(x).  (The tests also compute rho cell by cell over the
   linearity regions of v, one LP per cell, as a cross-check.)
@@ -64,7 +64,7 @@ from operator import mul
 
 from .errors import AlreadyFlat, InputError, ModelViolation, NotLogCanonical
 from .germ import Face, ToricGerm, full_face, germ_document, log_discrepancy_of_valuation
-from .newton import FirstIntersection, _first_intersection, _vertex_intersection, dual_hilbert_basis
+from .newton import FirstIntersection, _vertex_intersection, dual_hilbert_basis
 from .rationals import IntVec, QVec, integer, iterate, qvec, qvec_str, rat_str, scaled_int_vector
 
 POINT = "point-P"
@@ -151,7 +151,7 @@ def state_value(state: FlatState, x, divisors=()) -> Fraction:
 
 def _general_member_intersection(germ: ToricGerm) -> FirstIntersection:
     """``ToricGerm.general_member_intersection``: the first intersection of
-    the weight ray with the general-member Newton polyhedron (on a tie, the LP's).
+    the weight ray with the general-member Newton polyhedron, off its vertices.
 
     It also checks, once per germ, the fact that the log canonicity rule
     rests on: no interior box point x has A(x) < rho v(x), rho = 1/mu.  Over
@@ -161,7 +161,7 @@ def _general_member_intersection(germ: ToricGerm) -> FirstIntersection:
     wn, wd = germ._weight_ints
     if not any(wn):
         raise InputError("zero weight vector: the interior ratio is identically 0")
-    res = _vertex_intersection(germ) or _first_intersection(dual_hilbert_basis(germ), wn, wd)
+    res = _vertex_intersection(germ)
     lat = germ.lattice
     p, q = res.mu_num, res.scale * wd
     for row, m in zip(lat.box_candidates[tuple(range(1, germ.dim + 1))], lat.interior_multiplicities):

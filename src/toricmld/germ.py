@@ -225,17 +225,22 @@ def germ_cyclic_quotient(q: int, a) -> ToricGerm:
     return germ_normalize(lat, [0] * len(a))
 
 
+def _px_point(x) -> QVec:
+    """x read by ``qvec``, nonempty and with every coordinate in (0,1]."""
+    if not (x := qvec(x)):
+        raise InputError("empty vector")
+    for c in x:
+        if not 0 < c <= 1:
+            raise InputError(f"coordinate {c} outside (0,1]")
+    return x
+
+
 def germ_from_px(x) -> tuple[ToricGerm, tuple[int, ...]]:
     """Germ over Z^d + Z*x with boundary 1 - 1/n_j, plus the scales n_j: the
     primitive scales of the standard basis vectors in Z^d + Z*x
     (``Lattice.unit_scales``); the tests check them against the formula
     gcd(q, q x_i for i != j) / gcd(q, q x) for q*x integral."""
-    x = qvec(x)
-    if not x:
-        raise InputError("empty vector")
-    for c in x:
-        if not 0 < c <= 1:
-            raise InputError(f"coordinate {c} outside (0,1]")
+    x = _px_point(x)
     lat = Lattice.from_generators(len(x), [x])
     scales = lat.unit_scales
     return germ_normalize(lat, [1 - Fraction(1, n) for n in scales]), scales
@@ -333,12 +338,7 @@ def px_mld_formula(x) -> Fraction:
     q is the index of Z^d + Z*x, so a q above ``TABLE_CAP`` raises
     ``ResourceLimit`` before the scan, as the coset tables of that lattice do.
     """
-    x = qvec(x)
-    if not x:
-        raise InputError("empty vector")
-    for c in x:
-        if not 0 < c <= 1:
-            raise InputError(f"coordinate {c} outside (0,1]")
+    x = _px_point(x)
     q = lcm(*(c.denominator for c in x))
     if q > TABLE_CAP:
         raise ResourceLimit(f"period {q} exceeds the cap {TABLE_CAP}")

@@ -163,6 +163,8 @@ def _zero_weight_lift(y: IntVec, target: int, s: int, exponents, zero_coords) ->
     """(y_num, k): y lifted on the zero-weight coordinates to y_num / k so that
     s <y, m> >= target for every exponent m, by the largest gap / z over s,
     gap = target - s <y, m> and z the sum of m on those coordinates."""
+    if not zero_coords:
+        return y, 1
     gap_max, z_max = 0, 1
     for m in exponents:
         z = sum(m[i] for i in zero_coords)
@@ -245,19 +247,16 @@ def _general_member_threshold(germ: ToricGerm) -> Fraction:
     return min(Fraction(1), Fraction(min(sum(map(mul, wn, y)) for y in rows), den * wd))
 
 
-def _vertex_intersection(germ: ToricGerm) -> FirstIntersection | None:
-    """``_first_intersection`` of the Hilbert basis, read off the rows / D of
-    ``Lattice.threshold_vertices``: mu = D wd / min <row, wd w>, and the LP's
-    normal before its lift is mu / D times the minimizing rows zeroed on the
-    zero-weight coordinates if those are one row; None, the LP's pick, if not."""
+def _vertex_intersection(germ: ToricGerm) -> FirstIntersection:
+    """``_first_intersection`` of the Hilbert basis off the rows / D of
+    ``Lattice.threshold_vertices``: mu = D wd / min <row, wd w>, the normal
+    mu / D times the greatest minimizing row, zeroed where w is 0, and lifted."""
     (den, rows), (wn, wd) = germ.lattice.threshold_vertices, germ._weight_ints
     vals = [sum(map(mul, wn, y)) for y in rows]
     best = min(vals)
     if not best:
         return FirstIntersection(None)
-    p, *tied = {tuple(c if w else 0 for c, w in zip(y, wn)) for y, v in zip(rows, vals) if v == best}
-    if tied:
-        return None
+    p = max(tuple(c if w else 0 for c, w in zip(y, wn)) for y, v in zip(rows, vals) if v == best)
     y_num, k = _zero_weight_lift(p, den, 1, germ.lattice.hilbert_basis, [i for i, w in enumerate(wn) if not w])
     return FirstIntersection(den * wd, best, None, tuple(wd * c for c in y_num), best * k)
 

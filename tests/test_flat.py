@@ -485,8 +485,8 @@ def test_witness_and_rho_check_agree_with_the_fraction_recomputation(corpus_germ
     interior zero that ``interior_values`` finds, and the once-per-germ check
     that no box point has A < rho v raises exactly when the recomputation
     finds such a point: never at the true rho, and whenever an overstated
-    rho (mu scaled by 3/4) exceeds some box ratio, on the vertex route and
-    the LP route alike."""
+    rho (mu scaled by 3/4) exceeds some box ratio, on germs with one
+    minimizing vertex and on germs whose minimizing vertices tie."""
     germs = [g for g in corpus_germs if g.lattice.index <= 6]
     assert len(germs) == 6596
     for germ in germs:
@@ -495,7 +495,7 @@ def test_witness_and_rho_check_agree_with_the_fraction_recomputation(corpus_germ
         if any(germ.weights):
             assert all(a >= ray_infimum(germ) * v for a, v, _ in interior_values(germ)), germ
 
-    overstate_both_routes(monkeypatch, lambda res: dataclasses.replace(res, mu_num=res.mu_num * 3, scale=res.scale * 4))
+    overstate_the_vertex_route(monkeypatch, lambda res: dataclasses.replace(res, mu_num=res.mu_num * 3, scale=res.scale * 4))
     raised = {True: 0, False: 0}  # keyed by whether the germ's vertices tie
     for germ in germs:
         if not any(germ.weights):
@@ -512,20 +512,19 @@ def test_witness_and_rho_check_agree_with_the_fraction_recomputation(corpus_germ
     assert raised[True] > 0 and raised[False] > 0, raised
 
 
-def overstate_both_routes(monkeypatch, change) -> None:
-    """Apply ``change`` to the first intersection that flat reads, on the
-    vertex route and on the LP route alike."""
+def overstate_the_vertex_route(monkeypatch, change) -> None:
+    """Apply ``change`` to the first intersection that flat reads off the
+    vertex list, its only route."""
     import toricmld.flat as flat
 
-    lp, vertex = flat._first_intersection, flat._vertex_intersection
-    monkeypatch.setattr(flat, "_first_intersection", lambda *args: change(lp(*args)))
-    monkeypatch.setattr(flat, "_vertex_intersection", lambda germ: None if (res := vertex(germ)) is None else change(res))
+    vertex = flat._vertex_intersection
+    monkeypatch.setattr(flat, "_vertex_intersection", lambda germ: change(vertex(germ)))
 
 
 def vertices_tie(germ) -> bool:
     """Whether two vertices of ``Lattice.threshold_vertices`` minimize
-    <y, w> and differ off the zero-weight coordinates: the germs whose ray
-    normal the LP picks."""
+    <y, w> and differ off the zero-weight coordinates: the germs where the
+    builder's normal (the greatest of them) and the LP's may differ."""
     _, rows = germ.lattice.threshold_vertices
     w = germ.weights
     vals = [sum(map(mul, w, y)) for y in rows]
@@ -538,14 +537,15 @@ def test_flat_keeps_the_traced_call_structure(monkeypatch):
     the check, at every place the package binds them.  It reads the Hilbert
     basis as built, so the exponent validation is bypassed too, and writes its
     trace in closed form, so it takes no ``threshold_step`` or
-    ``minimal_center``.  A germ whose minimizing vertex is one solves no LP;
-    a germ with tied vertices solves at least one, over ``dual_hilbert_basis``."""
+    ``minimal_center``.  It reads rho and the ray normal off the vertex list,
+    so neither a germ whose minimizing vertex is one nor a germ with tied
+    vertices solves an LP or calls ``dual_hilbert_basis``."""
     import importlib
 
-    program = ("dual_hilbert_basis", "solve_lp_max_slack")
     bypassed = ("lct_general_member", "lct_newton", "newton_poly_from_exponents", "threshold_step", "minimal_center")
+    bypassed += ("dual_hilbert_basis", "solve_lp_max_slack")
     counts = {}
-    for name in ("ray_infimum",) + program + bypassed:
+    for name in ("ray_infimum",) + bypassed:
         for mod in ("flat", "newton", "linprog", "germ", "survey"):
             module = importlib.import_module(f"toricmld.{mod}")
             if hasattr(module, name):
@@ -555,13 +555,12 @@ def test_flat_keeps_the_traced_call_structure(monkeypatch):
                     return _fn(*args)
 
                 monkeypatch.setattr(module, name, counted)
-    for germ, lp in ((germ_cyclic_quotient(5, (1, 2, 3)), False), (germ_cyclic_quotient(7, (1, 2, 4)), True)):
-        assert germ.dim == 3 and germ.lattice.index > 1 and vertices_tie(germ) == lp
+    for germ, tied in ((germ_cyclic_quotient(5, (1, 2, 3)), False), (germ_cyclic_quotient(7, (1, 2, 4)), True)):
+        assert germ.dim == 3 and germ.lattice.index > 1 and vertices_tie(germ) == tied
         counts.clear()
         build_flat_structure(germ)
-        called = ("ray_infimum",) + program * lp
-        assert all(counts.get(name, 0) >= 1 for name in called), (germ, counts)
-        assert not any(counts.get(name) for name in bypassed + program * (not lp)), (germ, counts)
+        assert counts.get("ray_infimum", 0) >= 1, (germ, counts)
+        assert not any(counts.get(name) for name in bypassed), (germ, counts)
 
 
 def test_the_builder_builds_a_face_only_for_a_reported_center(corpus_germs, monkeypatch):
@@ -594,7 +593,7 @@ def test_ray_witness_rejects_zero_weights():
 
 def test_an_overstated_ray_infimum_is_a_model_violation(monkeypatch):
     """On a germ with one minimizing vertex and on one with tied vertices."""
-    overstate_both_routes(monkeypatch, lambda res: dataclasses.replace(res, scale=res.scale * 2))
+    overstate_the_vertex_route(monkeypatch, lambda res: dataclasses.replace(res, scale=res.scale * 2))
     for germ, tied in ((std_germ(2), False), (germ_cyclic_quotient(3, (1, 2)), True)):
         assert vertices_tie(germ) == tied
         with pytest.raises(ModelViolation):
@@ -681,13 +680,33 @@ def test_ray_witness_equals_the_fraction_route(corpus_germs):
         assert ray_witness(germ) == primitive_normal(germ.lattice, germ.general_member_intersection), germ
 
 
+def greatest_tied_normal(germ) -> tuple:
+    """The vertex route's normal in ``Fraction``s: the greatest minimizing
+    vertex row over D, zeroed on the zero-weight coordinates Z and scaled to
+    <y, w> = 1, then raised on Z by the least common amount t that prices
+    every Hilbert basis element at mu or more."""
+    den, rows = germ.lattice.threshold_vertices
+    w = germ.weights
+    vals = [sum(map(mul, w, y)) for y in rows]
+    best = min(vals)
+    p = max(tuple(c if x else 0 for c, x in zip(y, w)) for y, v in zip(rows, vals) if v == best)
+    y = [F(c) / best for c in p]
+    mu = den / best
+    zero = [i for i, x in enumerate(w) if not x]
+    hit = [m for m in germ.lattice.hilbert_basis if any(m[i] for i in zero)]
+    t = max([0, *((mu - sum(map(mul, y, m))) / sum(m[i] for i in zero) for m in hit)])
+    return tuple(c + t * (i in zero) for i, c in enumerate(y))
+
+
 def test_the_vertex_route_equals_the_program(corpus_germs):
-    """Where the minimizing vertices project to one row off the zero-weight
-    coordinates, ``_vertex_intersection`` gives the LP's mu and the
-    direction of its lifted normal, with ``_first_intersection`` over the
-    dual Hilbert basis as the oracle; elsewhere it leaves the germ to the LP.
-    On the corpus to index 6 and on d = 4 with b in {0, 1/2, 1}^4 to index 4,
-    both routes occur."""
+    """``_vertex_intersection`` always answers and gives the LP's mu, with
+    ``_first_intersection`` over the dual Hilbert basis as the oracle.  Where
+    the minimizing vertices project to one row off the zero-weight
+    coordinates, its normal has the direction of the LP's; where they tie,
+    its normal is the greatest of those rows, lifted (``greatest_tied_normal``),
+    and an optimal one: <y, w> = 1 and <y, m> >= mu on the basis.  On the
+    corpus to index 6 and on d = 4 with b in {0, 1/2, 1}^4 to index 4, both
+    cases occur."""
     germs = [g for g in corpus_germs if g.lattice.index <= 6 and any(g.weights)]
     assert len(germs) == 6483
     for lat in enumerate_superlattices(4, 4):
@@ -695,14 +714,36 @@ def test_the_vertex_route_equals_the_program(corpus_germs):
     ties = 0
     for germ in germs:
         res = _vertex_intersection(germ)
-        assert (res is None) == vertices_tie(germ), germ
-        if res is None:
-            ties += 1
-            continue
         lp = _first_intersection(dual_hilbert_basis(germ), *germ._weight_ints)
-        assert F(res.mu_num, res.scale) == F(lp.mu_num, lp.scale), germ
-        assert [c // gcd(*res.y_num) for c in res.y_num] == [c // gcd(*lp.y_num) for c in lp.y_num], germ
+        mu = F(res.mu_num, res.scale)
+        assert mu == F(lp.mu_num, lp.scale), germ
+        if vertices_tie(germ):
+            ties += 1
+            y = tuple(F(c, res.y_den) for c in res.y_num)
+            assert y == greatest_tied_normal(germ), germ
+            assert sum(map(mul, y, germ.weights)) == 1, germ
+            assert all(sum(map(mul, y, m)) >= mu for m in germ.lattice.hilbert_basis), germ
+        else:
+            assert [c // gcd(*res.y_num) for c in res.y_num] == [c // gcd(*lp.y_num) for c in lp.y_num], germ
     assert 0 < ties < len(germs), ties
+
+
+def test_a_tie_builds_what_the_programs_normal_builds(corpus_germs, monkeypatch):
+    """On every germ whose minimizing vertices tie, of the corpus to index 6
+    and of d = 4 with b in {0, 1/2, 1}^4 to index 6, the flat result equals
+    the one built on a fresh germ with ``_first_intersection``'s normal over
+    the dual Hilbert basis patched in: the LP is the oracle of the tie rule."""
+    import toricmld.flat as flat
+
+    germs = [g for g in corpus_germs if g.lattice.index <= 6]
+    for lat in enumerate_superlattices(4, 6):
+        germs += [ToricGerm(lat, b) for b in product((0, F(1, 2), 1), repeat=4)]
+    tied = [g for g in germs if any(g.weights) and vertices_tie(g)]
+    assert len(tied) == 530 + 7164
+    built = [build_flat_structure(ToricGerm(g.lattice, g.boundary)).to_json_dict() for g in tied]
+    monkeypatch.setattr(flat, "_vertex_intersection", lambda g: _first_intersection(dual_hilbert_basis(g), *g._weight_ints))
+    for germ, result in zip(tied, built):
+        assert build_flat_structure(ToricGerm(germ.lattice, germ.boundary)).to_json_dict() == result, germ
 
 
 def test_a_tie_reports_the_programs_normal():
@@ -715,9 +756,9 @@ def test_a_tie_reports_the_programs_normal():
     assert build_flat_structure(germ).witness.x == (F(5, 6), F(1, 2), F(1, 3), F(1, 6))
 
 
-def test_flat_solves_programs_only_on_tied_germs(corpus_germs, monkeypatch):
-    """Over the corpus to index 6, built afresh, the builder solves an LP on
-    exactly the germs whose minimizing vertices tie."""
+def test_flat_solves_no_program(corpus_germs, monkeypatch):
+    """Over the corpus to index 6, built afresh, the builder solves no LP,
+    the germs whose minimizing vertices tie included."""
     import toricmld.newton as newton
 
     solves = []
@@ -726,12 +767,9 @@ def test_flat_solves_programs_only_on_tied_germs(corpus_germs, monkeypatch):
     tied = 0
     for germ in corpus_germs:
         if germ.lattice.index <= 6:
-            solves.clear()
             build_flat_structure(ToricGerm(germ.lattice, germ.boundary))
-            tie = any(germ.weights) and vertices_tie(germ)
-            assert bool(solves) == tie, germ
-            tied += tie
-    assert tied > 0
+            tied += any(germ.weights) and vertices_tie(germ)
+    assert not solves and tied == 530, (len(solves), tied)
 
 
 @pytest.mark.parametrize(

@@ -336,10 +336,13 @@ def test_px_formula_above_the_table_cap_raises_before_the_scan(monkeypatch):
 
 
 def test_px_formula_refuses_the_empty_point_as_the_germ_does():
-    """``px_mld_formula([])`` returned 0 while ``germ_from_px([])`` refused it."""
+    """``px_mld_formula([])`` returned 0 while ``germ_from_px([])`` refused it.
+    Both refuse a coordinate outside (0,1] with the same message too."""
     for call in (px_mld_formula, germ_from_px):
         with pytest.raises(InputError, match="empty vector"):
             call([])
+        with pytest.raises(InputError, match=r"coordinate 3/2 outside \(0,1\]"):
+            call((F(3, 2), F(1, 2)))
 
 
 # -- dilation verifier ------------------------------------------------------------------

@@ -65,6 +65,19 @@ def test_lattice_imports_only_errors_and_rationals():
     assert modules == {"errors", "rationals"}
 
 
+def test_flat_binds_no_program():
+    """The flat builder reads rho and its ray normal off the vertex list: it
+    imports nothing from ``linprog`` and binds no ``_first_intersection``."""
+    path = PACKAGE / "flat.py"
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    imports = [node for node in ast.walk(tree) if isinstance(node, (ast.Import, ast.ImportFrom))]
+    modules = {node.module for node in imports if isinstance(node, ast.ImportFrom)}
+    names = {alias.asname or alias.name for node in imports for alias in node.names}
+    names |= {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    assert "linprog" not in modules and not any("linprog" in name for name in names), (modules, names)
+    assert "_first_intersection" not in names
+
+
 def test_check_gives_the_same_report_under_optimize(tmp_path):
     config = tmp_path / "config.json"
     config.write_text('{"dims": [1, 2, 3], "max_index": 3}')
