@@ -10,6 +10,7 @@ import json
 import os
 import sys
 import traceback
+from functools import cache
 
 from .adjunction import adjoin_invariant_divisor, check_precise_inversion
 from .errors import CheckFailed, InputError, ResourceLimit
@@ -165,7 +166,9 @@ def _cmd_check(args) -> int:
     return EXIT_CHECK if status else EXIT_OK
 
 
+@cache
 def build_parser() -> _Parser:
+    """Built once per process: ``parse_args`` leaves the parser unchanged."""
     parser = _Parser(prog="toricmld", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 

@@ -314,6 +314,6 @@ def build_flat_structure(germ: ToricGerm) -> FlatBuildResult:
     x = tuple(Fraction(c, lat.den) for c in u)
     if coords is None or gcd(*coords) != 1:
         raise ModelViolation(f"the witness {qvec_str(x)} must be a primitive lattice point of the orthant")
-    if p * sum(map(mul, wn, u)) != q * min(sum(map(mul, h, u)) for h in lat.hilbert_basis):
+    if p * sum(map(mul, wn, u)) != q * min(sum(map(mul, h, u)) for h in lat.newton_generators):
         raise ModelViolation(f"the witness {qvec_str(x)} must have value exactly zero")
     return FlatBuildResult(state, tuple(trace), ZeroCombo(x, (), point))

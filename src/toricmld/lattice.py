@@ -31,10 +31,10 @@ from .rationals import IntVec, QVec, common_denominator, integer, iterate, qvec,
 # default corpus and of survey --dim 3 --max-index 150.
 TABLE_CAP = 2**20
 
-# Largest box prod (c_i + 1) that ``Lattice.hilbert_basis`` marks out, as
-# Python-int bitsets of that many bits.  Since c_i <= index, it admits every
-# lattice up to index 255 in dimension 3 and 63 in dimension 4; near the cap
-# one call took under half a second and 50 MB (2.1 GHz Xeon vCPU, Python 3.11).
+# Largest box prod (c_i + 1) that ``Lattice.hilbert_basis`` and, walking only
+# its simplex, ``Lattice.newton_generators`` mark out as Python-int bitsets.
+# It admits every lattice to index 255 in dimension 3 and 63 in dimension 4;
+# at it, 1/255(1,2,7)'s basis took 0.25 s and 56 MB (Xeon vCPU, Python 3.11).
 BOX_CAP = 2**24
 
 
@@ -349,17 +349,39 @@ class Lattice:
     # -- the dual monoid, and per-lattice data of the other modules -----------
 
     @cached_property
+    def ray_orders(self) -> tuple[int, ...]:
+        """c_i = ``dual_order(e_i)`` = den / gcd(den, column i of ``int_rows``)."""
+        return tuple(self.den // gcd(self.den, *col) for col in zip(*self.int_rows))
+
+    @cached_property
     def hilbert_basis(self) -> tuple[IntVec, ...]:
         """Minimal generating set of the monoid (dual lattice) cap (dual
-        orthant) of a lattice containing Z^d, sorted.
+        orthant) of a lattice containing Z^d, sorted: ``_box_irreducibles`` of
+        the box prod [0, c_i], c_i = ``ray_orders``, as c_i e_i is the primitive
+        dual vector on ray i, and anything beyond can shed one."""
+        return self._box_irreducibles((1,) * self.dim, sum(self.ray_orders) + 1)
 
-        Every irreducible element lies in the box prod [0, c_i], where
-        c_i = ``dual_order(e_i)``, so c_i e_i is the primitive dual vector on
-        ray i: anything beyond can shed a c_i e_i and stay in the monoid.  The
-        box is a bitset in mixed radix (c_i + 1), first coordinate fastest,
-        filled with the dual lattice points by a walk from the last
-        coordinate to the first (``_box_bits``) along ``dual_int_basis``,
-        which is triangular in that order.
+    @cached_property
+    def newton_generators(self) -> tuple[IntVec, ...]:
+        """G = {c_i e_i} and the m in ``hilbert_basis`` with sum m_i / c_i < 1,
+        sorted.  Any other basis element is sum (m_i / c_i) c_i e_i with
+        weights summing to >= 1, so <m, x> >= min_i c_i x_i for x >= 0, and
+        min <h, x> over the basis is the minimum over G.  The open simplex
+        sum m_i (L / c_i) < L, L = lcm(c), is closed downward, so G is
+        ``_box_irreducibles`` of it: the rest of the box is never walked."""
+        c = self.ray_orders
+        top = lcm(*c)
+        axis = [tuple(ci * (j == i) for j in range(self.dim)) for i, ci in enumerate(c)]
+        return tuple(sorted([*self._box_irreducibles(tuple(top // ci for ci in c), top), *axis]))
+
+    def _box_irreducibles(self, a: IntVec, top: int) -> tuple[IntVec, ...]:
+        """The irreducible nonzero monoid points x of the box prod [0, c_i]
+        with sum a_i x_i < top, a_i >= 1 (a region closed downward), sorted.
+
+        The box is a bitset in mixed radix (c_i + 1), first coordinate
+        fastest, filled with the dual lattice points of the region by a walk
+        from the last coordinate to the first (``_box_bits``) along
+        ``dual_int_basis``, which is triangular in that order.
 
         Reducibility criterion: a nonzero monoid point p is reducible exactly
         when some nonzero monoid point q satisfies q <= p - e_k for some k.
@@ -367,35 +389,34 @@ class Lattice:
         so some r_k >= 1 and q <= p - e_k.  Conversely, q <= p - e_k gives
         q <= p and q != p, so r = p - q is a nonzero lattice point of the
         orthant, that is, a nonzero monoid point, and p = q + r.  Every such
-        q lies in the box with p.
+        q lies in the region with p, since it is closed downward.
 
         So with D the down-closure "some nonzero monoid point is <= x", the
         reducible points are the union over k of D shifted up by e_k.  D is
         the prefix-OR of the nonzero points along every axis in turn, each
         done by masked doubling shifts (distances 1, 2, 4, ... along the
-        axis, masked so that no bit leaves its line), and the basis is the
-        nonzero points minus the shifted copies: O(box * d * log c) bit
-        operations on Python ints, against the box cap ``BOX_CAP``
+        axis, masked so that no bit leaves its line), and the irreducibles
+        are the nonzero points minus the shifted copies: O(box * d * log c)
+        bit operations on Python ints, against the box cap ``BOX_CAP``
         (``ResourceLimit`` above it, before the dual basis is built).
         """
-        d = self.dim
-        c = tuple(self.dual_order([int(j == i) for j in range(d)]) for i in range(d))
+        c = self.ray_orders
         total = prod(ci + 1 for ci in c)
         if total > BOX_CAP:
             raise ResourceLimit(f"Hilbert basis box of {total} points exceeds the cap {BOX_CAP}")
-        strides = tuple(prod(cj + 1 for cj in c[:i]) for i in range(d))
+        strides = tuple(prod(cj + 1 for cj in c[:i]) for i in range(self.dim))
         walk_basis = [col[::-1] for col in reversed(self.dual_int_basis)]
-        nonzero = _box_bits(walk_basis, c[::-1], strides[::-1]) & ~1
+        nonzero = _box_bits(walk_basis, c[::-1], strides[::-1], a[::-1], top) & ~1
+        reps = [_block_mask(total, (ci + 1) * st, 1) for ci, st in zip(c, strides)]  # bit 0 of each line
         below = nonzero
-        for ci, st in zip(c, strides):
-            block = (ci + 1) * st
+        for ci, st, rep in zip(c, strides, reps):
             s = 1
             while s <= ci:
-                below |= (below & _block_mask(total, block, (ci + 1 - s) * st)) << (s * st)
+                below |= (below & (rep << (ci + 1 - s) * st) - rep) << (s * st)
                 s *= 2
         shifted = 0
-        for ci, st in zip(c, strides):
-            shifted |= (below & _block_mask(total, (ci + 1) * st, ci * st)) << st
+        for ci, st, rep in zip(c, strides, reps):
+            shifted |= (below & (rep << ci * st) - rep) << st
         digits = format(nonzero & ~shifted, "b")  # bit pos is digits[-1 - pos]
         result = []
         i = digits.rfind("1")
@@ -408,11 +429,11 @@ class Lattice:
     @cached_property
     def interior_multiplicities(self) -> tuple[int, ...]:
         """den * v(x) for each full-support row x of ``box_candidates``, where
-        v(x) = min <h, x> over ``hilbert_basis`` is the order of a general
-        member of the maximal ideal along x (see ``flat``)."""
-        hb = self.hilbert_basis
+        v(x) = min <h, x> over ``newton_generators`` (that is, over the
+        basis) is the order of a general member along x (see ``flat``)."""
+        gens = self.newton_generators
         rows = self.box_candidates[tuple(range(1, self.dim + 1))]
-        return tuple(min(sum(map(mul, h, row)) for h in hb) for row in rows)
+        return tuple(min(sum(map(mul, h, row)) for h in gens) for row in rows)
 
     @cached_property
     def threshold_vertices(self) -> tuple[int, tuple[IntVec, ...]]:
@@ -424,34 +445,36 @@ class Lattice:
 
         Exact double description (Motzkin et al. 1953; Fukuda and Prodon
         1996) of the cone {(y, s) : <m, y> >= s >= 0}, in integers with gcd
-        normalisation.  The axis elements c_i e_i, c_i = ``dual_order(e_i)``,
-        give y_i >= s / c_i, whose cone has the generators (1/c_1, .., 1/c_d, 1)
+        normalisation.  The axis elements c_i e_i, c_i = ``ray_orders``, give
+        y_i >= s / c_i, whose cone has the generators (1/c_1, .., 1/c_d, 1)
         and (e_i, 0); they make y >= 0 redundant, and so is every m with
-        sum m_i / c_i >= 1, since there <m, y> >= s.  The other elements are
-        inserted one at a time: a new generator joins a generator on the
-        positive side to one on the negative side when the two are adjacent,
-        that is, when no third generator is tight on every constraint both are
-        tight on (the combinatorial test).  Each generator carries its tight
-        constraints as a bitmask: bit i for axis i, bit d for s >= 0, and one
-        bit per inserted element.
-        """
-        d = self.dim
-        c = [self.dual_order([int(j == i) for j in range(d)]) for i in range(d)]
+        sum m_i / c_i >= 1, since there <m, y> >= s.  The rest of G
+        (``newton_generators``) is inserted one at a time; each generator
+        carries its tight constraints as a bitmask: bit i for axis i, bit d
+        for s >= 0, one bit per inserted element.  A new generator joins one
+        on the positive side to one on the negative side when the two are
+        adjacent, that is, when the constraints tight on both have rank
+        n - 2 = d - 1 (n = d + 1), which needs d - 1 common bits.  The rows
+        (c_i e_i, -1), (0, 1) and (m, -1) are pairwise non-parallel, so for
+        d <= 3 that is enough; for d >= 4, the pair must also have no third
+        generator tight on all of them (the combinatorial test)."""
+        d, c = self.dim, self.ray_orders
         top = lcm(*c)
         apex = (*(top // ci for ci in c), top)
         gens = [(apex, (1 << d) - 1)]
         gens += [(tuple(int(j == i) for j in range(d + 1)), (2 << d) - 1 - (1 << i)) for i in range(d)]
-        inserted = [m for m in self.hilbert_basis if sum(map(mul, m, apex)) < top]
+        inserted = [m for m in self.newton_generators if sum(map(mul, m, apex)) < top]
         for k, m in enumerate(inserted):
             bit = 1 << (d + 1 + k)
-            vals = [sum(map(mul, m, g)) - g[d] for g, _ in gens]
-            out = [(g, z | bit if v == 0 else z) for (g, z), v in zip(gens, vals) if v >= 0]
-            for (p, zp), vp in zip(gens, vals):
-                if vp <= 0:
-                    continue
-                for (n, zn), vn in zip(gens, vals):
+            pos, neg, tight = [], [], []
+            for g, z in gens:
+                v = sum(map(mul, m, g)) - g[d]
+                (pos if v > 0 else neg if v < 0 else tight).append((g, z, v))
+            out = [(g, z | bit) for g, z, _ in tight] + [(g, z) for g, z, _ in pos]
+            for p, zp, vp in pos:
+                for n, zn, vn in neg:
                     z = zp & zn
-                    if vn >= 0 or sum(zg & z == z for _, zg in gens) > 2:
+                    if z.bit_count() < d - 1 or d > 3 and sum(zg & z == z for _, zg in gens) > 2:
                         continue
                     ray = [vp * b - vn * a for a, b in zip(p, n)]
                     g = gcd(*ray)
@@ -507,49 +530,52 @@ def _dual_of_int_rows(t, den: int) -> Lattice:
     return Lattice._from_int_rows(len(t), cols, det)
 
 
-def _box_bits(rows: list[IntVec], c: IntVec, strides: IntVec) -> int:
-    """Bitset of the lattice points in the box prod [0, c_i]; the point x is
-    bit sum x_i * strides[i] in the mixed radix (c_i + 1) whose last
-    coordinate is fastest (stride 1).
+def _box_bits(rows: list[IntVec], c: IntVec, strides: IntVec, a: IntVec, top: int) -> int:
+    """Bitset of the lattice points x in the box prod [0, c_i] with
+    sum a_i x_i < top (a_i >= 1); the point x is bit sum x_i * strides[i] in
+    the mixed radix (c_i + 1) whose last coordinate is fastest (stride 1).
 
     ``rows`` is an upper-triangular basis of the lattice with positive
     pivots.  The walk fixes one coordinate at a time along it: once
     x_0..x_{i-1} are fixed, the coefficients of rows 0..i-1 are too, and x_i
-    runs through v_i + k * pivot_i for the partial sum v of those rows, so
-    only lattice points are ever visited.  The last coordinate of each fixed
-    prefix is a whole progression, taken at once from a comb of bits one
-    pivot apart; the lines are then joined pairwise, so each bit is copied
-    O(log lines) times rather than once per line.  Prefixes are kept as
-    parallel lists of integers, not one tuple each: that allocates far fewer
-    objects, and the walk ran about 2.5 times faster on the d = 3, index <= 20
-    lattices.
+    runs through v_i + k * pivot_i for the partial sum v of those rows, up to
+    c_i and to the room that the prefix leaves under ``top``, so only lattice
+    points of the region are ever visited.  The points of the last
+    coordinate are marked as "1" digits in one bytearray, read as a base-2
+    int at the end: one O(box) pass rather than a big-int operation per
+    point or line.  Prefixes are kept as parallel lists of integers, not one
+    tuple each: that allocates far fewer objects, and the walk ran about 2.5
+    times faster on the d = 3, index <= 20 lattices.
     """
     d = len(c)
     offsets = [0]  # bit offset of each fixed prefix x_0..x_{i-1}
+    rooms = [top - 1]  # top - 1 - sum a_j x_j over each prefix
     sums = [[0] for _ in range(d)]  # sums[j][s]: coordinate j of prefix s's partial sum v
     for i in range(d - 1):
-        piv, ci, st = rows[i][i], c[i], strides[i]
-        parents, ks, next_offsets = [], [], []
-        for s, vi in enumerate(sums[i]):
-            x = vi % piv  # smallest x_i in [0, c_i] of the form v_i + k * piv
-            n = (ci - x) // piv + 1
+        piv, ci, st, ai = rows[i][i], c[i], strides[i], a[i]
+        parents, ks, next_offsets, next_rooms = [], [], [], []
+        for s, (vi, room) in enumerate(zip(sums[i], rooms)):
+            x = vi % piv  # smallest x_i >= 0 of the form v_i + k * piv
+            n = (min(ci, room // ai) - x) // piv + 1
             k0 = (x - vi) // piv
             parents += [s] * n
             ks += range(k0, k0 + n)
             start = offsets[s] + x * st
             next_offsets += range(start, start + n * piv * st, piv * st)
-        offsets = next_offsets
+            next_rooms += range(room - x * ai, room - x * ai - n * piv * ai, -piv * ai)
+        offsets, rooms = next_offsets, next_rooms
         sums = [None] * (i + 1) + [
             [sums[j][s] + k * rows[i][j] for s, k in zip(parents, ks)] for j in range(i + 1, d)
         ]
-    piv, last = rows[-1][-1], c[-1]
-    line = (1 << (last + 1)) - 1
-    comb = sum(1 << x for x in range(0, last + 1, piv))
-    lines = [(comb << (v % piv)) & line for v in sums[-1]]
-    while len(lines) > 1:
-        joined = [a | b << (q - p) for a, b, p, q in zip(lines[::2], lines[1::2], offsets[::2], offsets[1::2])]
-        lines, offsets = joined + lines[2 * len(joined) :], offsets[::2]
-    return lines[0] << offsets[0]
+    piv, last, al = rows[-1][-1], c[-1], a[-1]
+    high = strides[0] * (c[0] + 1) - 1
+    digits = bytearray(b"0") * (high + 1)  # bit p is digits[high - p]
+    for v, room, off in zip(sums[-1], rooms, offsets):
+        x = v % piv
+        while x <= last and x * al <= room:
+            digits[high - off - x] = 49  # "1"
+            x += piv
+    return int(digits, 2)
 
 
 def _block_mask(total: int, block: int, run: int) -> int:

@@ -250,14 +250,15 @@ def _general_member_threshold(germ: ToricGerm) -> Fraction:
 def _vertex_intersection(germ: ToricGerm) -> FirstIntersection:
     """``_first_intersection`` of the Hilbert basis off the rows / D of
     ``Lattice.threshold_vertices``: mu = D wd / min <row, wd w>, the normal
-    mu / D times the greatest minimizing row, zeroed where w is 0, and lifted."""
+    mu / D times the greatest minimizing row, zeroed where w is 0, and lifted
+    over ``Lattice.newton_generators``, which price as the basis on y >= 0."""
     (den, rows), (wn, wd) = germ.lattice.threshold_vertices, germ._weight_ints
     vals = [sum(map(mul, wn, y)) for y in rows]
     best = min(vals)
     if not best:
         return FirstIntersection(None)
     p = max(tuple(c if w else 0 for c, w in zip(y, wn)) for y, v in zip(rows, vals) if v == best)
-    y_num, k = _zero_weight_lift(p, den, 1, germ.lattice.hilbert_basis, [i for i, w in enumerate(wn) if not w])
+    y_num, k = _zero_weight_lift(p, den, 1, germ.lattice.newton_generators, [i for i, w in enumerate(wn) if not w])
     return FirstIntersection(den * wd, best, None, tuple(wd * c for c in y_num), best * k)
 
 

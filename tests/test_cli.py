@@ -387,3 +387,27 @@ def test_a_document_over_the_box_cap_dimension_is_refused_as_read(tmp_path, argv
     proc = run_capped([argv[0], "-i", str(germ), *argv[1:]], cpu=10)
     assert proc.returncode == 1, (proc.returncode, proc.stderr)
     assert proc.stderr == "error: a box candidate table of 2^4000 - 1 rows exceeds the cap 1048576\n"
+
+
+def test_one_process_answers_as_fresh_processes(a2, c2, capsys):
+    """The parser is built once per process, and different subcommands run
+    one after another in one process, a refused one among them, print the
+    same stdout and exit with the same codes as each in a fresh process."""
+    import subprocess
+    import sys
+
+    assert cli.build_parser() is cli.build_parser()
+    runs = [
+        ["mld", "-i", a2, "--global"],
+        ["lct", "-i", c2, "--general-member"],
+        ["lct", "-i", c2],
+        ["flat", "-i", a2],
+        ["survey", "--dim", "2", "--max-index", "3", "--boundary-set", "0,1/2"],
+        ["mld", "-i", a2, "--face", "1"],
+    ]
+    codes = []
+    for argv in runs:
+        proc = subprocess.run([sys.executable, "-m", "toricmld", *argv], capture_output=True, text=True, env=child_env())
+        assert run(capsys, *argv) == (proc.returncode, proc.stdout), argv
+        codes.append(proc.returncode)
+    assert codes == [0, 0, 1, 0, 0, 0]

@@ -6,7 +6,7 @@ from fractions import Fraction as F
 from toricmld.flat import build_flat_structure
 from toricmld.germ import ToricGerm
 from toricmld.lattice import lattice_from_generators
-from toricmld.newton import dual_hilbert_basis, lct_newton, newton_poly_from_exponents
+from toricmld.newton import dual_hilbert_basis, lct_general_member, lct_newton, newton_poly_from_exponents
 from toricmld.survey import _check_germ, _survey_row
 
 GERM_FIELDS = {
@@ -25,7 +25,9 @@ LATTICE_FIELDS = {
     "unit_scales",
     "rep_ints",
     "box_candidates",
+    "ray_orders",
     "hilbert_basis",
+    "newton_generators",
     "interior_multiplicities",
     "threshold_vertices",
     "restrictions",
@@ -53,3 +55,18 @@ def test_cached_fields_are_named_and_do_not_grow_with_calls():
     assert after.keys() == before.keys()
     for key, value in after.items():
         assert value is before[key][0] and repr(value) == before[key][1], key
+
+
+def test_only_the_general_member_report_builds_the_whole_basis():
+    """The survey row, ``check`` and the flat builder read the general
+    member off ``newton_generators`` and leave ``hilbert_basis`` unbuilt;
+    ``lct_general_member``, which prints a weight per basis element, builds
+    it."""
+    gens = [(F(1, 4), F(2, 4), F(3, 4))]
+    for run in (_survey_row, _check_germ, build_flat_structure):
+        lat = lattice_from_generators(3, gens)
+        run(ToricGerm(lat, (0, F(1, 2), 1)))
+        assert "newton_generators" in vars(lat) and "hilbert_basis" not in vars(lat), run
+    lat = lattice_from_generators(3, gens)
+    lct_general_member(ToricGerm(lat, (0, F(1, 2), 1)))
+    assert "hilbert_basis" in vars(lat)

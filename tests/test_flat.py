@@ -728,6 +728,22 @@ def test_the_vertex_route_equals_the_program(corpus_germs):
     assert 0 < ties < len(germs), ties
 
 
+def test_the_lift_over_the_generators_is_the_lift_over_the_basis(corpus_germs, monkeypatch):
+    """``_vertex_intersection`` lifts its normal over
+    ``Lattice.newton_generators``.  On the corpus to index 6 its mu and its
+    normal y_num / y_den equal, as fractions, those of the same route with
+    the lift taken over the whole dual Hilbert basis; the germs with a zero
+    weight, where the lift acts, are most of them."""
+    germs = [g for g in corpus_germs if g.lattice.index <= 6 and any(g.weights)]
+    assert len(germs) == 6483 and sum(not all(g.weights) for g in germs) == 3672
+    ours = [_vertex_intersection(g) for g in germs]
+    monkeypatch.setattr(Lattice, "newton_generators", property(lambda lat: lat.hilbert_basis))
+    for germ, res in zip(germs, ours):
+        basis = _vertex_intersection(germ)
+        assert F(res.mu_num, res.scale) == F(basis.mu_num, basis.scale), germ
+        assert [F(c, res.y_den) for c in res.y_num] == [F(c, basis.y_den) for c in basis.y_num], germ
+
+
 def test_a_tie_builds_what_the_programs_normal_builds(corpus_germs, monkeypatch):
     """On every germ whose minimizing vertices tie, of the corpus to index 6
     and of d = 4 with b in {0, 1/2, 1}^4 to index 6, the flat result equals

@@ -7,7 +7,9 @@ dominates one already kept.  For two-dimensional cyclic quotients the basis
 is also given in closed form by a Hirzebruch-Jung continued fraction
 (Fulton, Introduction to Toric Varieties, section 2.6).
 """
+from fractions import Fraction
 from math import gcd
+from operator import mul
 
 import numpy as np
 import pytest
@@ -56,7 +58,7 @@ def zero_germ(lat):
 def test_ray_orders_closed_form_matches_scan(corpus_lattices):
     for d in (1, 2, 3):
         for lat in corpus_lattices[d]:
-            assert ray_orders(lat) == scan_ray_orders(lat), lat
+            assert lat.ray_orders == ray_orders(lat) == scan_ray_orders(lat), lat
 
 
 def assert_basis_is_valid_as_built(germ):
@@ -107,8 +109,28 @@ def test_basis_matches_continued_fraction_for_cyclic_surfaces():
 
 
 def test_box_above_the_cap_raises_before_walking():
-    germ = germ_cyclic_quotient(100003, (1, 2, 5))
-    assert ray_orders(germ.lattice) == (100003,) * 3 and 100004**3 > BOX_CAP
-    with pytest.raises(ResourceLimit):
-        dual_hilbert_basis(germ)
-    assert "dual" not in germ.lattice.__dict__, "the dual lattice must not even be built"
+    """The whole basis, the general member's generators, which walk only the
+    simplex part of the box, and the vertex list built from them are refused
+    at the same box cap, before the dual is built."""
+    for field in ("hilbert_basis", "newton_generators", "threshold_vertices"):
+        lat = germ_cyclic_quotient(100003, (1, 2, 5)).lattice
+        assert ray_orders(lat) == (100003,) * 3 and 100004**3 > BOX_CAP
+        with pytest.raises(ResourceLimit, match=f"box of {100004**3} points exceeds the cap {BOX_CAP}"):
+            getattr(lat, field)
+        assert "dual" not in lat.__dict__, f"{field}: the dual lattice must not even be built"
+
+
+def test_newton_generators_are_the_basis_inside_the_simplex():
+    """``newton_generators`` is the axis elements c_i e_i and the basis
+    elements m with sum m_i / c_i < 1, and ``interior_multiplicities``, which
+    reads it, is the least pairing with the whole basis."""
+    for d, n in ((2, 60), (3, 20), (4, 6), (5, 3)):
+        for lat in enumerate_superlattices(d, n):
+            c = ray_orders(lat)
+            axis = [tuple(ci * (j == i) for j in range(d)) for i, ci in enumerate(c)]
+            inside = [m for m in lat.hilbert_basis if sum(Fraction(x, ci) for x, ci in zip(m, c)) < 1]
+            assert lat.newton_generators == tuple(sorted(axis + inside)), lat
+            rows = lat.box_candidates[tuple(range(1, d + 1))]
+            assert lat.interior_multiplicities == tuple(
+                min(sum(map(mul, m, u)) for m in lat.hilbert_basis) for u in rows
+            ), lat
