@@ -3,7 +3,8 @@
 A state is a germ together with coefficients gamma_1..gamma_k attached to k
 distinct general members of the maximal ideal.  General members are modeled
 by their common Newton polyhedron: along the toric valuation of x the member
-vanishes to order v(x) = min over the dual Hilbert basis of <m, x>, along
+vanishes to order v(x) = min over the dual Hilbert basis of <m, x>, which
+for x >= 0 is the minimum over ``Lattice.newton_generators``, along
 its own strict transform to order 1, and distinct members (and the invariant
 strata) intersect transversally.  The log discrepancy of the valuation that
 first blows up x (or starts at the ambient point for x = 0) and then dives
@@ -26,9 +27,10 @@ Two structural facts drive the builder:
   an exact lattice witness, an integer row over den like every box point,
   is always available.  Both are read off the vertex list, no LP solved
   (``newton._vertex_intersection``; on a tie, the greatest vertex).
-  Where rho is made, each germ checks once that no interior box point has
-  A(x) < rho v(x).  (The tests also compute rho cell by cell over the
-  linearity regions of v, one LP per cell, as a cross-check.)
+  Every read of rho checks, in the one pass over the interior box rows
+  that also finds the zeros, that no box point has A(x) < rho v(x).  (The
+  tests also compute rho cell by cell over the linearity regions of v, one
+  LP per cell, as a cross-check.)
 
 So a state is read off rho, the zero-weight face Z = {i : b_i = 1} and its
 unit members (coefficient 1), with Gamma the coefficient sum:
@@ -64,7 +66,7 @@ from operator import mul
 
 from .errors import AlreadyFlat, InputError, ModelViolation, NotLogCanonical
 from .germ import Face, ToricGerm, full_face, germ_document, log_discrepancy_of_valuation
-from .newton import FirstIntersection, _vertex_intersection, dual_hilbert_basis
+from .newton import _vertex_intersection
 from .rationals import IntVec, QVec, integer, iterate, qvec, qvec_str, rat_str, scaled_int_vector
 
 POINT = "point-P"
@@ -122,11 +124,13 @@ class ZeroCombo:
 
 
 def _multiplicity(germ: ToricGerm, x: QVec) -> Fraction:
-    """v(x) for a lattice point x: the least pairing with the dual Hilbert
-    basis, in integers over den as in ``Lattice.interior_multiplicities``."""
-    den = germ.lattice.den
-    u = scaled_int_vector(x, den)
-    return Fraction(min(sum(map(mul, h, u)) for h in dual_hilbert_basis(germ)), den)
+    """v(x) for a lattice point x: the least pairing with
+    ``Lattice.newton_generators``, which on the orthant is the least pairing
+    with the dual Hilbert basis, in integers over den as in
+    ``Lattice.interior_multiplicities``."""
+    lat = germ.lattice
+    u = scaled_int_vector(x, lat.den)
+    return Fraction(min(sum(map(mul, h, u)) for h in lat.newton_generators), lat.den)
 
 
 def state_value(state: FlatState, x, divisors=()) -> Fraction:
@@ -149,27 +153,49 @@ def state_value(state: FlatState, x, divisors=()) -> Fraction:
 # -- interior ray infimum ---------------------------------------------------------
 
 
-def _general_member_intersection(germ: ToricGerm) -> FirstIntersection:
-    """``ToricGerm.general_member_intersection``: the first intersection of
-    the weight ray with the general-member Newton polyhedron, off its vertices.
+def _interior(germ: ToricGerm) -> tuple[Fraction | int, IntVec | None, list[IntVec]]:
+    """(rho, ray row, zeros) in one pass over the interior box rows.
 
-    It also checks, once per germ, the fact that the log canonicity rule
-    rests on: no interior box point x has A(x) < rho v(x), rho = 1/mu.  Over
-    the den-scaled row of x, A = (wn . row) / (den wd) and v = m / den with m
-    from ``Lattice.interior_multiplicities``, so the check is the integer
-    comparison mu_num (wn . row) < scale wd m."""
+    rho = 1/mu is read off the vertex list (``newton._vertex_intersection``),
+    the ray row is den * y_num / k for its normal y_num, k the gcd of the
+    lattice coordinates of den * y_num, and the zeros are the full-support
+    box rows with A = rho v.  When every weight is 0, rho is 0, there is no
+    ray row, and every row is a zero.
+
+    Every call also checks the fact that the log canonicity rule rests on:
+    no interior box point x has A(x) < rho v(x).  Over the den-scaled row of
+    x, A = (wn . row) / (den wd) and v = m / den with m from
+    ``Lattice.interior_multiplicities``, so with rho = scale / mu_num the
+    check is the integer comparison mu_num (wn . row) < scale wd m, and a
+    zero is the equality."""
     wn, wd = germ._weight_ints
-    if not any(wn):
-        raise InputError("zero weight vector: the interior ratio is identically 0")
-    res = _vertex_intersection(germ)
     lat = germ.lattice
-    p, q = res.mu_num, res.scale * wd
+    rho, ray, p, q = 0, None, 1, 0
+    if any(wn):
+        res = _vertex_intersection(germ)
+        if res.mu_num is None:
+            raise ModelViolation("the weight ray must meet the general-member polyhedron")
+        rho, p, q = Fraction(res.scale, res.mu_num), res.mu_num, res.scale * wd
+        u = tuple(lat.den * c for c in res.y_num)
+        k = gcd(*lat._int_coordinates(u))
+        ray = tuple(c // k for c in u)
+    zeros = []
     for row, m in zip(lat.box_candidates[tuple(range(1, germ.dim + 1))], lat.interior_multiplicities):
         a = sum(map(mul, wn, row))
         if p * a < q * m:
             x = qvec_str(tuple(Fraction(c, lat.den) for c in row))
-            raise ModelViolation(f"box point {x} has A/v = {Fraction(a, wd * m)} below the ray infimum {Fraction(res.scale, p)}")
-    return res
+            raise ModelViolation(f"box point {x} has A/v = {Fraction(a, wd * m)} below the ray infimum {rho}")
+        if p * a == q * m:
+            zeros.append(row)
+    return rho, ray, zeros
+
+
+def _ray(germ: ToricGerm) -> tuple[Fraction, IntVec]:
+    """rho and the ray row of ``_interior``; ``InputError`` when every weight is 0."""
+    rho, ray, _ = _interior(germ)
+    if ray is None:
+        raise InputError("zero weight vector: the interior ratio is identically 0")
+    return rho, ray
 
 
 def ray_infimum(germ: ToricGerm) -> Fraction:
@@ -178,40 +204,23 @@ def ray_infimum(germ: ToricGerm) -> Fraction:
     Equal to 1/mu of the general-member polyhedron: scaling any interior
     direction to v = 1 identifies the two programs.  ``InputError`` when
     every weight is 0, where the ratio is identically 0."""
-    res = germ.general_member_intersection
-    if res.mu_num is None:
-        raise ModelViolation("the weight ray must meet the general-member polyhedron")
-    return Fraction(res.scale, res.mu_num)
-
-
-def _ray_row(germ: ToricGerm) -> IntVec:
-    """den times the primitive lattice point on the pricing normal's ray:
-    den * y_num / k, k the gcd of the (integer) coordinates of den * y_num."""
-    den = germ.lattice.den
-    u = tuple(den * c for c in germ.general_member_intersection.y_num)
-    k = gcd(*germ.lattice._int_coordinates(u))
-    return tuple(c // k for c in u)
+    return _ray(germ)[0]
 
 
 def ray_witness(germ: ToricGerm) -> QVec:
     """Primitive lattice point realizing the interior infimum exactly."""
     den = germ.lattice.den
-    return tuple(Fraction(c, den) for c in _ray_row(germ))
+    return tuple(Fraction(c, den) for c in _ray(germ)[1])
 
 
 # -- thresholds and centers -------------------------------------------------------
 
 
-def _rho(germ: ToricGerm) -> Fraction | int:
-    """``ray_infimum``, or 0 when every weight is 0 (where the ratio is
-    identically 0 and ``ray_infimum`` raises)."""
-    return ray_infimum(germ) if any(germ._weight_ints[0]) else 0
-
-
 def _checked_rho(state: FlatState) -> Fraction | int:
-    """``_rho`` of the state's germ, once the state is checked log canonical,
-    Gamma <= rho; it is flat exactly when Gamma = rho (see the module docstring)."""
-    rho = _rho(state.germ)
+    """``_interior``'s rho of the state's germ, once the state is checked log
+    canonical, Gamma <= rho; it is flat exactly when Gamma = rho (see the
+    module docstring)."""
+    rho = _interior(state.germ)[0]
     if state.total > rho:
         where = "above the interior ray infimum" if rho else "> 0 where every weight is 0"
         raise NotLogCanonical(f"coefficient sum {state.total} {where}")
@@ -291,7 +300,7 @@ def build_flat_structure(germ: ToricGerm) -> FlatBuildResult:
     """
     if not isinstance(germ, ToricGerm):
         raise InputError(f"the flat builder needs a ToricGerm, got {germ!r}")
-    rho = _rho(germ)
+    rho, ray, zeros = _interior(germ)
     steps = ceil(rho)
     if steps > germ.dim:
         raise ModelViolation(f"no flat structure after {germ.dim} steps; the model promises <= dim steps")
@@ -300,16 +309,12 @@ def build_flat_structure(germ: ToricGerm) -> FlatBuildResult:
     trace = [(one, _cut_center(germ, tuple(range(1, j + 1)))) for j in range(1, steps)]
     trace += [(rho - (steps - 1), point)] if steps else []
     state = FlatState(germ, tuple(g for g, _ in trace))
-    # the final coefficient sum is rho, so an interior box row is a zero when
-    # A = rho v, that is, rho_den (wn . row) = rho_num wd m (see ``_general_member_intersection``)
+    # the final coefficient sum is rho, so u is a zero when A = rho v, that
+    # is, rho_den (wn . u) = rho_num wd v(u) (see ``_interior``)
     wn, wd = germ._weight_ints
     lat = germ.lattice
     p, q = rho.denominator, rho.numerator * wd
-    rows = lat.box_candidates[tuple(range(1, germ.dim + 1))]
-    zeros = [row for row, m in zip(rows, lat.interior_multiplicities) if p * sum(map(mul, wn, row)) == q * m]
-    if rho:
-        zeros.append(_ray_row(germ))
-    u = min(zeros)
+    u = min(zeros if ray is None else [*zeros, ray])
     coords = lat._int_coordinates(u) if min(u) >= 0 else None
     x = tuple(Fraction(c, lat.den) for c in u)
     if coords is None or gcd(*coords) != 1:

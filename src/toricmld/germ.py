@@ -172,18 +172,6 @@ class ToricGerm:
         den = self.lattice.den
         return FaceTable(den, den * wd, entries)
 
-    # -- per-germ data of the flat builder (see ``flat``) ------------------------
-
-    @cached_property
-    def general_member_intersection(self):
-        """``newton.FirstIntersection`` of the weight ray with the Newton
-        polyhedron of a general member of the maximal ideal; ``InputError``
-        when every weight is 0, ``ModelViolation`` when an interior box point
-        has a ratio A/v below 1/mu."""
-        from .flat import _general_member_intersection
-
-        return _general_member_intersection(self)
-
     def __repr__(self) -> str:
         return f"ToricGerm({self.lattice!r}, b={qvec_str(self.boundary)})"
 

@@ -3,7 +3,7 @@
 keyed on user input is kept."""
 from fractions import Fraction as F
 
-from toricmld.flat import build_flat_structure
+from toricmld.flat import FlatState, build_flat_structure, state_value
 from toricmld.germ import ToricGerm
 from toricmld.lattice import lattice_from_generators
 from toricmld.newton import dual_hilbert_basis, lct_general_member, lct_newton, newton_poly_from_exponents
@@ -14,7 +14,6 @@ GERM_FIELDS = {
     "boundary",
     "_weight_ints",
     "face_table",
-    "general_member_intersection",
 }
 LATTICE_FIELDS = {
     "dim",
@@ -58,12 +57,16 @@ def test_cached_fields_are_named_and_do_not_grow_with_calls():
 
 
 def test_only_the_general_member_report_builds_the_whole_basis():
-    """The survey row, ``check`` and the flat builder read the general
-    member off ``newton_generators`` and leave ``hilbert_basis`` unbuilt;
-    ``lct_general_member``, which prints a weight per basis element, builds
-    it."""
+    """The survey row, ``check``, the flat builder and ``state_value`` read
+    the general member off ``newton_generators`` and leave ``hilbert_basis``
+    unbuilt; ``lct_general_member``, which prints a weight per basis
+    element, builds it."""
     gens = [(F(1, 4), F(2, 4), F(3, 4))]
-    for run in (_survey_row, _check_germ, build_flat_structure):
+
+    def value(germ):
+        return state_value(FlatState(germ, (F(1, 2),)), (1, 1, 1))
+
+    for run in (_survey_row, _check_germ, build_flat_structure, value):
         lat = lattice_from_generators(3, gens)
         run(ToricGerm(lat, (0, F(1, 2), 1)))
         assert "newton_generators" in vars(lat) and "hilbert_basis" not in vars(lat), run

@@ -482,28 +482,28 @@ def test_steps_and_centers_match_the_oracle_on_visited_and_random_states(corpus_
 
 def test_witness_and_rho_check_agree_with_the_fraction_recomputation(corpus_germs, monkeypatch):
     """On the corpus to index 6 the builder's point witness is the least
-    interior zero that ``interior_values`` finds, and the once-per-germ check
-    that no box point has A < rho v raises exactly when the recomputation
-    finds such a point: never at the true rho, and whenever an overstated
-    rho (mu scaled by 3/4) exceeds some box ratio, on germs with one
-    minimizing vertex and on germs whose minimizing vertices tie."""
+    interior zero that ``interior_values`` finds, and the check that no box
+    point has A < rho v, made on every read of rho, raises exactly when the
+    recomputation finds such a point: never at the true rho, and whenever
+    an overstated rho (mu scaled by 3/4) exceeds some box ratio, on germs
+    with one minimizing vertex and on germs whose minimizing vertices tie."""
     germs = [g for g in corpus_germs if g.lattice.index <= 6]
     assert len(germs) == 6596
+    rhos = []  # (germ, its true rho), read before the route is overstated
     for germ in germs:
         res = build_flat_structure(germ)
         assert res.witness.x == least_interior_zero(germ, res.state.total), germ
         if any(germ.weights):
-            assert all(a >= ray_infimum(germ) * v for a, v, _ in interior_values(germ)), germ
+            rho = ray_infimum(germ)
+            rhos.append((germ, rho))
+            assert all(a >= rho * v for a, v, _ in interior_values(germ)), germ
 
     overstate_the_vertex_route(monkeypatch, lambda res: dataclasses.replace(res, mu_num=res.mu_num * 3, scale=res.scale * 4))
     raised = {True: 0, False: 0}  # keyed by whether the germ's vertices tie
-    for germ in germs:
-        if not any(germ.weights):
-            continue
-        fresh = ToricGerm(germ.lattice, germ.boundary)
-        undercut = any(a < ray_infimum(germ) * F(4, 3) * v for a, v, _ in interior_values(germ))
+    for germ, rho in rhos:
+        undercut = any(a < rho * F(4, 3) * v for a, v, _ in interior_values(germ))
         try:
-            ray_infimum(fresh)
+            ray_infimum(germ)
         except ModelViolation:
             raised[vertices_tie(germ)] += 1
             assert undercut, germ
@@ -533,7 +533,7 @@ def vertices_tie(germ) -> bool:
 
 def test_flat_keeps_the_traced_call_structure(monkeypatch):
     """``build_flat_structure`` on a d = 3 germ of index > 1 calls
-    ``ray_infimum`` and never the threshold entry points of the survey and
+    ``_interior`` and never the threshold entry points of the survey and
     the check, at every place the package binds them.  It reads the Hilbert
     basis as built, so the exponent validation is bypassed too, and writes its
     trace in closed form, so it takes no ``threshold_step`` or
@@ -545,7 +545,7 @@ def test_flat_keeps_the_traced_call_structure(monkeypatch):
     bypassed = ("lct_general_member", "lct_newton", "newton_poly_from_exponents", "threshold_step", "minimal_center")
     bypassed += ("dual_hilbert_basis", "solve_lp_max_slack")
     counts = {}
-    for name in ("ray_infimum",) + bypassed:
+    for name in ("_interior",) + bypassed:
         for mod in ("flat", "newton", "linprog", "germ", "survey"):
             module = importlib.import_module(f"toricmld.{mod}")
             if hasattr(module, name):
@@ -559,7 +559,7 @@ def test_flat_keeps_the_traced_call_structure(monkeypatch):
         assert germ.dim == 3 and germ.lattice.index > 1 and vertices_tie(germ) == tied
         counts.clear()
         build_flat_structure(germ)
-        assert counts.get("ray_infimum", 0) >= 1, (germ, counts)
+        assert counts.get("_interior", 0) >= 1, (germ, counts)
         assert not any(counts.get(name) for name in bypassed), (germ, counts)
 
 
@@ -659,7 +659,7 @@ def test_more_steps_than_the_dimension_is_a_model_violation(monkeypatch):
 
     germ = std_germ(2)
     assert [g for g, _ in build_flat_structure(germ).trace] == [1, 1]
-    monkeypatch.setattr(flat, "_rho", lambda germ: F(5, 2))
+    monkeypatch.setattr(flat, "_interior", lambda germ: (F(5, 2), None, []))
     with pytest.raises(ModelViolation, match="no flat structure after 2 steps"):
         build_flat_structure(germ)
 
@@ -677,7 +677,7 @@ def test_ray_witness_equals_the_fraction_route(corpus_germs):
     for lat in enumerate_superlattices(4, 4):
         germs += [ToricGerm(lat, b) for b in product((0, F(1, 2)), repeat=4)]
     for germ in germs:
-        assert ray_witness(germ) == primitive_normal(germ.lattice, germ.general_member_intersection), germ
+        assert ray_witness(germ) == primitive_normal(germ.lattice, _vertex_intersection(germ)), germ
 
 
 def greatest_tied_normal(germ) -> tuple:
@@ -807,20 +807,18 @@ def test_the_witness_check_refuses_a_bad_row(row, scale, message, monkeypatch):
     assert result.state.total == F(5, 2) and result.witness.x == (1, 1, 2, 1)
     x = tuple(F(c, germ.lattice.den) for c in row)
     assert (germ.lattice.primitive_scale(x) if germ.lattice.contains(x) else None) == scale
-    monkeypatch.setattr(flat, "_ray_row", lambda germ: row)
+    rho, _, zeros = flat._interior(germ)
+    monkeypatch.setattr(flat, "_interior", lambda germ: (rho, row, zeros))
     with pytest.raises(ModelViolation, match=message):
         build_flat_structure(germ)
 
 
 def test_the_builder_builds_few_fractions(corpus_germs, monkeypatch):
-    """With the weights read and the ray program solved, the builder makes
-    ``Fraction``s only for rho, the coefficients and the witness it returns:
-    at most 6 per germ on average over the corpus to index 6 (5.94 measured)."""
+    """The builder makes ``Fraction``s only for rho, the coefficients and
+    the witness it returns: at most 6 per germ on average over the corpus to
+    index 6 (5.94 measured)."""
     germs = [g for g in corpus_germs if g.lattice.index <= 6]
     assert len(germs) == 6596
-    for germ in germs:
-        if any(germ.weights):
-            germ.general_member_intersection
     made = []
     real = F.__new__
     monkeypatch.setattr(F, "__new__", staticmethod(lambda cls, *args, **kw: made.append(1) or real(cls, *args, **kw)))

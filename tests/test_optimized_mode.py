@@ -45,37 +45,51 @@ def _deferred_imports(tree):
 
 def test_only_import_cycles_defer_an_import():
     """A module imports from the package inside a function only where a
-    cycle forces it: the per-germ general-member intersection (germ, which
-    flat imports, reaches flat)."""
+    cycle forces it, and there is no cycle: no module defers an import."""
     found = sorted(
         f"{path.name}:{name}:{module}"
         for path in PACKAGE.rglob("*.py")
         for name, module in _deferred_imports(ast.parse(path.read_text(encoding="utf-8"), filename=str(path)))
     )
-    assert found == ["germ.py:general_member_intersection:flat"]
+    assert found == []
+
+
+def _package_imports(name):
+    """The package modules that ``name`` imports, at module or function level."""
+    path = PACKAGE / name
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    return {node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) and node.level}
 
 
 def test_lattice_imports_only_errors_and_rationals():
     """The lattice layer, dual lattice and Hilbert basis included, sits
     below every other module: it imports from the package, at module or
     function level, only the exceptions and the rational helpers."""
-    path = PACKAGE / "lattice.py"
-    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
-    modules = {node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) and node.level}
-    assert modules == {"errors", "rationals"}
+    assert _package_imports("lattice.py") == {"errors", "rationals"}
+
+
+def test_germ_imports_only_errors_lattice_and_rationals():
+    """The germ layer sits on the lattice layer alone: it holds no data of
+    the modules built on it (the flat builder's included), so it imports
+    from the package only the exceptions, the lattice and the rational
+    helpers."""
+    assert _package_imports("germ.py") == {"errors", "lattice", "rationals"}
 
 
 def test_flat_binds_no_program():
-    """The flat builder reads rho and its ray normal off the vertex list: it
-    imports nothing from ``linprog`` and binds no ``_first_intersection``."""
+    """The flat builder reads rho and its ray normal off the vertex list and
+    v(x) off ``Lattice.newton_generators``: it imports nothing from
+    ``linprog``, binds no ``_first_intersection`` and reads no whole Hilbert
+    basis, by name or as an attribute."""
     path = PACKAGE / "flat.py"
     tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
     imports = [node for node in ast.walk(tree) if isinstance(node, (ast.Import, ast.ImportFrom))]
     modules = {node.module for node in imports if isinstance(node, ast.ImportFrom)}
     names = {alias.asname or alias.name for node in imports for alias in node.names}
     names |= {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    names |= {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
     assert "linprog" not in modules and not any("linprog" in name for name in names), (modules, names)
-    assert "_first_intersection" not in names
+    assert not names & {"_first_intersection", "dual_hilbert_basis", "hilbert_basis"}, names
 
 
 def test_check_gives_the_same_report_under_optimize(tmp_path):
