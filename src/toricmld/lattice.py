@@ -407,7 +407,7 @@ class Lattice:
         strides = tuple(prod(cj + 1 for cj in c[:i]) for i in range(self.dim))
         walk_basis = [col[::-1] for col in reversed(self.dual_int_basis)]
         nonzero = _box_bits(walk_basis, c[::-1], strides[::-1], a[::-1], top) & ~1
-        reps = [_block_mask(total, (ci + 1) * st, 1) for ci, st in zip(c, strides)]  # bit 0 of each line
+        reps = [_block_mask(total, (ci + 1) * st) for ci, st in zip(c, strides)]  # bit 0 of each line
         below = nonzero
         for ci, st, rep in zip(c, strides, reps):
             s = 1
@@ -578,10 +578,10 @@ def _box_bits(rows: list[IntVec], c: IntVec, strides: IntVec, a: IntVec, top: in
     return int(digits, 2)
 
 
-def _block_mask(total: int, block: int, run: int) -> int:
+def _block_mask(total: int, block: int) -> int:
     """Bitset of ``total`` bits whose every ``block``-bit block (``block``
-    divides ``total``) has exactly its low ``run`` bits set."""
-    mask, width = (1 << run) - 1, block
+    divides ``total``) has exactly its low bit set."""
+    mask, width = 1, block
     while width < total:
         mask |= mask << width
         width *= 2
@@ -601,28 +601,35 @@ def lattice_from_generators(dim: int, gens) -> Lattice:
     return Lattice.from_generators(dim, gens)
 
 
+def _lattice(lat) -> Lattice:
+    """``lat`` when it is a ``Lattice``; anything else is an ``InputError``."""
+    if not isinstance(lat, Lattice):
+        raise InputError(f"expected a Lattice, got {lat!r}")
+    return lat
+
+
 def lattice_index(lat: Lattice) -> int:
-    return lat.index
+    return _lattice(lat).index
 
 
 def lattice_contains(lat: Lattice, vec) -> bool:
-    return lat.contains(vec)
+    return _lattice(lat).contains(vec)
 
 
 def primitive_scale(lat: Lattice, vec) -> int:
-    return lat.primitive_scale(vec)
+    return _lattice(lat).primitive_scale(vec)
 
 
 def coset_reps(lat: Lattice) -> CosetTable:
-    return lat.coset_table
+    return _lattice(lat).coset_table
 
 
 def dual_lattice(lat: Lattice) -> Lattice:
-    return lat.dual
+    return _lattice(lat).dual
 
 
 def project_drop_coord(lat: Lattice, coord: int) -> Lattice:
-    return lat.project_drop(coord)
+    return _lattice(lat).project_drop(coord)
 
 
 def _ordered_factorizations(n: int, parts: int):

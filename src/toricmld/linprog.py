@@ -6,11 +6,12 @@ rule (smallest eligible index enters, smallest index breaks ratio ties),
 which rules out cycling and makes the returned basic solution reproducible.
 
 Problem form:  maximize c.x  subject to  A[i].x <= b[i],  x >= 0,  b >= 0,
-with every entry a Python int.  The result carries the optimal point, the
-objective, and the row multipliers ("duals"), which are the certificate used
-throughout the tests, as integers over two denominators, so every step
-stays in Python ints.  The general-form two-phase solver that the tests
-compare it with lives in ``tests/lp_oracle.py``.
+with every entry a Python int.  The solver works on one integer tableau
+whose last row is the objective, and reads the optimal point, the objective
+and the row multipliers ("duals", the certificate used throughout the tests)
+off it as integers over two denominators, so every step stays in Python
+ints.  The general-form two-phase solver that the tests compare it with
+lives in ``tests/lp_oracle.py``.
 """
 from __future__ import annotations
 
@@ -47,40 +48,30 @@ def solve_lp_max_slack(c, rows) -> LpResult:
     standard multipliers of the <= constraints (nonnegative for a max
     problem).
 
-    The objective row is carried through the same fraction-free pivots as
-    the constraint rows, with its own positive scale ``obj_scale`` and
-    right-hand side (the objective value times that scale), and rows are
-    gcd-reduced after each pivot.  All pivoting decisions are pure integer
-    comparisons, and the result is read off in integers too: the basic
-    values over the lcm of their pivots, the objective and the slack columns
-    of the objective row over ``obj_scale``.
+    Every row of the one integer tableau is [x, slacks, objective column,
+    rhs], and the objective is the last row:  row . (x, s) + obj_scale * c.x
+    = rhs, so its objective column is the positive scale ``obj_scale``.  A
+    fraction-free pivot eliminates the entering column from every other row,
+    gcd-reducing each row it changes, then reduces the pivot row.  Pivoting
+    decisions are integer comparisons, and the result is read off in
+    integers: the basic values over the lcm of their pivots, and the rhs and
+    slack columns of the objective row over its objective column.
     """
-    n = len(c)
-    m = len(rows)
+    n, m = len(c), len(rows)
     tableau: list[list[int]] = []
-    rhs_col: list[int] = []
-    for coeffs, rhs in rows:
+    for i, (coeffs, rhs) in enumerate(rows):
         if len(coeffs) != n:
             raise InputError("constraint length does not match the objective")
         if rhs < 0:
             raise InputError("slack start requires nonnegative right-hand sides")
-        row = list(coeffs) + [0] * m
-        row[n + len(tableau)] = 1
-        tableau.append(row)
-        rhs_col.append(rhs)
-    # objective row of the minimization of -c.x: obj . (x, s) + obj_scale * c.x = obj_rhs
-    obj = [-v for v in c] + [0] * m
-    obj_scale = 1
-    obj_rhs = 0
+        tableau.append([*coeffs, *[0] * i, 1, *[0] * (m - i), rhs])  # slack i, objective column 0
+    # the objective row of the minimization of -c.x, with obj_scale 1 and rhs 0
+    tableau.append([-v for v in c] + [0] * m + [1, 0])
     basis = list(range(n, n + m))
 
-    width = n + m
     while True:
-        entering = None
-        for j in range(width):
-            if obj[j] < 0:
-                entering = j
-                break
+        obj = tableau[m]
+        entering = next((j for j in range(n + m) if obj[j] < 0), None)
         if entering is None:
             break
         leaving = None
@@ -89,49 +80,29 @@ def solve_lp_max_slack(c, rows) -> LpResult:
             a = tableau[r][entering]
             if a > 0:
                 # compare rhs_r/a with the running best by cross-multiplication
-                if (
-                    leaving is None
-                    or rhs_col[r] * best_den < best_num * a
-                    or (rhs_col[r] * best_den == best_num * a and basis[r] < basis[leaving])
+                rhs = tableau[r][-1]
+                if leaving is None or rhs * best_den < best_num * a or (
+                    rhs * best_den == best_num * a and basis[r] < basis[leaving]
                 ):
-                    leaving = r
-                    best_num, best_den = rhs_col[r], a
+                    leaving, best_num, best_den = r, rhs, a
         if leaving is None:
             return LpResult(UNBOUNDED)
         piv_row = tableau[leaving]
         piv = piv_row[entering]
-        piv_rhs = rhs_col[leaving]
-        for r in range(m):
-            if r != leaving and tableau[r][entering]:
-                f = tableau[r][entering]
-                new = [piv * a - f * b for a, b in zip(tableau[r], piv_row)]
-                new_rhs = piv * rhs_col[r] - f * piv_rhs
-                g = gcd(new_rhs, *new)
-                if g > 1:
-                    new = [v // g for v in new]
-                    new_rhs //= g
-                tableau[r] = new
-                rhs_col[r] = new_rhs
-        if obj[entering]:
-            f = obj[entering]
-            obj = [piv * a - f * b for a, b in zip(obj, piv_row)]
-            obj_rhs = piv * obj_rhs - f * piv_rhs
-            obj_scale *= piv
-            g = gcd(obj_scale, obj_rhs, *obj)
-            if g > 1:
-                obj = [v // g for v in obj]
-                obj_rhs //= g
-                obj_scale //= g
-        g = gcd(piv_rhs, *piv_row)
+        for r, row in enumerate(tableau):
+            f = row[entering]
+            if r != leaving and f:
+                new = [piv * a - f * b for a, b in zip(row, piv_row)]
+                g = gcd(*new)
+                tableau[r] = [v // g for v in new] if g > 1 else new
+        g = gcd(*piv_row)
         if g > 1:
             tableau[leaving] = [v // g for v in piv_row]
-            rhs_col[leaving] = piv_rhs // g
         basis[leaving] = entering
 
     x_den = lcm(*(tableau[r][j] for r, j in enumerate(basis) if j < n))
     x_num = [0] * n
     for r, j in enumerate(basis):
         if j < n:
-            x_num[j] = rhs_col[r] * (x_den // tableau[r][j])
-    return LpResult(OPTIMAL, tuple(x_num), x_den, obj_rhs, tuple(obj[n:]), obj_scale)
-
+            x_num[j] = tableau[r][-1] * (x_den // tableau[r][j])
+    return LpResult(OPTIMAL, tuple(x_num), x_den, obj[-1], tuple(obj[n:-2]), obj[-2])

@@ -15,6 +15,7 @@ which is the tightness certificate the tests rely on.
 """
 from __future__ import annotations
 
+from bisect import insort
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import itemgetter, mul
@@ -119,8 +120,9 @@ def _mu_lp(exponents: list[IntVec], w_row: IntVec, wd: int) -> tuple[int, int, I
 
 
 def _first_intersection(exponents: tuple[IntVec, ...], w_row: IntVec, wd: int) -> FirstIntersection:
-    """Column-generation wrapper: solve on a small active set, price the rest
-    with the exact normal vector, and grow the set until nothing violates.
+    """Column-generation wrapper: solve on a small active list, kept sorted,
+    price the rest with the exact normal vector, and insert the worst
+    exponent until nothing violates.
 
     The weight vector is w = w_row / wd, as ``ToricGerm._weight_ints`` holds
     it.  ``exponents`` are distinct and sorted, as ``NewtonPoly`` and
@@ -135,27 +137,23 @@ def _first_intersection(exponents: tuple[IntVec, ...], w_row: IntVec, wd: int) -
     if not valid:
         return FirstIntersection(None)
 
-    active = {min(valid, key=sum)}
-    for i in range(len(w_row)):
-        active.add(min(valid, key=itemgetter(i)))
-    active_list = sorted(active)
+    active = sorted({min(valid, key=sum), *(min(valid, key=itemgetter(i)) for i in range(len(w_row)))})
     while True:
-        mu_num, scale, lam, pn, nd = _mu_lp(active_list, w_row, wd)
+        mu_num, scale, lam, pn, nd = _mu_lp(active, w_row, wd)
         # <y, m> >= mu  <=>  scale * <pn, m> >= mu_num * nd
         worst = min(valid, key=lambda m: sum(map(mul, pn, m)))
         if scale * sum(map(mul, pn, worst)) >= mu_num * nd:
             break
         if worst in active:
             raise ModelViolation("optimal pricing may not undercut an active column")
-        active.add(worst)
-        active_list = sorted(active)
+        insort(active, worst)
 
     if mu_num <= 0:
         raise ModelViolation("mu must be positive: the exponents are nonzero and nonnegative")
     # lift the normal so it prices every exponent, including the ones forced
     # out by a zero-weight coordinate (raising those coordinates is free)
     y_num, k = _zero_weight_lift(pn, mu_num * nd, scale, exponents, zero_coords)
-    by_exp = dict(zip(active_list, lam))
+    by_exp = dict(zip(active, lam))
     return FirstIntersection(mu_num, scale, tuple(by_exp.get(m, 0) for m in exponents), y_num, nd * k)
 
 

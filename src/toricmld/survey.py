@@ -24,7 +24,7 @@ from itertools import permutations, product
 from operator import mul
 
 from .adjunction import _precise_inversion, _semicontinuity_bounds, _shokurov_holds
-from .errors import CheckFailed, InputError, ResourceLimit
+from .errors import CheckFailed, InputError, MalformedRational, ResourceLimit
 from .germ import (
     ToricGerm,
     _oracle_minima,
@@ -68,10 +68,10 @@ def parse_germ(text: str | dict) -> ToricGerm:
     if not isinstance(lattice, dict):
         raise InputError("lattice must be a JSON object")
     gens = _json_list(lattice.get("generators", []), "lattice generators")
-    rows = [qvec([rat(c) for c in _json_list(row, "a generator")], dim) for row in gens]
-    boundary = _json_list(doc["boundary"], "boundary")
+    rows = [qvec(_json_rats(row, "a generator"), dim) for row in gens]
+    boundary = _json_rats(doc["boundary"], "boundary")
     lattice = Lattice.from_generators(dim, rows)
-    return germ_normalize(lattice, qvec([rat(b) for b in boundary], dim))
+    return germ_normalize(lattice, qvec(boundary, dim))
 
 
 def _refuse_box_dimension(d: int) -> int:
@@ -104,6 +104,13 @@ def _json_list(value, name: str) -> list:
     if not isinstance(value, list):
         raise InputError(f"{name} must be a JSON list, got {value!r}")
     return value
+
+
+def _json_rats(value, name: str) -> list[Fraction]:
+    """The entries of a JSON list read by ``rat``; ``true`` and ``false`` are not rationals."""
+    if any(isinstance(v, bool) for v in _json_list(value, name)):
+        raise MalformedRational(f"{name} must hold rationals, not true or false: {value!r}")
+    return [rat(v) for v in value]
 
 
 def germ_id(germ: ToricGerm) -> str:
@@ -403,7 +410,8 @@ class CorpusConfig:
         unknown = sorted(set(doc) - {f.name for f in fields(cls)})
         if unknown:
             raise InputError(f"unknown corpus config keys: {unknown}")
-        return cls(**{k: _json_list(v, k) if k in ("dims", "boundary_set") else v for k, v in doc.items()})
+        readers = {"dims": _json_list, "boundary_set": _json_rats}
+        return cls(**{k: readers[k](v, k) if k in readers else v for k, v in doc.items()})
 
 
 def corpus_germs(config: CorpusConfig):

@@ -154,18 +154,23 @@ def test_exit_codes_for_bad_input(tmp_path, capsys):
         ("mld", '{"dim":2,"lattice":{"generators":[]},"boundary":null}'),
         ("mld", '{"dim":2.5,"lattice":{"generators":[]},"boundary":["0","0"]}'),
         ("mld", '{"dim":true,"lattice":{"generators":[]},"boundary":["0"]}'),
+        ("mld", '{"dim":2,"lattice":{"generators":[]},"boundary":[true,0]}'),
         ("check", '{"dims": 5}'),
         ("check", '{"max_index": "x"}'),
         ("check", "[1]"),
         ("check", '{"oracle_radius": 0}'),
+        ("check", '{"boundary_set": [true]}'),
     ],
 )
 def test_malformed_documents_exit_one(tmp_path, capsys, command, text):
+    """Each exits 1 with nothing on stdout.  A boolean boundary was read as
+    1 and 0: ``mld`` printed that germ's value and exited 0."""
     path = tmp_path / "doc.json"
     path.write_text(text)
     flag = "-i" if command == "mld" else "--corpus-config"
     assert cli.main([command, flag, str(path)]) == 1
-    assert capsys.readouterr().err.startswith("error: ")
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error: ")
 
 
 def test_runs_without_numpy():

@@ -296,6 +296,26 @@ def test_project_examples():
     assert project_drop_coord(quarter, 3) == lattice_from_generators(2, [(F(1, 4), F(1, 2))])
 
 
+@pytest.mark.parametrize(
+    "call",
+    [
+        lattice_index,
+        lambda lat: lattice_contains(lat, (0, 0)),
+        lambda lat: primitive_scale(lat, (1, 0)),
+        coset_reps,
+        dual_lattice,
+        lambda lat: project_drop_coord(lat, 1),
+    ],
+    ids=["lattice_index", "lattice_contains", "primitive_scale", "coset_reps", "dual_lattice", "project_drop_coord"],
+)
+@pytest.mark.parametrize("lat", ["x", None, ((1, 0), (0, 1))])
+def test_the_lattice_wrappers_refuse_what_is_not_a_lattice(call, lat):
+    """``lattice_index("x")`` returned the bound method ``str.index``, and
+    the others raised ``AttributeError``."""
+    with pytest.raises(InputError, match="expected a Lattice"):
+        call(lat)
+
+
 # -- superlattice enumeration ------------------------------------------------------
 
 

@@ -1,4 +1,7 @@
+import random
+from dataclasses import astuple
 from fractions import Fraction as F
+from hashlib import sha256
 from pathlib import Path
 
 import pytest
@@ -9,6 +12,11 @@ from lp_oracle import INFEASIBLE, solve_lp
 from toricmld.linprog import OPTIMAL, UNBOUNDED, solve_lp_max_slack
 
 LINPROG = Path(__file__).resolve().parents[1] / "src" / "toricmld" / "linprog.py"
+
+# sha256 over every field of the solver's result on the seeded instances of
+# ``_pinned_instances``, recorded before the objective moved into the last row
+# of the tableau; any change to a pivot, a gcd step or a read-off shows here.
+PINNED_DIGEST = "a4ee5e9acddb7d17606522e4e0b9f6394b14a371168069d20cf25378d1f28715"
 
 
 def read(res):
@@ -111,3 +119,47 @@ def test_the_solver_builds_no_fraction():
     ``Fraction``."""
     text = LINPROG.read_text(encoding="utf-8")
     assert "Fraction" not in text and "fractions" not in text
+
+
+def _pinned_instances(count=2000, seed=20061):
+    """Seeded small programs: n and m from 0 to 4 (so ``m = 0`` and ``n = 0``
+    occur), entries in [-2, 3] and right-hand sides mostly 0 to 3, so ratio
+    ties and degenerate pivots are common; about a third have no bounding
+    row and many of those are unbounded."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        n, m = rng.randint(0, 4), rng.randint(0, 4)
+        c = [rng.randint(-2, 3) for _ in range(n)]
+        rows = [([rng.randint(-2, 3) for _ in range(n)], rng.choice((0, 0, 1, 2, 3))) for _ in range(m)]
+        if rng.random() < 0.65:
+            rows.append(([1] * n, rng.randint(0, 6)))
+        yield c, rows
+
+
+def test_the_solver_answers_are_pinned():
+    """The certificate tests accept any optimum; this pins the exact one:
+    the point, the objective and the duals over their denominators, and the
+    status, of every pinned instance, as the Bland rule picks them."""
+    digest, statuses = sha256(), {}
+    for c, rows in _pinned_instances():
+        res = solve_lp_max_slack(c, rows)
+        digest.update(repr(astuple(res)).encode())
+        statuses[res.status] = statuses.get(res.status, 0) + 1
+    assert statuses[OPTIMAL] > 1000 and statuses[UNBOUNDED] > 200
+    assert digest.hexdigest() == PINNED_DIGEST
+
+
+def test_the_ratio_tie_break_decides_the_optimal_vertex():
+    """max x1 + 2 x2 over x1 + x3 <= 1, x1 + x2 <= 1, x >= 0: every point
+    (0, 1, t) with t in [0, 1] is optimal.  Each tableau row is [x1, x2, x3,
+    s1, s2, objective column, rhs], the objective row [-1, -2, 0, 0, 0, 1, 0]
+    last.
+
+    x1 enters first, and both rows tie at ratio 1; s1, the smaller basic
+    index, leaves.  x2 then enters on row 2 at ratio 0 (objective row
+    [0, 0, -1, -1, 2, 1, 1]), and x3 on row 1 (objective row
+    [1, 0, 0, 0, 2, 1, 2]).  So x = (0, 1, 1) over 1, and the objective 2
+    and the duals (0, 2) over scale 1.  Had s2 left first, the run would end
+    at x = (0, 1, 0)."""
+    res = solve_lp_max_slack([1, 2, 0], [([1, 0, 1], 1), ([1, 1, 0], 1)])
+    assert astuple(res) == (OPTIMAL, (0, 1, 1), 1, 2, (0, 2), 1)

@@ -58,6 +58,22 @@ def test_parse_errors():
         parse_germ('{"dim":1,"lattice":{"generators":[]},"boundary":["3/2"]}')
 
 
+@pytest.mark.parametrize(
+    "read",
+    [
+        lambda: parse_germ('{"dim":2,"lattice":{"generators":[]},"boundary":[true,0]}'),
+        lambda: parse_germ('{"dim":2,"lattice":{"generators":[[false,true]]},"boundary":["0","0"]}'),
+        lambda: CorpusConfig.from_dict({"boundary_set": [True]}),
+    ],
+    ids=["boundary", "generator", "boundary-set"],
+)
+def test_a_json_boolean_is_not_a_rational(read):
+    """``true`` and ``false`` were read as 1 and 0: a boundary of (1, 0), a
+    generator (0, 1) and a corpus boundary set of {1}."""
+    with pytest.raises(MalformedRational):
+        read()
+
+
 MALFORMED_GERM_DOCUMENTS = [
     '{"dim":"x","lattice":{"generators":[]},"boundary":["0"]}',
     '{"dim":2.5,"lattice":{"generators":[]},"boundary":["0","0"]}',
