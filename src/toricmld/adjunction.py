@@ -15,7 +15,7 @@ from math import lcm
 from .errors import InputError
 from .germ import ToricGerm, _least_interior, germ_document
 from .lattice import Lattice
-from .rationals import integer, rat_str
+from .rationals import instance, integer, rat_str
 
 
 @dataclass(frozen=True)
@@ -42,7 +42,7 @@ class CheckReport:
 def adjoin_invariant_divisor(germ: ToricGerm, divisor: int) -> AdjunctionResult:
     """Restrict to the invariant divisor ``divisor`` (1-based, b_i = 1), on
     the lattice of ``Lattice.restrictions`` as built: normal, as ``ToricGerm`` checks."""
-    restricted, scales = _restriction(germ, divisor)
+    restricted, scales = _restriction(instance(germ, ToricGerm), divisor)
     induced = [1 - (1 - b) / n for b, n in zip(germ.boundary[: divisor - 1] + germ.boundary[divisor:], scales)]
     return AdjunctionResult(ToricGerm(restricted, induced), scales)
 
@@ -61,7 +61,7 @@ def _restriction(germ: ToricGerm, divisor: int) -> tuple[Lattice, tuple[int, ...
 
 def check_precise_inversion(germ: ToricGerm, divisor: int) -> CheckReport:
     """The point minimum upstairs against the one on the divisor (``_precise_inversion``)."""
-    passed, lhs, rhs = _precise_inversion(germ, divisor)
+    passed, lhs, rhs = _precise_inversion(instance(germ, ToricGerm), divisor)
     return CheckReport(passed, ((f"point-minimum vs divisor {divisor}", Fraction(*lhs), Fraction(*rhs)),))
 
 
@@ -92,7 +92,7 @@ def _semicontinuity_bounds(germ: ToricGerm) -> tuple[int, int, dict[tuple[int, .
 
 def check_lower_semicontinuity(germ: ToricGerm) -> CheckReport:
     """mld(P) <= mld(face) + dim(cycle) for every proper invariant cycle."""
-    m, scale, bounds = _semicontinuity_bounds(germ)
+    m, scale, bounds = _semicontinuity_bounds(instance(germ, ToricGerm))
     at_point = Fraction(m, scale)
     details = tuple((f"S={s}", at_point, Fraction(b, scale)) for s, b in bounds.items())
     return CheckReport(all(m <= b for b in bounds.values()), details)
@@ -101,7 +101,7 @@ def check_lower_semicontinuity(germ: ToricGerm) -> CheckReport:
 def check_shokurov_bounds(germ: ToricGerm) -> CheckReport:
     """mld(P) <= d, and values above d-1 only on the standard lattice with
     the multiplicity formula d - sum(b) (see ``_shokurov_holds``)."""
-    d, (m, scale) = germ.dim, _point_scaled(germ)
+    d, (m, scale) = instance(germ, ToricGerm).dim, _point_scaled(germ)
     value = Fraction(m, scale)
     details = [("point-minimum vs dimension", value, Fraction(d))]
     if m > (d - 1) * scale:

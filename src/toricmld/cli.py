@@ -8,8 +8,11 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import shutil
 import sys
+import tempfile
 import traceback
+from contextlib import nullcontext
 from functools import cache
 
 from .adjunction import adjoin_invariant_divisor, check_precise_inversion
@@ -24,7 +27,7 @@ from .newton import (
     newton_poly_from_exponents,
 )
 from .rationals import rat, rat_str
-from .survey import CorpusConfig, parse_germ, rows_to_csv, rows_to_json, run_survey, verify_corpus
+from .survey import CorpusConfig, _rendered, _survey_rows, parse_germ, verify_corpus
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -46,16 +49,20 @@ def _read_germ(path: str):
     return parse_germ(text)
 
 
-def _write(text: str, out: str | None) -> None:
-    """``text`` to the file ``out`` (``InputError`` if it cannot), or stdout."""
-    if out is None:
-        sys.stdout.write(text)
-        return
-    try:
-        with open(out, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
-    except OSError as exc:
-        raise InputError(f"cannot write {out}: {exc}") from exc
+def _write(pieces, out: str | None) -> None:
+    """Each text piece, as soon as it is made, to a spool (in memory up to
+    1 MiB, then on disk) copied after the last to the file ``out``, opened only
+    then, or to stdout: a failure while the pieces are made leaves both as they
+    were.  An ``out`` or a stdout that cannot be written is an ``InputError``."""
+    with tempfile.SpooledTemporaryFile(2**20, "w+", encoding="utf-8", newline="\n") as fh:
+        for piece in pieces:  # its ``writelines`` would check the size only at the end
+            fh.write(piece)
+        fh.seek(0)
+        try:
+            with open(out, "w", encoding="utf-8", newline="\n") if out is not None else nullcontext(sys.stdout) as dest:
+                shutil.copyfileobj(fh, dest)
+        except OSError as exc:
+            raise InputError(f"cannot write {'stdout' if out is None else out}: {exc}") from exc
 
 
 def _refuse_unwritable(out: str | None) -> None:
@@ -68,7 +75,7 @@ def _refuse_unwritable(out: str | None) -> None:
 
 
 def _emit(payload: dict, out: str | None) -> None:
-    _write(json.dumps(payload, indent=1, sort_keys=True) + "\n", out)
+    _write([json.dumps(payload, indent=1, sort_keys=True) + "\n"], out)
 
 
 def _parse_int_list(text: str) -> list[int]:
@@ -139,14 +146,8 @@ def _cmd_flat(args) -> int:
 
 def _cmd_survey(args) -> int:
     boundary = [rat(b) for b in args.boundary_set.split(",")]
-    rows = run_survey(
-        args.dim,
-        args.max_index,
-        boundary,
-        mod_permutations=args.mod_permutations,
-        jobs=args.jobs,
-    )
-    _write(rows_to_json(rows) if args.json else rows_to_csv(rows), args.out)
+    rows = _survey_rows(args.dim, args.max_index, boundary, args.mod_permutations, args.jobs)
+    _write(_rendered(rows, args.json), args.out)
     return EXIT_OK
 
 

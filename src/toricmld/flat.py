@@ -67,7 +67,7 @@ from operator import mul
 from .errors import AlreadyFlat, InputError, ModelViolation, NotLogCanonical
 from .germ import Face, ToricGerm, full_face, germ_document, log_discrepancy_of_valuation
 from .newton import _vertex_intersection
-from .rationals import IntVec, QVec, integer, iterate, qvec, qvec_str, rat_str, scaled_int_vector
+from .rationals import IntVec, QVec, instance, integer, iterate, qvec, qvec_str, rat_str, scaled_int_vector
 
 POINT = "point-P"
 INVARIANT_CYCLE = "invariant-cycle"
@@ -81,8 +81,7 @@ class FlatState:
     gammas: tuple[Fraction, ...]
 
     def __post_init__(self):
-        if not isinstance(self.germ, ToricGerm):
-            raise InputError(f"a flat state needs a ToricGerm, got {self.germ!r}")
+        instance(self.germ, ToricGerm)
         object.__setattr__(self, "gammas", qvec(self.gammas))
         for g in self.gammas:
             if not 0 <= g <= 1:
@@ -135,6 +134,7 @@ def _multiplicity(germ: ToricGerm, x: QVec) -> Fraction:
 
 def state_value(state: FlatState, x, divisors=()) -> Fraction:
     """Log discrepancy of the combo valuation (x, J) in the resolved model."""
+    instance(state, FlatState)
     J = tuple(sorted(set(integer(j, "a divisor index") for j in iterate(divisors, "the divisors"))))
     if any(j < 1 or j > state.members for j in J):
         raise InputError(f"divisor subset {J} out of range 1..{state.members}")
@@ -236,7 +236,7 @@ def threshold_step(state: FlatState) -> Fraction:
     (rho - Gamma - t) v, with equality along the ray witness, so the bound is
     rho - Gamma, and the member's own coefficient caps it at 1.
     """
-    rho = _checked_rho(state)
+    rho = _checked_rho(instance(state, FlatState))
     if state.total == rho:
         raise AlreadyFlat("the state is already flat at the distinguished point")
     return min(Fraction(1), rho - state.total)
@@ -249,7 +249,7 @@ def minimal_center(state: FlatState) -> CenterDescriptor:
     The distinguished point when the state is flat; otherwise the stratum
     cut by the zero-weight face (the coordinates with b_i = 1) and every
     member of coefficient 1 (see the module docstring)."""
-    if state.total == _checked_rho(state):
+    if instance(state, FlatState).total == _checked_rho(state):
         return CenterDescriptor(POINT, full_face(state.germ.dim), (), 0)
     return _cut_center(state.germ, tuple(j for j, g in enumerate(state.gammas, 1) if g == 1))
 
@@ -298,9 +298,7 @@ def build_flat_structure(germ: ToricGerm) -> FlatBuildResult:
     orthant of value zero (else ``ModelViolation``); only the result is built
     in ``Fraction``s.
     """
-    if not isinstance(germ, ToricGerm):
-        raise InputError(f"the flat builder needs a ToricGerm, got {germ!r}")
-    rho, ray, zeros = _interior(germ)
+    rho, ray, zeros = _interior(instance(germ, ToricGerm))
     steps = ceil(rho)
     if steps > germ.dim:
         raise ModelViolation(f"no flat structure after {germ.dim} steps; the model promises <= dim steps")

@@ -37,7 +37,7 @@ from operator import mul
 
 from .errors import InputError, ModelViolation, NotPrimitive, ResourceLimit
 from .lattice import TABLE_CAP, Lattice
-from .rationals import IntVec, QVec, integer, iterate, qvec, qvec_str, rat, rat_str, ratio_str
+from .rationals import IntVec, QVec, instance, integer, iterate, qvec, qvec_str, rat, rat_str, ratio_str
 
 
 @dataclass(frozen=True)
@@ -134,9 +134,7 @@ class ToricGerm:
     boundary: tuple[Fraction, ...]
 
     def __post_init__(self):
-        if not isinstance(self.lattice, Lattice):
-            raise InputError(f"a germ needs a Lattice, got {self.lattice!r}")
-        object.__setattr__(self, "boundary", _boundary(self.boundary, self.lattice.dim))
+        object.__setattr__(self, "boundary", _boundary(self.boundary, instance(self.lattice, Lattice).dim))
         if not self.lattice.is_superlattice:
             raise InputError("germ lattice must contain Z^d")
         if any(k != 1 for k in self.lattice.unit_scales):
@@ -193,7 +191,7 @@ def germ_normalize(lattice: Lattice, boundary) -> ToricGerm:
     The i-th coordinate is multiplied by the primitive scale of e_i; boundary
     coefficients stay attached to their divisors.  Idempotent.
     """
-    if not lattice.is_superlattice:
+    if not instance(lattice, Lattice).is_superlattice:
         raise InputError("germ lattice must contain Z^d")
     scales = lattice.unit_scales
     if any(k != 1 for k in scales):
@@ -239,7 +237,7 @@ def germ_from_px(x) -> tuple[ToricGerm, tuple[int, ...]]:
 
 def log_discrepancy_of_valuation(germ: ToricGerm, x) -> Fraction:
     """sum (1-b_i) x_i for a primitive lattice point x of the orthant."""
-    x = qvec(x, germ.dim)
+    x = qvec(x, instance(germ, ToricGerm).dim)
     if any(c < 0 for c in x):
         raise InputError(f"{x} is outside the positive orthant")
     if not any(x):
@@ -256,7 +254,7 @@ def mld_face(germ: ToricGerm, face) -> MldReport:
     Evaluated on the finite unit-box candidate set; witnesses are all box
     minimizers, lexicographically sorted.
     """
-    face = Face.coerce(face, germ.dim)
+    face = Face.coerce(face, instance(germ, ToricGerm).dim)
     table = germ.face_table
     return MldReport(table.value(face.support), table.witnesses(face.support), face)
 
@@ -264,7 +262,7 @@ def mld_face(germ: ToricGerm, face) -> MldReport:
 def mld_global(germ: ToricGerm) -> MldReport:
     """Minimum over all nonempty faces; reports the first minimizing face
     in (codimension, lexicographic) order."""
-    return mld_face(germ, germ.face_table.minimizing_support())
+    return mld_face(germ, instance(germ, ToricGerm).face_table.minimizing_support())
 
 
 def mld_bruteforce_oracle(germ: ToricGerm, face, radius: int) -> Fraction:
@@ -273,7 +271,7 @@ def mld_bruteforce_oracle(germ: ToricGerm, face, radius: int) -> Fraction:
     module docstring): weights are >= 0, so every radius gives the value at 1."""
     if integer(radius, "radius") < 1:
         raise InputError("radius must be >= 1")
-    (least,) = _oracle_minima(germ, [Face.coerce(face, germ.dim).support])
+    (least,) = _oracle_minima(germ, [Face.coerce(face, instance(germ, ToricGerm).dim).support])
     return Fraction(least, germ.lattice.den * germ._weight_ints[1])
 
 
@@ -307,7 +305,8 @@ def verify_minkowski(germ: ToricGerm, t, delta) -> bool:
     t, delta = rat(t), rat(delta)
     if t < 0 or delta <= 0:
         raise InputError("need t >= 0 and delta > 0")
-    least, scale = _least_interior(germ.lattice, germ._weight_ints[0]), germ.lattice.den * germ._weight_ints[1]
+    (wn, wd), lat = instance(germ, ToricGerm)._weight_ints, germ.lattice
+    least, scale = _least_interior(lat, wn), lat.den * wd
     low, high = t * scale, (t + delta) * scale
     return least * low.denominator >= low.numerator and least * high.denominator < high.numerator
 
@@ -338,7 +337,7 @@ def cartier_index(germ: ToricGerm) -> int:
     """Smallest r >= 1 with r*(1-b_1,...,1-b_d) in the dual lattice M: the
     weights are wn / wd with gcd(wd, wn) = 1 and M lies in Z^d, so r is wd
     times ``Lattice.dual_order(wn)``, which divides the index [Z^d : M]."""
-    wn, wd = germ._weight_ints
+    wn, wd = instance(germ, ToricGerm)._weight_ints
     lat = germ.lattice
     k = lat.dual_order(wn)
     if lat.index % k:

@@ -23,7 +23,7 @@ from math import gcd, isqrt, lcm, prod
 from operator import mul
 
 from .errors import DimensionMismatch, InputError, ModelViolation, NotInLattice, ResourceLimit
-from .rationals import IntVec, QVec, common_denominator, integer, iterate, qvec, ratio_str, scaled_int_vector
+from .rationals import IntVec, QVec, common_denominator, instance, integer, iterate, qvec, ratio_str, scaled_int_vector
 
 # Largest lattice index whose per-lattice tables (``Lattice.rep_ints`` and
 # the tables built from it, about one row per coset) are built.  It admits
@@ -107,7 +107,7 @@ class Lattice:
     def __init__(self, dim: int, basis):
         """Build a lattice with ``from_rows`` or ``from_generators``: the
         constructor takes only its canonical basis (``InputError`` otherwise),
-        and ``_from_int_rows``, which builds the canonical rows, skips this check."""
+        and ``_canonical``, given the canonical rows, skips this check."""
         try:
             dim = integer(dim, "dim")
             rows = tuple(map(qvec, iterate(basis, "a basis")))  # read once: ``basis`` may be an iterator
@@ -139,8 +139,14 @@ class Lattice:
         h = hnf([[x // g for x in row] for row in rows], dim)
         if len(h) != dim:
             raise InputError("generators do not span the ambient space")
+        return cls._canonical(dim, den // g, tuple(map(tuple, h)))
+
+    @classmethod
+    def _canonical(cls, dim: int, den: int, int_rows, **known) -> "Lattice":
+        """The lattice whose canonical basis is ``int_rows`` / ``den``, taken
+        unchecked, with the cached properties ``known`` already holds."""
         lat = object.__new__(cls)
-        lat.__dict__.update(dim=dim, den=den // g, int_rows=tuple(map(tuple, h)))
+        lat.__dict__.update(known, dim=dim, den=den, int_rows=int_rows)
         return lat
 
     @classmethod
@@ -601,35 +607,28 @@ def lattice_from_generators(dim: int, gens) -> Lattice:
     return Lattice.from_generators(dim, gens)
 
 
-def _lattice(lat) -> Lattice:
-    """``lat`` when it is a ``Lattice``; anything else is an ``InputError``."""
-    if not isinstance(lat, Lattice):
-        raise InputError(f"expected a Lattice, got {lat!r}")
-    return lat
-
-
 def lattice_index(lat: Lattice) -> int:
-    return _lattice(lat).index
+    return instance(lat, Lattice).index
 
 
 def lattice_contains(lat: Lattice, vec) -> bool:
-    return _lattice(lat).contains(vec)
+    return instance(lat, Lattice).contains(vec)
 
 
 def primitive_scale(lat: Lattice, vec) -> int:
-    return _lattice(lat).primitive_scale(vec)
+    return instance(lat, Lattice).primitive_scale(vec)
 
 
 def coset_reps(lat: Lattice) -> CosetTable:
-    return _lattice(lat).coset_table
+    return instance(lat, Lattice).coset_table
 
 
 def dual_lattice(lat: Lattice) -> Lattice:
-    return _lattice(lat).dual
+    return instance(lat, Lattice).dual
 
 
 def project_drop_coord(lat: Lattice, coord: int) -> Lattice:
-    return _lattice(lat).project_drop(coord)
+    return instance(lat, Lattice).project_drop(coord)
 
 
 def _ordered_factorizations(n: int, parts: int):
@@ -685,15 +684,23 @@ def _superlattice_counts(dim: int, max_index: int):
 
 
 def enumerate_superlattices(dim: int, max_index: int) -> list[Lattice]:
-    """All N containing Z^dim with [N:Z^dim] <= max_index and every e_i primitive.
+    """All N containing Z^dim with [N:Z^dim] <= max_index and every e_i
+    primitive, duplicate-free and sorted by (index, canonical basis)."""
+    return list(_superlattices(dim, max_index))
 
-    The duals, the HNF bases along ``_hnf_diagonals`` whose columns have gcd
-    1 (the e_i primitive in N), are dualized; the output is duplicate-free
-    and sorted by (index, canonical basis), keyed in integers: den, the
-    exponent of N/Z^d, divides n, and ``int_rows`` times n // den is n times
-    the basis, so it compares as that.
+
+def _superlattices(dim: int, max_index: int):
+    """``enumerate_superlattices``, each lattice built only as it is yielded.
+
+    The duals of the HNF bases along ``_hnf_diagonals`` whose columns have
+    gcd 1 (the e_i primitive in N) are all taken first, each kept as the flat
+    integer key (n, n times its basis row by row), ``int_rows`` times n // den
+    (den, the exponent of N/Z^d, divides n).  The key set finds repeats, and
+    its sort is the (index, basis) order.  gcd(den, ``int_rows``) is 1, so
+    g = gcd(n, key) is n // den, and N comes back as den = n // g and
+    ``int_rows`` = key // g; the index check has shown that it contains Z^d.
     """
-    seen: dict = {}
+    keys = set()
     for n, diag in _hnf_diagonals(dim, max_index):
         cols = [
             [a + (p,) + (0,) * (dim - 1 - j) for a in product(range(p), repeat=j) if gcd(*a, p) == 1]
@@ -703,8 +710,12 @@ def enumerate_superlattices(dim: int, max_index: int) -> list[Lattice]:
             sup = _dual_of_int_rows(list(zip(*choice)), 1)
             if sup.index != n:
                 raise ModelViolation("duality must preserve the index")
-            key = (n, tuple(tuple(x * (n // sup.den) for x in row) for row in sup.int_rows))
-            if key in seen:
+            key = (n, *(x * (n // sup.den) for row in sup.int_rows for x in row))
+            if key in keys:
                 raise ModelViolation("HNF enumeration may not repeat a lattice")
-            seen[key] = sup
-    return [seen[key] for key in sorted(seen)]
+            keys.add(key)
+    keys = sorted(keys)
+    for n, *flat in keys:
+        g = gcd(n, *flat)
+        rows = tuple([tuple([x // g for x in flat[i : i + dim]]) for i in range(0, dim * dim, dim)])
+        yield Lattice._canonical(dim, n // g, rows, is_superlattice=True)

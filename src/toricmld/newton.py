@@ -23,7 +23,7 @@ from operator import itemgetter, mul
 from .errors import DimensionMismatch, InputError, ModelViolation, NotInLattice
 from .germ import ToricGerm, _boundary, log_discrepancy_of_valuation
 from .linprog import OPTIMAL, solve_lp_max_slack
-from .rationals import IntVec, integer, iterate, qvec, rat, rat_str
+from .rationals import IntVec, instance, integer, iterate, qvec, rat, rat_str
 
 CAP_ONE = "cap-one"
 RAY = "ray"
@@ -35,7 +35,7 @@ def dual_hilbert_basis(germ: ToricGerm) -> tuple[IntVec, ...]:
     """Minimal generating set of the monoid (dual lattice) cap (dual orthant),
     sorted lexicographically; computed once per lattice
     (``Lattice.hilbert_basis``)."""
-    return germ.lattice.hilbert_basis
+    return instance(germ, ToricGerm).lattice.hilbert_basis
 
 
 # -- polyhedra -------------------------------------------------------------------
@@ -62,7 +62,7 @@ def newton_poly_from_exponents(germ: ToricGerm, exponents) -> NewtonPoly:
     Every entry is read by ``rat``, and an integral vector becomes its
     numerators; membership in the dual lattice is ``Lattice.dual_contains_int``.
     The dual Hilbert basis is valid as built and does not come through here."""
-    dim, lat = germ.dim, germ.lattice
+    dim, lat = instance(germ, ToricGerm).dim, germ.lattice
     seen: set[IntVec] = set()
     for e in iterate(exponents, "the exponents"):
         vec = tuple(rat(c) for c in iterate(e, "an exponent"))
@@ -176,7 +176,7 @@ def _zero_weight_lift(y: IntVec, target: int, s: int, exponents, zero_coords) ->
 def first_intersection_mu(poly: NewtonPoly) -> Fraction | None:
     """Parameter of the first ray point t*w inside the polyhedron; None means
     the ray never enters (possible only when some weight vanishes)."""
-    res = _first_intersection(poly.exponents, *poly.germ._weight_ints)
+    res = _first_intersection(instance(poly, NewtonPoly).exponents, *poly.germ._weight_ints)
     return None if res.mu_num is None else Fraction(res.mu_num, res.scale)
 
 
@@ -198,7 +198,7 @@ class LctReport:
 
 def lct_newton(poly: NewtonPoly) -> LctReport:
     """General-coefficient threshold min(1, 1/mu), with 1/infinity = 0."""
-    res = _first_intersection(poly.exponents, *poly.germ._weight_ints)
+    res = _first_intersection(instance(poly, NewtonPoly).exponents, *poly.germ._weight_ints)
     if res.mu_num is None:
         return LctReport(None, Fraction(0), RAY, None)
     mu = Fraction(res.mu_num, res.scale)
@@ -263,7 +263,7 @@ def _vertex_intersection(germ: ToricGerm) -> FirstIntersection:
 def lct_upper_bound_from_valuation(poly: NewtonPoly, x) -> Fraction | None:
     """A(x) / min_a <m_a, x> for a primitive lattice x; None encodes +infinity
     (the valuation does not see the divisor).  Always >= the ray threshold."""
-    a = log_discrepancy_of_valuation(poly.germ, x)
+    a = log_discrepancy_of_valuation(instance(poly, NewtonPoly).germ, x)
     x = qvec(x, poly.dim)
     v = min(sum((c * m for c, m in zip(x, exp)), start=Fraction(0)) for exp in poly.exponents)
     if v == 0:

@@ -54,6 +54,13 @@ def integer(value, name: str) -> int:
     return value
 
 
+def instance(value, kind: type):
+    """``value`` when it is a ``kind``; anything else is an ``InputError``."""
+    if not isinstance(value, kind):
+        raise InputError(f"expected a {kind.__name__}, got {value!r}")
+    return value
+
+
 def rat_str(value: Fraction) -> str:
     """Render a Fraction as "n" or "p/q"; ``value`` is read by ``rat``."""
     value = rat(value)

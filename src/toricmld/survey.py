@@ -14,14 +14,14 @@ canonical and parse(serialize(g)) == g.
 from __future__ import annotations
 
 import csv
-import io
 import json
 import os
 from dataclasses import dataclass, fields
 from fractions import Fraction
 from hashlib import sha256
-from itertools import permutations, product
+from itertools import chain, permutations, product
 from operator import mul
+from types import SimpleNamespace
 
 from .adjunction import _precise_inversion, _semicontinuity_bounds, _shokurov_holds
 from .errors import CheckFailed, InputError, MalformedRational, ResourceLimit
@@ -35,9 +35,9 @@ from .germ import (
     mld_face,
     verify_minkowski,
 )
-from .lattice import TABLE_CAP, Lattice, _superlattice_counts, enumerate_superlattices, hnf
+from .lattice import TABLE_CAP, Lattice, _superlattice_counts, _superlattices, hnf
 from .newton import _general_member_threshold, lct_fermat, lct_newton, newton_poly_from_exponents
-from .rationals import integer, iterate, qvec, qvec_str, rat, rat_str
+from .rationals import instance, integer, iterate, qvec, qvec_str, rat, rat_str
 
 ROW_CAP_DEFAULT = 10**6
 
@@ -46,7 +46,7 @@ ROW_CAP_DEFAULT = 10**6
 
 
 def serialize_germ(germ: ToricGerm) -> str:
-    return json.dumps(germ_document(germ), sort_keys=True, separators=(",", ":"))
+    return json.dumps(germ_document(instance(germ, ToricGerm)), sort_keys=True, separators=(",", ":"))
 
 
 def parse_germ(text: str | dict) -> ToricGerm:
@@ -239,6 +239,12 @@ def run_survey(
     is built.  ``jobs`` below 1 is an input error, and above
     ``os.cpu_count()`` it is clamped to the core count.
     """
+    return list(_survey_rows(dim, max_index, boundary_set, mod_permutations, jobs))
+
+
+def _survey_rows(dim: int, max_index: int, boundary_set, mod_permutations: bool, jobs: int):
+    """The rows of ``run_survey``, each yielded as soon as it is made; the
+    arguments are read, and the row cap checked, at the first ``next``."""
     if integer(jobs, "jobs") < 1:
         raise InputError(f"jobs must be at least 1, got {jobs}")
     jobs = min(jobs, os.cpu_count() or 1)
@@ -246,7 +252,8 @@ def run_survey(
     pick = _orbit_representatives if mod_permutations else None
     count, tasks = _lattice_stream((dim,), max_index, coeffs, ROW_CAP_DEFAULT, "survey", pick)
     if jobs == 1:
-        return [row for chunk in map(_rows_for_lattice, tasks) for row in chunk]
+        yield from chain.from_iterable(map(_rows_for_lattice, tasks))
+        return
     import multiprocessing as mp
 
     try:
@@ -255,14 +262,15 @@ def run_survey(
         ctx = mp.get_context("spawn")
     chunksize = -(-count // (4 * jobs))  # as Pool.map derives it
     with ctx.Pool(jobs) as pool:
-        return [row for chunk in pool.imap(_rows_for_lattice, tasks, chunksize) for row in chunk]
+        yield from chain.from_iterable(pool.imap(_rows_for_lattice, tasks, chunksize))
 
 
 def _lattice_stream(dims, max_index: int, coeffs, cap: int, what: str, pick=None):
     """The number of lattices ``enumerate_superlattices`` returns over ``dims``
     (each first read by ``_refuse_box_dimension``), summed per HNF diagonal and
     checked against ``cap`` before any is built, and a stream of each lattice with
-    its boundaries (those ``pick`` keeps), dropped from its list so its tables are freed."""
+    its boundaries (those ``pick`` keeps), each lattice built from its integer key
+    only as it is read (``_superlattices``) and freed with its tables after its rows."""
     count = rows = 0
     for d in dims:
         for n in _superlattice_counts(_refuse_box_dimension(d), max_index):
@@ -274,26 +282,32 @@ def _lattice_stream(dims, max_index: int, coeffs, cap: int, what: str, pick=None
     def stream():
         for d in dims:
             assignments = list(product(coeffs, repeat=d))
-            lattices = enumerate_superlattices(d, max_index)
-            for i, lattice in enumerate(lattices):
-                lattices[i] = None
+            for lattice in _superlattices(d, max_index):
                 yield lattice, pick(lattice, assignments) if pick else assignments
 
     return count, stream()
 
 
 def rows_to_csv(rows) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(SurveyRow.HEADER)
-    for row in rows:
-        writer.writerow(row.as_record())
-    return buf.getvalue()
+    return "".join(_rendered(rows, False))
 
 
 def rows_to_json(rows) -> str:
-    payload = [dict(zip(SurveyRow.HEADER, row.as_record())) for row in rows]
-    return json.dumps(payload, indent=1, sort_keys=True) + "\n"
+    return "".join(_rendered(rows, True))
+
+
+def _rendered(rows, as_json: bool):
+    """The CSV lines, header first, or the JSON array (indent 1, sorted keys)
+    of ``rows`` in pieces, one a row, each yielded as soon as its row is read."""
+    if not as_json:
+        line = csv.writer(SimpleNamespace(write=str), lineterminator="\n").writerow  # returns write's result: the line
+        yield from map(line, chain([SurveyRow.HEADER], (row.as_record() for row in rows)))
+        return
+    sep = "[\n"
+    for row in rows:  # the element as it sits in the dump of the whole array
+        yield sep + json.dumps([dict(zip(SurveyRow.HEADER, row.as_record()))], indent=1, sort_keys=True)[2:-2]
+        sep = ",\n"
+    yield "[]\n" if sep == "[\n" else "\n]\n"
 
 
 # -- chain-condition report -------------------------------------------------------

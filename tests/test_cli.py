@@ -1,4 +1,6 @@
 import json
+import multiprocessing
+import os
 import tracemalloc
 
 import pytest
@@ -215,7 +217,7 @@ def test_an_unwritable_out_exits_one(tmp_path, c2, capsys, monkeypatch, command)
     with exit 3 or a report on stdout, and it is refused before the germ is
     read or the corpus checked or surveyed; no file or directory is made."""
     reached = []
-    for name in ("_read_germ", "verify_corpus", "run_survey"):
+    for name in ("_read_germ", "verify_corpus", "_survey_rows"):
         monkeypatch.setattr(cli, name, lambda *args, _name=name, **kwargs: reached.append(_name))
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"dims": [1], "max_index": 2, "boundary_set": ["0"]}))
@@ -229,6 +231,85 @@ def test_an_unwritable_out_exits_one(tmp_path, c2, capsys, monkeypatch, command)
     captured = capsys.readouterr()
     assert captured.err.startswith(f"error: cannot write {argv[-1]}: ") and "Traceback" not in captured.err
     assert captured.out == "" and reached == [] and not (tmp_path / "missing").exists()
+
+
+@pytest.mark.parametrize("out", ["stdout", "new", "existing"])
+@pytest.mark.parametrize("jobs", ["1", "2"])
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_a_survey_that_fails_midway_writes_nothing(tmp_path, capsys, monkeypatch, out, jobs, fmt):
+    """A survey whose third lattice raises exits 1 with empty stdout, makes
+    no ``--out`` file and leaves an existing one as it was, and leaves no
+    other file beside it: rows already made are never written out."""
+    import toricmld.survey as survey
+    from toricmld.errors import ResourceLimit
+    from toricmld.lattice import enumerate_superlattices
+
+    if jobs == "2" and "fork" not in multiprocessing.get_all_start_methods():
+        pytest.skip("spawned workers would import the unpatched _survey_row")
+    third, real = enumerate_superlattices(2, 4)[2], survey._survey_row
+
+    def failing(germ):
+        if germ.lattice == third:
+            raise ResourceLimit("the third lattice")
+        return real(germ)
+
+    monkeypatch.setattr(survey, "_survey_row", failing)  # forked workers inherit it
+    target = tmp_path / "rows.out"
+    if out == "existing":
+        target.write_bytes(b"old rows\n")
+    argv = ["survey", "--dim", "2", "--max-index", "4", "--jobs", jobs] + (["--json"] if fmt == "json" else [])
+    assert cli.main(argv + ([] if out == "stdout" else ["--out", str(target)])) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == "error: the third lattice\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == (["rows.out"] if out == "existing" else [])
+    if out == "existing":
+        assert target.read_bytes() == b"old rows\n"
+
+
+def test_out_writes_through_a_symlink_and_to_a_device(tmp_path, capsys):
+    """``--out`` is opened as given: an existing file is written in place
+    and keeps its mode, a symlink's target is written and the link stays,
+    and a device such as ``/dev/null`` is written, not replaced."""
+    argv = ["survey", "--dim", "2", "--max-index", "3", "--out"]
+    target, link = tmp_path / "rows.csv", tmp_path / "link.csv"
+    target.write_text("old rows\n")
+    target.chmod(0o600)
+    link.symlink_to(target)
+    assert cli.main(argv + [str(link)]) == 0 and cli.main(argv + ["/dev/null"]) == 0
+    assert link.is_symlink() and len(target.read_text().splitlines()) == 5
+    assert target.stat().st_mode & 0o777 == 0o600
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["link.csv", "rows.csv"]
+    assert not os.path.isfile("/dev/null") and capsys.readouterr().out == ""
+
+
+def test_the_survey_holds_a_handful_of_lattices_and_rows(tmp_path, monkeypatch):
+    """At the first and the last row of a survey, only the lattice in hand
+    (and what it built) and the row being made are alive: the enumeration is
+    held as integer keys and each row is written as it is made."""
+    import gc
+
+    import toricmld.survey as survey
+    from toricmld.lattice import Lattice, enumerate_superlattices
+
+    def alive():
+        gc.collect()
+        objects = gc.get_objects()
+        return sum(isinstance(o, Lattice) for o in objects), sum(isinstance(o, survey.SurveyRow) for o in objects)
+
+    rows, real, seen = len(enumerate_superlattices(3, 8)), survey._survey_row, []
+    before = alive()
+
+    def counted(germ):
+        seen.append(None)
+        if len(seen) in (1, rows):
+            lattices, made = alive()
+            assert lattices - before[0] <= 4 and made - before[1] <= 4, (len(seen), lattices, made)
+        return real(germ)
+
+    monkeypatch.setattr(survey, "_survey_row", counted)
+    argv = ["survey", "--dim", "3", "--max-index", "8", "--boundary-set", "0", "--jobs", "1"]
+    assert cli.main(argv + ["--out", str(tmp_path / "rows.csv")]) == 0
+    assert len(seen) == rows and len((tmp_path / "rows.csv").read_text().splitlines()) == rows + 1
 
 
 @pytest.mark.parametrize(

@@ -123,12 +123,36 @@ WRONG_TYPE_ARGUMENTS = {
     "state-germ": lambda: toricmld.FlatState(5, ()),
     "flat-germ": lambda: toricmld.build_flat_structure(5),
     "acc-report-row": lambda: toricmld.acc_report([5]),
+    "normalize-lattice": lambda: toricmld.germ_normalize(5, (0, 0)),
+    "cartier-germ": lambda: toricmld.cartier_index(5),
+    "valuation-germ": lambda: toricmld.log_discrepancy_of_valuation(5, (1, 1)),
+    "oracle-germ": lambda: toricmld.mld_bruteforce_oracle(5, (1, 2), 1),
+    "face-germ": lambda: toricmld.mld_face(5, (1, 2)),
+    "global-germ": lambda: toricmld.mld_global(5),
+    "minkowski-germ": lambda: toricmld.verify_minkowski(5, 1, 1),
+    "adjoin-germ": lambda: toricmld.adjoin_invariant_divisor(5, 1),
+    "inversion-germ": lambda: toricmld.check_precise_inversion(5, 1),
+    "semicontinuity-germ": lambda: toricmld.check_lower_semicontinuity(5),
+    "shokurov-germ": lambda: toricmld.check_shokurov_bounds(5),
+    "hilbert-basis-germ": lambda: toricmld.dual_hilbert_basis(5),
+    "general-member-germ": lambda: toricmld.lct_general_member(5),
+    "monomial-germ": lambda: toricmld.lct_monomial(5, (1, 1)),
+    "exponents-germ": lambda: toricmld.newton_poly_from_exponents(5, [(3, 0)]),
+    "mu-poly": lambda: toricmld.first_intersection_mu(5),
+    "newton-poly": lambda: toricmld.lct_newton(5),
+    "valuation-bound-poly": lambda: toricmld.lct_upper_bound_from_valuation(5, (1, 1)),
+    "state-value-state": lambda: toricmld.state_value(5, (1, 1), (1,)),
+    "threshold-state": lambda: toricmld.threshold_step(5),
+    "center-state": lambda: toricmld.minimal_center(5),
+    "serialize-germ": lambda: toricmld.serialize_germ(5),
 }
 
 
 @pytest.mark.parametrize("call", WRONG_TYPE_ARGUMENTS.values(), ids=WRONG_TYPE_ARGUMENTS.keys())
 def test_an_argument_of_the_wrong_type_is_an_input_error(call):
     """The state was accepted; the others raised AttributeError, which the
-    command line would report as an internal error (exit 3)."""
+    command line would report as an internal error (exit 3).  Every type is
+    checked by one helper, ``rationals.instance``, whatever the argument's
+    position."""
     with pytest.raises(InputError, match="got 5"):
         call()

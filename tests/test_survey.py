@@ -390,7 +390,7 @@ def test_an_empty_boundary_set_is_refused_before_any_lattice(call, monkeypatch):
     ``check`` built every lattice up to the index only to check no germ."""
     import toricmld.survey as survey
 
-    monkeypatch.setattr(survey, "enumerate_superlattices", None)
+    monkeypatch.setattr(survey, "_superlattices", None)
     with pytest.raises(InputError, match="boundary set must be nonempty"):
         call()
 
