@@ -84,7 +84,7 @@ class FlatState:
         instance(self.germ, ToricGerm)
         object.__setattr__(self, "gammas", qvec(self.gammas))
         for g in self.gammas:
-            if not 0 <= g <= 1:
+            if not 0 <= g.numerator <= g.denominator:
                 raise InputError(f"coefficient {g} outside [0,1]")
 
     @property

@@ -72,7 +72,7 @@ def _boundary(values, dim: int) -> QVec:
     """``values`` as the dim boundary coefficients of a germ, each in [0,1]."""
     boundary = qvec(values, dim)
     for b in boundary:
-        if not 0 <= b <= 1:
+        if not 0 <= b.numerator <= b.denominator:
             raise InputError(f"boundary coefficient {b} outside [0,1]")
     return boundary
 

@@ -288,6 +288,14 @@ class Lattice:
         return {tuple(j + 1 for j in on): tuple(out) for on, out in zip(faces, rows)}
 
     @cached_property
+    def member_rows(self) -> frozenset[IntVec]:
+        """The rows of ``box_candidates`` that pair to 0 mod den with every
+        column of ``dual_int_basis``: den times a lattice point, each tested once."""
+        den, dual = self.den, self.dual_int_basis
+        rows = (u for face in self.box_candidates.values() for u in face)
+        return frozenset(u for u in rows if not any(sum(map(mul, u, col)) % den for col in dual))
+
+    @cached_property
     def coset_table(self) -> CosetTable:
         den = self.den
         return CosetTable(tuple(tuple(Fraction(x, den) for x in u) for u in self.rep_ints))

@@ -49,6 +49,13 @@ class NewtonPoly:
     germ: ToricGerm
     exponents: tuple[IntVec, ...]
 
+    def __post_init__(self):
+        dim, exps = instance(self.germ, ToricGerm).dim, self.exponents
+        if not isinstance(exps, tuple) or not all(
+            isinstance(e, tuple) and len(e) == dim and all(type(c) is int for c in e) for e in exps
+        ):
+            raise InputError(f"exponents must be a tuple of integer tuples of length {dim}, got {exps!r}")
+
     @property
     def dim(self) -> int:
         return self.germ.dim

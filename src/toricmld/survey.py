@@ -23,17 +23,17 @@ from itertools import chain, permutations, product
 from operator import mul
 from types import SimpleNamespace
 
-from .adjunction import _precise_inversion, _semicontinuity_bounds, _shokurov_holds
+from .adjunction import _point_scaled, _precise_inversion, _semicontinuity_bounds, _shokurov_holds
 from .errors import CheckFailed, InputError, MalformedRational, ResourceLimit
 from .germ import (
     ToricGerm,
+    _least_interior,
     _oracle_minima,
     cartier_index,
     full_face,
     germ_document,
     germ_normalize,
     mld_face,
-    verify_minkowski,
 )
 from .lattice import TABLE_CAP, Lattice, _superlattice_counts, _superlattices, hnf
 from .newton import _general_member_threshold, lct_fermat, lct_newton, newton_poly_from_exponents
@@ -440,23 +440,27 @@ def _check_germ(germ: ToricGerm) -> list[str]:
     """The shared invariants (``_invariants``) plus the oracle, witness,
     divisibility, dilation and closed-form checks, in integers: the oracle's
     minimum on each face, from one walk of the coset residues and over the
-    table's scale den * wd, against the face's scaled minimum m, and each
-    den-scaled minimizer u by wn . u == m, u pairing to 0 mod den with the
-    dual basis (apart from the walk that built u), and scale | cartier * m.
-    No check has a setting: the oracle's radius is 1, as the box reduction
-    puts every minimum in the unit box, and the dilation gap is 1 / scale, of
-    which every lattice-point value is a multiple; no radius or gap is stronger."""
+    table's scale den * wd, against the face's scaled minimum m; each
+    den-scaled minimizer u by wn . u == m and by u pairing to 0 mod den with
+    the dual basis (apart from the walk that built u), done once per lattice
+    for the rows of ``box_candidates`` (``Lattice.member_rows``) and here for
+    any other u; scale | cartier * m; and the dilation: every value is a
+    multiple of 1 / scale, so ``verify_minkowski(germ, m / scale, 1 / scale)``
+    holds exactly when the least full-support row, weighed apart from the
+    table (``_least_interior``), is m.  No check has a setting: the oracle's
+    radius is 1, as the box reduction puts every minimum in the unit box, and
+    the dilation gap is 1 / scale; no radius or gap is stronger."""
     problems = []
     inv = _invariants(germ)
     table, (wn, _) = germ.face_table, germ._weight_ints
-    dual = germ.lattice.dual_int_basis
+    dual, members = germ.lattice.dual_int_basis, germ.lattice.member_rows
     for (support, (m, minimizers)), oracle in zip(table.entries.items(), _oracle_minima(germ, table.entries)):
         if oracle != m:
             problems.append(f"oracle mismatch on face {support}: {table.value(support)} vs {Fraction(oracle, table.scale)}")
         for u in minimizers:
             if sum(map(mul, wn, u)) != m:
                 problems.append(f"witness {table.witness(u)} does not attain the face value")
-            if any(sum(map(mul, u, col)) % table.den for col in dual):
+            if u not in members and any(sum(map(mul, u, col)) % table.den for col in dual):
                 problems.append(f"witness {table.witness(u)} is outside the lattice")
     if not inv["lsc_ok"]:
         problems.append("lower semicontinuity inequality failed")
@@ -465,7 +469,7 @@ def _check_germ(germ: ToricGerm) -> list[str]:
     for support, (m, _) in table.entries.items():
         if inv["cartier"] * m % table.scale:
             problems.append(f"index divisibility failed on face {support}")
-    if not verify_minkowski(germ, inv["mld_point"], Fraction(1, table.scale)):
+    if _least_interior(germ.lattice, wn) != _point_scaled(germ)[0]:
         problems.append("lattice-point-free dilation check failed")
     if inv["pia_ok"] is False:
         for i, b in enumerate(germ.boundary, start=1):
@@ -481,7 +485,7 @@ def _check_germ(germ: ToricGerm) -> list[str]:
     if all(b == 1 for b in germ.boundary):
         if lct != 0:
             problems.append("zero weights must give a zero general-member threshold")
-    elif not 0 < lct <= 1:
+    elif not 0 < lct.numerator <= lct.denominator:
         problems.append(f"general-member threshold {lct} outside (0,1]")
     return problems
 

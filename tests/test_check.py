@@ -10,7 +10,7 @@ import json
 
 from faces import with_entry
 from toricmld import cli
-from toricmld.germ import ToricGerm, germ_cyclic_quotient, germ_document, mld_bruteforce_oracle
+from toricmld.germ import ToricGerm, germ_cyclic_quotient, germ_document, mld_bruteforce_oracle, verify_minkowski
 from toricmld.lattice import Lattice, enumerate_superlattices
 from toricmld.survey import CorpusConfig, _check_germ, corpus_germs, run_survey, verify_corpus
 
@@ -83,6 +83,49 @@ def test_a_minimizer_off_the_lattice_is_reported_with_its_fraction_vector():
     assert _check_germ(germ) == [
         "witness (Fraction(2, 3), Fraction(0, 1)) is outside the lattice",
     ]
+
+
+def test_an_off_lattice_row_among_the_box_candidates_is_reported():
+    # N = Z^2 + Z(1/5, 2/5), zero boundary: the full-face minimum 3/5 is at
+    # (1, 2)/5; (2, 1)/5 ties it but is no lattice point.  Put among the box
+    # candidates themselves, it is a minimizer that the per-lattice pairing
+    # (``Lattice.member_rows``) must not take for verified.
+    lat = Lattice.from_generators(2, [(F(1, 5), F(2, 5))])
+    rows = dict(lat.box_candidates)
+    rows[(1, 2)] += ((2, 1),)
+    vars(lat)["box_candidates"] = rows
+    germ = ToricGerm(lat, (0, 0))
+    assert germ.face_table.entries[(1, 2)] == (3, ((1, 2), (2, 1)))
+    assert _check_germ(germ) == [
+        "witness (Fraction(2, 5), Fraction(1, 5)) is outside the lattice",
+    ]
+    assert (2, 1) not in lat.member_rows and (1, 2) in lat.member_rows
+    # a lattice point outside the box is no row either, and is paired in
+    # full: (1, 7)/5 = (1, 2)/5 + e_2 ties the minimum 1/5 under b = (0, 1)
+    germ = ToricGerm(lat, (0, 1))
+    assert germ.face_table.entries[(1, 2)] == (1, ((1, 2),))
+    assert (1, 7) not in lat.member_rows
+    assert _check_germ(with_entry(germ, (1, 2), 1, ((1, 2), (1, 7)))) == []
+
+
+def test_the_dilation_check_is_verify_minkowski_at_the_point_minimum():
+    """``_check_germ`` reports a failed dilation exactly when
+    ``verify_minkowski(germ, m / scale, 1 / scale)`` fails, m the face
+    table's scaled point minimum, as it stands and moved by 1 either way
+    (``with_entry``): on the default corpus to index 4, and on d = 4 to
+    index 3 with b in {0, 1/2, 1}^4."""
+    germs = [*corpus_germs(CorpusConfig(max_index=4))]
+    germs += [ToricGerm(lat, b) for lat in enumerate_superlattices(4, 3) for b in product((0, F(1, 2), 1), repeat=4)]
+    for germ in germs:
+        full = tuple(range(1, germ.dim + 1))
+        m, rows = germ.face_table.entries[full]
+        scale = germ.face_table.scale
+        for shift in (0, 1, -1)[: 2 + (m > 0)]:
+            moved = with_entry(ToricGerm(germ.lattice, germ.boundary), full, m + shift, rows)
+            reported = "lattice-point-free dilation check failed" in _check_germ(moved)
+            assert reported is not verify_minkowski(germ, F(m + shift, scale), F(1, scale)), (germ, shift)
+            assert reported is (shift != 0)
+    assert len(germs) > 6000
 
 
 def test_a_wrong_scaled_minimum_is_reported_on_every_minimizer():

@@ -2,10 +2,12 @@
 ``Lattice`` or a ``ToricGerm`` is a named field computed once, and nothing
 keyed on user input is kept."""
 from fractions import Fraction as F
+from functools import cached_property
+from itertools import product
 
 from toricmld.flat import FlatState, build_flat_structure, state_value
 from toricmld.germ import ToricGerm
-from toricmld.lattice import lattice_from_generators
+from toricmld.lattice import Lattice, lattice_from_generators
 from toricmld.newton import dual_hilbert_basis, lct_general_member, lct_newton, newton_poly_from_exponents
 from toricmld.survey import _check_germ, _survey_row
 
@@ -24,6 +26,7 @@ LATTICE_FIELDS = {
     "unit_scales",
     "rep_ints",
     "box_candidates",
+    "member_rows",
     "ray_orders",
     "hilbert_basis",
     "newton_generators",
@@ -73,3 +76,18 @@ def test_only_the_general_member_report_builds_the_whole_basis():
     lat = lattice_from_generators(3, gens)
     lct_general_member(ToricGerm(lat, (0, F(1, 2), 1)))
     assert "hilbert_basis" in vars(lat)
+
+
+def test_check_pairs_the_box_candidates_once_per_lattice(monkeypatch):
+    """Checking all 4^d boundaries of one lattice builds ``member_rows`` once:
+    every germ reads the same object."""
+    real, built = Lattice.member_rows.func, []
+    counted = cached_property(lambda lat: built.append(real(lat)) or built[-1])
+    counted.__set_name__(Lattice, "member_rows")
+    monkeypatch.setattr(Lattice, "member_rows", counted)
+    lat = lattice_from_generators(3, [(F(1, 4), F(2, 4), F(3, 4))])
+    seen = []
+    for b in product((0, F(1, 2), F(2, 3), 1), repeat=3):
+        assert _check_germ(ToricGerm(lat, b)) == []
+        seen.append(vars(lat)["member_rows"])
+    assert len(built) == 1 and len(seen) == 64 and all(rows is built[0] for rows in seen)

@@ -26,6 +26,7 @@ from toricmld.germ import (
     verify_minkowski,
 )
 from toricmld.errors import ModelViolation
+from toricmld.flat import FlatState
 from toricmld.lattice import Lattice, _divisors, enumerate_superlattices, lattice_from_generators
 
 
@@ -86,10 +87,20 @@ def test_a_divisor_that_is_no_int_or_a_support_that_is_no_collection_is_an_input
 
 
 def test_germ_rejects_bad_boundary():
+    """A germ's boundary, and a flat state's coefficients, are range-checked
+    on their reduced numerator and denominator, with the messages they had
+    as ``Fraction`` comparisons; 0 and 1 are kept."""
     with pytest.raises(InputError):
         ToricGerm(std(2), (F(3, 2), F(0)))
     with pytest.raises(InputError):
         germ_normalize(std(2), (F(-1, 2), F(0)))
+    germ = ToricGerm(std(2), (0, 1))
+    assert germ.boundary == (0, 1) and FlatState(germ, (0, 1)).gammas == (0, 1)
+    for value, shown in ((F(3, 2), "3/2"), (F(-1, 2), "-1/2"), ("4/3", "4/3")):
+        with pytest.raises(InputError, match=rf"^boundary coefficient {shown} outside \[0,1\]$"):
+            ToricGerm(std(2), (0, value))
+        with pytest.raises(InputError, match=rf"^coefficient {shown} outside \[0,1\]$"):
+            FlatState(germ, (1, value))
 
 
 def test_germ_requires_normal_form():

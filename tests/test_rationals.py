@@ -140,6 +140,8 @@ WRONG_TYPE_ARGUMENTS = {
     "exponents-germ": lambda: toricmld.newton_poly_from_exponents(5, [(3, 0)]),
     "mu-poly": lambda: toricmld.first_intersection_mu(5),
     "newton-poly": lambda: toricmld.lct_newton(5),
+    "poly-germ": lambda: toricmld.lct_newton(toricmld.NewtonPoly(5, ())),
+    "poly-exponents": lambda: toricmld.first_intersection_mu(toricmld.NewtonPoly(_cyclic(), 5)),
     "valuation-bound-poly": lambda: toricmld.lct_upper_bound_from_valuation(5, (1, 1)),
     "state-value-state": lambda: toricmld.state_value(5, (1, 1), (1,)),
     "threshold-state": lambda: toricmld.threshold_step(5),
@@ -150,9 +152,10 @@ WRONG_TYPE_ARGUMENTS = {
 
 @pytest.mark.parametrize("call", WRONG_TYPE_ARGUMENTS.values(), ids=WRONG_TYPE_ARGUMENTS.keys())
 def test_an_argument_of_the_wrong_type_is_an_input_error(call):
-    """The state was accepted; the others raised AttributeError, which the
-    command line would report as an internal error (exit 3).  Every type is
-    checked by one helper, ``rationals.instance``, whatever the argument's
-    position."""
+    """The state was accepted; the others raised AttributeError (a Newton
+    polyhedron's exponents, TypeError), which the command line would report
+    as an internal error (exit 3).  Every type is checked by one helper,
+    ``rationals.instance``, whatever the argument's position; the exponents
+    are checked by ``NewtonPoly`` itself."""
     with pytest.raises(InputError, match="got 5"):
         call()
