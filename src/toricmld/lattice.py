@@ -121,6 +121,8 @@ class Lattice:
     @classmethod
     def from_rows(cls, dim: int, rows) -> "Lattice":
         """Lattice generated over Z by ``rows`` (must span Q^dim)."""
+        if integer(dim, "dim") < 1:
+            raise InputError("dimension must be positive")
         rows = [qvec(r, dim) for r in iterate(rows, "the rows")]
         if not rows:
             raise InputError("no generators for a full-rank lattice")

@@ -50,11 +50,25 @@ class NewtonPoly:
     exponents: tuple[IntVec, ...]
 
     def __post_init__(self):
-        dim, exps = instance(self.germ, ToricGerm).dim, self.exponents
-        if not isinstance(exps, tuple) or not all(
-            isinstance(e, tuple) and len(e) == dim and all(type(c) is int for c in e) for e in exps
-        ):
-            raise InputError(f"exponents must be a tuple of integer tuples of length {dim}, got {exps!r}")
+        """Every check on the exponents, however the polyhedron was built: a
+        nonempty tuple, sorted and distinct, of nonzero tuples of length ``dim``
+        of nonnegative ints, each in the dual lattice (``Lattice.dual_contains_int``)."""
+        lat, exps = instance(self.germ, ToricGerm).lattice, self.exponents
+        if not isinstance(exps, tuple) or not all(isinstance(e, tuple) for e in exps):
+            raise InputError(f"exponents must be a tuple of tuples, got {exps!r}")
+        if not exps:
+            raise InputError("at least one exponent is required")
+        for e in exps:
+            if len(e) != lat.dim:
+                raise DimensionMismatch(f"expected a vector of length {lat.dim}, got {len(e)}")
+            if not all(type(c) is int and c >= 0 for c in e):
+                raise InputError(f"exponent {qvec(e)} must have nonnegative integer entries")
+            if not any(e):
+                raise InputError("the zero exponent (a unit, not in the maximal ideal) is not allowed")
+            if not lat.dual_contains_int(e):
+                raise NotInLattice(f"exponent {e} is not in the dual lattice")
+        if any(a >= b for a, b in zip(exps, exps[1:])):
+            raise InputError(f"exponents must be sorted and distinct, got {exps!r}")
 
     @property
     def dim(self) -> int:
@@ -62,30 +76,17 @@ class NewtonPoly:
 
 
 def newton_poly_from_exponents(germ: ToricGerm, exponents) -> NewtonPoly:
-    """Validated Newton polyhedron from dual-lattice exponents, deduplicated
-    and sorted; componentwise-dominated exponents are kept, since they never
+    """The Newton polyhedron of dual-lattice exponents, deduplicated and
+    sorted; componentwise-dominated exponents are kept, since they never
     change the polyhedron.
 
     Every entry is read by ``rat``, and an integral vector becomes its
-    numerators; membership in the dual lattice is ``Lattice.dual_contains_int``.
-    The dual Hilbert basis is valid as built and does not come through here."""
-    dim, lat = instance(germ, ToricGerm).dim, germ.lattice
-    seen: set[IntVec] = set()
+    numerators; ``NewtonPoly`` checks the result.  The dual Hilbert basis
+    goes to ``NewtonPoly`` as built and does not come through here."""
+    seen = set()
     for e in iterate(exponents, "the exponents"):
         vec = tuple(rat(c) for c in iterate(e, "an exponent"))
-        integral = all(c.denominator == 1 for c in vec)
-        ivec = tuple(c.numerator for c in vec) if integral else vec
-        if len(ivec) != dim:
-            raise DimensionMismatch(f"expected a vector of length {dim}, got {len(ivec)}")
-        if not integral or min(ivec) < 0:
-            raise InputError(f"exponent {qvec(ivec)} must have nonnegative integer entries")
-        if not any(ivec):
-            raise InputError("the zero exponent (a unit, not in the maximal ideal) is not allowed")
-        if not lat.dual_contains_int(ivec):
-            raise NotInLattice(f"exponent {ivec} is not in the dual lattice")
-        seen.add(ivec)
-    if not seen:
-        raise InputError("at least one exponent is required")
+        seen.add(tuple(c.numerator for c in vec) if all(c.denominator == 1 for c in vec) else vec)
     return NewtonPoly(germ, tuple(sorted(seen)))
 
 

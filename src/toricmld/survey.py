@@ -40,6 +40,7 @@ from .newton import _general_member_threshold, lct_fermat, lct_newton, newton_po
 from .rationals import instance, integer, iterate, qvec, qvec_str, rat, rat_str
 
 ROW_CAP_DEFAULT = 10**6
+CHUNK = 8  # lattices a worker takes at once: its tables live only as long as its chunk
 
 
 # -- documents -------------------------------------------------------------------
@@ -75,8 +76,8 @@ def parse_germ(text: str | dict) -> ToricGerm:
 
 
 def _refuse_box_dimension(d: int) -> int:
-    """``d``, refused when 2^d - 1, the fewest box rows a germ of dimension d has, exceeds ``TABLE_CAP``."""
-    if d >= (TABLE_CAP + 1).bit_length():  # exactly when 2^d - 1 > TABLE_CAP
+    """``d``, read by ``integer`` and refused when 2^d - 1, the fewest box rows a germ of dimension d has, exceeds ``TABLE_CAP``."""
+    if integer(d, "dim") >= (TABLE_CAP + 1).bit_length():  # exactly when 2^d - 1 > TABLE_CAP
         raise ResourceLimit(f"a box candidate table of 2^{d} - 1 rows exceeds the cap {TABLE_CAP}")
     return d
 
@@ -250,7 +251,7 @@ def _survey_rows(dim: int, max_index: int, boundary_set, mod_permutations: bool,
     jobs = min(jobs, os.cpu_count() or 1)
     coeffs = _coefficients(boundary_set)
     pick = _orbit_representatives if mod_permutations else None
-    count, tasks = _lattice_stream((dim,), max_index, coeffs, ROW_CAP_DEFAULT, "survey", pick)
+    tasks = _lattice_stream((dim,), max_index, coeffs, ROW_CAP_DEFAULT, "survey", pick)
     if jobs == 1:
         yield from chain.from_iterable(map(_rows_for_lattice, tasks))
         return
@@ -260,21 +261,19 @@ def _survey_rows(dim: int, max_index: int, boundary_set, mod_permutations: bool,
         ctx = mp.get_context("fork")
     except ValueError:  # pragma: no cover
         ctx = mp.get_context("spawn")
-    chunksize = -(-count // (4 * jobs))  # as Pool.map derives it
     with ctx.Pool(jobs) as pool:
-        yield from chain.from_iterable(pool.imap(_rows_for_lattice, tasks, chunksize))
+        yield from chain.from_iterable(pool.imap(_rows_for_lattice, tasks, CHUNK))
 
 
 def _lattice_stream(dims, max_index: int, coeffs, cap: int, what: str, pick=None):
-    """The number of lattices ``enumerate_superlattices`` returns over ``dims``
-    (each first read by ``_refuse_box_dimension``), summed per HNF diagonal and
-    checked against ``cap`` before any is built, and a stream of each lattice with
-    its boundaries (those ``pick`` keeps), each lattice built from its integer key
-    only as it is read (``_superlattices``) and freed with its tables after its rows."""
-    count = rows = 0
+    """A stream of each lattice ``enumerate_superlattices`` returns over ``dims``
+    with its boundaries (those ``pick`` keeps), each lattice built from its integer
+    key only as it is read (``_superlattices``) and freed with its tables after its
+    rows.  Each d is first read by ``_refuse_box_dimension``, and the rows, counted
+    per HNF diagonal, are checked against ``cap`` before any lattice is built."""
+    rows = 0
     for d in dims:
         for n in _superlattice_counts(_refuse_box_dimension(d), max_index):
-            count += n
             rows += n * len(coeffs) ** d
             if rows > cap:
                 raise ResourceLimit(f"{what} exceeds the row cap {cap}")
@@ -285,7 +284,7 @@ def _lattice_stream(dims, max_index: int, coeffs, cap: int, what: str, pick=None
             for lattice in _superlattices(d, max_index):
                 yield lattice, pick(lattice, assignments) if pick else assignments
 
-    return count, stream()
+    return stream()
 
 
 def rows_to_csv(rows) -> str:
@@ -432,7 +431,7 @@ def corpus_germs(config: CorpusConfig):
     """The germs of the corpus in canonical order; a corpus of more than
     ``config.row_cap`` germs raises ``ResourceLimit`` before any lattice is
     built."""
-    _, stream = _lattice_stream(config.dims, config.max_index, config.boundary_set, config.row_cap, "corpus")
+    stream = _lattice_stream(config.dims, config.max_index, config.boundary_set, config.row_cap, "corpus")
     return (ToricGerm(lattice, b) for lattice, assignments in stream for b in assignments)
 
 
@@ -497,6 +496,7 @@ def verify_corpus(config: CorpusConfig, germs=None) -> tuple[int, dict]:
     warning); status 2 carries a reproduction payload for the first failing
     germ in the report.
     """
+    instance(config, CorpusConfig)
     report: dict = {"checked": 0, "failures": [], "warnings": []}
     source = corpus_germs(config) if germs is None else germs
     for germ in source:

@@ -266,6 +266,61 @@ def test_a_survey_that_fails_midway_writes_nothing(tmp_path, capsys, monkeypatch
         assert target.read_bytes() == b"old rows\n"
 
 
+@pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(), reason="spawned workers would import the unpatched _survey_row")
+def test_a_parallel_survey_that_fails_chunks_in_writes_nothing_and_leaves_no_worker(capsys, monkeypatch):
+    """A ``--jobs 2`` survey of d = 3 to index 8 (28 chunks) whose 100th
+    lattice raises, several chunks in, exits 1 with empty stdout, and no
+    worker outlives it."""
+    import toricmld.survey as survey
+    from toricmld.errors import ResourceLimit
+    from toricmld.lattice import enumerate_superlattices
+
+    lattices, real = enumerate_superlattices(3, 8), survey._survey_row
+    assert len(lattices) > 99 > 4 * survey.CHUNK
+    target = lattices[99]
+
+    def failing(germ):
+        if germ.lattice == target:
+            raise ResourceLimit("the 100th lattice")
+        return real(germ)
+
+    monkeypatch.setattr(survey, "_survey_row", failing)  # forked workers inherit it
+    argv = ["survey", "--dim", "3", "--max-index", "8", "--boundary-set", "0,1/2,1", "--jobs", "2"]
+    assert cli.main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == "error: the 100th lattice\n"
+    assert multiprocessing.active_children() == []
+
+
+def _worker_peak_kb(max_index: int) -> int:
+    """The largest ``ru_maxrss`` (KiB) of the workers of a ``--jobs 2`` survey of
+    d = 3 run in a fresh child Python, read there after the survey reaped them."""
+    import subprocess
+    import sys
+
+    code = (
+        "import os, resource, sys\n"
+        "from toricmld import cli\n"
+        "status = cli.main(sys.argv[1:] + ['--out', os.devnull])\n"
+        "print(status, resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)\n"
+    )
+    argv = ["survey", "--dim", "3", "--max-index", str(max_index), "--boundary-set", "0", "--jobs", "2"]
+    proc = subprocess.run([sys.executable, "-c", code, *argv], capture_output=True, text=True, env=child_env(), timeout=300)
+    status, peak = proc.stdout.split()
+    assert status == "0", proc.stderr
+    return int(peak)
+
+
+@pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="--jobs 2 is clamped to one process, which starts no worker")
+def test_a_parallel_surveys_worker_memory_does_not_grow_with_the_corpus():
+    """Each worker takes ``CHUNK`` lattices at a time and holds their tables
+    only as long as that chunk, so a worker peaks alike at index 12 (730
+    lattices) and 30 (10,734).  With chunks of count / (4N) lattices, a
+    worker peaked at about 18 and 31 MB."""
+    small, large = _worker_peak_kb(12), _worker_peak_kb(30)
+    assert 0 < small and large - small < 5 * 1024, (small, large)
+
+
 def test_out_writes_through_a_symlink_and_to_a_device(tmp_path, capsys):
     """``--out`` is opened as given: an existing file is written in place
     and keeps its mode, a symlink's target is written and the link stays,

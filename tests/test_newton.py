@@ -14,6 +14,7 @@ from lp_oracle import INFEASIBLE, primitive_normal, solve_lp
 from toricmld.newton import (
     CAP_ONE,
     RAY,
+    NewtonPoly,
     dual_hilbert_basis,
     first_intersection_mu,
     lct_fermat,
@@ -110,6 +111,28 @@ def test_exponent_validation():
         poly = newton_poly_from_exponents(germ, exps)
         assert poly.exponents == expected
         assert all(type(c) is int for m in poly.exponents for c in m)
+
+
+DIRECT_EXPONENTS = {
+    "repeated": (((5, 0, 0), (5, 0, 0)), InputError, "exponents must be sorted and distinct, got ((5, 0, 0), (5, 0, 0))"),
+    "unsorted": (((5, 0, 0), (0, 5, 0)), InputError, "exponents must be sorted and distinct, got ((5, 0, 0), (0, 5, 0))"),
+    "empty": ((), InputError, "at least one exponent is required"),
+    "off-the-dual": (((1, 0, 0),), NotInLattice, "exponent (1, 0, 0) is not in the dual lattice"),
+    "negative": (((-5, 0, 0),), InputError, "exponent (Fraction(-5, 1), Fraction(0, 1), Fraction(0, 1)) must have nonnegative integer entries"),
+    "zero": (((0, 0, 0),), InputError, "the zero exponent (a unit, not in the maximal ideal) is not allowed"),
+    "short": (((5, 0),), DimensionMismatch, "expected a vector of length 3, got 2"),
+}
+
+
+@pytest.mark.parametrize("exps,kind,message", DIRECT_EXPONENTS.values(), ids=DIRECT_EXPONENTS.keys())
+def test_a_directly_built_newton_poly_is_checked_as_the_factorys(exps, kind, message):
+    """On 1/5(1,2,3), a repeated exponent gave witness weights summing to 2,
+    no exponent gave lct 0, an exponent off the dual lattice gave lct 1 and a
+    negative one raised ``ModelViolation``: ``NewtonPoly`` checked only the
+    exponents' types, and ``newton_poly_from_exponents`` the rest."""
+    with pytest.raises(kind) as info:
+        lct_newton(NewtonPoly(germ_cyclic_quotient(5, (1, 2, 3)), exps))
+    assert type(info.value) is kind and str(info.value) == message
 
 
 def test_dominated_exponent_is_neutral():

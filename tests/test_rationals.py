@@ -67,6 +67,8 @@ INTEGER_ARGUMENTS = {
     "fermat-degree": lambda: toricmld.lct_fermat(2, (0, 0), (2.5, 3)),
     "state-divisor": lambda: toricmld.state_value(toricmld.FlatState(_cyclic(), (F(1, 2),)), (0, 0, 0), [1.5]),
     "survey-jobs": lambda: toricmld.run_survey(2, 3, [0], jobs=1.5),
+    "survey-dim": lambda: toricmld.run_survey(None, 3, [0]),
+    "lattice-rows-dim": lambda: toricmld.Lattice.from_rows(None, [[1, 0]]),
     "projection-coordinate": lambda: toricmld.project_drop_coord(toricmld.Lattice.standard(3), 1.5),
 }
 
@@ -147,6 +149,7 @@ WRONG_TYPE_ARGUMENTS = {
     "threshold-state": lambda: toricmld.threshold_step(5),
     "center-state": lambda: toricmld.minimal_center(5),
     "serialize-germ": lambda: toricmld.serialize_germ(5),
+    "corpus-config": lambda: toricmld.verify_corpus(5),
 }
 
 

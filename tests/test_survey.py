@@ -12,6 +12,7 @@ from toricmld.germ import ToricGerm, germ_cyclic_quotient, germ_document, mld_br
 from toricmld.lattice import Lattice, enumerate_superlattices, lattice_from_generators
 from toricmld.rationals import rat_str
 from toricmld.survey import (
+    CHUNK,
     CorpusConfig,
     _lattice_stream,
     _orbit_representatives,
@@ -226,6 +227,17 @@ def test_survey_parallel_matches_serial():
     assert serial == parallel
 
 
+@pytest.mark.parametrize("mod_permutations", [False, True])
+def test_survey_parallel_matches_serial_across_chunks(mod_permutations):
+    """d = 3 to index 8 is 224 lattices, 28 chunks of ``CHUNK``: the rows come
+    back in canonical order across every chunk boundary."""
+    assert len(enumerate_superlattices(3, 8)) > 4 * CHUNK
+    coeffs = [0, F(1, 2), 1]
+    serial = run_survey(3, 8, coeffs, mod_permutations=mod_permutations)
+    parallel = run_survey(3, 8, coeffs, mod_permutations=mod_permutations, jobs=2)
+    assert rows_to_csv(serial) == rows_to_csv(parallel) and rows_to_json(serial) == rows_to_json(parallel)
+
+
 def test_survey_mod_permutations():
     full = run_survey(2, 3, [0, 1])
     reduced = run_survey(2, 3, [0, 1], mod_permutations=True)
@@ -414,7 +426,9 @@ def test_a_dimension_is_refused_when_its_box_tables_exceed_the_cap():
     """Dimension 20 has 2^20 - 1 box rows per germ, within ``TABLE_CAP``,
     and is counted without building a lattice; dimension 21 is refused
     before its diagonals are walked, and so is a corpus that contains it."""
-    assert _lattice_stream((20,), 1, (F(0),), 1, "survey")[0] == 1
+    _lattice_stream((20,), 1, (F(0),), 1, "survey")  # one row: within a cap of 1, over a cap of 0
+    with pytest.raises(ResourceLimit, match="survey exceeds the row cap 0"):
+        _lattice_stream((20,), 1, (F(0),), 0, "survey")
     with pytest.raises(ResourceLimit, match="2\\^21 - 1 rows exceeds the cap 1048576"):
         _lattice_stream((21,), 1, (F(0),), 1, "survey")
     with pytest.raises(ResourceLimit, match="2\\^21 - 1 rows"):
@@ -562,7 +576,7 @@ def test_survey_clamps_jobs_to_the_core_count(monkeypatch, cores, jobs, expected
     monkeypatch.setattr(multiprocessing, "get_context", lambda method=None: ctx)
     rows = rows_to_csv(run_survey(2, 4, [0], jobs=jobs))
     assert ctx.sizes == expected
-    assert ctx.chunksizes == [-(-len(enumerate_superlattices(2, 4)) // (4 * n)) for n in expected]
+    assert ctx.chunksizes == [CHUNK] * len(expected)
     assert rows == rows_to_csv(run_survey(2, 4, [0]))
 
 
