@@ -222,15 +222,27 @@ class Lattice:
 
     def dual_contains_int(self, m) -> bool:
         """Whether the integer vector m pairs integrally with the lattice."""
-        den = self.den
+        m, den = self._int_vector(m), self.den
         return not any(sum(map(mul, row, m)) % den for row in self.int_rows)
 
     def dual_order(self, m) -> int:
         """Smallest k >= 1 with k * m in the dual lattice, for an integer m:
         k * m pairs integrally exactly when den divides k times every pairing
         <row, m> over ``int_rows``, that is, when den / gcd(den, them) does."""
-        den = self.den
+        m, den = self._int_vector(m), self.den
         return den // gcd(den, *(sum(map(mul, row, m)) for row in self.int_rows))
+
+    def _int_vector(self, m):
+        """m when it is ``dim`` ints, which ``zip`` pairs in full with each row."""
+        try:
+            size = len(m)
+        except TypeError:
+            raise InputError(f"m must be a collection, got {m!r}") from None
+        if size != self.dim:
+            raise DimensionMismatch(f"expected a vector of length {self.dim}, got {size}")
+        if not all(type(c) is int for c in m):
+            raise InputError(f"each entry must be an integer, got {m!r}")
+        return m
 
     # -- cosets -------------------------------------------------------------
 
@@ -319,8 +331,11 @@ class Lattice:
 
     @cached_property
     def dual(self) -> "Lattice":
-        """{m : <m, x> integral for all x in L}; rows of inverse-transpose."""
-        return _dual_of_int_rows(self.int_rows, self.den)
+        """{m : <m, x> integral for all x in L}: the span of the columns of
+        den * T^-1 = den * adj(T) / det(T) for T = ``int_rows``, adj(T) integral."""
+        t, den = self.int_rows, self.den
+        det = prod(row[i] for i, row in enumerate(t))
+        return Lattice._from_int_rows(self.dim, [[den * x for x in col] for col in _inverse_columns(t, det)], det)
 
     def project_drop(self, coord: int) -> "Lattice":
         """Image under deleting the 1-based coordinate ``coord``."""
@@ -537,15 +552,6 @@ def _inverse_columns(t, scale: int) -> list[list[int]]:
     return cols
 
 
-def _dual_of_int_rows(t, den: int) -> Lattice:
-    """Dual of the lattice spanned by the rows of T/den (T upper triangular,
-    positive pivots): the span of the columns of den * T^-1, which is
-    den * adj(T) / det(T) with adj(T) = det(T) * T^-1 integral."""
-    det = prod(t[i][i] for i in range(len(t)))
-    cols = [[den * x for x in col] for col in _inverse_columns(t, det)]
-    return Lattice._from_int_rows(len(t), cols, det)
-
-
 def _box_bits(rows: list[IntVec], c: IntVec, strides: IntVec, a: IntVec, top: int) -> int:
     """Bitset of the lattice points x in the box prod [0, c_i] with
     sum a_i x_i < top (a_i >= 1); the point x is bit sum x_i * strides[i] in
@@ -702,13 +708,15 @@ def enumerate_superlattices(dim: int, max_index: int) -> list[Lattice]:
 def _superlattices(dim: int, max_index: int):
     """``enumerate_superlattices``, each lattice built only as it is yielded.
 
-    The duals of the HNF bases along ``_hnf_diagonals`` whose columns have
-    gcd 1 (the e_i primitive in N) are all taken first, each kept as the flat
-    integer key (n, n times its basis row by row), ``int_rows`` times n // den
-    (den, the exponent of N/Z^d, divides n).  The key set finds repeats, and
-    its sort is the (index, basis) order.  gcd(den, ``int_rows``) is 1, so
-    g = gcd(n, key) is n // den, and N comes back as den = n // g and
-    ``int_rows`` = key // g; the index check has shown that it contains Z^d.
+    Each HNF basis T along ``_hnf_diagonals`` whose columns have gcd 1 (the
+    e_i primitive in N) spans by rows an index-n sublattice of Z^d, with dual
+    N.  The HNF h of the columns of n * T^-1, T's adjugate, is the HNF of
+    n * N: the flat key (n, h row by row) is ``int_rows`` times n // den (den,
+    the exponent of N/Z^d, divides n).  h / n lies in N when its rows pair
+    with T's to multiples of n, and is N, containing Z^d with index n, when
+    it also has d rows and determinant n^(d-1); else ``ModelViolation``.  The
+    key set finds repeats, and its sort is the (index, basis) order.  With
+    g = gcd(n, key) = n // den, N is den = n // g and ``int_rows`` = key // g.
     """
     keys = set()
     for n, diag in _hnf_diagonals(dim, max_index):
@@ -717,10 +725,12 @@ def _superlattices(dim: int, max_index: int):
             for j, p in enumerate(diag)
         ]
         for choice in product(*cols):
-            sup = _dual_of_int_rows(list(zip(*choice)), 1)
-            if sup.index != n:
+            t = list(zip(*choice))
+            h = hnf(_inverse_columns(t, n), dim)
+            right_covolume = len(h) == dim and prod(h[i][i] for i in range(dim)) == n ** (dim - 1)
+            if not right_covolume or any(sum(map(mul, row, r)) % n for row in h for r in t):
                 raise ModelViolation("duality must preserve the index")
-            key = (n, *(x * (n // sup.den) for row in sup.int_rows for x in row))
+            key = (n, *(x for row in h for x in row))
             if key in keys:
                 raise ModelViolation("HNF enumeration may not repeat a lattice")
             keys.add(key)

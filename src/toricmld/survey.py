@@ -248,6 +248,8 @@ def _survey_rows(dim: int, max_index: int, boundary_set, mod_permutations: bool,
     arguments are read, and the row cap checked, at the first ``next``."""
     if integer(jobs, "jobs") < 1:
         raise InputError(f"jobs must be at least 1, got {jobs}")
+    if not isinstance(mod_permutations, bool):
+        raise InputError(f"mod_permutations must be true or false, got {mod_permutations!r}")
     jobs = min(jobs, os.cpu_count() or 1)
     coeffs = _coefficients(boundary_set)
     pick = _orbit_representatives if mod_permutations else None
@@ -498,7 +500,7 @@ def verify_corpus(config: CorpusConfig, germs=None) -> tuple[int, dict]:
     """
     instance(config, CorpusConfig)
     report: dict = {"checked": 0, "failures": [], "warnings": []}
-    source = corpus_germs(config) if germs is None else germs
+    source = corpus_germs(config) if germs is None else iterate(germs, "germs")
     for germ in source:
         if report["checked"] >= config.row_cap:
             raise ResourceLimit(f"corpus exceeds the row cap {config.row_cap}")

@@ -7,7 +7,7 @@ from itertools import product
 import pytest
 from hypothesis import given, strategies as st
 
-from toricmld.errors import InputError, NotInLattice, ResourceLimit
+from toricmld.errors import InputError, ModelViolation, NotInLattice, ResourceLimit
 from toricmld.lattice import (
     TABLE_CAP,
     Lattice,
@@ -412,6 +412,47 @@ def test_enumeration_neither_hashes_nor_compares_a_fraction(monkeypatch):
     assert [lat.basis for lat in lattices] == expected
 
 
+def test_the_enumeration_builds_each_lattice_once(monkeypatch):
+    """Each candidate is keyed by the HNF of its adjugate's columns, with no
+    dual built: ``Lattice._canonical`` runs once per lattice returned, and
+    each holds its fields and the ``is_superlattice`` the guard has shown."""
+    built, canonical = [], Lattice._canonical.__func__
+
+    def counted(cls, *args, **known):
+        built.append(args)
+        return canonical(cls, *args, **known)
+
+    monkeypatch.setattr(Lattice, "_canonical", classmethod(counted))
+    lattices = enumerate_superlattices(3, 12)
+    monkeypatch.undo()
+    assert len(built) == len(lattices)
+    assert all(set(vars(lat)) == {"dim", "den", "int_rows", "is_superlattice"} for lat in lattices)
+
+
+# Corruptions of one candidate's key that each part of the guard alone refuses:
+# a doubled adjugate column keeps the pairings but doubles the determinant, a
+# zeroed one leaves d - 1 rows, and a raised entry above a pivot keeps the
+# determinant but pairs row 0 with a row of T off a multiple of n.
+GUARD_CORRUPTIONS = {
+    "determinant": ("_inverse_columns", lambda cols: [[2 * x for x in cols[0]], *cols[1:]]),
+    "rank": ("_inverse_columns", lambda cols: [*cols[:-1], [0] * len(cols)]),
+    "pairing": ("hnf", lambda h: [[h[0][0], h[0][1] + 1, *h[0][2:]], *h[1:]]),
+}
+
+
+@pytest.mark.parametrize("name,corrupt", GUARD_CORRUPTIONS.values(), ids=GUARD_CORRUPTIONS.keys())
+def test_the_enumeration_guard_refuses_a_key_that_is_not_the_dual(monkeypatch, name, corrupt):
+    """An internal fault, not bad input: each raised ``InputError`` ("lattice
+    does not contain Z^d" or "generators do not span") while a dual lattice
+    was built per candidate."""
+    import toricmld.lattice as lattice
+
+    original = getattr(lattice, name)
+    monkeypatch.setattr(lattice, name, lambda *args: corrupt(original(*args)))
+    with pytest.raises(ModelViolation, match="duality must preserve the index"):
+        enumerate_superlattices(3, 6)
+
+
 def test_an_hnf_column_above_the_cap_is_refused_before_it_is_built(monkeypatch):
     """Column j of a dual HNF basis has diag_j^j candidates above its pivot:
     with the cap at 3, index 2 in dimension 3 puts 4 of them in the last
@@ -576,7 +617,7 @@ def test_the_diagonal_counts_sum_to_the_enumeration(dim, max_index, monkeypatch)
     def refused(*args, **kwargs):
         raise AssertionError("the count built a column or a lattice")
 
-    for name in ("product", "_dual_of_int_rows"):
+    for name in ("product", "_inverse_columns"):
         monkeypatch.setattr(lattice, name, refused)
     monkeypatch.setattr(Lattice, "_from_int_rows", classmethod(refused))
     total = sum(lattice._superlattice_counts(dim, max_index))

@@ -70,6 +70,9 @@ INTEGER_ARGUMENTS = {
     "survey-dim": lambda: toricmld.run_survey(None, 3, [0]),
     "lattice-rows-dim": lambda: toricmld.Lattice.from_rows(None, [[1, 0]]),
     "projection-coordinate": lambda: toricmld.project_drop_coord(toricmld.Lattice.standard(3), 1.5),
+    "dual-order-string": lambda: _cyclic().lattice.dual_order(["1", 2, 3]),
+    "dual-order-float": lambda: _cyclic().lattice.dual_order((1.5, 2, 3)),
+    "dual-contains-string": lambda: _cyclic().lattice.dual_contains_int((1, "2", 3)),
 }
 
 
@@ -88,6 +91,8 @@ NON_ITERABLE_VECTORS = {
     "newton-exponents": lambda: toricmld.newton_poly_from_exponents(_cyclic(), 5),
     "qvec": lambda: qvec(5),
     "lattice-rows": lambda: toricmld.Lattice.from_rows(2, [5, (0, 1)]),
+    "dual-order": lambda: _cyclic().lattice.dual_order(5),
+    "dual-contains": lambda: _cyclic().lattice.dual_contains_int(5),
 }
 
 
@@ -109,6 +114,7 @@ NON_COLLECTION_ARGUMENTS = {
     "survey-boundary-set": lambda: toricmld.run_survey(2, 2, 5),
     "state-divisors": lambda: toricmld.state_value(toricmld.FlatState(_cyclic(), (F(1, 2),)), (0, 0, 0), 5),
     "acc-report-rows": lambda: toricmld.acc_report(5),
+    "corpus-germs": lambda: toricmld.verify_corpus(toricmld.CorpusConfig(), 5),
 }
 
 
@@ -161,4 +167,33 @@ def test_an_argument_of_the_wrong_type_is_an_input_error(call):
     ``rationals.instance``, whatever the argument's position; the exponents
     are checked by ``NewtonPoly`` itself."""
     with pytest.raises(InputError, match="got 5"):
+        call()
+
+
+WRONG_LENGTH_VECTORS = {
+    "dual-contains-short": lambda: _cyclic().lattice.dual_contains_int((5,)),
+    "dual-order-short": lambda: _cyclic().lattice.dual_order((1,)),
+    "dual-order-long": lambda: _cyclic().lattice.dual_order((1, 2, 3, 4)),
+}
+
+
+@pytest.mark.parametrize("call", WRONG_LENGTH_VECTORS.values(), ids=WRONG_LENGTH_VECTORS.keys())
+def test_a_vector_of_the_wrong_length_is_a_dimension_mismatch(call):
+    """``zip`` truncated each vector to the shorter side and the call gave a
+    wrong answer: on 1/5(1,2,3), (5,) was in the dual and (1,) of order 5."""
+    with pytest.raises(DimensionMismatch, match="expected a vector of length 3"):
+        call()
+
+
+NON_BOOLEAN_FLAGS = {
+    "survey-mod-permutations-string": lambda: toricmld.run_survey(2, 2, [0], mod_permutations="yes"),
+    "survey-mod-permutations-zero": lambda: toricmld.run_survey(2, 2, [0], mod_permutations=0),
+    "corpus-fail-fast": lambda: toricmld.CorpusConfig(fail_fast=1),
+}
+
+
+@pytest.mark.parametrize("call", NON_BOOLEAN_FLAGS.values(), ids=NON_BOOLEAN_FLAGS.keys())
+def test_a_flag_that_is_not_a_bool_is_an_input_error(call):
+    """The survey ran "yes" as true and 0 as false."""
+    with pytest.raises(InputError, match="must be true or false"):
         call()

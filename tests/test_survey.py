@@ -166,7 +166,7 @@ def test_survey_row_cap_trips_before_any_lattice_is_built(monkeypatch, jobs):
     import toricmld.survey as survey
 
     built = []
-    dual = lattice._dual_of_int_rows
+    dual = lattice._inverse_columns
 
     def counted(t, den):
         built.append(den)
@@ -174,7 +174,7 @@ def test_survey_row_cap_trips_before_any_lattice_is_built(monkeypatch, jobs):
 
     ctx = _RecordingContext()
     monkeypatch.setattr(multiprocessing, "get_context", lambda method=None: ctx)
-    monkeypatch.setattr(lattice, "_dual_of_int_rows", counted)
+    monkeypatch.setattr(lattice, "_inverse_columns", counted)
     rows = len(enumerate_superlattices(3, 6)) * 27
     built.clear()
     monkeypatch.setattr(survey, "ROW_CAP_DEFAULT", rows - 1)
@@ -444,8 +444,8 @@ def test_check_row_cap_trips_before_any_lattice_is_built(monkeypatch):
     import toricmld.survey as survey
 
     calls = []
-    dual, check = lattice._dual_of_int_rows, survey._check_germ
-    monkeypatch.setattr(lattice, "_dual_of_int_rows", lambda t, den: calls.append("dual") or dual(t, den))
+    dual, check = lattice._inverse_columns, survey._check_germ
+    monkeypatch.setattr(lattice, "_inverse_columns", lambda t, den: calls.append("dual") or dual(t, den))
     monkeypatch.setattr(survey, "_check_germ", lambda germ: calls.append("check") or check(germ))
     germs = 3 + 6 * 9
     over = CorpusConfig(dims=(1, 2), max_index=4, boundary_set=(F(0), F(1, 2), F(1)), row_cap=germs - 1)
