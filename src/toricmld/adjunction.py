@@ -13,7 +13,7 @@ from fractions import Fraction
 from math import lcm
 
 from .errors import InputError
-from .germ import ToricGerm, _least_interior, germ_document
+from .germ import ToricGerm, _oracle_minima, full_face, germ_document
 from .lattice import Lattice
 from .rationals import instance, integer, rat_str
 
@@ -68,10 +68,11 @@ def check_precise_inversion(germ: ToricGerm, divisor: int) -> CheckReport:
 def _precise_inversion(germ: ToricGerm, divisor: int) -> tuple[bool, tuple[int, int], tuple[int, int]]:
     """Whether it holds, and both point minima as (scaled minimum, scale), with
     no restricted germ: the induced weights (1 - b_j) / n_j are wn_j k / n_j
-    over wd k, k = lcm(n), on the restricted lattice."""
+    over wd k, k = lcm(n), walked over the restricted lattice's residues
+    (``_oracle_minima``), so its box table is never built."""
     restricted, scales = _restriction(germ, divisor)
-    (wn, wd), k = germ._weight_ints, lcm(*scales)
-    rhs = _least_interior(restricted, [w * (k // n) for w, n in zip(wn[: divisor - 1] + wn[divisor:], scales)])
+    (wn, wd), k, full = germ._weight_ints, lcm(*scales), full_face(restricted.dim).support
+    (rhs,) = _oracle_minima(restricted, [w * (k // n) for w, n in zip(wn[: divisor - 1] + wn[divisor:], scales)], [full])
     (lhs, lscale), rscale = _point_scaled(germ), restricted.den * wd * k
     return lhs * rscale == rhs * lscale, (lhs, lscale), (rhs, rscale)
 

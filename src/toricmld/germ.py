@@ -271,15 +271,17 @@ def mld_bruteforce_oracle(germ: ToricGerm, face, radius: int) -> Fraction:
     module docstring): weights are >= 0, so every radius gives the value at 1."""
     if integer(radius, "radius") < 1:
         raise InputError("radius must be >= 1")
-    (least,) = _oracle_minima(germ, [Face.coerce(face, instance(germ, ToricGerm).dim).support])
-    return Fraction(least, germ.lattice.den * germ._weight_ints[1])
+    (wn, wd), lat = instance(germ, ToricGerm)._weight_ints, germ.lattice
+    (least,) = _oracle_minima(lat, wn, [Face.coerce(face, lat.dim).support])
+    return Fraction(least, lat.den * wd)
 
 
-def _oracle_minima(germ: ToricGerm, supports) -> list[int]:
-    """The oracle's minimum on each of ``supports``, times den * wd, from one walk of ``rep_ints``."""
-    den, (wn, _) = germ.lattice.den, germ._weight_ints
+def _oracle_minima(lattice: Lattice, wn: IntVec, supports) -> list[int]:
+    """The minimum on each of ``supports`` for weights wn / wd, times den * wd,
+    from one walk of ``rep_ints``: every value read apart from a face table."""
+    den = lattice.den
     lows: dict[int, int] = {}  # support m of u as a mask (bit j for u_j != 0) -> least wn . u - den W(m)
-    for u in germ.lattice.rep_ints:
+    for u in lattice.rep_ints:
         m = low = 0
         for j, (w, c) in enumerate(zip(wn, u)):
             if c:
@@ -295,26 +297,19 @@ def verify_minkowski(germ: ToricGerm, t, delta) -> bool:
     meet int((t+delta)*Delta), for Delta = {x >= 0 : sum (1-b_i) x_i <= 1}.
 
     Interior points have all coordinates positive, so emptiness is decided on
-    the full-support unit-box candidates: coordinate reduction by standard
-    basis vectors keeps interiority and never increases the defining sum.
-    It weighs them itself, not reading ``face_table``: it is the check
-    battery's independent check on the point minimum that table holds.  The
-    least row value v, scaled by den * wd, is compared with p / q = t den wd
-    as v q against p.
+    the full face's unit-box minimum: coordinate reduction by standard basis
+    vectors keeps interiority and never increases the defining sum.  It reads
+    that minimum off the residue walk (``_oracle_minima``), not ``face_table``.
+    The minimum v, scaled by den * wd, is compared with p / q = t den wd as
+    v q against p.
     """
     t, delta = rat(t), rat(delta)
     if t < 0 or delta <= 0:
         raise InputError("need t >= 0 and delta > 0")
     (wn, wd), lat = instance(germ, ToricGerm)._weight_ints, germ.lattice
-    least, scale = _least_interior(lat, wn), lat.den * wd
+    (least,), scale = _oracle_minima(lat, wn, [full_face(lat.dim).support]), lat.den * wd
     low, high = t * scale, (t + delta) * scale
     return least * low.denominator >= low.numerator and least * high.denominator < high.numerator
-
-
-def _least_interior(lat: Lattice, wn: IntVec) -> int:
-    """Least wn . row over the full-support box candidates of ``lat``: for
-    weights wn / wd, the point minimum times den * wd; no table is filled."""
-    return min(sum(map(mul, wn, row)) for row in lat.box_candidates[tuple(range(1, lat.dim + 1))])
 
 
 def px_mld_formula(x) -> Fraction:

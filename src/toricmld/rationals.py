@@ -74,8 +74,10 @@ def ratio_str(num: int, den: int) -> str:
 
 
 def iterate(value, name: str) -> Iterator:
-    """An iterator over ``value``; a value that has none is an ``InputError``."""
+    """An iterator over ``value``; a value with none, or a ``str`` (never split into characters), is an ``InputError``."""
     try:
+        if isinstance(value, str):
+            raise TypeError
         return iter(value)
     except TypeError:
         raise InputError(f"{name} must be a collection, got {value!r}") from None

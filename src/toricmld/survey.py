@@ -27,7 +27,6 @@ from .adjunction import _point_scaled, _precise_inversion, _semicontinuity_bound
 from .errors import CheckFailed, InputError, MalformedRational, ResourceLimit
 from .germ import (
     ToricGerm,
-    _least_interior,
     _oracle_minima,
     cartier_index,
     full_face,
@@ -447,15 +446,16 @@ def _check_germ(germ: ToricGerm) -> list[str]:
     for the rows of ``box_candidates`` (``Lattice.member_rows``) and here for
     any other u; scale | cartier * m; and the dilation: every value is a
     multiple of 1 / scale, so ``verify_minkowski(germ, m / scale, 1 / scale)``
-    holds exactly when the least full-support row, weighed apart from the
-    table (``_least_interior``), is m.  No check has a setting: the oracle's
-    radius is 1, as the box reduction puts every minimum in the unit box, and
-    the dilation gap is 1 / scale; no radius or gap is stronger."""
+    holds exactly when the walk's value on the full face (the last entry) is
+    m.  No check has a setting: the oracle's radius is 1, as the box
+    reduction puts every minimum in the unit box, and the dilation gap is
+    1 / scale; no radius or gap is stronger."""
     problems = []
     inv = _invariants(germ)
     table, (wn, _) = germ.face_table, germ._weight_ints
     dual, members = germ.lattice.dual_int_basis, germ.lattice.member_rows
-    for (support, (m, minimizers)), oracle in zip(table.entries.items(), _oracle_minima(germ, table.entries)):
+    oracles = _oracle_minima(germ.lattice, wn, table.entries)
+    for (support, (m, minimizers)), oracle in zip(table.entries.items(), oracles):
         if oracle != m:
             problems.append(f"oracle mismatch on face {support}: {table.value(support)} vs {Fraction(oracle, table.scale)}")
         for u in minimizers:
@@ -470,7 +470,7 @@ def _check_germ(germ: ToricGerm) -> list[str]:
     for support, (m, _) in table.entries.items():
         if inv["cartier"] * m % table.scale:
             problems.append(f"index divisibility failed on face {support}")
-    if _least_interior(germ.lattice, wn) != _point_scaled(germ)[0]:
+    if oracles[-1] != _point_scaled(germ)[0]:
         problems.append("lattice-point-free dilation check failed")
     if inv["pia_ok"] is False:
         for i, b in enumerate(germ.boundary, start=1):
@@ -500,7 +500,7 @@ def verify_corpus(config: CorpusConfig, germs=None) -> tuple[int, dict]:
     """
     instance(config, CorpusConfig)
     report: dict = {"checked": 0, "failures": [], "warnings": []}
-    source = corpus_germs(config) if germs is None else iterate(germs, "germs")
+    source = corpus_germs(config) if germs is None else (instance(g, ToricGerm) for g in iterate(germs, "germs"))
     for germ in source:
         if report["checked"] >= config.row_cap:
             raise ResourceLimit(f"corpus exceeds the row cap {config.row_cap}")

@@ -264,6 +264,34 @@ def test_the_oracle_catches_a_minimizer_dropped_from_the_box_candidates(monkeypa
     assert caught > 100
 
 
+def test_the_dilation_check_catches_a_full_face_minimizer_dropped_from_the_box_candidates(monkeypatch):
+    """The dilation reads the full face's value off the oracle's residue
+    walk, not the box candidates, so a table whose full face lost its only
+    minimizer is reported as a failed dilation as well as an oracle
+    mismatch.  Only lattices of the germ's dimension lose a row; the
+    restricted lattices of precise inversion are left as they are."""
+    real = Lattice.box_candidates.func
+
+    def dropped(lat):
+        rows = real(lat)
+        if lat.dim == len(full):
+            rows = {**rows, full: tuple(sorted(rows[full], key=lambda row: sum(map(mul, wn, row)))[1:])}
+        return rows
+
+    caught = 0
+    for germ in corpus_germs(CorpusConfig(dims=(2, 3), max_index=4)):
+        full, wn = tuple(range(1, germ.dim + 1)), germ._weight_ints[0]
+        if len(germ.face_table.entries[full][1]) > 1 or len(real(germ.lattice)[full]) == 1:
+            continue
+        monkeypatch.setattr(Lattice, "box_candidates", property(dropped))
+        problems = _check_germ(ToricGerm(Lattice(germ.dim, germ.lattice.basis), germ.boundary))
+        monkeypatch.undo()
+        assert f"oracle mismatch on face {full}" in [p.split(":")[0] for p in problems], (germ, problems)
+        assert "lattice-point-free dilation check failed" in problems, (germ, problems)
+        caught += 1
+    assert caught == 1788
+
+
 def test_germ_id_runs_once_per_survey_row_and_never_in_a_check(monkeypatch):
     """The survey's row latency is stamped on ``germ_id``; a check reads no id."""
     import toricmld.survey as survey

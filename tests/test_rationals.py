@@ -93,13 +93,21 @@ NON_ITERABLE_VECTORS = {
     "lattice-rows": lambda: toricmld.Lattice.from_rows(2, [5, (0, 1)]),
     "dual-order": lambda: _cyclic().lattice.dual_order(5),
     "dual-contains": lambda: _cyclic().lattice.dual_contains_int(5),
+    "germ-boundary-string": lambda: toricmld.ToricGerm(toricmld.Lattice.standard(3), "011"),
+    "px-point-string": lambda: toricmld.germ_from_px("11"),
+    "px-formula-string": lambda: toricmld.px_mld_formula("11"),
+    "qvec-string": lambda: qvec("12"),
+    "lattice-rows-string": lambda: toricmld.Lattice.from_rows(2, ["10", "01"]),
+    "monomial-string": lambda: toricmld.lct_monomial(_cyclic(), "500"),
+    "lattice-contains-string": lambda: toricmld.lattice_contains(_cyclic().lattice, "000"),
 }
 
 
 @pytest.mark.parametrize("call", NON_ITERABLE_VECTORS.values(), ids=NON_ITERABLE_VECTORS.keys())
 def test_a_vector_that_cannot_be_iterated_is_an_input_error(call):
     """Each raised TypeError, which the command line reports as an internal
-    error (exit 3)."""
+    error (exit 3), or, for a string, read its characters as one-digit
+    entries: "011" was the boundary (0, 1, 1)."""
     with pytest.raises(InputError, match="must be a collection"):
         call()
 
@@ -115,13 +123,16 @@ NON_COLLECTION_ARGUMENTS = {
     "state-divisors": lambda: toricmld.state_value(toricmld.FlatState(_cyclic(), (F(1, 2),)), (0, 0, 0), 5),
     "acc-report-rows": lambda: toricmld.acc_report(5),
     "corpus-germs": lambda: toricmld.verify_corpus(toricmld.CorpusConfig(), 5),
+    "survey-boundary-set-string": lambda: toricmld.run_survey(2, 3, "01"),
+    "corpus-germs-string": lambda: toricmld.verify_corpus(toricmld.CorpusConfig(), germs="ab"),
 }
 
 
 @pytest.mark.parametrize("call", NON_COLLECTION_ARGUMENTS.values(), ids=NON_COLLECTION_ARGUMENTS.keys())
 def test_a_collection_argument_that_cannot_be_iterated_is_an_input_error(call):
     """Each raised TypeError ("'int' object is not iterable"); the command
-    line passes lists, so only a library caller could reach it."""
+    line passes lists, so only a library caller could reach it.  A string
+    was split into characters: the boundary set "01" surveyed {0, 1}."""
     with pytest.raises(InputError, match="must be a collection"):
         call()
 
@@ -156,6 +167,7 @@ WRONG_TYPE_ARGUMENTS = {
     "center-state": lambda: toricmld.minimal_center(5),
     "serialize-germ": lambda: toricmld.serialize_germ(5),
     "corpus-config": lambda: toricmld.verify_corpus(5),
+    "corpus-germ": lambda: toricmld.verify_corpus(toricmld.CorpusConfig(), germs=[5]),
 }
 
 
