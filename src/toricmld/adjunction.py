@@ -11,9 +11,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
+from operator import mul
 
 from .errors import InputError
-from .germ import ToricGerm, _oracle_minima, full_face, germ_document
+from .germ import ToricGerm, germ_document
 from .lattice import Lattice
 from .rationals import instance, integer, rat_str
 
@@ -68,11 +69,12 @@ def check_precise_inversion(germ: ToricGerm, divisor: int) -> CheckReport:
 def _precise_inversion(germ: ToricGerm, divisor: int) -> tuple[bool, tuple[int, int], tuple[int, int]]:
     """Whether it holds, and both point minima as (scaled minimum, scale), with
     no restricted germ: the induced weights (1 - b_j) / n_j are wn_j k / n_j
-    over wd k, k = lcm(n), walked over the restricted lattice's residues
-    (``_oracle_minima``), so its box table is never built."""
+    over wd k, k = lcm(n), weighed on the full-support candidates of the
+    restricted lattice, built once per lattice and shared by every boundary."""
     restricted, scales = _restriction(germ, divisor)
-    (wn, wd), k, full = germ._weight_ints, lcm(*scales), full_face(restricted.dim).support
-    (rhs,) = _oracle_minima(restricted, [w * (k // n) for w, n in zip(wn[: divisor - 1] + wn[divisor:], scales)], [full])
+    (wn, wd), k, full = germ._weight_ints, lcm(*scales), tuple(range(1, restricted.dim + 1))
+    weights = [w * (k // n) for w, n in zip(wn[: divisor - 1] + wn[divisor:], scales)]
+    rhs = min(sum(map(mul, weights, row)) for row in restricted.box_candidates[full])
     (lhs, lscale), rscale = _point_scaled(germ), restricted.den * wd * k
     return lhs * rscale == rhs * lscale, (lhs, lscale), (rhs, rscale)
 

@@ -99,10 +99,10 @@ class MldReport:
 class FaceTable:
     """Every face minimum of one germ, in integers over one scale.
 
-    ``entries`` maps each face support, in (codimension, lexicographic)
-    order, to the pair (minimum, minimizers): the minimum is the face value
-    times ``scale`` = den * wd, and the minimizers are the den-scaled box
-    candidates attaining it, sorted.  Checks compare these integers; the
+    ``entries`` maps each face support S, in (codimension |S|,
+    lexicographic) order, to the pair (minimum, minimizers): the minimum is
+    the face value times ``scale`` = den * wd, and the minimizers are the
+    den-scaled box candidates attaining it, sorted.  Checks compare these integers; the
     methods turn them into ``Fraction`` values and witnesses.
     """
 
@@ -278,7 +278,8 @@ def mld_bruteforce_oracle(germ: ToricGerm, face, radius: int) -> Fraction:
 
 def _oracle_minima(lattice: Lattice, wn: IntVec, supports) -> list[int]:
     """The minimum on each of ``supports`` for weights wn / wd, times den * wd,
-    from one walk of ``rep_ints``: every value read apart from a face table."""
+    from one walk of ``rep_ints``, apart from the box candidates and the face
+    table: the oracle, the check's oracle and ``verify_minkowski`` read it."""
     den = lattice.den
     lows: dict[int, int] = {}  # support m of u as a mask (bit j for u_j != 0) -> least wn . u - den W(m)
     for u in lattice.rep_ints:

@@ -23,7 +23,7 @@ from itertools import chain, permutations, product
 from operator import mul
 from types import SimpleNamespace
 
-from .adjunction import _point_scaled, _precise_inversion, _semicontinuity_bounds, _shokurov_holds
+from .adjunction import _precise_inversion, _semicontinuity_bounds, _shokurov_holds
 from .errors import CheckFailed, InputError, MalformedRational, ResourceLimit
 from .germ import (
     ToricGerm,
@@ -438,24 +438,23 @@ def corpus_germs(config: CorpusConfig):
 
 def _check_germ(germ: ToricGerm) -> list[str]:
     """The shared invariants (``_invariants``) plus the oracle, witness,
-    divisibility, dilation and closed-form checks, in integers: the oracle's
-    minimum on each face, from one walk of the coset residues and over the
-    table's scale den * wd, against the face's scaled minimum m; each
-    den-scaled minimizer u by wn . u == m and by u pairing to 0 mod den with
-    the dual basis (apart from the walk that built u), done once per lattice
-    for the rows of ``box_candidates`` (``Lattice.member_rows``) and here for
-    any other u; scale | cartier * m; and the dilation: every value is a
-    multiple of 1 / scale, so ``verify_minkowski(germ, m / scale, 1 / scale)``
-    holds exactly when the walk's value on the full face (the last entry) is
-    m.  No check has a setting: the oracle's radius is 1, as the box
-    reduction puts every minimum in the unit box, and the dilation gap is
-    1 / scale; no radius or gap is stronger."""
+    divisibility and closed-form checks, in integers: the oracle's minimum
+    on each face, from one walk of the coset residues and over the table's
+    scale den * wd, against the face's scaled minimum m; each den-scaled
+    minimizer u by wn . u == m and by u pairing to 0 mod den with the dual
+    basis (apart from the walk that built u), done once per lattice for the
+    rows of ``box_candidates`` (``Lattice.member_rows``) and here for any
+    other u; and scale | cartier * m.  The oracle on the full face is the
+    lattice-point-free dilation check: every value is a multiple of
+    1 / scale, so ``verify_minkowski(germ, m / scale, 1 / scale)`` holds
+    exactly when the walk's full-face value is m.  No check has a setting:
+    the oracle's radius is 1, as the box reduction puts every minimum in the
+    unit box, and no radius is stronger."""
     problems = []
     inv = _invariants(germ)
     table, (wn, _) = germ.face_table, germ._weight_ints
     dual, members = germ.lattice.dual_int_basis, germ.lattice.member_rows
-    oracles = _oracle_minima(germ.lattice, wn, table.entries)
-    for (support, (m, minimizers)), oracle in zip(table.entries.items(), oracles):
+    for (support, (m, minimizers)), oracle in zip(table.entries.items(), _oracle_minima(germ.lattice, wn, table.entries)):
         if oracle != m:
             problems.append(f"oracle mismatch on face {support}: {table.value(support)} vs {Fraction(oracle, table.scale)}")
         for u in minimizers:
@@ -470,8 +469,6 @@ def _check_germ(germ: ToricGerm) -> list[str]:
     for support, (m, _) in table.entries.items():
         if inv["cartier"] * m % table.scale:
             problems.append(f"index divisibility failed on face {support}")
-    if oracles[-1] != _point_scaled(germ)[0]:
-        problems.append("lattice-point-free dilation check failed")
     if inv["pia_ok"] is False:
         for i, b in enumerate(germ.boundary, start=1):
             if b == 1 and not _precise_inversion(germ, i)[0]:

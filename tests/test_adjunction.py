@@ -219,7 +219,7 @@ def test_precise_inversion_equals_the_restricted_germ_route():
 
 def test_precise_inversion_fills_no_face_table_on_the_divisor(monkeypatch):
     """The divisor's point minimum is read off the restricted lattice's
-    residue walk: only the upstairs germ, whose table the survey
+    full-support candidates: only the upstairs germ, whose table the survey
     row fills anyway, has its face table filled (each access is counted)."""
     germ = ToricGerm(lattice_from_generators(3, [(F(1, 3), F(1, 3), F(2, 3))]), (1, F(1, 2), 1))
     expected = [check_precise_inversion(germ, i) for i in (1, 3)]

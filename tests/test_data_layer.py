@@ -5,7 +5,6 @@ from fractions import Fraction as F
 from functools import cached_property
 from itertools import product
 
-from toricmld.adjunction import check_precise_inversion
 from toricmld.flat import FlatState, build_flat_structure, state_value
 from toricmld.germ import ToricGerm, germ_cyclic_quotient, verify_minkowski
 from toricmld.lattice import Lattice, lattice_from_generators
@@ -92,23 +91,6 @@ def test_check_pairs_the_box_candidates_once_per_lattice(monkeypatch):
         assert _check_germ(ToricGerm(lat, b)) == []
         seen.append(vars(lat)["member_rows"])
     assert len(built) == 1 and len(seen) == 64 and all(rows is built[0] for rows in seen)
-
-
-def test_no_restricted_lattice_builds_a_box_table():
-    """Precise inversion reads the divisor's point minimum off the restricted
-    lattice's residue walk: checking all 4^d boundaries of one lattice, or
-    calling ``check_precise_inversion`` on each divisor, builds the
-    restricted ``rep_ints`` and no restricted ``box_candidates``."""
-    gens = [(F(1, 4), F(2, 4), F(3, 4))]
-    lat = lattice_from_generators(3, gens)
-    for b in product((0, F(1, 2), F(2, 3), 1), repeat=3):
-        assert _check_germ(ToricGerm(lat, b)) == []
-    lat_alone = lattice_from_generators(3, gens)
-    for i in (1, 2, 3):
-        assert check_precise_inversion(ToricGerm(lat_alone, (1, 1, 1)), i).passed
-    for parent in (lat, lat_alone):
-        restricted = [vars(r) for r, _ in parent.restrictions]
-        assert all("rep_ints" in v and "box_candidates" not in v for v in restricted)
 
 
 def test_verify_minkowski_builds_no_box_table():
