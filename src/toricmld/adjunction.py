@@ -1,10 +1,11 @@
 """Adjunction to an invariant divisor, with semicontinuity and bound checks.
 
 Restricting a germ to the divisor H_i (its boundary coefficient must be 1)
-happens in two steps: project the lattice along coordinate i, and rescale
-each remaining coordinate by the primitive scale n_j of its standard basis
-vector so the result is again in normal form (``Lattice.restrictions``, once
-per lattice).  The induced boundary coefficient is b'_j = 1 - (1-b_j)/n_j.
+happens in two steps: project the lattice along coordinate i, and take the
+image's ``Lattice.normal_form``, which multiplies each remaining coordinate
+by the primitive scale n_j of its standard basis vector, or keeps the image
+when every n_j is 1 (``Lattice.restrictions``, once per lattice).  The
+induced boundary coefficient is b'_j = 1 - (1-b_j)/n_j.
 """
 from __future__ import annotations
 

@@ -27,7 +27,7 @@ from .newton import (
     newton_poly_from_exponents,
 )
 from .rationals import rat, rat_str
-from .survey import CorpusConfig, _rendered, _survey_rows, parse_germ, verify_corpus
+from .survey import CorpusConfig, _decode_json, _rendered, _survey_rows, parse_germ, verify_corpus
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -40,13 +40,17 @@ class _Parser(argparse.ArgumentParser):
         raise InputError(message)
 
 
-def _read_germ(path: str):
+def _read_text(path: str) -> str:
+    """The file ``path`` as UTF-8 text; one that cannot be opened or decoded is an ``InputError``."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
-    except OSError as exc:
+            return fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
         raise InputError(f"cannot read {path}: {exc}") from exc
-    return parse_germ(text)
+
+
+def _read_germ(path: str):
+    return parse_germ(_read_text(path))
 
 
 def _write(pieces, out: str | None) -> None:
@@ -153,13 +157,7 @@ def _cmd_survey(args) -> int:
 
 def _cmd_check(args) -> int:
     if args.corpus_config:
-        try:
-            with open(args.corpus_config, "r", encoding="utf-8") as fh:
-                config = CorpusConfig.from_dict(json.load(fh))
-        except OSError as exc:
-            raise InputError(f"cannot read {args.corpus_config}: {exc}") from exc
-        except json.JSONDecodeError as exc:
-            raise InputError(f"bad config JSON: {exc}") from exc
+        config = CorpusConfig.from_dict(_decode_json(_read_text(args.corpus_config), "bad config JSON"))
     else:
         config = CorpusConfig()
     status, report = verify_corpus(config)

@@ -186,18 +186,15 @@ def germ_document(germ: ToricGerm) -> dict:
 
 
 def germ_normalize(lattice: Lattice, boundary) -> ToricGerm:
-    """Rescale coordinates so each standard basis vector becomes primitive.
-
-    The i-th coordinate is multiplied by the primitive scale of e_i; boundary
+    """The germ on ``Lattice.normal_form``: each coordinate multiplied by the
+    primitive scale of e_i, so that every e_i is primitive; boundary
     coefficients stay attached to their divisors.  Idempotent.
     """
     if not instance(lattice, Lattice).is_superlattice:
         raise InputError("germ lattice must contain Z^d")
-    scales = lattice.unit_scales
-    if any(k != 1 for k in scales):
-        lattice = lattice.rescale(scales)
-        if any(k != 1 for k in lattice.unit_scales):
-            raise ModelViolation("rescaling by the primitive scales must make every e_i primitive")
+    lattice, _ = lattice.normal_form()
+    if any(k != 1 for k in lattice.unit_scales):
+        raise ModelViolation("rescaling by the primitive scales must make every e_i primitive")
     return ToricGerm(lattice, boundary)
 
 
@@ -279,7 +276,7 @@ def mld_bruteforce_oracle(germ: ToricGerm, face, radius: int) -> Fraction:
 def _oracle_minima(lattice: Lattice, wn: IntVec, supports) -> list[int]:
     """The minimum on each of ``supports`` for weights wn / wd, times den * wd,
     from one walk of ``rep_ints``, apart from the box candidates and the face
-    table: the oracle, the check's oracle and ``verify_minkowski`` read it."""
+    table: the oracle and the check's oracle read it."""
     den = lattice.den
     lows: dict[int, int] = {}  # support m of u as a mask (bit j for u_j != 0) -> least wn . u - den W(m)
     for u in lattice.rep_ints:
@@ -299,18 +296,14 @@ def verify_minkowski(germ: ToricGerm, t, delta) -> bool:
 
     Interior points have all coordinates positive, so emptiness is decided on
     the full face's unit-box minimum: coordinate reduction by standard basis
-    vectors keeps interiority and never increases the defining sum.  It reads
-    that minimum off the residue walk (``_oracle_minima``), not ``face_table``.
-    The minimum v, scaled by den * wd, is compared with p / q = t den wd as
-    v q against p.
+    vectors keeps interiority and never increases the defining sum.  That
+    minimum is ``mld_bruteforce_oracle`` on the full face, read off the
+    residue walk, not ``face_table``.
     """
     t, delta = rat(t), rat(delta)
     if t < 0 or delta <= 0:
         raise InputError("need t >= 0 and delta > 0")
-    (wn, wd), lat = instance(germ, ToricGerm)._weight_ints, germ.lattice
-    (least,), scale = _oracle_minima(lat, wn, [full_face(lat.dim).support]), lat.den * wd
-    low, high = t * scale, (t + delta) * scale
-    return least * low.denominator >= low.numerator and least * high.denominator < high.numerator
+    return t <= mld_bruteforce_oracle(germ, full_face(instance(germ, ToricGerm).dim), 1) < t + delta
 
 
 def px_mld_formula(x) -> Fraction:

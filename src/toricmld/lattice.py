@@ -221,9 +221,9 @@ class Lattice:
         return None if any(u) else coords
 
     def dual_contains_int(self, m) -> bool:
-        """Whether the integer vector m pairs integrally with the lattice."""
-        m, den = self._int_vector(m), self.den
-        return not any(sum(map(mul, row, m)) % den for row in self.int_rows)
+        """Whether the integer vector m pairs integrally with the lattice:
+        its ``dual_order`` is 1."""
+        return self.dual_order(m) == 1
 
     def dual_order(self, m) -> int:
         """Smallest k >= 1 with k * m in the dual lattice, for an integer m:
@@ -377,6 +377,14 @@ class Lattice:
         cols = self.dual_int_basis
         return tuple(gcd(*(col[i] for col in cols)) for i in range(self.dim))
 
+    def normal_form(self) -> tuple["Lattice", tuple[int, ...]]:
+        """The image under multiplying each coordinate i by n_i =
+        ``unit_scales[i]``, or the lattice itself when every n_i is 1, and
+        those scales.  The image is normal: it holds each e_i, the image of
+        e_i/n_i, and e_i/k in it would put e_i/(k n_i) in the lattice, so k = 1."""
+        scales = self.unit_scales
+        return (self if all(k == 1 for k in scales) else self.rescale(scales)), scales
+
     # -- the dual monoid, and per-lattice data of the other modules -----------
 
     @cached_property
@@ -516,18 +524,10 @@ class Lattice:
 
     @cached_property
     def restrictions(self) -> tuple[tuple["Lattice", tuple[int, ...]], ...]:
-        """For each coordinate i, in order: the image under deleting
-        coordinate i, each remaining coordinate multiplied by the primitive
-        scale n_j of its standard basis vector there, and those scales (the
-        lattice half of adjunction to the divisor x_i = 0).  A rescaled image
-        is normal: it holds each e_j, the image of e_j/n_j, and e_j/k in it
-        would put e_j/(k n_j) in the image, so k = 1."""
-        out = []
-        for coord in range(1, self.dim + 1):
-            image = self.project_drop(coord)
-            scales = image.unit_scales
-            out.append((image.rescale(scales), scales))
-        return tuple(out)
+        """For each coordinate i, in order: the ``normal_form`` of the image
+        under deleting coordinate i, and its scales n_j (the lattice half of
+        adjunction to the divisor x_i = 0)."""
+        return tuple(self.project_drop(coord).normal_form() for coord in range(1, self.dim + 1))
 
     def __repr__(self) -> str:
         rows = ";".join("(" + ",".join(ratio_str(x, self.den) for x in row) + ")" for row in self.int_rows)

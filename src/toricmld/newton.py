@@ -182,10 +182,10 @@ def _zero_weight_lift(y: IntVec, target: int, s: int, exponents, zero_coords) ->
 
 
 def first_intersection_mu(poly: NewtonPoly) -> Fraction | None:
-    """Parameter of the first ray point t*w inside the polyhedron; None means
-    the ray never enters (possible only when some weight vanishes)."""
-    res = _first_intersection(instance(poly, NewtonPoly).exponents, *poly.germ._weight_ints)
-    return None if res.mu_num is None else Fraction(res.mu_num, res.scale)
+    """Parameter of the first ray point t*w inside the polyhedron, the ``mu``
+    of ``lct_newton``; None means the ray never enters (possible only when
+    some weight vanishes)."""
+    return lct_newton(poly).mu
 
 
 @dataclass(frozen=True)

@@ -26,7 +26,8 @@ def rat(value) -> Fraction:
 
     String form is deliberately narrow: an optional sign, digits, and an
     optional /q part.  Decimal or float-ish spellings are rejected so that
-    documents stay unambiguous.
+    documents stay unambiguous, and so are digit strings longer than the
+    interpreter converts to an int (``sys.get_int_max_str_digits``).
     """
     if isinstance(value, Fraction):
         return value
@@ -37,11 +38,13 @@ def rat(value) -> Fraction:
         if not _RAT_RE.match(text):
             raise MalformedRational(f"malformed rational literal: {value!r}")
         num, _, den = text.partition("/")
-        if den == "":
-            return Fraction(int(num))
-        if int(den) == 0:
+        try:
+            num, den = int(num), int(den or 1)
+        except ValueError as exc:
+            raise MalformedRational(f"rational literal with too many digits: {exc}") from None
+        if den == 0:
             raise MalformedRational(f"zero denominator: {value!r}")
-        return Fraction(int(num), int(den))
+        return Fraction(num, den)
     raise MalformedRational(f"cannot interpret {value!r} as a rational")
 
 

@@ -49,15 +49,20 @@ def serialize_germ(germ: ToricGerm) -> str:
     return json.dumps(germ_document(instance(germ, ToricGerm)), sort_keys=True, separators=(",", ":"))
 
 
+def _decode_json(text: str, what: str):
+    """``text`` decoded as JSON.  Text the decoder refuses (a ValueError, as
+    ``JSONDecodeError`` is), nests too deeply for it or spells an integer
+    with more digits than the interpreter converts is an ``InputError``
+    "``what``: ..."."""
+    try:
+        return json.loads(text)
+    except (ValueError, RecursionError) as exc:
+        raise InputError(f"{what}: {exc}") from exc
+
+
 def parse_germ(text: str | dict) -> ToricGerm:
     """Parse and normalize a germ document (string or already-decoded dict)."""
-    if isinstance(text, str):
-        try:
-            doc = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise InputError(f"not valid JSON: {exc}") from exc
-    else:
-        doc = text
+    doc = _decode_json(text, "not valid JSON") if isinstance(text, str) else text
     if not isinstance(doc, dict):
         raise InputError("germ document must be a JSON object")
     for key in ("dim", "boundary"):

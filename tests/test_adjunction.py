@@ -12,7 +12,7 @@ from toricmld.adjunction import (
 )
 from toricmld.errors import InputError
 from toricmld.germ import ToricGerm, full_face, germ_cyclic_quotient, germ_normalize, mld_face
-from toricmld.lattice import Lattice, lattice_from_generators
+from toricmld.lattice import Lattice, enumerate_superlattices, lattice_from_generators
 from toricmld.survey import CorpusConfig, corpus_germs
 
 
@@ -46,6 +46,25 @@ def test_adjoin_builds_the_restricted_lattice_once_per_lattice():
     two = adjoin_invariant_divisor(ToricGerm(lat, (F(1, 2), F(2, 3), 1)), 3)
     assert one.scales == two.scales == (2, 1)
     assert one.germ.lattice is two.germ.lattice
+
+
+def test_restrictions_rescale_only_where_a_scale_is_not_one(monkeypatch):
+    """``Lattice.normal_form`` keeps an image whose scales are all 1: over
+    every lattice of d = 2, 3 to index 12, the 2,282 restrictions call
+    ``rescale`` 1,155 times, once per image with a scale other than 1, and
+    each kept image is the one ``rescale`` would build."""
+    rescale, calls = Lattice.rescale, []
+
+    def counted(lat, scales):
+        calls.append(scales)
+        return rescale(lat, scales)
+
+    lattices = enumerate_superlattices(2, 12) + enumerate_superlattices(3, 12)
+    monkeypatch.setattr(Lattice, "rescale", counted)
+    images = [pair for lat in lattices for pair in lat.restrictions]
+    assert len(images) == 2282 and len(calls) == 1155
+    assert calls == [scales for _, scales in images if set(scales) != {1}]
+    assert all(rescale(image, scales) == image for image, scales in images if set(scales) == {1})
 
 
 def test_adjunction_reads_the_restriction_as_built(corpus_lattices, monkeypatch):

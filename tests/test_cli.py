@@ -162,15 +162,31 @@ def test_exit_codes_for_bad_input(tmp_path, capsys):
         ("check", "[1]"),
         ("check", '{"oracle_radius": 0}'),
         ("check", '{"boundary_set": [true]}'),
+        pytest.param("mld", b"\xff\xfe" + '{"dim":1,"boundary":["0"]}'.encode("utf-16-le"), id="mld-utf-16"),
+        pytest.param("check", b'{"max_index": \xff}', id="check-byte-ff"),
+        pytest.param("mld", "[" * 200000, id="mld-deep"),
+        pytest.param("check", "[" * 200000, id="check-deep"),
+        pytest.param("mld", '{"dim":1,"boundary":["1/' + "1" * 5000 + '"]}', id="mld-long-boundary"),
+        pytest.param("mld", '{"dim":' + "1" * 5000 + ',"boundary":["0"]}', id="mld-long-dim"),
+        pytest.param("check", '{"max_index": ' + "1" * 5000 + "}", id="check-long-index"),
     ],
 )
 def test_malformed_documents_exit_one(tmp_path, capsys, command, text):
     """Each exits 1 with nothing on stdout.  A boolean boundary was read as
-    1 and 0: ``mld`` printed that germ's value and exited 0."""
+    1 and 0: ``mld`` printed that germ's value and exited 0.  A file that is
+    not UTF-8, JSON nested deeper than the decoder goes and an integer of
+    more digits than the interpreter converts each exited 3 with a traceback."""
     path = tmp_path / "doc.json"
-    path.write_text(text)
+    path.write_bytes(text if isinstance(text, bytes) else text.encode())
     flag = "-i" if command == "mld" else "--corpus-config"
     assert cli.main([command, flag, str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error: ")
+
+
+def test_a_boundary_set_of_too_many_digits_exits_one(capsys):
+    """A coefficient past the interpreter's 4,300-digit limit exited 3 with a traceback."""
+    assert cli.main(["survey", "--dim", "2", "--max-index", "2", "--boundary-set", "1/" + "1" * 5000]) == 1
     captured = capsys.readouterr()
     assert captured.out == "" and captured.err.startswith("error: ")
 

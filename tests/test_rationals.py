@@ -15,7 +15,9 @@ def test_rat_parsing():
     assert rat(3) == 3
 
 
-@pytest.mark.parametrize("bad", ["0.5", "1e3", "1/0", "a/b", "1/-2", "", None, 1.5])
+@pytest.mark.parametrize(
+    "bad", ["0.5", "1e3", "1/0", "a/b", "1/-2", "", None, 1.5, pytest.param("1/" + "1" * 5000, id="5000-digits")]
+)
 def test_rat_rejects(bad):
     with pytest.raises(MalformedRational):
         rat(bad)

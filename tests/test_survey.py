@@ -57,6 +57,13 @@ def test_parse_errors():
         parse_germ('{"dim":2,"lattice":{"generators":[["1/2"]]},"boundary":["0","0"]}')
     with pytest.raises(InputError):
         parse_germ('{"dim":1,"lattice":{"generators":[]},"boundary":["3/2"]}')
+    # nested past the decoder's depth, and integers past the interpreter's 4,300 digits
+    with pytest.raises(InputError):
+        parse_germ("[" * 200000)
+    with pytest.raises(MalformedRational):
+        parse_germ('{"dim":1,"lattice":{"generators":[]},"boundary":["1/' + "1" * 5000 + '"]}')
+    with pytest.raises(InputError):
+        parse_germ('{"dim":' + "1" * 5000 + ',"lattice":{"generators":[]},"boundary":["0"]}')
 
 
 @pytest.mark.parametrize(
