@@ -78,10 +78,6 @@ def _refuse_unwritable(out: str | None) -> None:
         raise InputError(f"cannot write {out}: not a file path in an existing directory")
 
 
-def _emit(payload: dict, out: str | None) -> None:
-    _write([json.dumps(payload, indent=1, sort_keys=True) + "\n"], out)
-
-
 def _parse_int_list(text: str) -> list[int]:
     try:
         return [int(p) for p in text.split(",") if p.strip() != ""]
@@ -89,8 +85,7 @@ def _parse_int_list(text: str) -> list[int]:
         raise InputError(f"expected a comma-separated integer list, got {text!r}") from exc
 
 
-def _cmd_mld(args) -> int:
-    germ = _read_germ(args.input)
+def _cmd_mld(germ, args) -> tuple[dict, int]:
     if args.global_:
         report = mld_global(germ)
     elif args.face is not None:
@@ -98,17 +93,14 @@ def _cmd_mld(args) -> int:
     else:
         report = mld_face(germ, full_face(germ.dim))
     payload = report.to_json_dict()
-    status = EXIT_OK
-    if args.oracle:
-        oracle = mld_bruteforce_oracle(germ, report.face, 1)
-        payload["oracle"] = rat_str(oracle)
-        status = EXIT_OK if oracle == report.value else EXIT_CHECK
-    _emit(payload, args.out)
-    return status
+    if not args.oracle:
+        return payload, EXIT_OK
+    oracle = mld_bruteforce_oracle(germ, report.face, 1)
+    payload["oracle"] = rat_str(oracle)
+    return payload, EXIT_OK if oracle == report.value else EXIT_CHECK
 
 
-def _cmd_lct(args) -> int:
-    germ = _read_germ(args.input)
+def _cmd_lct(germ, args) -> tuple[dict, int]:
     if args.exponents is not None:
         exps = [tuple(_parse_int_list(part)) for part in args.exponents.split(";")]
         payload = lct_newton(newton_poly_from_exponents(germ, exps)).to_json_dict()
@@ -123,46 +115,32 @@ def _cmd_lct(args) -> int:
         degrees = _parse_int_list(args.fermat)
         value = lct_fermat(germ.dim, germ.boundary, degrees)
         payload = {"lct": rat_str(value), "kind": "fermat"}
-    _emit(payload, args.out)
-    return EXIT_OK
+    return payload, EXIT_OK
 
 
-def _cmd_adjoin(args) -> int:
-    germ = _read_germ(args.input)
-    result = adjoin_invariant_divisor(germ, args.divisor)
-    payload = result.to_json_dict()
-    status = EXIT_OK
-    if args.check:
-        report = check_precise_inversion(germ, args.divisor)
-        payload["precise_inversion"] = report.to_json_dict()
-        if not report.passed:
-            status = EXIT_CHECK
-    _emit(payload, args.out)
-    return status
+def _cmd_adjoin(germ, args) -> tuple[dict, int]:
+    payload = adjoin_invariant_divisor(germ, args.divisor).to_json_dict()
+    if not args.check:
+        return payload, EXIT_OK
+    report = check_precise_inversion(germ, args.divisor)
+    payload["precise_inversion"] = report.to_json_dict()
+    return payload, EXIT_OK if report.passed else EXIT_CHECK
 
 
-def _cmd_flat(args) -> int:
-    germ = _read_germ(args.input)
-    result = build_flat_structure(germ)
-    _emit(result.to_json_dict(), args.out)
-    return EXIT_OK
+def _cmd_flat(germ, args) -> tuple[dict, int]:
+    return build_flat_structure(germ).to_json_dict(), EXIT_OK
 
 
-def _cmd_survey(args) -> int:
+def _cmd_survey(args):  # the rows' text pieces, made as ``_write`` takes them
     boundary = [rat(b) for b in args.boundary_set.split(",")]
     rows = _survey_rows(args.dim, args.max_index, boundary, args.mod_permutations, args.jobs)
-    _write(_rendered(rows, args.json), args.out)
-    return EXIT_OK
+    return _rendered(rows, args.json), EXIT_OK
 
 
-def _cmd_check(args) -> int:
-    if args.corpus_config:
-        config = CorpusConfig.from_dict(_decode_json(_read_text(args.corpus_config), "bad config JSON"))
-    else:
-        config = CorpusConfig()
-    status, report = verify_corpus(config)
-    _emit(report, args.out)
-    return EXIT_CHECK if status else EXIT_OK
+def _cmd_check(args) -> tuple[dict, int]:
+    doc = _decode_json(_read_text(args.corpus_config), "bad config JSON") if args.corpus_config else {}
+    status, report = verify_corpus(CorpusConfig.from_dict(doc))
+    return report, EXIT_CHECK if status else EXIT_OK
 
 
 @cache
@@ -170,9 +148,10 @@ def build_parser() -> _Parser:
     """Built once per process: ``parse_args`` leaves the parser unchanged."""
     parser = _Parser(prog="toricmld", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
+    germ_input = argparse.ArgumentParser(add_help=False)  # the germ subcommands: ``main`` reads the document
+    germ_input.add_argument("-i", "--input", required=True)
 
-    p = sub.add_parser("mld", help="minimal log discrepancy of a germ document")
-    p.add_argument("-i", "--input", required=True)
+    p = sub.add_parser("mld", parents=[germ_input], help="minimal log discrepancy of a germ document")
     mode = p.add_mutually_exclusive_group()
     mode.add_argument("--face", help="comma-separated 1-based support, e.g. 1,3")
     mode.add_argument("--global", dest="global_", action="store_true", help="minimum over all faces")
@@ -185,8 +164,7 @@ def build_parser() -> _Parser:
     p.add_argument("--out")
     p.set_defaults(fn=_cmd_mld)
 
-    p = sub.add_parser("lct", help="log canonical threshold")
-    p.add_argument("-i", "--input", required=True)
+    p = sub.add_parser("lct", parents=[germ_input], help="log canonical threshold")
     mode = p.add_mutually_exclusive_group(required=True)
     mode.add_argument("--exponents", help='semicolon-separated exponent vectors, e.g. "2,0;0,3"')
     mode.add_argument("--general-member", action="store_true")
@@ -195,15 +173,13 @@ def build_parser() -> _Parser:
     p.add_argument("--out")
     p.set_defaults(fn=_cmd_lct)
 
-    p = sub.add_parser("adjoin", help="restrict to an invariant divisor with coefficient 1")
-    p.add_argument("-i", "--input", required=True)
+    p = sub.add_parser("adjoin", parents=[germ_input], help="restrict to an invariant divisor with coefficient 1")
     p.add_argument("--divisor", type=int, required=True)
     p.add_argument("--check", action="store_true", help="also compare minima upstairs and downstairs")
     p.add_argument("--out")
     p.set_defaults(fn=_cmd_adjoin)
 
-    p = sub.add_parser("flat", help="build a flat log structure")
-    p.add_argument("-i", "--input", required=True)
+    p = sub.add_parser("flat", parents=[germ_input], help="build a flat log structure")
     p.add_argument("--out")
     p.set_defaults(fn=_cmd_flat)
 
@@ -229,7 +205,9 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         _refuse_unwritable(args.out)
-        return args.fn(args)
+        output, status = args.fn(_read_germ(args.input), args) if "input" in args else args.fn(args)
+        _write([json.dumps(output, indent=1, sort_keys=True) + "\n"] if isinstance(output, dict) else output, args.out)
+        return status
     except (InputError, ResourceLimit) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT

@@ -51,27 +51,43 @@ def serialize_germ(germ: ToricGerm) -> str:
 
 def _decode_json(text: str, what: str):
     """``text`` decoded as JSON.  Text the decoder refuses (a ValueError, as
-    ``JSONDecodeError`` is), nests too deeply for it or spells an integer
-    with more digits than the interpreter converts is an ``InputError``
-    "``what``: ..."."""
+    ``JSONDecodeError`` is), nests too deeply for it, spells an integer with
+    more digits than the interpreter converts or repeats a key in one object
+    is an ``InputError`` "``what``: ..."."""
     try:
-        return json.loads(text)
+        return json.loads(text, object_pairs_hook=_unique_keys)
     except (ValueError, RecursionError) as exc:
         raise InputError(f"{what}: {exc}") from exc
 
 
+def _unique_keys(pairs: list) -> dict:
+    """The object of ``pairs``; a key given twice, whose last value would otherwise win, is an ``InputError``."""
+    doc = {}
+    for key, value in pairs:
+        if key in doc:
+            raise InputError(f"repeated key {key!r}")
+        doc[key] = value
+    return doc
+
+
+def _json_object(value, name: str, keys, required=()) -> dict:
+    """``value`` when it is a JSON object holding every key of ``required``
+    and none outside ``keys``; anything else is an ``InputError``."""
+    if not isinstance(value, dict):
+        raise InputError(f"{name} must be a JSON object")
+    if missing := [key for key in required if key not in value]:
+        raise InputError(f"missing field in {name}: {missing[0]!r}")
+    if unknown := sorted(set(value) - set(keys)):
+        raise InputError(f"unknown {name} keys: {unknown}")
+    return value
+
+
 def parse_germ(text: str | dict) -> ToricGerm:
-    """Parse and normalize a germ document (string or already-decoded dict)."""
+    """Parse and normalize a germ document (string or already-decoded dict) with only the keys ``germ_document`` writes."""
     doc = _decode_json(text, "not valid JSON") if isinstance(text, str) else text
-    if not isinstance(doc, dict):
-        raise InputError("germ document must be a JSON object")
-    for key in ("dim", "boundary"):
-        if key not in doc:
-            raise InputError(f"missing field in germ document: {key!r}")
+    _json_object(doc, "germ document", ("dim", "lattice", "boundary"), ("dim", "boundary"))
     dim = _refuse_box_dimension(_positive_int(doc["dim"], "dim"))
-    lattice = doc.get("lattice", {})
-    if not isinstance(lattice, dict):
-        raise InputError("lattice must be a JSON object")
+    lattice = _json_object(doc.get("lattice", {}), "lattice", ("generators",))
     gens = _json_list(lattice.get("generators", []), "lattice generators")
     rows = [qvec(_json_rats(row, "a generator"), dim) for row in gens]
     boundary = _json_rats(doc["boundary"], "boundary")
@@ -424,11 +440,7 @@ class CorpusConfig:
     def from_dict(cls, doc: dict) -> "CorpusConfig":
         """Config from a decoded JSON object, every field optional; an unknown
         key, a non-list dims or boundary set or a bad value is an ``InputError``."""
-        if not isinstance(doc, dict):
-            raise InputError("corpus config must be a JSON object")
-        unknown = sorted(set(doc) - {f.name for f in fields(cls)})
-        if unknown:
-            raise InputError(f"unknown corpus config keys: {unknown}")
+        _json_object(doc, "corpus config", [f.name for f in fields(cls)])
         readers = {"dims": _json_list, "boundary_set": _json_rats}
         return cls(**{k: readers[k](v, k) if k in readers else v for k, v in doc.items()})
 

@@ -8,6 +8,8 @@ from operator import mul
 
 import json
 
+import pytest
+
 from faces import with_entry
 from toricmld import cli
 from toricmld.germ import ToricGerm, germ_cyclic_quotient, germ_document, mld_bruteforce_oracle, verify_minkowski
@@ -24,6 +26,9 @@ DIGESTS = {
     "json": "ce42c348eaae4ff986d5b57238168b49cd46de90ceafaf74a6175dc0e12b2ac4",
     "flat": "d40609471d12d884eab17430decbb02ae0e477810e21672798126903b1d8dc6c",
     "flat4": "438a71c81be9e6542651a46933a532692a11070567ff6d9494f73293213a92b9",
+    "mld": "5c806ca332cfd885b372ee8818d9d431331c5e91f27145c27745681289096751",
+    "lct": "b906f69321b1e1775139ca578aad664bc5e9000eb9eddfbd20fe6d42a5f783aa",
+    "adjoin": "eccee8d1f491ec746e3c41f0ead782d91b29557bc3b5942973242ceced08ad7c",
 }
 
 
@@ -68,6 +73,31 @@ def test_flat_outputs_are_byte_identical_in_dimension_four(tmp_path, capsys):
     before flat read rho off the vertex list."""
     germs = [ToricGerm(lat, b) for lat in enumerate_superlattices(4, 4) for b in product((0, F(1, 2), 1), repeat=4)]
     assert _flat_digest(germs, tmp_path, capsys) == (DIGESTS["flat4"], 12069)
+
+
+# the options each germ subcommand runs with on one germ, one list per run
+GERM_COMMANDS = {
+    "mld": lambda germ: [["mld", "--global", "--oracle"]],
+    "lct": lambda germ: [["lct", "--general-member"]],
+    "adjoin": lambda germ: [["adjoin", "--divisor", str(i), "--check"] for i, b in enumerate(germ.boundary, 1) if b == 1],
+}
+
+
+@pytest.mark.parametrize("command,runs", [("mld", 2148), ("lct", 2148), ("adjoin", 1585)])
+def test_germ_command_outputs_are_byte_identical(tmp_path, capsys, command, runs):
+    """One sha256 over the exit code and stdout of each run of ``command``
+    on every germ of the default corpus to index 4 (2,148 germs), recorded
+    before the germ subcommands read their document in ``cli.main``; for
+    ``adjoin``, one run per divisor with coefficient 1."""
+    germ_file = tmp_path / "germ.json"
+    digest, count = sha256(), 0
+    for germ in corpus_germs(CorpusConfig(max_index=4)):
+        germ_file.write_text(json.dumps(germ_document(germ)))
+        for argv in GERM_COMMANDS[command](germ):
+            code = cli.main([*argv, "-i", str(germ_file)])
+            digest.update(f"{code}\n{capsys.readouterr().out}".encode())
+            count += 1
+    assert (digest.hexdigest(), count) == (DIGESTS[command], runs)
 
 
 # -- failure messages ---------------------------------------------------------------

@@ -1,7 +1,9 @@
 import json
 import multiprocessing
 import os
+import sys
 import tracemalloc
+from hashlib import sha256
 
 import pytest
 
@@ -157,11 +159,14 @@ def test_exit_codes_for_bad_input(tmp_path, capsys):
         ("mld", '{"dim":2.5,"lattice":{"generators":[]},"boundary":["0","0"]}'),
         ("mld", '{"dim":true,"lattice":{"generators":[]},"boundary":["0"]}'),
         ("mld", '{"dim":2,"lattice":{"generators":[]},"boundary":[true,0]}'),
+        ("mld", '{"dim":2,"latice":{"generators":[["1/3","2/3"]]},"boundary":["0","0"]}'),
+        ("mld", '{"dim":2,"lattice":{"generators":[],"generators":[["1/3","2/3"]]},"boundary":["0","0"]}'),
         ("check", '{"dims": 5}'),
         ("check", '{"max_index": "x"}'),
         ("check", "[1]"),
         ("check", '{"oracle_radius": 0}'),
         ("check", '{"boundary_set": [true]}'),
+        ("check", '{"max_index": 4, "max_index": 2}'),
         pytest.param("mld", b"\xff\xfe" + '{"dim":1,"boundary":["0"]}'.encode("utf-16-le"), id="mld-utf-16"),
         pytest.param("check", b'{"max_index": \xff}', id="check-byte-ff"),
         pytest.param("mld", "[" * 200000, id="mld-deep"),
@@ -182,6 +187,55 @@ def test_malformed_documents_exit_one(tmp_path, capsys, command, text):
     assert cli.main([command, flag, str(path)]) == 1
     captured = capsys.readouterr()
     assert captured.out == "" and captured.err.startswith("error: ")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["mld", "--global", "--oracle"],
+        ["lct", "--general-member"],
+        ["adjoin", "--divisor", "3", "--check"],
+        ["flat"],
+        ["survey", "--dim", "2", "--max-index", "3", "--boundary-set", "0,1/2"],
+        ["check"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_out_holds_the_bytes_printed(tmp_path, capsys, argv):
+    """Each subcommand writes to ``--out`` exactly what it prints to stdout
+    without it, and then prints nothing."""
+    germ, cfg = tmp_path / "adj.json", tmp_path / "cfg.json"
+    germ.write_text(ADJ_DOC)
+    cfg.write_text('{"dims": [2], "max_index": 3}')
+    argv = argv + {"survey": [], "check": ["--corpus-config", str(cfg)]}.get(argv[0], ["-i", str(germ)])
+    code, printed = run(capsys, *argv)
+    out = tmp_path / "out"
+    assert (code, printed != "") == (0, True)
+    assert run(capsys, *argv, "--out", str(out)) == (0, "")
+    assert out.read_bytes() == printed.encode()
+
+
+# sha256 of ``toricmld --help`` and of each ``toricmld <cmd> --help`` at 80
+# columns, recorded before the germ subcommands shared one ``-i`` declaration
+HELP_DIGESTS = {
+    "": "7ae668ba481bd85dafbbe22744c2bef828dc5b145580a52ad6c6ea1334c566fd",
+    "mld": "b82d02a98c37ab7139e9505df65d168ec34a392e9060bd41c9f588ed5e7cfaff",
+    "lct": "b6c56611f3df15a8a9bf368fcd6136ffe68869ad64dcee72459924539a494b7b",
+    "adjoin": "c1bd2a1ae54d3e536f21e17998b67f689c5dc643bbd3b09f27f171983dcea422",
+    "flat": "1a87d10348f8c5dfeee9cc20be1e409a5f1dc97c9e11d3700f846c01cd8e9876",
+    "survey": "24798d1aa86a0ab015da52a4d7538fd684ff6d5bbc990776593b27b4dd9f9e87",
+    "check": "8812e1752480de11a73783f2c7277b6f1cc2bf32824364999343f958682d1f66",
+}
+
+
+@pytest.mark.skipif(sys.version_info[:2] != (3, 11), reason="argparse lays out help differently in other Python versions")
+@pytest.mark.parametrize("command", list(HELP_DIGESTS))
+def test_help_is_byte_identical(capsys, monkeypatch, command):
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as exc:
+        cli.main([command, "--help"] if command else ["--help"])
+    assert exc.value.code == 0
+    assert sha256(capsys.readouterr().out.encode()).hexdigest() == HELP_DIGESTS[command]
 
 
 def test_a_boundary_set_of_too_many_digits_exits_one(capsys):

@@ -93,6 +93,10 @@ MALFORMED_GERM_DOCUMENTS = [
     '{"dim":2,"lattice":{"generators":"1/2"},"boundary":["0","0"]}',
     '{"dim":2,"lattice":{"generators":[]},"boundary":null}',
     '{"dim":2,"lattice":{"generators":[]}}',
+    '{"dim":2,"latice":{"generators":[["1/3","2/3"]]},"boundary":["0","0"]}',
+    '{"dim":2,"lattice":{"generator":[["1/3","2/3"]]},"boundary":["0","0"]}',
+    '{"dim":2,"lattice":{"generators":[]},"boundary":["0","0"],"comment":"C^2"}',
+    '{"dim":2,"lattice":{"generators":[]},"boundary":["1","0"],"boundary":["0","0"]}',
 ]
 
 MALFORMED_CORPUS_CONFIGS = [
