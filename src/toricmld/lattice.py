@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import combinations, product
+from itertools import combinations, permutations, product
 from math import gcd, isqrt, lcm, prod
 from operator import mul
 
@@ -385,6 +385,14 @@ class Lattice:
         scales = self.unit_scales
         return (self if all(k == 1 for k in scales) else self.rescale(scales)), scales
 
+    @cached_property
+    def permuted_keys(self) -> tuple[tuple[tuple[IntVec, ...], tuple[int, ...]], ...]:
+        """(``int_rows`` of the image {(x[perm[0]], .., x[perm[d-1]])}, perm)
+        for each coordinate permutation, identity first: a permutation keeps
+        den, so those are the HNF of the permuted rows; no lattice is built."""
+        rows, d = self.int_rows, self.dim
+        return tuple((tuple(map(tuple, hnf([[r[p] for p in perm] for r in rows], d))), perm) for perm in permutations(range(d)))
+
     # -- the dual monoid, and per-lattice data of the other modules -----------
 
     @cached_property
@@ -702,11 +710,18 @@ def _superlattice_counts(dim: int, max_index: int):
 def enumerate_superlattices(dim: int, max_index: int) -> list[Lattice]:
     """All N containing Z^dim with [N:Z^dim] <= max_index and every e_i
     primitive, duplicate-free and sorted by (index, canonical basis)."""
-    return list(_superlattices(dim, max_index))
+    return [_superlattice(dim, den, rows) for _, den, rows in _superlattices(dim, max_index)]
+
+
+def _superlattice(dim: int, den: int, int_rows) -> Lattice:
+    """The lattice of a key of ``_superlattices``, taken unchecked."""
+    return Lattice._canonical(dim, den, int_rows, is_superlattice=True)
 
 
 def _superlattices(dim: int, max_index: int):
-    """``enumerate_superlattices``, each lattice built only as it is yielded.
+    """The key (index, den, ``int_rows``) of each lattice of
+    ``enumerate_superlattices``, in its order; the first ``next`` enumerates
+    them all as integers, and ``_superlattice`` builds a lattice from its key.
 
     Each HNF basis T along ``_hnf_diagonals`` whose columns have gcd 1 (the
     e_i primitive in N) spans by rows an index-n sublattice of Z^d, with dual
@@ -738,4 +753,4 @@ def _superlattices(dim: int, max_index: int):
     for n, *flat in keys:
         g = gcd(n, *flat)
         rows = tuple([tuple([x // g for x in flat[i : i + dim]]) for i in range(0, dim * dim, dim)])
-        yield Lattice._canonical(dim, n // g, rows, is_superlattice=True)
+        yield n, n // g, rows

@@ -16,11 +16,11 @@ from __future__ import annotations
 import csv
 import json
 import os
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 from fractions import Fraction
 from hashlib import sha256
-from itertools import chain, permutations, product
-from operator import mul
+from itertools import chain, groupby, product
+from operator import itemgetter, mul
 from types import SimpleNamespace
 
 from .adjunction import _precise_inversion, _semicontinuity_bounds, _shokurov_holds
@@ -34,7 +34,7 @@ from .germ import (
     germ_normalize,
     mld_face,
 )
-from .lattice import TABLE_CAP, Lattice, _superlattice_counts, _superlattices, hnf
+from .lattice import TABLE_CAP, Lattice, _superlattice, _superlattice_counts, _superlattices
 from .newton import _general_member_threshold, lct_fermat, lct_newton, newton_poly_from_exponents
 from .rationals import instance, integer, iterate, qvec, qvec_str, rat, rat_str
 
@@ -228,19 +228,11 @@ def _rows_for_lattice(args) -> list[SurveyRow]:
 
 def _orbit_representatives(lattice: Lattice, assignments) -> list:
     """The boundaries b for which (lattice, b) is the smallest pair of its
-    coordinate-permutation orbit.
-
-    A coordinate permutation keeps den, so each permuted lattice's canonical
-    basis is the HNF of the permuted ``int_rows`` over den, and the bases
-    compare as those integer rows do; no lattice and no Fraction is built."""
-    dim = lattice.dim
-    perms = list(permutations(range(dim)))
-    bases = [tuple(map(tuple, hnf([[row[p] for p in perm] for row in lattice.int_rows], dim))) for perm in perms]
-    return [
-        b
-        for b in assignments
-        if min((basis, tuple(b[p] for p in perm)) for basis, perm in zip(bases, perms)) == (lattice.int_rows, b)
-    ]
+    coordinate-permutation orbit, comparing bases as the integer rows of
+    ``Lattice.permuted_keys`` (a permutation keeps den); no lattice and no
+    Fraction is built."""
+    keys = lattice.permuted_keys
+    return [b for b in assignments if min((key, tuple(b[p] for p in perm)) for key, perm in keys) == (lattice.int_rows, b)]
 
 
 def run_survey(
@@ -272,10 +264,9 @@ def _survey_rows(dim: int, max_index: int, boundary_set, mod_permutations: bool,
         raise InputError(f"mod_permutations must be true or false, got {mod_permutations!r}")
     jobs = min(jobs, os.cpu_count() or 1)
     coeffs = _coefficients(boundary_set)
-    pick = _orbit_representatives if mod_permutations else None
-    tasks = _lattice_stream((dim,), max_index, coeffs, ROW_CAP_DEFAULT, "survey", pick)
+    stream = _lattice_stream((dim,), max_index, coeffs, ROW_CAP_DEFAULT, "survey")
     if jobs == 1:
-        yield from chain.from_iterable(map(_rows_for_lattice, tasks))
+        yield from _orbit_rows(stream, dim, coeffs, mod_permutations, map)
         return
     import multiprocessing as mp
 
@@ -284,14 +275,63 @@ def _survey_rows(dim: int, max_index: int, boundary_set, mod_permutations: bool,
     except ValueError:  # pragma: no cover
         ctx = mp.get_context("spawn")
     with ctx.Pool(jobs) as pool:
-        yield from chain.from_iterable(pool.imap(_rows_for_lattice, tasks, CHUNK))
+        yield from _orbit_rows(stream, dim, coeffs, mod_permutations, lambda fn, tasks: pool.imap(fn, tasks, CHUNK))
 
 
-def _lattice_stream(dims, max_index: int, coeffs, cap: int, what: str, pick=None):
-    """A stream of each lattice ``enumerate_superlattices`` returns over ``dims``
-    with its boundaries (those ``pick`` keeps), each lattice built from its integer
-    key only as it is read (``_superlattices``) and freed with its tables after its
-    rows.  Each d is first read by ``_refuse_box_dimension``, and the rows, counted
+def _orbit_rows(stream, dim: int, coeffs, mod_permutations: bool, run):
+    """The rows of the lattices of ``stream`` (``_lattice_stream``), one index
+    class at a time: a coordinate permutation keeps the index and den.  An
+    orbit's first lattice is its least, the representative R; its rows come
+    from ``_rows_for_lattice`` through ``run`` (``map`` or a pool's ``imap``),
+    and each later member's from R's (``_derived_rows``), or none with
+    ``mod_permutations``.  Only the class's registry (``_representatives``),
+    its representatives' rows and integer keys are held."""
+    assignments = list(product(coeffs, repeat=dim))
+    where = {b: i for i, b in enumerate(assignments)}
+    for _, group in groupby(stream, itemgetter(1)):
+        keys = [(den, rows) for _, _, den, rows in group]
+        registry, made = {}, {}
+        results = run(_rows_for_lattice, _representatives(dim, keys, registry, assignments, mod_permutations))
+        for den, rows in keys:
+            rep, perm = registry.get(rows, (rows, None))  # a representative may not be registered yet
+            if rep == rows:
+                made[rows] = next(results)
+                yield from made[rows]
+            elif not mod_permutations:
+                yield from _derived_rows(made[rep], perm, _superlattice(dim, den, rows), assignments, where)
+
+
+def _representatives(dim: int, keys, registry: dict, assignments, mod_permutations: bool):
+    """The ``_rows_for_lattice`` task of each lattice of ``keys`` that no earlier
+    one registered, first mapping each of its ``permuted_keys`` to (its rows, perm).
+    A pool's task thread runs it ahead of ``_orbit_rows``, which reads an entry
+    only after the task that wrote it, or finds its own lattice's entry absent."""
+    for den, rows in keys:
+        if rows not in registry:
+            lattice = _superlattice(dim, den, rows)
+            for key, perm in lattice.permuted_keys:
+                registry.setdefault(key, (rows, perm))
+            yield lattice, _orbit_representatives(lattice, assignments) if mod_permutations else assignments
+
+
+def _derived_rows(rows: list[SurveyRow], perm, lattice: Lattice, assignments, where):
+    """The rows of ``lattice``, R's image under ``perm``, from R's ``rows``: at
+    each b, R's row at b_R (b_R[perm[j]] = b[j]) with its own germ id, b and
+    witnesses w' (w'_j = w[perm[j]], sorted by den-scaled value as ``FaceTable``
+    sorts them); every other field is an isomorphism invariant."""
+    back, den = sorted(range(len(perm)), key=perm.__getitem__), lattice.den  # back[perm[j]] = j
+    for b in assignments:
+        row = rows[where[tuple(b[j] for j in back)]]
+        moved = ([c[p] for p in perm] for c in (w[1:-1].split(",") for w in row.witnesses))
+        moved = sorted(moved, key=lambda c: [int(p) * den // int(q or 1) for p, _, q in (x.partition("/") for x in c)])
+        witnesses, boundary = tuple("(" + ",".join(c) + ")" for c in moved), tuple(row.boundary[p] for p in perm)
+        yield replace(row, germ_id=germ_id(ToricGerm(lattice, b)), boundary=boundary, witnesses=witnesses)
+
+
+def _lattice_stream(dims, max_index: int, coeffs, cap: int, what: str):
+    """The key (d, index, den, ``int_rows``) of each lattice
+    ``enumerate_superlattices`` returns over ``dims`` (``_superlattices``).
+    Each d is first read by ``_refuse_box_dimension``, and the rows, counted
     per HNF diagonal, are checked against ``cap`` before any lattice is built."""
     rows = 0
     for d in dims:
@@ -299,14 +339,7 @@ def _lattice_stream(dims, max_index: int, coeffs, cap: int, what: str, pick=None
             rows += n * len(coeffs) ** d
             if rows > cap:
                 raise ResourceLimit(f"{what} exceeds the row cap {cap}")
-
-    def stream():
-        for d in dims:
-            assignments = list(product(coeffs, repeat=d))
-            for lattice in _superlattices(d, max_index):
-                yield lattice, pick(lattice, assignments) if pick else assignments
-
-    return stream()
+    return ((d, *key) for d in dims for key in _superlattices(d, max_index))
 
 
 def rows_to_csv(rows) -> str:
@@ -322,7 +355,7 @@ def _rendered(rows, as_json: bool):
     of ``rows`` in pieces, one a row, each yielded as soon as its row is read."""
     if not as_json:
         line = csv.writer(SimpleNamespace(write=str), lineterminator="\n").writerow  # returns write's result: the line
-        yield from map(line, chain([SurveyRow.HEADER], (row.as_record() for row in rows)))
+        yield from map(line, chain([SurveyRow.HEADER], map(SurveyRow.as_record, rows)))
         return
     sep = "[\n"
     for row in rows:  # the element as it sits in the dump of the whole array
@@ -446,11 +479,12 @@ class CorpusConfig:
 
 
 def corpus_germs(config: CorpusConfig):
-    """The germs of the corpus in canonical order; a corpus of more than
-    ``config.row_cap`` germs raises ``ResourceLimit`` before any lattice is
-    built."""
+    """The germs of the corpus in canonical order, each lattice built only as
+    its germs are read; a corpus of more than ``config.row_cap`` germs raises
+    ``ResourceLimit`` before any lattice is built."""
     stream = _lattice_stream(config.dims, config.max_index, config.boundary_set, config.row_cap, "corpus")
-    return (ToricGerm(lattice, b) for lattice, assignments in stream for b in assignments)
+    lattices = (_superlattice(d, den, rows) for d, _, den, rows in stream)
+    return (ToricGerm(lattice, b) for lattice in lattices for b in product(config.boundary_set, repeat=lattice.dim))
 
 
 def _check_germ(germ: ToricGerm) -> list[str]:

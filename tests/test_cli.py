@@ -338,27 +338,29 @@ def test_a_survey_that_fails_midway_writes_nothing(tmp_path, capsys, monkeypatch
 
 @pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(), reason="spawned workers would import the unpatched _survey_row")
 def test_a_parallel_survey_that_fails_chunks_in_writes_nothing_and_leaves_no_worker(capsys, monkeypatch):
-    """A ``--jobs 2`` survey of d = 3 to index 8 (28 chunks) whose 100th
-    lattice raises, several chunks in, exits 1 with empty stdout, and no
-    worker outlives it."""
+    """A ``--jobs 2`` survey of d = 3 to index 10 (116 orbit representatives,
+    the lattices whose rows are computed, in 10 index classes) whose 100th
+    representative raises, several chunks in, exits 1 with empty stdout, and
+    no worker outlives it."""
     import toricmld.survey as survey
     from toricmld.errors import ResourceLimit
     from toricmld.lattice import enumerate_superlattices
 
-    lattices, real = enumerate_superlattices(3, 8), survey._survey_row
-    assert len(lattices) > 99 > 4 * survey.CHUNK
-    target = lattices[99]
+    reps = [lat for lat in enumerate_superlattices(3, 10) if survey._orbit_representatives(lat, [(0, 0, 0)])]
+    real = survey._survey_row
+    assert len(reps) > 99 > 4 * survey.CHUNK
+    target = reps[99]
 
     def failing(germ):
         if germ.lattice == target:
-            raise ResourceLimit("the 100th lattice")
+            raise ResourceLimit("the 100th representative")
         return real(germ)
 
     monkeypatch.setattr(survey, "_survey_row", failing)  # forked workers inherit it
-    argv = ["survey", "--dim", "3", "--max-index", "8", "--boundary-set", "0,1/2,1", "--jobs", "2"]
+    argv = ["survey", "--dim", "3", "--max-index", "10", "--boundary-set", "0,1/2,1", "--jobs", "2"]
     assert cli.main(argv) == 1
     captured = capsys.readouterr()
-    assert captured.out == "" and captured.err == "error: the 100th lattice\n"
+    assert captured.out == "" and captured.err == "error: the 100th representative\n"
     assert multiprocessing.active_children() == []
 
 
@@ -408,9 +410,11 @@ def test_out_writes_through_a_symlink_and_to_a_device(tmp_path, capsys):
 
 
 def test_the_survey_holds_a_handful_of_lattices_and_rows(tmp_path, monkeypatch):
-    """At the first and the last row of a survey, only the lattice in hand
-    (and what it built) and the row being made are alive: the enumeration is
-    held as integer keys and each row is written as it is made."""
+    """At the first computed row of each index class and at the last one of
+    the survey, only the lattice in hand (and what it built) is alive, and
+    the rows alive are at most the representative rows of the current class:
+    the enumeration is held as integer keys, each row is written as it is
+    made, and a class's rows are dropped when the next class starts."""
     import gc
 
     import toricmld.survey as survey
@@ -419,22 +423,29 @@ def test_the_survey_holds_a_handful_of_lattices_and_rows(tmp_path, monkeypatch):
     def alive():
         gc.collect()
         objects = gc.get_objects()
-        return sum(isinstance(o, Lattice) for o in objects), sum(isinstance(o, survey.SurveyRow) for o in objects)
+        return sum(isinstance(o, Lattice) for o in objects), [o for o in objects if isinstance(o, survey.SurveyRow)]
 
-    rows, real, seen = len(enumerate_superlattices(3, 8)), survey._survey_row, []
-    before = alive()
+    lattices = enumerate_superlattices(3, 8)
+    total, reps = len(lattices), [lat.index for lat in lattices if survey._orbit_representatives(lat, [(0, 0, 0)])]
+    del lattices
+    real, seen = survey._survey_row, []
+    before_lattices, before_rows = alive()
+    before = {id(row) for row in before_rows}  # ids of rows kept alive by before_rows
 
     def counted(germ):
-        seen.append(None)
-        if len(seen) in (1, rows):
-            lattices, made = alive()
-            assert lattices - before[0] <= 4 and made - before[1] <= 4, (len(seen), lattices, made)
+        index = germ.lattice.index
+        seen.append(index)
+        if len(seen) == len(reps) or seen[-2:-1] != [index]:
+            lattices, rows = alive()
+            made = [row.index for row in rows if id(row) not in before]
+            assert lattices - before_lattices <= 4, (len(seen), lattices)
+            assert set(made) <= {index} and len(made) <= reps.count(index), (len(seen), made)
         return real(germ)
 
     monkeypatch.setattr(survey, "_survey_row", counted)
     argv = ["survey", "--dim", "3", "--max-index", "8", "--boundary-set", "0", "--jobs", "1"]
     assert cli.main(argv + ["--out", str(tmp_path / "rows.csv")]) == 0
-    assert len(seen) == rows and len((tmp_path / "rows.csv").read_text().splitlines()) == rows + 1
+    assert seen == reps and len((tmp_path / "rows.csv").read_text().splitlines()) == total + 1
 
 
 @pytest.mark.parametrize(
