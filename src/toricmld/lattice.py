@@ -388,10 +388,10 @@ class Lattice:
     @cached_property
     def permuted_keys(self) -> tuple[tuple[tuple[IntVec, ...], tuple[int, ...]], ...]:
         """(``int_rows`` of the image {(x[perm[0]], .., x[perm[d-1]])}, perm)
-        for each coordinate permutation, identity first: a permutation keeps
-        den, so those are the HNF of the permuted rows; no lattice is built."""
-        rows, d = self.int_rows, self.dim
-        return tuple((tuple(map(tuple, hnf([[r[p] for p in perm] for r in rows], d))), perm) for perm in permutations(range(d)))
+        for each coordinate permutation: the identity's first, ``int_rows`` itself,
+        then, as a permutation keeps den, the HNF of the permuted rows; no lattice is built."""
+        rows, d, perms = self.int_rows, self.dim, permutations(range(self.dim))
+        return ((rows, next(perms)), *((tuple(map(tuple, hnf([[r[p] for p in perm] for r in rows], d))), perm) for perm in perms))
 
     # -- the dual monoid, and per-lattice data of the other modules -----------
 

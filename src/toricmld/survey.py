@@ -16,7 +16,7 @@ from __future__ import annotations
 import csv
 import json
 import os
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 from fractions import Fraction
 from hashlib import sha256
 from itertools import chain, groupby, product
@@ -46,7 +46,9 @@ CHUNK = 8  # lattices a worker takes at once: its tables live only as long as it
 
 
 def serialize_germ(germ: ToricGerm) -> str:
-    return json.dumps(germ_document(instance(germ, ToricGerm)), sort_keys=True, separators=(",", ":"))
+    doc = germ_document(instance(germ, ToricGerm))  # compact JSON, keys sorted: no entry holds a character JSON escapes
+    rows = '"],["'.join(map('","'.join, doc["lattice"]["generators"]))
+    return '{"boundary":["%s"],"dim":%d,"lattice":{"generators":[["%s"]]}}' % ('","'.join(doc["boundary"]), doc["dim"], rows)
 
 
 def _decode_json(text: str, what: str):
@@ -290,42 +292,45 @@ def _orbit_rows(stream, dim: int, coeffs, mod_permutations: bool, run):
     where = {b: i for i, b in enumerate(assignments)}
     for _, group in groupby(stream, itemgetter(1)):
         keys = [(den, rows) for _, _, den, rows in group]
-        registry, made = {}, {}
+        registry, made = dict.fromkeys(rows for _, rows in keys), {}  # setting an entry keeps the class's own key tuple
         results = run(_rows_for_lattice, _representatives(dim, keys, registry, assignments, mod_permutations))
         for den, rows in keys:
-            rep, perm = registry.get(rows, (rows, None))  # a representative may not be registered yet
+            rep, perm = registry[rows] or (rows, None)  # a representative may not be registered yet
             if rep == rows:
                 made[rows] = next(results)
                 yield from made[rows]
-            elif not mod_permutations:
-                yield from _derived_rows(made[rep], perm, _superlattice(dim, den, rows), assignments, where)
+            elif not mod_permutations:  # a member's unit_scales are R's permuted, so all 1
+                member = Lattice._canonical(dim, den, rows, is_superlattice=True, unit_scales=(1,) * dim)
+                yield from _derived_rows(made[rep], perm, member, assignments, where)
 
 
 def _representatives(dim: int, keys, registry: dict, assignments, mod_permutations: bool):
-    """The ``_rows_for_lattice`` task of each lattice of ``keys`` that no earlier
-    one registered, first mapping each of its ``permuted_keys`` to (its rows, perm).
-    A pool's task thread runs it ahead of ``_orbit_rows``, which reads an entry
-    only after the task that wrote it, or finds its own lattice's entry absent."""
+    """The ``_rows_for_lattice`` task of each lattice of ``keys`` whose ``registry``
+    entry (one per key of the class, None at first) is None, first setting each
+    None entry of its ``permuted_keys`` to (its rows, perm).  A pool's task thread
+    runs it ahead of ``_orbit_rows``, which reads an entry after the task that set it."""
     for den, rows in keys:
-        if rows not in registry:
+        if registry[rows] is None:
             lattice = _superlattice(dim, den, rows)
             for key, perm in lattice.permuted_keys:
-                registry.setdefault(key, (rows, perm))
+                registry[key] = registry[key] or (rows, perm)
             yield lattice, _orbit_representatives(lattice, assignments) if mod_permutations else assignments
 
 
 def _derived_rows(rows: list[SurveyRow], perm, lattice: Lattice, assignments, where):
     """The rows of ``lattice``, R's image under ``perm``, from R's ``rows``: at
-    each b, R's row at b_R (b_R[perm[j]] = b[j]) with its own germ id, b and
-    witnesses w' (w'_j = w[perm[j]], sorted by den-scaled value as ``FaceTable``
-    sorts them); every other field is an isomorphism invariant."""
+    each b, R's row at b_R (b_R[perm[j]] = b[j]) with its own germ id, the one
+    value computed, b and witnesses w' (w'_j = w[perm[j]], two or more sorted
+    by den-scaled value as ``FaceTable`` does); every other field is an isomorphism invariant."""
     back, den = sorted(range(len(perm)), key=perm.__getitem__), lattice.den  # back[perm[j]] = j
     for b in assignments:
         row = rows[where[tuple(b[j] for j in back)]]
-        moved = ([c[p] for p in perm] for c in (w[1:-1].split(",") for w in row.witnesses))
-        moved = sorted(moved, key=lambda c: [int(p) * den // int(q or 1) for p, _, q in (x.partition("/") for x in c)])
+        moved = [[c[p] for p in perm] for c in (w[1:-1].split(",") for w in row.witnesses)]
+        if len(moved) > 1:
+            moved.sort(key=lambda c: [int(p) * den // int(q or 1) for p, _, q in (x.partition("/") for x in c)])
         witnesses, boundary = tuple("(" + ",".join(c) + ")" for c in moved), tuple(row.boundary[p] for p in perm)
-        yield replace(row, germ_id=germ_id(ToricGerm(lattice, b)), boundary=boundary, witnesses=witnesses)
+        yield SurveyRow(germ_id(ToricGerm(lattice, b)), row.dim, row.index, boundary, row.mld_point, row.mld_global,
+                        row.mld_exceptional, witnesses, row.cartier, row.lsc_ok, row.bounds_ok, row.pia_ok, row.lct_general)
 
 
 def _lattice_stream(dims, max_index: int, coeffs, cap: int, what: str):

@@ -2,7 +2,7 @@ import dataclasses
 import pickle
 from fractions import Fraction, Fraction as F
 from hashlib import sha256
-from itertools import product
+from itertools import permutations, product
 
 import pytest
 from hypothesis import given, strategies as st
@@ -583,6 +583,28 @@ def test_derived_lattices_match_the_fraction_route(dim, max_index, monkeypatch):
         found.append(Lattice.from_generators(dim, lat.basis))
     monkeypatch.undo()
     assert [(a.basis, a.den, a.int_rows) for a in found] == [(b.basis, b.den, b.int_rows) for b in expected]
+
+
+def test_permuted_keys_take_the_identity_as_it_is(monkeypatch):
+    """``permuted_keys`` lists every coordinate permutation in order with the
+    canonical rows of the permuted lattice (through ``from_rows`` on the
+    Fraction basis); the identity's key is ``int_rows`` itself, so each
+    lattice runs d! - 1 HNFs."""
+    import toricmld.lattice as lattice_module
+
+    lattices = enumerate_superlattices(3, 8)
+    perms = list(permutations(range(3)))
+    expected = [
+        [(Lattice.from_rows(3, [tuple(row[p] for p in perm) for row in lat.basis]).int_rows, perm) for perm in perms]
+        for lat in lattices
+    ]
+    calls, real = [], lattice_module.hnf
+    monkeypatch.setattr(lattice_module, "hnf", lambda rows, ncols: calls.append(ncols) or real(rows, ncols))
+    for lat, want in zip(lattices, expected):
+        calls.clear()
+        assert list(lat.permuted_keys) == want
+        assert lat.permuted_keys[0][0] is lat.int_rows
+        assert len(calls) == 5
 
 
 def test_rescale_takes_integer_scales_only():

@@ -129,11 +129,19 @@ def test_malformed_documents_are_input_errors(doc):
             CorpusConfig.from_dict(doc)
 
 
+def serialize_oracle(germ):
+    """``germ_document`` through ``json.dumps``, compact with sorted keys: the
+    oracle of ``serialize_germ``, which formats the same bytes directly."""
+    return json.dumps(germ_document(germ), sort_keys=True, separators=(",", ":"))
+
+
 def test_round_trips():
-    germ = parse_germ(A2_DOC)
-    text = serialize_germ(germ)
-    assert parse_germ(text) == germ
-    assert serialize_germ(parse_germ(text)) == text
+    """The A2 document and every germ of the default corpus to index 4."""
+    for germ in [parse_germ(A2_DOC), *corpus_germs(CorpusConfig(max_index=4))]:
+        text = serialize_germ(germ)
+        assert text == serialize_oracle(germ)
+        assert parse_germ(text) == germ
+        assert serialize_germ(parse_germ(text)) == text
     # parsing normalizes: a non-normal presentation lands on the same germ
     messy = '{"dim":2,"lattice":{"generators":[["1/2","0"]]},"boundary":["0","0"]}'
     assert parse_germ(messy).lattice == Lattice.standard(2)
@@ -365,15 +373,17 @@ def direct_rows(dim, max_index, coeffs):
 def test_derived_rows_match_the_direct_route(monkeypatch, dim, max_index, coeffs):
     """Each survey row, computed on its orbit's representative or derived
     from it, is the row of the direct route (``direct_rows``), in the same
-    order; these sets hold lattices with a nontrivial stabiliser and rows with
-    several witnesses.  At the first computed row of each index class no
-    computed row of an earlier class is alive: a class's rows go when the
-    next one starts."""
+    order; these sets hold lattices with a nontrivial stabiliser, and derived
+    rows with one witness and with several.  At the first computed row of
+    each index class no computed row of an earlier class is alive: a class's
+    rows go when the next one starts.  Each derived member carries the
+    ``unit_scales`` of the same lattice built afresh."""
     import weakref
 
     import toricmld.survey as survey
 
     computed, real = [], survey._survey_row
+    members, witness_counts, real_derived = [], set(), survey._derived_rows
 
     def watched(germ):
         index = germ.lattice.index
@@ -383,11 +393,39 @@ def test_derived_rows_match_the_direct_route(monkeypatch, dim, max_index, coeffs
         computed.append((index, weakref.ref(row)))
         return row
 
+    def derived_watched(rows, perm, lattice, assignments, where):
+        members.append((lattice.den, lattice.int_rows, vars(lattice)["unit_scales"]))
+        for row in real_derived(rows, perm, lattice, assignments, where):
+            witness_counts.add(min(len(row.witnesses), 2))
+            yield row
+
     monkeypatch.setattr(survey, "_survey_row", watched)
+    monkeypatch.setattr(survey, "_derived_rows", derived_watched)
     derived = map(SurveyRow.as_record, _survey_rows(dim, max_index, coeffs, False, 1))
     for got, want in zip_longest(derived, map(SurveyRow.as_record, direct_rows(dim, max_index, coeffs))):
         assert got == want
     assert sorted({i for i, _ in computed}) == list(range(1, max_index + 1))
+    assert members and all(scales == _superlattice(dim, den, rows).unit_scales for den, rows, scales in members)
+    assert witness_counts == {1, 2}
+
+
+def test_a_derived_member_builds_no_dual_basis(monkeypatch):
+    """A derived member's lattice holds only what it was built with and its
+    carried ``unit_scales`` after each of its rows: ``ToricGerm`` reads the
+    scales without building ``dual_int_basis``, and the germ id needs nothing else."""
+    import toricmld.survey as survey
+
+    seen, real = [], survey._derived_rows
+
+    def watched(rows, perm, lattice, assignments, where):
+        for row in real(rows, perm, lattice, assignments, where):
+            yield row
+            assert set(vars(lattice)) == {"dim", "den", "int_rows", "is_superlattice", "unit_scales"}, lattice
+        seen.append(lattice)
+
+    monkeypatch.setattr(survey, "_derived_rows", watched)
+    rows = run_survey(3, 8, [0, F(1, 2), 1])
+    assert len(seen) > 0 and len(rows) == 27 * len(enumerate_superlattices(3, 8))
 
 
 def test_each_row_stamps_germ_id_once_and_each_representative_row_is_computed_once(monkeypatch):
