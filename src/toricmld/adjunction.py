@@ -117,4 +117,4 @@ def check_shokurov_bounds(germ: ToricGerm) -> CheckReport:
 def _shokurov_holds(germ: ToricGerm) -> bool:
     """``check_shokurov_bounds(germ).passed`` in integers: d - sum(b) is sum(wn) / wd."""
     (m, scale), (wn, wd), d = _point_scaled(germ), germ._weight_ints, germ.dim
-    return m <= (d - 1) * scale or (m <= d * scale and germ.lattice.index == 1 and m * wd == scale * sum(wn))
+    return m <= (d - 1) * scale or (m <= d * scale and germ.lattice.den == 1 and m * wd == scale * sum(wn))

@@ -13,19 +13,19 @@ scaled by den).
 
 The face table.  Scaled by den and by the common denominator wd of the
 weights, every candidate value is the integer sum of (wd (1-b_i)) (den x_i),
-so one pass over each face's candidate rows gives that face's minimum and
-its minimizers in Python integers, exact at any size.  ``ToricGerm.face_table``
-holds both for every face, over the one scale den * wd; face minima, the
-global and exceptional minima, and the semicontinuity, dimension-bound and
-corpus checks all read it, so each germ's candidates are weighed once, and
-comparing minima of different faces is comparing integers.  The brute-force
-oracle reads only the coset residues ``rep_ints``, never the table or
-``box_candidates``, so a defect in either shows as a mismatch.  A residue u
-(den-scaled) of support m, the j with u_j != 0, inside a face S lifts to the
-value wn . u + den (W(S) - W(m)), W(X) the sum of wn_j over X.  One walk per
-germ keeps the least wn . u - den W(m) for each m that occurs; the minimum on
-S is den W(S) plus the least of those over the m inside S, and the zero
-residue's m, the empty set, lies inside every S.
+exact at any size.  ``ToricGerm.face_table`` weighs each face's rows once, in
+one pass that keeps the least value so far and the rows attaining it; the
+rows are sorted within each face (``box_candidates``), so the minimizers are
+too.  Face minima, the global and exceptional minima, and the semicontinuity,
+dimension-bound and corpus checks all read the table, over the one scale
+den * wd, so comparing minima of different faces is comparing integers.  The
+brute-force oracle reads only the coset residues ``rep_ints`` and the face
+supports, never the table or ``box_candidates``, so a defect in either shows
+as a mismatch.  A residue u (den-scaled) of support m, the j with u_j != 0,
+inside a face S lifts to wn . u + den (W(S) - W(m)), W(X) the sum of wn_j
+over X.  One walk per germ keeps the least wn . u - den W(m) for each m that
+occurs; the minimum on S is den W(S) plus the least of those over the m
+inside S, and the zero residue's m, the empty set, lies inside every S.
 """
 from __future__ import annotations
 
@@ -159,14 +159,18 @@ class ToricGerm:
 
     @cached_property
     def face_table(self) -> FaceTable:
-        """Minimum and minimizers of every face, from one pass over each
-        face's box candidates (see the module docstring)."""
+        """Minimum and minimizers of every face, one pass per face (see the module docstring)."""
         wn, wd = self._weight_ints
         entries = {}
         for support, rows in self.lattice.box_candidates.items():
-            vals = [sum(map(mul, wn, row)) for row in rows]
-            m = min(vals)
-            entries[support] = (m, tuple(sorted(row for row, v in zip(rows, vals) if v == m)))
+            m, best = sum(map(mul, wn, rows[0])), [rows[0]]
+            for row in rows[1:]:
+                v = sum(map(mul, wn, row))
+                if v < m:
+                    m, best = v, [row]
+                elif v == m:
+                    best.append(row)
+            entries[support] = (m, tuple(best))
         den = self.lattice.den
         return FaceTable(den, den * wd, entries)
 
@@ -280,14 +284,20 @@ def _oracle_minima(lattice: Lattice, wn: IntVec, supports) -> list[int]:
     den = lattice.den
     lows: dict[int, int] = {}  # support m of u as a mask (bit j for u_j != 0) -> least wn . u - den W(m)
     for u in lattice.rep_ints:
-        m = low = 0
-        for j, (w, c) in enumerate(zip(wn, u)):
+        m, low, bit = 0, 0, 1
+        for w, c in zip(wn, u):
             if c:
-                m |= 1 << j
+                m |= bit
                 low += w * (c - den)
+            bit <<= 1
         lows[m] = min(low, lows.get(m, low))
-    faces = [(sum(1 << (j - 1) for j in s), den * sum(wn[j - 1] for j in s)) for s in supports]
-    return [lift + min(v for m, v in lows.items() if not m & ~mask) for mask, lift in faces]
+    minima = []
+    for s in supports:
+        mask = lift = 0
+        for j in s:
+            mask, lift = mask | 1 << (j - 1), lift + wn[j - 1]
+        minima.append(den * lift + min([v for m, v in lows.items() if not m & ~mask]))
+    return minima
 
 
 def verify_minkowski(germ: ToricGerm, t, delta) -> bool:

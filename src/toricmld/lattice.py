@@ -280,12 +280,14 @@ class Lattice:
     def box_candidates(self) -> dict[tuple[int, ...], tuple[tuple[int, ...], ...]]:
         """den-scaled unit-box candidates of every face stratum, keyed by the
         1-based support S in (size, lexicographic) order: the residues in
-        ``rep_ints`` that vanish off S, with their zeros on S lifted to den.
+        ``rep_ints`` that vanish off S, with their zeros on S lifted to den,
+        sorted within each face once here, since ``ToricGerm.face_table``
+        keeps a face's minimizers in the order of its rows.
 
-        One pass over the residues; a residue with support exactly S is its
-        own candidate there.  A residue of support m lies in the 2^(d - |m|)
-        faces containing m (2^d - 1 when m is empty), and more rows than
-        ``TABLE_CAP`` in all raise ``ResourceLimit`` before any face is built.
+        One pass over the residues; a residue of support exactly S is its own
+        candidate there.  A residue of support m lies in the 2^(d - |m|) faces
+        containing m (2^d - 1 when m is empty); more rows than ``TABLE_CAP`` in
+        all raise ``ResourceLimit`` before any face is built.
         """
         den, d = self.den, self.dim
         supports = [sum(1 << j for j, c in enumerate(u) if c) for u in self.rep_ints]
@@ -299,7 +301,7 @@ class Lattice:
             for s, out in zip(masks, rows):
                 if m | s == s:
                     out.append(u if m == s else tuple(den if s >> j & 1 and not c else c for j, c in enumerate(u)))
-        return {tuple(j + 1 for j in on): tuple(out) for on, out in zip(faces, rows)}
+        return {tuple(j + 1 for j in on): tuple(sorted(out)) for on, out in zip(faces, rows)}
 
     @cached_property
     def member_rows(self) -> frozenset[IntVec]:

@@ -287,9 +287,9 @@ def _orbit_rows(stream, dim: int, coeffs, mod_permutations: bool, run):
     from ``_rows_for_lattice`` through ``run`` (``map`` or a pool's ``imap``),
     and each later member's from R's (``_derived_rows``), or none with
     ``mod_permutations``.  Only the class's registry (``_representatives``),
-    its representatives' rows and integer keys are held."""
-    assignments = list(product(coeffs, repeat=dim))
-    where = {b: i for i, b in enumerate(assignments)}
+    its representatives' rows and integer keys are held, and the lists in ``pulled``."""
+    assignments, base = list(product(coeffs, repeat=dim)), len(coeffs)
+    pulled = {}  # perm -> position of b_R for each b: b's base-|B| digit j moved to place perm[j]
     for _, group in groupby(stream, itemgetter(1)):
         keys = [(den, rows) for _, _, den, rows in group]
         registry, made = dict.fromkeys(rows for _, rows in keys), {}  # setting an entry keeps the class's own key tuple
@@ -300,8 +300,11 @@ def _orbit_rows(stream, dim: int, coeffs, mod_permutations: bool, run):
                 made[rows] = next(results)
                 yield from made[rows]
             elif not mod_permutations:  # a member's unit_scales are R's permuted, so all 1
+                if perm not in pulled:
+                    places = [base ** (dim - 1 - p) for p in perm]
+                    pulled[perm] = [sum(map(mul, t, places)) for t in product(range(base), repeat=dim)]
                 member = Lattice._canonical(dim, den, rows, is_superlattice=True, unit_scales=(1,) * dim)
-                yield from _derived_rows(made[rep], perm, member, assignments, where)
+                yield from _derived_rows(made[rep], perm, member, assignments, pulled[perm])
 
 
 def _representatives(dim: int, keys, registry: dict, assignments, mod_permutations: bool):
@@ -317,14 +320,14 @@ def _representatives(dim: int, keys, registry: dict, assignments, mod_permutatio
             yield lattice, _orbit_representatives(lattice, assignments) if mod_permutations else assignments
 
 
-def _derived_rows(rows: list[SurveyRow], perm, lattice: Lattice, assignments, where):
-    """The rows of ``lattice``, R's image under ``perm``, from R's ``rows``: at
-    each b, R's row at b_R (b_R[perm[j]] = b[j]) with its own germ id, the one
-    value computed, b and witnesses w' (w'_j = w[perm[j]], two or more sorted
+def _derived_rows(rows: list[SurveyRow], perm, lattice: Lattice, assignments, pulled):
+    """The rows of ``lattice``, R's image under ``perm``, from R's ``rows``: at the
+    i-th b, R's row at b_R (b_R[perm[j]] = b[j]), ``rows[pulled[i]]``, with its own germ id,
+    the one value computed, b and witnesses w' (w'_j = w[perm[j]], two or more sorted
     by den-scaled value as ``FaceTable`` does); every other field is an isomorphism invariant."""
-    back, den = sorted(range(len(perm)), key=perm.__getitem__), lattice.den  # back[perm[j]] = j
-    for b in assignments:
-        row = rows[where[tuple(b[j] for j in back)]]
+    den = lattice.den
+    for b, at in zip(assignments, pulled):
+        row = rows[at]
         moved = [[c[p] for p in perm] for c in (w[1:-1].split(",") for w in row.witnesses)]
         if len(moved) > 1:
             moved.sort(key=lambda c: [int(p) * den // int(q or 1) for p, _, q in (x.partition("/") for x in c)])
@@ -529,7 +532,7 @@ def _check_germ(germ: ToricGerm) -> list[str]:
         for i, b in enumerate(germ.boundary, start=1):
             if b == 1 and not _precise_inversion(germ, i)[0]:
                 problems.append(f"adjunction equality failed on divisor {i}")
-    if germ.lattice.index == 1:
+    if germ.lattice.den == 1:  # N = Z^d
         degrees = tuple((i % 3) + 1 for i in range(germ.dim))
         closed = lct_fermat(germ.dim, germ.boundary, degrees)
         exps = [tuple(k * (j == i) for j in range(germ.dim)) for i, k in enumerate(degrees)]

@@ -486,6 +486,17 @@ def test_box_candidate_rows_are_counted_before_any_is_built(monkeypatch):
         assert fresh.box_candidates == lat.box_candidates
 
 
+def test_each_face_holds_its_box_candidates_sorted():
+    """``ToricGerm.face_table`` keeps a face's minimizers in the order its
+    rows come, so they are sorted only if the rows are: a residue whose zeros
+    are lifted to den can come after one of the same face that sorts above it."""
+    lattices = [lat for d in (1, 2, 3) for lat in enumerate_superlattices(d, 12)] + enumerate_superlattices(4, 5)
+    unsorted = [
+        (lat, s) for lat in lattices for s, rows in lat.box_candidates.items() if list(rows) != sorted(rows)
+    ]
+    assert not unsorted, unsorted[:3]
+
+
 # -- the constructor contract ---------------------------------------------------
 
 
