@@ -110,7 +110,7 @@ def _cmd_lct(germ, args) -> tuple[dict, int]:
         value = lct_monomial(germ, tuple(_parse_int_list(args.monomial)))
         payload = {"lct": rat_str(value), "kind": "monomial"}
     else:  # --fermat: the group requires one mode
-        if germ.lattice.index != 1:
+        if germ.lattice.den != 1:  # N = Z^d
             raise InputError("the diagonal-sum closed form needs the standard lattice")
         degrees = _parse_int_list(args.fermat)
         value = lct_fermat(germ.dim, germ.boundary, degrees)

@@ -67,7 +67,7 @@ from operator import mul
 from .errors import AlreadyFlat, InputError, ModelViolation, NotLogCanonical
 from .germ import Face, ToricGerm, full_face, germ_document, log_discrepancy_of_valuation
 from .newton import _vertex_intersection
-from .rationals import IntVec, QVec, instance, integer, iterate, qvec, qvec_str, rat_str, scaled_int_vector
+from .rationals import IntVec, QVec, instance, integer, iterate, qvec, rat_str, row_str, scaled_int_vector
 
 POINT = "point-P"
 INVARIANT_CYCLE = "invariant-cycle"
@@ -183,8 +183,7 @@ def _interior(germ: ToricGerm) -> tuple[Fraction | int, IntVec | None, list[IntV
     for row, m in zip(lat.box_candidates[tuple(range(1, germ.dim + 1))], lat.interior_multiplicities):
         a = sum(map(mul, wn, row))
         if p * a < q * m:
-            x = qvec_str(tuple(Fraction(c, lat.den) for c in row))
-            raise ModelViolation(f"box point {x} has A/v = {Fraction(a, wd * m)} below the ray infimum {rho}")
+            raise ModelViolation(f"box point {row_str(row, lat.den)} has A/v = {Fraction(a, wd * m)} below the ray infimum {rho}")
         if p * a == q * m:
             zeros.append(row)
     return rho, ray, zeros
@@ -314,9 +313,8 @@ def build_flat_structure(germ: ToricGerm) -> FlatBuildResult:
     p, q = rho.denominator, rho.numerator * wd
     u = min(zeros if ray is None else [*zeros, ray])
     coords = lat._int_coordinates(u) if min(u) >= 0 else None
-    x = tuple(Fraction(c, lat.den) for c in u)
     if coords is None or gcd(*coords) != 1:
-        raise ModelViolation(f"the witness {qvec_str(x)} must be a primitive lattice point of the orthant")
+        raise ModelViolation(f"the witness {row_str(u, lat.den)} must be a primitive lattice point of the orthant")
     if p * sum(map(mul, wn, u)) != q * min(sum(map(mul, h, u)) for h in lat.newton_generators):
-        raise ModelViolation(f"the witness {qvec_str(x)} must have value exactly zero")
-    return FlatBuildResult(state, tuple(trace), ZeroCombo(x, (), point))
+        raise ModelViolation(f"the witness {row_str(u, lat.den)} must have value exactly zero")
+    return FlatBuildResult(state, tuple(trace), ZeroCombo(tuple(Fraction(c, lat.den) for c in u), (), point))

@@ -335,10 +335,10 @@ def px_mld_formula(x) -> Fraction:
 def cartier_index(germ: ToricGerm) -> int:
     """Smallest r >= 1 with r*(1-b_1,...,1-b_d) in the dual lattice M: the
     weights are wn / wd with gcd(wd, wn) = 1 and M lies in Z^d, so r is wd
-    times ``Lattice.dual_order(wn)``, which divides the index [Z^d : M]."""
+    times ``Lattice.dual_order(wn)``, a divisor of den and so of the index [Z^d : M]."""
     wn, wd = instance(germ, ToricGerm)._weight_ints
     lat = germ.lattice
     k = lat.dual_order(wn)
-    if lat.index % k:
-        raise ModelViolation("order of the weight vector must divide the index")
+    if lat.den % k:
+        raise ModelViolation("order of the weight vector must divide den")
     return wd * k

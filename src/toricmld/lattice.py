@@ -23,7 +23,7 @@ from math import gcd, isqrt, lcm, prod
 from operator import mul
 
 from .errors import DimensionMismatch, InputError, ModelViolation, NotInLattice, ResourceLimit
-from .rationals import IntVec, QVec, common_denominator, instance, integer, iterate, qvec, ratio_str, scaled_int_vector
+from .rationals import IntVec, QVec, common_denominator, instance, integer, iterate, qvec, row_str, scaled_int_vector
 
 # Largest lattice index whose per-lattice tables (``Lattice.rep_ints`` and
 # the tables built from it, about one row per coset) are built.  It admits
@@ -540,8 +540,7 @@ class Lattice:
         return tuple(self.project_drop(coord).normal_form() for coord in range(1, self.dim + 1))
 
     def __repr__(self) -> str:
-        rows = ";".join("(" + ",".join(ratio_str(x, self.den) for x in row) + ")" for row in self.int_rows)
-        return f"Lattice(dim={self.dim}, basis=[{rows}])"
+        return f"Lattice(dim={self.dim}, basis=[{';'.join(row_str(row, self.den) for row in self.int_rows)}])"
 
 
 def _inverse_columns(t, scale: int) -> list[list[int]]:

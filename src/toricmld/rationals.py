@@ -98,6 +98,11 @@ def qvec_str(vec: Sequence[Fraction]) -> str:
     return "(" + ",".join(rat_str(e) for e in vec) + ")"
 
 
+def row_str(row: Sequence[int], den: int) -> str:
+    """``qvec_str`` of row / den for ints with den > 0, in integers: the one writer of a den-scaled row."""
+    return "(" + ",".join(ratio_str(c, den) for c in row) + ")"
+
+
 def common_denominator(vectors: Iterable[Sequence[Fraction]]) -> int:
     """lcm of the denominators of every entry of every vector (at least 1)."""
     den = 1

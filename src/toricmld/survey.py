@@ -25,18 +25,10 @@ from types import SimpleNamespace
 
 from .adjunction import _precise_inversion, _semicontinuity_bounds, _shokurov_holds
 from .errors import CheckFailed, InputError, MalformedRational, ResourceLimit
-from .germ import (
-    ToricGerm,
-    _oracle_minima,
-    cartier_index,
-    full_face,
-    germ_document,
-    germ_normalize,
-    mld_face,
-)
+from .germ import ToricGerm, _oracle_minima, cartier_index, germ_document, germ_normalize
 from .lattice import TABLE_CAP, Lattice, _superlattice, _superlattice_counts, _superlattices
 from .newton import _general_member_threshold, lct_fermat, lct_newton, newton_poly_from_exponents
-from .rationals import instance, integer, iterate, qvec, qvec_str, rat, rat_str
+from .rationals import instance, integer, iterate, qvec, rat, rat_str, row_str
 
 ROW_CAP_DEFAULT = 10**6
 CHUNK = 8  # lattices a worker takes at once: its tables live only as long as its chunk
@@ -208,9 +200,9 @@ def _invariants(germ: ToricGerm) -> dict:
 
 
 def _survey_row(germ: ToricGerm) -> SurveyRow:
+    """The row of ``germ``; its witnesses are the full face's minimizer rows of the face table, written by ``row_str``."""
     table = germ.face_table
     exceptional = table.minimizing_support(min_codim=2)  # None in dimension 1
-    point = mld_face(germ, full_face(germ.dim))
     return SurveyRow(
         germ_id=germ_id(germ),
         dim=germ.dim,
@@ -218,14 +210,18 @@ def _survey_row(germ: ToricGerm) -> SurveyRow:
         boundary=tuple(rat_str(b) for b in germ.boundary),
         mld_global=table.value(table.minimizing_support()),
         mld_exceptional=None if exceptional is None else table.value(exceptional),
-        witnesses=tuple(map(qvec_str, point.witnesses)),
+        witnesses=tuple(row_str(u, table.den) for u in table.entries[tuple(range(1, germ.dim + 1))][1]),
         **_invariants(germ),
     )
 
 
-def _rows_for_lattice(args) -> list[SurveyRow]:
+def _rows_for_lattice(args) -> list[tuple[SurveyRow, tuple]]:
+    """The row of each (lattice, b) for b in ``boundaries``, each paired with
+    its witnesses as they sit in the face table: the full face's den-scaled
+    minimizer rows, sorted, which ``_derived_rows`` permutes."""
     lattice, boundaries = args
-    return [_survey_row(ToricGerm(lattice, b)) for b in boundaries]
+    full = tuple(range(1, lattice.dim + 1))
+    return [(_survey_row(germ), germ.face_table.entries[full][1]) for germ in (ToricGerm(lattice, b) for b in boundaries)]
 
 
 def _orbit_representatives(lattice: Lattice, assignments) -> list:
@@ -285,9 +281,9 @@ def _orbit_rows(stream, dim: int, coeffs, mod_permutations: bool, run):
     class at a time: a coordinate permutation keeps the index and den.  An
     orbit's first lattice is its least, the representative R; its rows come
     from ``_rows_for_lattice`` through ``run`` (``map`` or a pool's ``imap``),
-    and each later member's from R's (``_derived_rows``), or none with
-    ``mod_permutations``.  Only the class's registry (``_representatives``),
-    its representatives' rows and integer keys are held, and the lists in ``pulled``."""
+    and each later member's from R's rows and minimizer rows (``_derived_rows``),
+    or none with ``mod_permutations``.  Only the class's registry (``_representatives``),
+    its representatives' pairs and integer keys are held, and the lists in ``pulled``."""
     assignments, base = list(product(coeffs, repeat=dim)), len(coeffs)
     pulled = {}  # perm -> position of b_R for each b: b's base-|B| digit j moved to place perm[j]
     for _, group in groupby(stream, itemgetter(1)):
@@ -298,7 +294,7 @@ def _orbit_rows(stream, dim: int, coeffs, mod_permutations: bool, run):
             rep, perm = registry[rows] or (rows, None)  # a representative may not be registered yet
             if rep == rows:
                 made[rows] = next(results)
-                yield from made[rows]
+                yield from map(itemgetter(0), made[rows])
             elif not mod_permutations:  # a member's unit_scales are R's permuted, so all 1
                 if perm not in pulled:
                     places = [base ** (dim - 1 - p) for p in perm]
@@ -320,18 +316,18 @@ def _representatives(dim: int, keys, registry: dict, assignments, mod_permutatio
             yield lattice, _orbit_representatives(lattice, assignments) if mod_permutations else assignments
 
 
-def _derived_rows(rows: list[SurveyRow], perm, lattice: Lattice, assignments, pulled):
-    """The rows of ``lattice``, R's image under ``perm``, from R's ``rows``: at the
-    i-th b, R's row at b_R (b_R[perm[j]] = b[j]), ``rows[pulled[i]]``, with its own germ id,
-    the one value computed, b and witnesses w' (w'_j = w[perm[j]], two or more sorted
-    by den-scaled value as ``FaceTable`` does); every other field is an isomorphism invariant."""
+def _derived_rows(rows: list[tuple[SurveyRow, tuple]], perm, lattice: Lattice, assignments, pulled):
+    """The rows of ``lattice``, R's image under ``perm``, from R's (row, minimizer
+    rows) pairs ``rows`` (``_rows_for_lattice``): at the i-th b, R's pair at b_R
+    (b_R[perm[j]] = b[j]), ``rows[pulled[i]]``, with its own germ id, the one value
+    computed, b and witnesses: each den-scaled row u of R moved to u' (u'_j = u[perm[j]]),
+    sorted as integer tuples, the face table's order, and written by ``row_str``
+    (a permutation keeps den); every other field is an isomorphism invariant."""
     den = lattice.den
     for b, at in zip(assignments, pulled):
-        row = rows[at]
-        moved = [[c[p] for p in perm] for c in (w[1:-1].split(",") for w in row.witnesses)]
-        if len(moved) > 1:
-            moved.sort(key=lambda c: [int(p) * den // int(q or 1) for p, _, q in (x.partition("/") for x in c)])
-        witnesses, boundary = tuple("(" + ",".join(c) + ")" for c in moved), tuple(row.boundary[p] for p in perm)
+        row, minimizers = rows[at]
+        witnesses = tuple(row_str(u, den) for u in sorted(tuple(u[p] for p in perm) for u in minimizers))
+        boundary = tuple(row.boundary[p] for p in perm)
         yield SurveyRow(germ_id(ToricGerm(lattice, b)), row.dim, row.index, boundary, row.mld_point, row.mld_global,
                         row.mld_exceptional, witnesses, row.cartier, row.lsc_ok, row.bounds_ok, row.pia_ok, row.lct_general)
 

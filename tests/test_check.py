@@ -199,7 +199,9 @@ def test_each_invariant_runs_once_per_checked_germ(monkeypatch):
     integers, so no ``mld_face`` report and no ``CheckReport`` details are
     built."""
     import toricmld.adjunction as adjunction
+    import toricmld.germ as germ_module
     import toricmld.survey as survey
+    from toricmld.germ import FaceTable
 
     names = (
         "_invariants",
@@ -220,7 +222,8 @@ def test_each_invariant_runs_once_per_checked_germ(monkeypatch):
     never = (
         (Lattice, "contains"),
         (ToricGerm, "log_discrepancy"),
-        (survey, "mld_face"),
+        (germ_module, "mld_face"),
+        (FaceTable, "witnesses"),
         (adjunction, "check_lower_semicontinuity"),
         (adjunction, "check_shokurov_bounds"),
         (adjunction, "check_precise_inversion"),

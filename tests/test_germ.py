@@ -394,6 +394,17 @@ def test_cartier_examples():
     assert cartier_index(quarter) == 2
 
 
+def test_cartier_guard_reads_den(monkeypatch):
+    """The weight's dual order must divide den, the exponent of N/Z^d, not
+    only the index: here the index is 4 and den 2, so an order of 4 is refused."""
+    lat = Lattice.from_generators(3, [(F(1, 2), F(1, 2), 0), (0, F(1, 2), F(1, 2))])
+    assert (lat.index, lat.den, lat.unit_scales) == (4, 2, (1, 1, 1))
+    germ = ToricGerm(lat, (0, 0, 0))
+    monkeypatch.setattr(Lattice, "dual_order", lambda self, m: 4)
+    with pytest.raises(ModelViolation, match="must divide den"):
+        cartier_index(germ)
+
+
 def cartier_by_divisors(germ):
     """Smallest r >= 1 with r * (1 - b) in the dual lattice, by trying
     wd * k for each divisor k of the index in turn."""

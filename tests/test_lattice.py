@@ -104,6 +104,11 @@ def test_examples_from_generators():
     assert lattice_from_generators(3, [(F(1, 4), F(2, 4), F(3, 4))]).index == 4
 
 
+def test_repr_writes_the_basis_rows():
+    lat = Lattice.from_generators(3, [(F(1, 4), F(2, 4), F(3, 4))])
+    assert repr(lat) == "Lattice(dim=3, basis=[(1/4,1/2,3/4);(0,1,0);(0,0,1)])"
+
+
 def test_wrong_dimension_generator():
     with pytest.raises(InputError):
         lattice_from_generators(2, [(F(1, 2),)])

@@ -4,7 +4,7 @@ import pytest
 
 import toricmld
 from toricmld.errors import DimensionMismatch, InputError, MalformedRational
-from toricmld.rationals import common_denominator, integer, qvec, rat, rat_str, scaled_int_vector
+from toricmld.rationals import common_denominator, integer, qvec, qvec_str, rat, rat_str, row_str, scaled_int_vector
 
 
 def test_rat_parsing():
@@ -211,3 +211,12 @@ def test_a_flag_that_is_not_a_bool_is_an_input_error(call):
     """The survey ran "yes" as true and 0 as false."""
     with pytest.raises(InputError, match="must be true or false"):
         call()
+
+
+@pytest.mark.parametrize("den", range(1, 13))
+def test_row_str_writes_the_row_over_den(den):
+    """``row_str`` is ``qvec_str`` of row / den, reduced entry by entry, on
+    rows with zero, negative and multi-digit entries."""
+    rows = [(), (0,), (0, 0, 0), (1, -1, den), (-den, 2 * den, 7), (12, -36, 120, 1001), (-123456789, 0, 60, -5)]
+    for row in rows:
+        assert row_str(row, den) == qvec_str(tuple(F(c, den) for c in row)), row
