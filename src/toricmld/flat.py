@@ -60,12 +60,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 from math import ceil, gcd
 from operator import mul
 
 from .errors import AlreadyFlat, InputError, ModelViolation, NotLogCanonical
 from .germ import Face, ToricGerm, full_face, germ_document, log_discrepancy_of_valuation
+from .lattice import cached_field
 from .newton import _vertex_intersection
 from .rationals import IntVec, QVec, instance, integer, iterate, qvec, rat_str, row_str, scaled_int_vector
 
@@ -91,7 +91,7 @@ class FlatState:
     def members(self) -> int:
         return len(self.gammas)
 
-    @cached_property
+    @cached_field
     def total(self) -> Fraction:
         return sum(self.gammas, start=Fraction(0))
 

@@ -31,12 +31,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 from math import lcm
 from operator import mul
 
 from .errors import InputError, ModelViolation, NotPrimitive, ResourceLimit
-from .lattice import TABLE_CAP, Lattice
+from .lattice import TABLE_CAP, Lattice, cached_field
 from .rationals import IntVec, QVec, instance, integer, iterate, qvec, qvec_str, rat, rat_str, ratio_str
 
 
@@ -144,11 +143,11 @@ class ToricGerm:
     def dim(self) -> int:
         return self.lattice.dim
 
-    @cached_property
+    @cached_field
     def weights(self) -> QVec:
         return tuple(1 - b for b in self.boundary)
 
-    @cached_property
+    @cached_field
     def _weight_ints(self) -> tuple[IntVec, int]:
         """Weights wn / wd: 1 - p/q is (q - p)/q, already in lowest terms."""
         wd = lcm(*(b.denominator for b in self.boundary))
@@ -157,7 +156,7 @@ class ToricGerm:
     def log_discrepancy(self, x: QVec) -> Fraction:
         return sum((w * c for w, c in zip(self.weights, x)), start=Fraction(0))
 
-    @cached_property
+    @cached_field
     def face_table(self) -> FaceTable:
         """Minimum and minimizers of every face, one pass per face (see the module docstring)."""
         wn, wd = self._weight_ints

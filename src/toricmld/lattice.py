@@ -17,8 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
-from itertools import combinations, permutations, product
+from itertools import chain, combinations, compress, permutations, product
 from math import gcd, isqrt, lcm, prod
 from operator import mul
 
@@ -36,6 +35,27 @@ TABLE_CAP = 2**20
 # It admits every lattice to index 255 in dimension 3 and 63 in dimension 4;
 # at it, 1/255(1,2,7)'s basis took 0.25 s and 56 MB (Xeon vCPU, Python 3.11).
 BOX_CAP = 2**24
+
+
+class cached_field:
+    """A field computed by ``func`` on first read and kept in the
+    instance's ``__dict__``, where every later read finds it without calling
+    back here.  It is ``functools.cached_property`` as Python 3.12 has it,
+    without 3.11's lock around each first fill: an object's fields are
+    filled by the thread that reads them, and the one other thread, the
+    ``--jobs`` pool's task thread, reads only lattices it builds itself."""
+
+    def __init__(self, func):
+        self.func, self.__doc__ = func, func.__doc__
+
+    def __set_name__(self, owner, name: str):
+        self.name = name
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            return self
+        value = obj.__dict__[self.name] = self.func(obj)
+        return value
 
 
 def xgcd(a: int, b: int) -> tuple[int, int, int]:
@@ -107,16 +127,24 @@ class Lattice:
     def __init__(self, dim: int, basis):
         """Build a lattice with ``from_rows`` or ``from_generators``: the
         constructor takes only its canonical basis (``InputError`` otherwise),
-        and ``_canonical``, given the canonical rows, skips this check."""
+        and ``_canonical``, given the canonical rows, skips this check.
+
+        Over den, the lcm of their denominators, the rows are integers with
+        gcd 1 with den, so they are the canonical basis exactly when those
+        integers are in Hermite normal form (``_is_hnf``): then they are
+        ``int_rows`` and den is the least q with q*L integral.  Only a
+        refused basis goes through ``from_rows``, for its message."""
         try:
             dim = integer(dim, "dim")
             rows = tuple(map(qvec, iterate(basis, "a basis")))  # read once: ``basis`` may be an iterator
-            canon = Lattice.from_rows(dim, rows)
-            if canon.basis != rows:
+            den = common_denominator(rows)
+            int_rows = tuple([scaled_int_vector(r, den) for r in rows])
+            if not _is_hnf(int_rows, dim):
+                Lattice.from_rows(dim, rows)  # its refusal, where it has one
                 raise InputError(f"{basis!r} is not the canonical basis of a lattice")
         except InputError as exc:
             raise InputError(f"{exc}; build lattices with Lattice.from_rows") from None
-        self.__dict__.update(canon.__dict__)
+        self.__dict__.update(dim=dim, den=den, int_rows=int_rows)
 
     @classmethod
     def from_rows(cls, dim: int, rows) -> "Lattice":
@@ -137,8 +165,8 @@ class Lattice:
         the HNF of the rows scaled to q is ``int_rows``; int_rows / q is the
         canonical basis, so the constructor's check is skipped.
         """
-        g = gcd(den, *(x for row in rows for x in row))
-        h = hnf([[x // g for x in row] for row in rows], dim)
+        g = gcd(den, *chain.from_iterable(rows))
+        h = hnf(rows if g == 1 else [[x // g for x in row] for row in rows], dim)
         if len(h) != dim:
             raise InputError("generators do not span the ambient space")
         return cls._canonical(dim, den // g, tuple(map(tuple, h)))
@@ -165,21 +193,25 @@ class Lattice:
     def standard(cls, dim: int) -> "Lattice":
         return cls.from_generators(dim, [])
 
-    @cached_property
+    @cached_field
     def basis(self) -> tuple[tuple[Fraction, ...], ...]:
         """The canonical basis, ``int_rows`` / ``den``, built when first read."""
         return tuple(tuple(Fraction(x, self.den) for x in row) for row in self.int_rows)
 
-    @cached_property
+    @cached_field
     def det(self) -> Fraction:
         d = prod(self.int_rows[i][i] for i in range(self.dim))
         return Fraction(d, self.den**self.dim)
 
-    @cached_property
+    @cached_field
     def is_superlattice(self) -> bool:
-        """Whether Z^d is contained in this lattice."""
-        d = self.dim
-        return all(self._coordinates([int(j == i) for j in range(d)]) is not None for i in range(d))
+        """Whether Z^d is contained in this lattice: whether the back
+        substitution of ``dual_int_basis`` is exact, which fills that field."""
+        try:
+            self.dual_int_basis
+        except InputError:
+            return False
+        return True
 
     @property
     def index(self) -> int:
@@ -246,7 +278,7 @@ class Lattice:
 
     # -- cosets -------------------------------------------------------------
 
-    @cached_property
+    @cached_field
     def rep_ints(self) -> tuple[tuple[int, ...], ...]:
         """Residues den*x mod den of a full set of coset representatives,
         sorted.
@@ -259,24 +291,27 @@ class Lattice:
         k of the difference is a nonzero multiple of p_k of absolute value
         below den.  There are prod den / p_i = ``index`` of them, so they are
         every coset of N/Z^d (see Cohen, A Course in Computational Algebraic
-        Number Theory, on the Hermite normal form).  The index must not
+        Number Theory, on the Hermite normal form).  A pivot with
+        den / p_i = 1 adds only a_i = 0 and is skipped.  The index must not
         exceed ``TABLE_CAP`` (``ResourceLimit`` before anything is built).
         """
         if not self.is_superlattice:
             raise InputError("coset table requires a lattice containing Z^d")
-        if self.index > TABLE_CAP:
-            raise ResourceLimit(f"coset table of index {self.index} exceeds the cap {TABLE_CAP}")
+        index = self.index
+        if index > TABLE_CAP:
+            raise ResourceLimit(f"coset table of index {index} exceeds the cap {TABLE_CAP}")
         den = self.den
-        cols = [[0] for _ in range(self.dim)]  # cols[j][s]: coordinate j of residue s
+        cols = [[0]] * self.dim  # cols[j][s]: coordinate j of residue s
         for i, row in enumerate(self.int_rows):
             n = den // row[i]
-            cols = [
-                [(c + a * t) % den for c in col for a in range(n)] if t else [c for c in col for _ in range(n)]
-                for col, t in zip(cols, row)
-            ]
+            if n > 1:
+                cols = [
+                    [(c + a * t) % den for c in col for a in range(n)] if t else [c for c in col for _ in range(n)]
+                    for col, t in zip(cols, row)
+                ]
         return tuple(sorted(zip(*cols)))
 
-    @cached_property
+    @cached_field
     def box_candidates(self) -> dict[tuple[int, ...], tuple[tuple[int, ...], ...]]:
         """den-scaled unit-box candidates of every face stratum, keyed by the
         1-based support S in (size, lexicographic) order: the residues in
@@ -284,54 +319,61 @@ class Lattice:
         sorted within each face once here, since ``ToricGerm.face_table``
         keeps a face's minimizers in the order of its rows.
 
-        One pass over the residues; a residue of support exactly S is its own
-        candidate there.  A residue of support m lies in the 2^(d - |m|) faces
-        containing m (2^d - 1 when m is empty); more rows than ``TABLE_CAP`` in
-        all raise ``ResourceLimit`` before any face is built.
+        One pass over the residues: a residue u with z zeros is, with each
+        subset of its zeros lifted, a row of the face of that row's support,
+        2^z rows in all (``product`` over the coordinates), the zero
+        residue's unlifted row, of empty support, left out.  More rows than
+        ``TABLE_CAP`` in all raise ``ResourceLimit`` before any face is built.
         """
-        den, d = self.den, self.dim
-        supports = [sum(1 << j for j, c in enumerate(u) if c) for u in self.rep_ints]
-        total = sum((1 << (d - m.bit_count())) - (not m) for m in supports)
+        den, reps = self.den, self.rep_ints
+        total = sum(1 << u.count(0) for u in reps) - 1
         if total > TABLE_CAP:
             raise ResourceLimit(f"a box candidate table of {total} rows exceeds the cap {TABLE_CAP}")
-        faces = [on for size in range(1, d + 1) for on in combinations(range(d), size)]
-        masks = [sum(1 << j for j in on) for on in faces]
-        rows: list[list[tuple[int, ...]]] = [[] for _ in faces]
-        for u, m in zip(self.rep_ints, supports):
-            for s, out in zip(masks, rows):
-                if m | s == s:
-                    out.append(u if m == s else tuple(den if s >> j & 1 and not c else c for j, c in enumerate(u)))
-        return {tuple(j + 1 for j in on): tuple(sorted(out)) for on, out in zip(faces, rows)}
+        coords = range(1, self.dim + 1)
+        rows = {on: [] for size in range(self.dim + 1) for on in combinations(coords, size)}
+        for u in reps:
+            for v in product(*[(c,) if c else (0, den) for c in u]):
+                rows[tuple(compress(coords, v))].append(v)
+        del rows[()]
+        return {on: tuple(sorted(out)) for on, out in rows.items()}
 
-    @cached_property
+    @cached_field
     def member_rows(self) -> frozenset[IntVec]:
         """The rows of ``box_candidates`` that pair to 0 mod den with every
-        column of ``dual_int_basis``: den times a lattice point, each tested once."""
-        den, dual = self.den, self.dual_int_basis
-        rows = (u for face in self.box_candidates.values() for u in face)
-        return frozenset(u for u in rows if not any(sum(map(mul, u, col)) % den for col in dual))
+        column of ``dual_int_basis``: den times a lattice point, each tested
+        once, one column at a time over the rows left."""
+        den, rows = self.den, [u for face in self.box_candidates.values() for u in face]
+        for col in self.dual_int_basis:
+            rows = [u for u in rows if not sum(map(mul, u, col)) % den]
+        return frozenset(rows)
 
-    @cached_property
+    @cached_field
     def coset_table(self) -> CosetTable:
         den = self.den
         return CosetTable(tuple(tuple(Fraction(x, den) for x in u) for u in self.rep_ints))
 
     # -- derived lattices ----------------------------------------------------
 
-    @cached_property
+    @cached_field
     def dual_int_basis(self) -> tuple[tuple[int, ...], ...]:
         """Integer basis of the dual of a lattice containing Z^d, built
         without fractions: the columns of den * T^-1 for T = ``int_rows``.
 
-        The dual {m : T m = 0 mod den} is the span of those columns, which are
-        integral because the lattice contains Z^d.  Column j is zero below
-        entry j, and entry j is the positive den / T_jj.
+        The dual {m : T m = 0 mod den} is the span of those columns.  Row i
+        of den * T^-1 holds the coefficients of e_i over ``basis``, so the
+        matrix is integral exactly when the lattice contains Z^d; the back
+        substitution then divides exactly, and otherwise raises
+        ``InputError``.  So does a T that is not upper triangular, which only
+        surgery on a lattice makes: the back substitution needs the shape.
+        Column j is zero below entry j, and entry j is the positive den / T_jj.
         """
-        if not self.is_superlattice:
+        t = self.int_rows
+        cols = None if any(x for i, row in enumerate(t) for x in row[:i]) else _inverse_columns(t, self.den)
+        if cols is None:
             raise InputError("the integer dual basis requires a lattice containing Z^d")
-        return tuple(map(tuple, _inverse_columns(self.int_rows, self.den)))
+        return tuple(map(tuple, cols))
 
-    @cached_property
+    @cached_field
     def dual(self) -> "Lattice":
         """{m : <m, x> integral for all x in L}: the span of the columns of
         den * T^-1 = den * adj(T) / det(T) for T = ``int_rows``, adj(T) integral."""
@@ -366,7 +408,7 @@ class Lattice:
             raise NotInLattice(f"{vec} is not a lattice element")
         return gcd(*coords)
 
-    @cached_property
+    @cached_field
     def unit_scales(self) -> tuple[int, ...]:
         """primitive_scale of each standard basis vector (superlattices).
 
@@ -376,8 +418,7 @@ class Lattice:
         """
         if not self.is_superlattice:
             raise NotInLattice("a standard basis vector is not a lattice element")
-        cols = self.dual_int_basis
-        return tuple(gcd(*(col[i] for col in cols)) for i in range(self.dim))
+        return tuple(map(gcd, *self.dual_int_basis))
 
     def normal_form(self) -> tuple["Lattice", tuple[int, ...]]:
         """The image under multiplying each coordinate i by n_i =
@@ -387,7 +428,7 @@ class Lattice:
         scales = self.unit_scales
         return (self if all(k == 1 for k in scales) else self.rescale(scales)), scales
 
-    @cached_property
+    @cached_field
     def permuted_keys(self) -> tuple[tuple[tuple[IntVec, ...], tuple[int, ...]], ...]:
         """(``int_rows`` of the image {(x[perm[0]], .., x[perm[d-1]])}, perm)
         for each coordinate permutation: the identity's first, ``int_rows`` itself,
@@ -397,12 +438,12 @@ class Lattice:
 
     # -- the dual monoid, and per-lattice data of the other modules -----------
 
-    @cached_property
+    @cached_field
     def ray_orders(self) -> tuple[int, ...]:
         """c_i = ``dual_order(e_i)`` = den / gcd(den, column i of ``int_rows``)."""
         return tuple(self.den // gcd(self.den, *col) for col in zip(*self.int_rows))
 
-    @cached_property
+    @cached_field
     def hilbert_basis(self) -> tuple[IntVec, ...]:
         """Minimal generating set of the monoid (dual lattice) cap (dual
         orthant) of a lattice containing Z^d, sorted: ``_box_irreducibles`` of
@@ -410,7 +451,7 @@ class Lattice:
         dual vector on ray i, and anything beyond can shed one."""
         return self._box_irreducibles((1,) * self.dim, sum(self.ray_orders) + 1)
 
-    @cached_property
+    @cached_field
     def newton_generators(self) -> tuple[IntVec, ...]:
         """G = {c_i e_i} and the m in ``hilbert_basis`` with sum m_i / c_i < 1,
         sorted.  Any other basis element is sum (m_i / c_i) c_i e_i with
@@ -418,10 +459,10 @@ class Lattice:
         min <h, x> over the basis is the minimum over G.  The open simplex
         sum m_i (L / c_i) < L, L = lcm(c), is closed downward, so G is
         ``_box_irreducibles`` of it: the rest of the box is never walked."""
-        c = self.ray_orders
+        c, d = self.ray_orders, self.dim
         top = lcm(*c)
-        axis = [tuple(ci * (j == i) for j in range(self.dim)) for i, ci in enumerate(c)]
-        return tuple(sorted([*self._box_irreducibles(tuple(top // ci for ci in c), top), *axis]))
+        axis = [(0,) * i + (ci,) + (0,) * (d - 1 - i) for i, ci in enumerate(c)]
+        return tuple(sorted([*self._box_irreducibles([top // ci for ci in c], top), *axis]))
 
     def _box_irreducibles(self, a: IntVec, top: int) -> tuple[IntVec, ...]:
         """The irreducible nonzero monoid points x of the box prod [0, c_i]
@@ -447,15 +488,19 @@ class Lattice:
         axis, masked so that no bit leaves its line), and the irreducibles
         are the nonzero points minus the shifted copies: O(box * d * log c)
         bit operations on Python ints, against the box cap ``BOX_CAP``
-        (``ResourceLimit`` above it, before the dual basis is built).
+        (``ResourceLimit`` above it, before the dual basis is built).  A walk
+        that finds no nonzero point returns () before any of this is set up.
         """
-        c = self.ray_orders
-        total = prod(ci + 1 for ci in c)
+        c, strides, total = self.ray_orders, [], 1
+        for ci in c:
+            strides.append(total)
+            total *= ci + 1
         if total > BOX_CAP:
             raise ResourceLimit(f"Hilbert basis box of {total} points exceeds the cap {BOX_CAP}")
-        strides = tuple(prod(cj + 1 for cj in c[:i]) for i in range(self.dim))
         walk_basis = [col[::-1] for col in reversed(self.dual_int_basis)]
         nonzero = _box_bits(walk_basis, c[::-1], strides[::-1], a[::-1], top) & ~1
+        if not nonzero:
+            return ()
         reps = [_block_mask(total, (ci + 1) * st) for ci, st in zip(c, strides)]  # bit 0 of each line
         below = nonzero
         for ci, st, rep in zip(c, strides, reps):
@@ -475,7 +520,7 @@ class Lattice:
             i = digits.rfind("1", 0, i)
         return tuple(sorted(result))
 
-    @cached_property
+    @cached_field
     def interior_multiplicities(self) -> tuple[int, ...]:
         """den * v(x) for each full-support row x of ``box_candidates``, where
         v(x) = min <h, x> over ``newton_generators`` (that is, over the
@@ -484,7 +529,7 @@ class Lattice:
         rows = self.box_candidates[tuple(range(1, self.dim + 1))]
         return tuple(min(sum(map(mul, h, row)) for h in gens) for row in rows)
 
-    @cached_property
+    @cached_field
     def threshold_vertices(self) -> tuple[int, tuple[IntVec, ...]]:
         """(D, rows): the vertices y = row / D of Q = {y >= 0 : <y, m> >= 1
         for every m of ``hilbert_basis``}, sorted.  Q's recession cone is the
@@ -506,20 +551,29 @@ class Lattice:
         n - 2 = d - 1 (n = d + 1), which needs d - 1 common bits.  The rows
         (c_i e_i, -1), (0, 1) and (m, -1) are pairwise non-parallel, so for
         d <= 3 that is enough; for d >= 4, the pair must also have no third
-        generator tight on all of them (the combinatorial test)."""
+        generator tight on all of them (the combinatorial test).  When G has
+        nothing to insert, Q is the orthant moved to the apex, its one vertex,
+        and no generator list is set up."""
         d, c = self.dim, self.ray_orders
         top = lcm(*c)
-        apex = (*(top // ci for ci in c), top)
-        gens = [(apex, (1 << d) - 1)]
-        gens += [(tuple(int(j == i) for j in range(d + 1)), (2 << d) - 1 - (1 << i)) for i in range(d)]
+        apex = (*[top // ci for ci in c], top)
         inserted = [m for m in self.newton_generators if sum(map(mul, m, apex)) < top]
+        if not inserted:
+            return top, (apex[:d],)
+        gens = [(apex, (1 << d) - 1)]
+        gens += [((0,) * i + (1,) + (0,) * (d - i), (2 << d) - 1 - (1 << i)) for i in range(d)]
         for k, m in enumerate(inserted):
             bit = 1 << (d + 1 + k)
-            pos, neg, tight = [], [], []
+            pos, neg, out = [], [], []  # out: the generators kept, tight ones marked
             for g, z in gens:
                 v = sum(map(mul, m, g)) - g[d]
-                (pos if v > 0 else neg if v < 0 else tight).append((g, z, v))
-            out = [(g, z | bit) for g, z, _ in tight] + [(g, z) for g, z, _ in pos]
+                if v > 0:
+                    pos.append((g, z, v))
+                    out.append((g, z))
+                elif v < 0:
+                    neg.append((g, z, v))
+                else:
+                    out.append((g, z | bit))
             for p, zp, vp in pos:
                 for n, zn, vn in neg:
                     z = zp & zn
@@ -527,12 +581,13 @@ class Lattice:
                         continue
                     ray = [vp * b - vn * a for a, b in zip(p, n)]
                     g = gcd(*ray)
-                    out.append((tuple(x // g for x in ray), z | bit))
+                    out.append((tuple(ray) if g == 1 else tuple(x // g for x in ray), z | bit))
             gens = out
-        den = lcm(*(g[d] for g, _ in gens if g[d]))
-        return den, tuple(sorted(tuple(x * (den // g[d]) for x in g[:d]) for g, _ in gens if g[d]))
+        den = lcm(*[g[d] for g, _ in gens if g[d]])
+        rows = [g[:d] if g[d] == den else tuple(x * (den // g[d]) for x in g[:d]) for g, _ in gens if g[d]]
+        return den, tuple(sorted(rows))
 
-    @cached_property
+    @cached_field
     def restrictions(self) -> tuple[tuple["Lattice", tuple[int, ...]], ...]:
         """For each coordinate i, in order: the ``normal_form`` of the image
         under deleting coordinate i, and its scales n_j (the lattice half of
@@ -543,22 +598,42 @@ class Lattice:
         return f"Lattice(dim={self.dim}, basis=[{';'.join(row_str(row, self.den) for row in self.int_rows)}])"
 
 
-def _inverse_columns(t, scale: int) -> list[list[int]]:
+def _inverse_columns(t, scale: int) -> list[list[int]] | None:
     """Columns of scale * T^-1 for an upper-triangular integer T with
-    positive pivots, by back substitution; scale * T^-1 must be integral.
+    positive pivots, by back substitution, or None when that matrix is not
+    integral.
 
-    Each division is exact: it recovers an entry of that integral matrix
-    from the entries already found, as in fraction-free elimination
-    (Bareiss 1968).
+    Each division recovers an entry of scale * T^-1 from the entries already
+    found, as in fraction-free elimination (Bareiss 1968): the first that
+    leaves a remainder finds an entry that is not an integer, and when none
+    does, every entry is one.  Row i of T pairs with the whole column x: it
+    is zero left of entry i, and entry i of x is still 0 when it is found.
     """
     d = len(t)
     cols = []
     for j in range(d):
         x = [0] * d
         for i in range(j, -1, -1):
-            x[i] = (scale * (i == j) - sum(t[i][k] * x[k] for k in range(i + 1, j + 1))) // t[i][i]
+            x[i], r = divmod(scale * (i == j) - sum(map(mul, t[i], x)), t[i][i])
+            if r:
+                return None
         cols.append(x)
     return cols
+
+
+def _is_hnf(rows, dim: int) -> bool:
+    """Whether ``rows`` are ``dim`` >= 1 integer rows of length ``dim`` in
+    the form ``hnf`` leaves them: zero below each pivot, the pivot positive
+    and the entries above it in [0, pivot)."""
+    if not 0 < dim == len(rows):
+        return False
+    for j, row in enumerate(rows):
+        if len(row) != dim or row[j] <= 0 or any(row[:j]):
+            return False
+        for above in rows[:j]:
+            if not 0 <= above[j] < row[j]:
+                return False
+    return True
 
 
 def _box_bits(rows: list[IntVec], c: IntVec, strides: IntVec, a: IntVec, top: int) -> int:
@@ -571,7 +646,8 @@ def _box_bits(rows: list[IntVec], c: IntVec, strides: IntVec, a: IntVec, top: in
     x_0..x_{i-1} are fixed, the coefficients of rows 0..i-1 are too, and x_i
     runs through v_i + k * pivot_i for the partial sum v of those rows, up to
     c_i and to the room that the prefix leaves under ``top``, so only lattice
-    points of the region are ever visited.  The points of the last
+    points of the region are ever visited, and a prefix that leaves no room
+    for x_i goes no further.  The points of the last
     coordinate are marked as "1" digits in one bytearray, read as a base-2
     int at the end: one O(box) pass rather than a big-int operation per
     point or line.  Prefixes are kept as parallel lists of integers, not one
@@ -588,6 +664,8 @@ def _box_bits(rows: list[IntVec], c: IntVec, strides: IntVec, a: IntVec, top: in
         for s, (vi, room) in enumerate(zip(sums[i], rooms)):
             x = vi % piv  # smallest x_i >= 0 of the form v_i + k * piv
             n = (min(ci, room // ai) - x) // piv + 1
+            if n <= 0:  # no room left for x_i: the prefix ends here
+                continue
             k0 = (x - vi) // piv
             parents += [s] * n
             ks += range(k0, k0 + n)

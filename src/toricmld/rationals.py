@@ -88,7 +88,7 @@ def iterate(value, name: str) -> Iterator:
 
 def qvec(entries: Iterable, dim: int | None = None) -> QVec:
     """Coerce an iterable of rational-like entries to a QVec."""
-    vec = tuple(rat(e) for e in iterate(entries, "a vector"))
+    vec = tuple([rat(e) for e in iterate(entries, "a vector")])
     if dim is not None and len(vec) != dim:
         raise DimensionMismatch(f"expected a vector of length {dim}, got {len(vec)}")
     return vec
@@ -104,12 +104,8 @@ def row_str(row: Sequence[int], den: int) -> str:
 
 
 def common_denominator(vectors: Iterable[Sequence[Fraction]]) -> int:
-    """lcm of the denominators of every entry of every vector (at least 1)."""
-    den = 1
-    for vec in vectors:
-        for e in vec:
-            den = lcm(den, Fraction(e).denominator)
-    return den
+    """lcm of the denominators of every entry (a ``Fraction`` or an int) of every vector (at least 1)."""
+    return lcm(*[e.denominator for vec in vectors for e in vec])
 
 
 def scaled_int_vector(vec: Sequence[Fraction], scale: int) -> tuple[int, ...]:
@@ -120,4 +116,4 @@ def scaled_int_vector(vec: Sequence[Fraction], scale: int) -> tuple[int, ...]:
     for e in vec:
         if scale % e.denominator:
             raise ValueError(f"{scale} does not clear the denominator of {e}")
-    return tuple(e.numerator * (scale // e.denominator) for e in vec)
+    return tuple([e.numerator * (scale // e.denominator) for e in vec])

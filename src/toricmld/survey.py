@@ -514,9 +514,9 @@ def _check_germ(germ: ToricGerm) -> list[str]:
             problems.append(f"oracle mismatch on face {support}: {table.value(support)} vs {Fraction(oracle, table.scale)}")
         for u in minimizers:
             if sum(map(mul, wn, u)) != m:
-                problems.append(f"witness {table.witness(u)} does not attain the face value")
+                problems.append(f"witness {row_str(u, table.den)} does not attain the face value")
             if u not in members and any(sum(map(mul, u, col)) % table.den for col in dual):
-                problems.append(f"witness {table.witness(u)} is outside the lattice")
+                problems.append(f"witness {row_str(u, table.den)} is outside the lattice")
     if not inv["lsc_ok"]:
         problems.append("lower semicontinuity inequality failed")
     if not inv["bounds_ok"]:

@@ -601,9 +601,9 @@ def test_an_overstated_ray_infimum_is_a_model_violation(monkeypatch):
 
 
 def test_a_state_keeps_its_coefficient_sum():
-    from functools import cached_property
+    from toricmld.lattice import cached_field
 
-    assert isinstance(vars(FlatState)["total"], cached_property)
+    assert isinstance(vars(FlatState)["total"], cached_field)
     state = FlatState(germ_cyclic_quotient(5, (1, 2, 3)), (F(1, 2), F(1, 3)))
     assert state.total == F(5, 6) and vars(state)["total"] is state.total
 

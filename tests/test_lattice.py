@@ -546,6 +546,70 @@ def test_the_constructor_reads_a_one_shot_basis_once():
         Lattice(2, iter(((1, 0), (1, 1))))
 
 
+def _definition_lattices(corpus_lattices):
+    """Every d <= 3 lattice to index 12, its dual, a ``from_rows``
+    sublattice, its ``project_drop`` images and a rescale: with and without
+    Z^d, each built afresh, with no field filled."""
+    found = []
+    for d, lattices in corpus_lattices.items():
+        for lat in lattices:
+            found += [lat, lat.dual, Lattice.from_rows(d, [*lat.basis[1:], [2 * x for x in lat.basis[0]]])]
+            found += [lat.project_drop(j) for j in range(1, d + 1) if d > 1]
+            found.append(lat.rescale((1, 2, 3)[:d]))
+    return [Lattice._canonical(lat.dim, lat.den, lat.int_rows) for lat in found]
+
+
+def test_the_integer_superlattice_test_and_dual_basis_are_their_definitions(corpus_lattices):
+    """``is_superlattice`` is whether every e_i has integer coordinates over
+    ``basis``, row i of basis^-1 (Gauss-Jordan in Fractions), and
+    ``dual_int_basis`` is the columns of basis^-1 = den * int_rows^-1, or
+    ``InputError`` where one is not integral; either field read first."""
+    lattices = _definition_lattices(corpus_lattices)
+    for lat in lattices:
+        inv = _invert([list(row) for row in lat.basis])
+        contains = all(x.denominator == 1 for row in inv for x in row)
+        cols = tuple(tuple(row[j] for row in inv) for j in range(lat.dim))
+        again = Lattice._canonical(lat.dim, lat.den, lat.int_rows)
+        assert outcome(lambda: lat.dual_int_basis) == (cols if contains else InputError), lat
+        for fresh in (lat, again):
+            assert fresh.is_superlattice is contains, lat
+        assert outcome(lambda: again.dual_int_basis) == outcome(lambda: lat.dual_int_basis), lat
+    assert {lat.is_superlattice for lat in lattices} == {True, False}
+    assert sum(not lat.is_superlattice for lat in lattices) > 700
+
+
+def test_the_integer_canonicity_check_is_its_definition(corpus_lattices):
+    """``Lattice(dim, rows)`` accepts rows exactly when the lattice they
+    span (``from_rows``) has them as its ``Fraction`` basis, and builds that
+    lattice; it refuses the rest with the message it has always given.  The
+    rows: each lattice's basis, scaled by den (``int_rows``) and by 2, with
+    its rows reversed, its last row negated and its last row added to the
+    first."""
+    accepted = refused = 0
+    for lat in _definition_lattices(corpus_lattices):
+        basis, d = lat.basis, lat.dim
+        for rows in (
+            basis,
+            lat.int_rows,
+            tuple(tuple(2 * x for x in row) for row in basis),
+            basis[::-1],
+            (*basis[:-1], tuple(-x for x in basis[-1])),
+            (tuple(map(sum, zip(basis[0], basis[-1]))), *basis[1:]),
+        ):
+            span = Lattice.from_rows(d, rows)
+            if span.basis == tuple(map(tuple, rows)):
+                built = Lattice(d, rows)
+                assert (built, built.den, built.int_rows) == (span, span.den, span.int_rows), (lat, rows)
+                accepted += 1
+            else:
+                with pytest.raises(InputError) as info:
+                    Lattice(d, rows)
+                message = f"{rows!r} is not the canonical basis of a lattice; build lattices with Lattice.from_rows"
+                assert str(info.value) == message, (lat, rows)
+                refused += 1
+    assert accepted > 2000 and refused > 2000, (accepted, refused)
+
+
 def test_a_lattice_is_its_integer_rows(monkeypatch):
     """``den`` and ``int_rows`` are the stored lattice; enumeration and the
     lattices derived in integer rows build no ``Fraction``, and ``basis`` is

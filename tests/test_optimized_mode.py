@@ -76,6 +76,31 @@ def test_germ_imports_only_errors_lattice_and_rationals():
     assert _package_imports("germ.py") == {"errors", "lattice", "rationals"}
 
 
+def _cached_properties(tree):
+    """Line numbers that bind or read ``functools.cached_property``."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "functools":
+            if any(alias.name == "cached_property" for alias in node.names):
+                yield node.lineno
+        elif isinstance(node, ast.Attribute) and node.attr == "cached_property":
+            yield node.lineno
+        elif isinstance(node, ast.Name) and node.id == "cached_property":
+            yield node.lineno
+
+
+def test_no_module_uses_the_locking_cached_property():
+    """Cached fields are ``lattice.cached_field``: Python 3.11's
+    ``functools.cached_property`` takes a lock on every first fill."""
+    paths = sorted(PACKAGE.rglob("*.py"))
+    assert paths
+    found = [
+        f"{path.name}:{line}"
+        for path in paths
+        for line in _cached_properties(ast.parse(path.read_text(encoding="utf-8"), filename=str(path)))
+    ]
+    assert found == []
+
+
 def test_flat_binds_no_program():
     """The flat builder reads rho and its ray normal off the vertex list and
     v(x) off ``Lattice.newton_generators``: it imports nothing from
