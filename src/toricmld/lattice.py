@@ -41,9 +41,8 @@ class cached_field:
     """A field computed by ``func`` on first read and kept in the
     instance's ``__dict__``, where every later read finds it without calling
     back here.  It is ``functools.cached_property`` as Python 3.12 has it,
-    without 3.11's lock around each first fill: an object's fields are
-    filled by the thread that reads them, and the one other thread, the
-    ``--jobs`` pool's task thread, reads only lattices it builds itself."""
+    without 3.11's lock around each first fill, as no object is read by
+    two threads."""
 
     def __init__(self, func):
         self.func, self.__doc__ = func, func.__doc__

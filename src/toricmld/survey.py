@@ -31,7 +31,6 @@ from .newton import _general_member_threshold, lct_fermat, lct_newton, newton_po
 from .rationals import instance, integer, iterate, qvec, rat, rat_str, row_str
 
 ROW_CAP_DEFAULT = 10**6
-CHUNK = 8  # lattices a worker takes at once: its tables live only as long as its chunk
 
 
 # -- documents -------------------------------------------------------------------
@@ -215,11 +214,10 @@ def _survey_row(germ: ToricGerm) -> SurveyRow:
     )
 
 
-def _rows_for_lattice(args) -> list[tuple[SurveyRow, tuple]]:
+def _rows_for_lattice(lattice: Lattice, boundaries) -> list[tuple[SurveyRow, tuple]]:
     """The row of each (lattice, b) for b in ``boundaries``, each paired with
     its witnesses as they sit in the face table: the full face's den-scaled
     minimizer rows, sorted, which ``_derived_rows`` permutes."""
-    lattice, boundaries = args
     full = tuple(range(1, lattice.dim + 1))
     return [(_survey_row(germ), germ.face_table.entries[full][1]) for germ in (ToricGerm(lattice, b) for b in boundaries)]
 
@@ -263,8 +261,10 @@ def _survey_rows(dim: int, max_index: int, boundary_set, mod_permutations: bool,
     jobs = min(jobs, os.cpu_count() or 1)
     coeffs = _coefficients(boundary_set)
     stream = _lattice_stream((dim,), max_index, coeffs, ROW_CAP_DEFAULT, "survey")
+    classes = ((dim, [key[2:] for key in group], coeffs, mod_permutations) for _, group in groupby(stream, itemgetter(1)))
     if jobs == 1:
-        yield from _orbit_rows(stream, dim, coeffs, mod_permutations, map)
+        for task in classes:
+            yield from _class_rows(task)
         return
     import multiprocessing as mp
 
@@ -273,47 +273,44 @@ def _survey_rows(dim: int, max_index: int, boundary_set, mod_permutations: bool,
     except ValueError:  # pragma: no cover
         ctx = mp.get_context("spawn")
     with ctx.Pool(jobs) as pool:
-        yield from _orbit_rows(stream, dim, coeffs, mod_permutations, lambda fn, tasks: pool.imap(fn, tasks, CHUNK))
+        for rows in pool.imap(_class_row_list, classes, 1):
+            yield from rows
 
 
-def _orbit_rows(stream, dim: int, coeffs, mod_permutations: bool, run):
-    """The rows of the lattices of ``stream`` (``_lattice_stream``), one index
-    class at a time: a coordinate permutation keeps the index and den.  An
-    orbit's first lattice is its least, the representative R; its rows come
-    from ``_rows_for_lattice`` through ``run`` (``map`` or a pool's ``imap``),
-    and each later member's from R's rows and minimizer rows (``_derived_rows``),
-    or none with ``mod_permutations``.  Only the class's registry (``_representatives``),
-    its representatives' pairs and integer keys are held, and the lists in ``pulled``."""
+def _class_row_list(task) -> list[SurveyRow]:
+    """The rows of ``_class_rows`` as one list: a worker's task and its result."""
+    return list(_class_rows(task))
+
+
+def _class_rows(task):
+    """The rows of one index class, ``task`` = (dim, keys, coeffs,
+    mod_permutations) with the (den, ``int_rows``) of each of its lattices in
+    ``_lattice_stream``'s order: a coordinate permutation keeps the index and
+    den.  An orbit's first lattice is its least, the representative R: at a
+    key whose registry entry is still None, R is built, each None entry of its
+    ``permuted_keys`` set to (R's rows, perm), and R's rows made by
+    ``_rows_for_lattice``; each later member's come from R's rows and minimizer
+    rows (``_derived_rows``), or none with ``mod_permutations``.  Only the
+    registry, the representatives' pairs and the lists in ``pulled`` are held."""
+    dim, keys, coeffs, mod_permutations = task
     assignments, base = list(product(coeffs, repeat=dim)), len(coeffs)
-    pulled = {}  # perm -> position of b_R for each b: b's base-|B| digit j moved to place perm[j]
-    for _, group in groupby(stream, itemgetter(1)):
-        keys = [(den, rows) for _, _, den, rows in group]
-        registry, made = dict.fromkeys(rows for _, rows in keys), {}  # setting an entry keeps the class's own key tuple
-        results = run(_rows_for_lattice, _representatives(dim, keys, registry, assignments, mod_permutations))
-        for den, rows in keys:
-            rep, perm = registry[rows] or (rows, None)  # a representative may not be registered yet
-            if rep == rows:
-                made[rows] = next(results)
-                yield from map(itemgetter(0), made[rows])
-            elif not mod_permutations:  # a member's unit_scales are R's permuted, so all 1
-                if perm not in pulled:
-                    places = [base ** (dim - 1 - p) for p in perm]
-                    pulled[perm] = [sum(map(mul, t, places)) for t in product(range(base), repeat=dim)]
-                member = Lattice._canonical(dim, den, rows, is_superlattice=True, unit_scales=(1,) * dim)
-                yield from _derived_rows(made[rep], perm, member, assignments, pulled[perm])
-
-
-def _representatives(dim: int, keys, registry: dict, assignments, mod_permutations: bool):
-    """The ``_rows_for_lattice`` task of each lattice of ``keys`` whose ``registry``
-    entry (one per key of the class, None at first) is None, first setting each
-    None entry of its ``permuted_keys`` to (its rows, perm).  A pool's task thread
-    runs it ahead of ``_orbit_rows``, which reads an entry after the task that set it."""
+    registry = dict.fromkeys(rows for _, rows in keys)  # setting an entry keeps the class's own key tuple
+    made, pulled = {}, {}  # pulled: perm -> position of b_R for each b: b's base-|B| digit j moved to place perm[j]
     for den, rows in keys:
         if registry[rows] is None:
             lattice = _superlattice(dim, den, rows)
             for key, perm in lattice.permuted_keys:
                 registry[key] = registry[key] or (rows, perm)
-            yield lattice, _orbit_representatives(lattice, assignments) if mod_permutations else assignments
+            boundaries = _orbit_representatives(lattice, assignments) if mod_permutations else assignments
+            made[rows] = _rows_for_lattice(lattice, boundaries)
+            yield from map(itemgetter(0), made[rows])
+        elif not mod_permutations:  # a member's unit_scales are R's permuted, so all 1
+            rep, perm = registry[rows]
+            if perm not in pulled:
+                places = [base ** (dim - 1 - p) for p in perm]
+                pulled[perm] = [sum(map(mul, t, places)) for t in product(range(base), repeat=dim)]
+            member = Lattice._canonical(dim, den, rows, is_superlattice=True, unit_scales=(1,) * dim)
+            yield from _derived_rows(made[rep], perm, member, assignments, pulled[perm])
 
 
 def _derived_rows(rows: list[tuple[SurveyRow, tuple]], perm, lattice: Lattice, assignments, pulled):

@@ -339,16 +339,16 @@ def test_a_survey_that_fails_midway_writes_nothing(tmp_path, capsys, monkeypatch
 @pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(), reason="spawned workers would import the unpatched _survey_row")
 def test_a_parallel_survey_that_fails_chunks_in_writes_nothing_and_leaves_no_worker(capsys, monkeypatch):
     """A ``--jobs 2`` survey of d = 3 to index 10 (116 orbit representatives,
-    the lattices whose rows are computed, in 10 index classes) whose 100th
-    representative raises, several chunks in, exits 1 with empty stdout, and
-    no worker outlives it."""
+    the lattices whose rows are computed, in 10 index classes, one pool task
+    each) whose 100th representative raises, several classes in, exits 1 with
+    empty stdout, and no worker outlives it."""
     import toricmld.survey as survey
     from toricmld.errors import ResourceLimit
     from toricmld.lattice import enumerate_superlattices
 
     reps = [lat for lat in enumerate_superlattices(3, 10) if survey._orbit_representatives(lat, [(0, 0, 0)])]
     real = survey._survey_row
-    assert len(reps) > 99 > 4 * survey.CHUNK
+    assert len(reps) > 99 and reps[99].index > reps[0].index
     target = reps[99]
 
     def failing(germ):
@@ -385,10 +385,10 @@ def _worker_peak_kb(max_index: int) -> int:
 
 @pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="--jobs 2 is clamped to one process, which starts no worker")
 def test_a_parallel_surveys_worker_memory_does_not_grow_with_the_corpus():
-    """Each worker takes ``CHUNK`` lattices at a time and holds their tables
-    only as long as that chunk, so a worker peaks alike at index 12 (730
-    lattices) and 30 (10,734).  With chunks of count / (4N) lattices, a
-    worker peaked at about 18 and 31 MB."""
+    """Each worker takes one index class at a time and holds its lattices'
+    tables and rows only as long as that class, so a worker peaks alike at
+    index 12 (730 lattices) and 30 (10,734).  With chunks of count / (4N)
+    lattices, a worker peaked at about 18 and 31 MB."""
     small, large = _worker_peak_kb(12), _worker_peak_kb(30)
     assert 0 < small and large - small < 5 * 1024, (small, large)
 

@@ -1,4 +1,6 @@
 import json
+import multiprocessing
+import os
 import re
 from dataclasses import fields, replace
 from fractions import Fraction as F
@@ -12,7 +14,6 @@ from toricmld.germ import ToricGerm, germ_cyclic_quotient, germ_document, mld_br
 from toricmld.lattice import Lattice, _superlattice, _superlattices, enumerate_superlattices, lattice_from_generators
 from toricmld.rationals import rat_str
 from toricmld.survey import (
-    CHUNK,
     CorpusConfig,
     SurveyRow,
     _lattice_stream,
@@ -250,13 +251,53 @@ def test_survey_parallel_matches_serial():
 
 @pytest.mark.parametrize("mod_permutations", [False, True])
 def test_survey_parallel_matches_serial_across_chunks(mod_permutations):
-    """d = 3 to index 8 is 224 lattices, 28 chunks of ``CHUNK``: the rows come
-    back in canonical order across every chunk boundary."""
-    assert len(enumerate_superlattices(3, 8)) > 4 * CHUNK
+    """d = 3 to index 8 is 224 lattices in 8 index classes, one pool task
+    each: the rows come back in canonical order across every class boundary."""
+    assert len({lat.index for lat in enumerate_superlattices(3, 8)}) == 8
     coeffs = [0, F(1, 2), 1]
     serial = run_survey(3, 8, coeffs, mod_permutations=mod_permutations)
     parallel = run_survey(3, 8, coeffs, mod_permutations=mod_permutations, jobs=2)
     assert rows_to_csv(serial) == rows_to_csv(parallel) and rows_to_json(serial) == rows_to_json(parallel)
+
+
+@pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="--jobs 2 is clamped to one process, which starts no worker")
+@pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(), reason="the counters are patched into forked workers")
+def test_a_parallel_survey_leaves_every_lattice_and_row_to_the_workers(monkeypatch):
+    """Under ``--jobs 2`` the parent only enumerates integer keys and passes
+    rows on: it builds no lattice and makes no row, computed or derived.
+    The same counters see both kinds of row made under ``--jobs 1``."""
+    import toricmld.survey as survey
+
+    calls = []
+    canonical = Lattice._canonical.__func__
+
+    def counted_canonical(cls, *args, **known):
+        calls.append("_canonical")
+        return canonical(cls, *args, **known)
+
+    def counted(name):
+        real = getattr(survey, name)
+        return lambda *args: calls.append(name) or real(*args)
+
+    monkeypatch.setattr(Lattice, "_canonical", classmethod(counted_canonical))
+    for name in ("_survey_row", "_derived_rows"):
+        monkeypatch.setattr(survey, name, counted(name))
+    coeffs = [0, F(1, 2), 1]
+    serial = rows_to_csv(run_survey(3, 8, coeffs))
+    assert set(calls) == {"_canonical", "_survey_row", "_derived_rows"}
+    calls.clear()
+    assert rows_to_csv(run_survey(3, 8, coeffs, jobs=2)) == serial and calls == []
+
+
+def test_a_spawned_pool_gives_the_serial_rows(monkeypatch):
+    """Workers started by ``spawn``, which import the package afresh and
+    receive each class task pickled, give the rows of ``--jobs 1``."""
+    spawn = multiprocessing.get_context("spawn")
+    coeffs = [0, F(1, 2), 1]
+    serial = rows_to_csv(run_survey(3, 8, coeffs))
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(multiprocessing, "get_context", lambda method=None: spawn)
+    assert rows_to_csv(run_survey(3, 8, coeffs, jobs=2)) == serial
 
 
 def test_survey_mod_permutations():
@@ -474,6 +515,15 @@ def test_acc_report_single_row():
 def test_acc_report_terminal_classification_small():
     rep = acc_report(run_survey(3, 8, [0]))
     assert rep.maximum == 3
+
+
+def test_acc_report_json_spells_every_value_as_a_rational_string():
+    assert acc_report(run_survey(2, 3, [0])).to_json_dict() == {
+        "values": [["2/3", 1], ["1", 2], ["2", 1]],
+        "maximum": "2",
+        "gaps": [["2/3", "1", "1/3"], ["1", "2", "1"]],
+        "accumulation_candidates": [],
+    }
 
 
 def test_acc_report_needs_rows():
@@ -697,7 +747,7 @@ def test_survey_clamps_jobs_to_the_core_count(monkeypatch, cores, jobs, expected
     monkeypatch.setattr(multiprocessing, "get_context", lambda method=None: ctx)
     rows = rows_to_csv(run_survey(2, 4, [0], jobs=jobs))
     assert ctx.sizes == expected
-    assert set(ctx.chunksizes) == ({CHUNK} if expected else set())  # one imap per index class
+    assert ctx.chunksizes == ([1] if expected else [])  # one imap, one index class a task
     assert rows == rows_to_csv(run_survey(2, 4, [0]))
 
 
